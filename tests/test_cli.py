@@ -4,11 +4,14 @@ import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from pivotlab import analysis, cli
 from pivotlab.analysis import LemmaCheck, LemmaReport
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def run_cli(argv):
@@ -183,22 +186,47 @@ def test_out_flag_writes_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["uso", "build", "--r", "2", "--m", "3", "--seed", "11"],
-        ["points", "dump", "--r", "2", "--m", "3"],
-        ["process", "run", "--r", "2", "--m", "3", "--seed", "11", "--trials", "3"],
-        [
-            "bench", "bounds", "--families", "main_theorem", "--r-list", "1",
-            "--m-list", "2..4", "--seed", "11",
-        ],
-        ["verify", "lemmas", "--r", "2", "--m", "3"],
+RERUN_CASES = {
+    "uso-build": ["uso", "build", "--r", "2", "--m", "3", "--seed", "11"],
+    "points-dump": ["points", "dump", "--r", "2", "--m", "3"],
+    "process-run": ["process", "run", "--r", "2", "--m", "3", "--seed", "11", "--trials", "3"],
+    "bench-bounds": [
+        "bench", "bounds", "--families", "main_theorem", "--r-list", "1",
+        "--m-list", "2..4", "--seed", "11",
     ],
-    ids=["uso-build", "points-dump", "process-run", "bench-bounds", "verify-lemmas"],
-)
-def test_byte_identical_reruns(argv):
+    "verify-lemmas": ["verify", "lemmas", "--r", "2", "--m", "3"],
+    # the sink's forced escape is the last draw of each walk
+    "uso-walk-delta0-jsonl": [
+        "uso", "walk", "--r", "2", "--m", "3", "--seed", "7", "--trials", "4",
+        "--delta", "0", "--format", "jsonl",
+    ],
+    "uso-walk-delta1-json": [
+        "uso", "walk", "--r", "2", "--m", "4", "--seed", "7", "--trials", "200",
+        "--delta", "1",
+    ],
+    "uso-expect-delta1": ["uso", "expect", "--r", "2", "--m", "4", "--seed", "7", "--delta", "1"],
+    "process-run-alphas-delta2": [
+        "process", "run", "--r", "2", "--m", "3", "--alphas", "5,5", "--delta", "2",
+        "--seed", "7", "--trials", "3",
+    ],
+    # delta 0: every trace ends in a forced escape that draws nothing
+    "process-run-json-delta0": [
+        "process", "run", "--r", "2", "--m", "3", "--format", "json", "--trials", "500",
+        "--seed", "7",
+    ],
+    "process-expect-alphas-delta1": [
+        "process", "expect", "--r", "2", "--m", "3", "--alphas", "5,6", "--delta", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(RERUN_CASES))
+def test_byte_identical_reruns(name):
+    """Seeded output reruns byte for byte and matches its golden, the stdout
+    of ``pivotlab <argv>`` kept in ``tests/goldens/<name>.txt``."""
+    argv = RERUN_CASES[name]
     first = run_cli(argv)
     second = run_cli(argv)
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
+    assert first[1].encode() == (GOLDENS / f"{name}.txt").read_bytes()
