@@ -1,6 +1,9 @@
 """pivotlab: a laboratory for lower-bound constructions against random-edge
 pivoting, in two equivalent models.
 
+- :mod:`pivotlab.chain` holds the absorbing-chain rules both models share:
+  the terminal state, the escape, value and draw rules, and the state cap
+  (``PIVOTLAB_STATE_CAP``) on exact solves and exhaustive checks.
 - :mod:`pivotlab.grid_uso` builds recursive comb orientations of grid graphs
   (acyclic, unique sink in every subgrid), simulates the directed random walk
   and solves its expected duration exactly.
@@ -15,7 +18,7 @@ pivoting, in two equivalent models.
 - :mod:`pivotlab.cli` exposes everything as the ``pivotlab`` command.
 """
 
-from . import analysis, cli, geometry, grid_uso, process, seeding
+from . import analysis, chain, cli, geometry, grid_uso, process, seeding
 from .errors import (
     DegeneracyError,
     GeneralPositionError,
@@ -27,6 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "analysis",
+    "chain",
     "cli",
     "geometry",
     "grid_uso",

@@ -165,18 +165,37 @@ def mc_estimate(
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     values = [float(sample(derive_rng(seed, "trial", i))) for i in range(trials)]
+    return _sample_report(values, seed)
+
+
+def _sample_report(values: Sequence[float], seed: int) -> ExpectationReport:
+    """Sample mean with its standard error and normal 99% interval."""
+    n = len(values)
     mean = fmean(values)
-    var = sum((v - mean) ** 2 for v in values) / (trials - 1)
-    se = math.sqrt(var / trials)
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    se = math.sqrt(var / n)
     return ExpectationReport(
         value=mean,
         method="monte_carlo",
-        trials=trials,
+        trials=n,
         se=se,
         ci_low=mean - Z99 * se,
         ci_high=mean + Z99 * se,
         seed=seed,
     )
+
+
+def _apply_verdict(report: ExpectationReport, b: float) -> ExpectationReport:
+    """Set the one-sided 3-SE verdict of a sampled ``report`` against bound
+    ``b``: satisfied when the whole margin clears it, inconclusive when only
+    the margin straddles it."""
+    assert report.se is not None
+    report.bound = b
+    report.satisfied = report.value - 3 * report.se >= b
+    report.inconclusive = (not report.satisfied) and (
+        report.value + 3 * report.se >= b
+    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +259,13 @@ def _ensemble_report(
     values: Sequence[Fraction], params: BoundParams, seed: int
 ) -> ExpectationReport:
     floats = [float(v) for v in values]
-    mean = fmean(floats)
-    var = sum((v - mean) ** 2 for v in floats) / (len(floats) - 1)
-    se = math.sqrt(var / len(floats))
-    b = bound(params)
-    satisfied = mean - 3 * se >= b
-    report = ExpectationReport(
-        value=mean,
-        method="monte_carlo",
-        trials=len(values),
-        se=se,
-        ci_low=mean - Z99 * se,
-        ci_high=mean + Z99 * se,
-        bound=b,
-        satisfied=satisfied,
-        inconclusive=(not satisfied) and (mean + 3 * se >= b),
-        seed=seed,
-        extras={
-            "ensemble": "orientations",
-            "max": max(floats),
-            "min": min(floats),
-            "max_index": max(range(len(floats)), key=floats.__getitem__),
-        },
-    )
+    report = _apply_verdict(_sample_report(floats, seed), bound(params))
+    report.extras = {
+        "ensemble": "orientations",
+        "max": max(floats),
+        "min": min(floats),
+        "max_index": max(range(len(floats)), key=floats.__getitem__),
+    }
     return report
 
 
@@ -344,13 +347,7 @@ def compare_to_bound(
     else:
         raise TypeError(f"unsupported target {target!r}")
 
-    assert report.se is not None
-    report.bound = b
-    report.satisfied = report.value - 3 * report.se >= b
-    report.inconclusive = (not report.satisfied) and (
-        report.value + 3 * report.se >= b
-    )
-    return report
+    return _apply_verdict(report, b)
 
 
 # ---------------------------------------------------------------------------

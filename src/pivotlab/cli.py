@@ -22,8 +22,8 @@ from .errors import InstanceTooLargeError
 from .seeding import derive_rng, fresh_seed
 
 EPILOG = """environment overrides:
-  PIVOTLAB_STATE_CAP    cap on exact-mode state counts (default 1000000)
-  PIVOTLAB_STEP_BUDGET  override the per-run step budget tripwire
+  PIVOTLAB_STATE_CAP    cap on the state counts of exact solves and exhaustive
+                        checks (default 1000000)
 """
 
 
@@ -442,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default=None)
     p.add_argument("--alpha-sweep", type=int, default=None, dest="alpha_sweep",
                    help="adversary sweep width: report the minimum over alpha_i in {m+1..m+W}")
-    p.add_argument("--exact", action="store_true", help="exact mode (the default; kept for symmetry)")
     p.set_defaults(handler=_cmd_process_expect)
 
     verify = top.add_parser("verify", help="verification suites").add_subparsers(

@@ -17,14 +17,15 @@ expected absorption time this module computes exactly over the rationals.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
 from typing import Callable, Iterator, Union
 
-from .errors import InstanceTooLargeError, InternalInvariantError
+from . import chain
+from .chain import TERMINAL, Terminal
+from .errors import InternalInvariantError
 
 __all__ = [
     "AugmentedConfig",
@@ -54,32 +55,6 @@ __all__ = [
 ]
 
 Vertex = tuple[int, ...]
-
-STATE_CAP_ENV = "PIVOTLAB_STATE_CAP"
-STEP_BUDGET_ENV = "PIVOTLAB_STEP_BUDGET"
-DEFAULT_STATE_CAP = 10**6
-
-
-class _Terminal:
-    """Sentinel for the absorbing terminal vertex."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "TERMINAL"
-
-
-TERMINAL = _Terminal()
-
-
-def _state_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
-
-
-def _step_budget(default: int) -> int:
-    return int(os.environ.get(STEP_BUDGET_ENV, default))
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +242,6 @@ def _grid_out_targets(comb: CombOrientation, v: Vertex) -> list[Vertex]:
     return out
 
 
-def _is_sink(comb: CombOrientation, v: Vertex) -> bool:
-    node = comb
-    for c in reversed(v):
-        if node.ranks[c - 1] != 1:
-            return False
-        node = node.children[c - 1]
-    return True
-
-
 def out_neighbors(
     comb: CombOrientation, cfg: AugmentedConfig | None, v: Vertex
 ) -> OutArcs:
@@ -285,13 +251,11 @@ def out_neighbors(
     if not spec.contains(v):
         raise ValueError(f"vertex {v} not in grid {spec.factor_sizes}")
     targets = tuple(_grid_out_targets(comb, v))
-    if cfg is None:
-        terminal = 0
-    elif cfg.delta > 0:
-        terminal = cfg.delta
-    else:
-        terminal = 1 if not targets else 0
-    return OutArcs(targets, terminal)
+    return OutArcs(targets, chain.escape_weight(_delta(cfg), len(targets)))
+
+
+def _delta(cfg: AugmentedConfig | None) -> int | None:
+    return None if cfg is None else cfg.delta
 
 
 def grid_out_function(comb: CombOrientation) -> Callable[[Vertex], tuple[Vertex, ...]]:
@@ -337,7 +301,7 @@ class WalkOutcome:
     sequence, whose last entry is the final sink or ``TERMINAL``."""
 
     steps: int
-    visited: tuple[Union[Vertex, _Terminal], ...] | None = None
+    visited: tuple[Union[Vertex, Terminal], ...] | None = None
 
 
 def _uniform_vertex(spec: GridSpec, rng: Random) -> Vertex:
@@ -370,27 +334,28 @@ def walk(
         v = start  # type: ignore[assignment]
         if not spec.contains(v):
             raise ValueError(f"start vertex {v} not in grid {spec.factor_sizes}")
-    budget = _step_budget(spec.vertex_count + 1)
-    visited: list[Union[Vertex, _Terminal]] = [v]
+    delta = _delta(cfg)
+    budget = spec.vertex_count + 1
+    visited: list[Union[Vertex, Terminal]] = [v]
     steps = 0
     while True:
-        arcs = out_neighbors(comb, cfg, v)
-        if arcs.degree == 0:
+        targets = _grid_out_targets(comb, v)
+        escape = chain.escape_weight(delta, len(targets))
+        if not targets and not escape:
             break  # sink of the plain grid
-        i = rng.randrange(arcs.degree)
+        i = chain.draw(rng, len(targets), escape)
         steps += 1
         if steps > budget:
             raise InternalInvariantError(
                 "walk exceeded its step budget; the orientation is not acyclic"
             )
-        if i < len(arcs.targets):
-            v = arcs.targets[i]
-            if record:
-                visited.append(v)
-        else:
+        if i is TERMINAL:
             if record:
                 visited.append(TERMINAL)
             break
+        v = targets[i]
+        if record:
+            visited.append(v)
     return WalkOutcome(steps, tuple(visited) if record else None)
 
 
@@ -407,68 +372,38 @@ def expected_duration_exact(
     comb: CombOrientation,
     cfg: AugmentedConfig | None,
     start: Vertex | str = "uniform",
-    cap: int | None = None,
 ) -> Fraction:
     """Exact expected walk duration, as a rational.
 
     Every edge strictly decreases the vertex's rank tuple lexicographically,
     so one back-substitution pass in ascending rank order solves the whole
-    chain.  ``start == "uniform"`` averages over all grid vertices.
+    chain.  A vertex's successors along one factor are the lower-ranked
+    vertices of its fiber (its line along that factor), which that order
+    visits first; a running sum per fiber therefore holds their values, and
+    the out-degree is ``sum(key) - r``.  ``start == "uniform"`` averages over
+    all grid vertices.
     """
     spec = grid_spec(comb)
-    if spec.vertex_count > _state_cap(cap):
-        raise InstanceTooLargeError(
-            f"instance too large for exact mode: {spec.vertex_count} vertices "
-            f"exceed the cap of {_state_cap(cap)}"
-        )
+    chain.check_state_count(spec.vertex_count, "vertices", "exact mode")
     if start != "uniform" and not spec.contains(start):  # type: ignore[arg-type]
         raise ValueError(f"start vertex {start} not in grid {spec.factor_sizes}")
-
-    if comb.dimension <= 1:
-        values = _chain_expectations(comb, cfg)
-    else:
-        values = {}
-        for v in sorted(spec.vertices(), key=lambda u: _rank_key(comb, u)):
-            arcs = out_neighbors(comb, cfg, v)
-            if arcs.degree == 0:
-                values[v] = Fraction(0)
-                continue
-            try:
-                total = sum((values[w] for w in arcs.targets), Fraction(0))
-            except KeyError as exc:  # pragma: no cover - tripwire
-                raise InternalInvariantError(
-                    "edge against the rank order; the orientation is not acyclic"
-                ) from exc
-            values[v] = 1 + total / arcs.degree
+    delta = _delta(cfg)
+    r = spec.dimension
+    values: dict[Vertex, Fraction] = {}
+    fiber_sums: dict[tuple[int, Vertex], Fraction] = {}
+    zero = Fraction(0)
+    for key, v in sorted((_rank_key(comb, u), u) for u in spec.vertices()):
+        fibers = [(d, v[:d] + v[d + 1 :]) for d in range(r)]
+        n_succ = sum(key) - r
+        succ_sum = sum((fiber_sums.get(f, zero) for f in fibers), zero)
+        e = chain.expected_steps(succ_sum, n_succ, chain.escape_weight(delta, n_succ))
+        values[v] = e
+        for f in fibers:
+            fiber_sums[f] = fiber_sums.get(f, zero) + e
 
     if start == "uniform":
-        return sum(values.values(), Fraction(0)) / len(values)
+        return sum(values.values(), zero) / len(values)
     return values[start]  # type: ignore[index]
-
-
-def _chain_expectations(
-    comb: CombOrientation, cfg: AugmentedConfig | None
-) -> dict[Vertex, Fraction]:
-    """Expectations for dimensions 0 and 1, where the orientation is a rank
-    chain and a running prefix sum replaces the quadratic re-summation."""
-    if comb.dimension == 0:
-        e = Fraction(0) if cfg is None else Fraction(1)
-        return {(): e}
-    by_rank = sorted(range(1, comb.m + 1), key=lambda v: comb.ranks[v - 1])
-    values: dict[Vertex, Fraction] = {}
-    running = Fraction(0)
-    for t, v in enumerate(by_rank, start=1):
-        if cfg is None:
-            terminal = 0
-        elif cfg.delta > 0:
-            terminal = cfg.delta
-        else:
-            terminal = 1 if t == 1 else 0
-        degree = (t - 1) + terminal
-        e = Fraction(0) if degree == 0 else 1 + running / degree
-        values[(v,)] = e
-        running += e
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +480,9 @@ def _pad(node: CombOrientation, sizes: tuple[int, ...]) -> CombOrientation:
 OutFn = Callable[[Vertex], tuple[Vertex, ...]]
 
 
-def _subgrid_choices(spec: GridSpec, cap: int) -> list[list[tuple[int, ...]]]:
+def _subgrid_choices(spec: GridSpec) -> list[list[tuple[int, ...]]]:
     count = math.prod(2**s - 1 for s in spec.factor_sizes)
-    if count > cap:
-        raise InstanceTooLargeError(
-            f"{count} subgrids exceed the exhaustive-check cap of {cap}"
-        )
+    chain.check_state_count(count, "subgrids", "the exhaustive check")
     choices = []
     for s in spec.factor_sizes:
         values = range(1, s + 1)
@@ -564,14 +496,13 @@ def _subgrid_choices(spec: GridSpec, cap: int) -> list[list[tuple[int, ...]]]:
 def unique_sink_violations(
     spec: GridSpec,
     out_fn: OutFn,
-    cap: int | None = None,
     max_report: int = 5,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Exhaustively check every subgrid for a unique sink; returns the
     offending subgrids (as tuples of per-factor value subsets), empty if the
     orientation is a unique sink orientation."""
     bad = []
-    for subsets in product(*_subgrid_choices(spec, _state_cap(cap))):
+    for subsets in product(*_subgrid_choices(spec)):
         member = [set(s) for s in subsets]
         sinks = 0
         for v in product(*subsets):
@@ -588,36 +519,31 @@ def unique_sink_violations(
     return bad
 
 
+def _spec_and_out(
+    comb_or_spec: CombOrientation | GridSpec, out_fn: OutFn | None
+) -> tuple[GridSpec, OutFn]:
+    if isinstance(comb_or_spec, CombOrientation):
+        return grid_spec(comb_or_spec), out_fn or grid_out_function(comb_or_spec)
+    if out_fn is None:
+        raise ValueError("an adjacency function is required with a bare GridSpec")
+    return comb_or_spec, out_fn
+
+
 def is_unique_sink_orientation(
     comb_or_spec: CombOrientation | GridSpec,
     out_fn: OutFn | None = None,
-    cap: int | None = None,
 ) -> bool:
-    if isinstance(comb_or_spec, CombOrientation):
-        spec = grid_spec(comb_or_spec)
-        out_fn = out_fn or grid_out_function(comb_or_spec)
-    else:
-        spec = comb_or_spec
-        if out_fn is None:
-            raise ValueError("an adjacency function is required with a bare GridSpec")
-    return not unique_sink_violations(spec, out_fn, cap=cap, max_report=1)
+    spec, out_fn = _spec_and_out(comb_or_spec, out_fn)
+    return not unique_sink_violations(spec, out_fn, max_report=1)
 
 
 def has_topological_order(
     comb_or_spec: CombOrientation | GridSpec,
     out_fn: OutFn | None = None,
-    cap: int | None = None,
 ) -> bool:
     """Kahn's algorithm over the full edge set."""
-    if isinstance(comb_or_spec, CombOrientation):
-        spec = grid_spec(comb_or_spec)
-        out_fn = out_fn or grid_out_function(comb_or_spec)
-    else:
-        spec = comb_or_spec
-        if out_fn is None:
-            raise ValueError("an adjacency function is required with a bare GridSpec")
-    if spec.vertex_count > _state_cap(cap):
-        raise InstanceTooLargeError("grid too large for the acyclicity check")
+    spec, out_fn = _spec_and_out(comb_or_spec, out_fn)
+    chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
     indeg: dict[Vertex, int] = {v: 0 for v in spec.vertices()}
     outs: dict[Vertex, tuple[Vertex, ...]] = {}
     for v in spec.vertices():

@@ -15,15 +15,15 @@ gives the back-substitution order for exact expected durations.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
 from typing import Iterable, Iterator
 
-from . import geometry
-from .errors import InstanceTooLargeError, InternalInvariantError
+from . import chain, geometry
+from .chain import TERMINAL
+from .errors import InternalInvariantError
 from .geometry import PointId, PointSet, Transversal
 
 __all__ = [
@@ -43,27 +43,6 @@ __all__ = [
     "trace_to_jsonl",
     "worst_case_expected_steps",
 ]
-
-STATE_CAP_ENV = "PIVOTLAB_STATE_CAP"
-STEP_BUDGET_ENV = "PIVOTLAB_STEP_BUDGET"
-DEFAULT_STATE_CAP = 10**6
-
-
-class _Terminal:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "TERMINAL"
-
-
-TERMINAL = _Terminal()
-
-
-def _state_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
-
 
 # ---------------------------------------------------------------------------
 # configuration and starts
@@ -247,25 +226,21 @@ def step(cfg: ProcessConfig, position: Transversal, rng: Random):
     """One transition: returns ``(next_position, pivot)`` where the pivot is
     a point id or ``None`` for the escape.
 
-    The pivot is drawn with a single uniform integer over ``|below| + delta``
-    outcomes, mapped to below points first; with ``delta == 0`` and nothing
-    below the escape is forced without consuming randomness.
+    The pivot is drawn by :func:`chain.draw` over the below points and the
+    escape edges; with nothing below the escape is forced without consuming
+    randomness.
     """
     node = _node(cfg, position)
-    total = len(node.below) + cfg.delta
-    if total == 0:
+    n_below = len(node.below)
+    i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
+    if i is TERMINAL:
         return TERMINAL, None
-    i = rng.randrange(total)
-    if i < len(node.below):
-        return node.succ[i], node.below[i]
-    return TERMINAL, None
+    return node.succ[i], node.below[i]
 
 
 def run(cfg: ProcessConfig, rng: Random) -> Trace:
     """Run to the terminal position, recording every visited transversal."""
-    budget = int(
-        os.environ.get(STEP_BUDGET_ENV, cfg.point_set.transversal_count() + 1)
-    )
+    budget = cfg.point_set.transversal_count() + 1
     records = []
     position = cfg.start
     prev_t_sum = None
@@ -340,7 +315,7 @@ def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
 # ---------------------------------------------------------------------------
 
 
-def exact_expected_steps(cfg: ProcessConfig, cap: int | None = None) -> Fraction:
+def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     """Exact expected step count from ``cfg.start``, per the config's
     counting convention.
 
@@ -349,21 +324,12 @@ def exact_expected_steps(cfg: ProcessConfig, cap: int | None = None) -> Fraction
     always solved first).
     """
     ps = cfg.point_set
-    count = ps.transversal_count()
-    if count > _state_cap(cap):
-        raise InstanceTooLargeError(
-            f"instance too large for exact mode: {count} transversals exceed "
-            f"the cap of {_state_cap(cap)}"
-        )
+    chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
     states = list(geometry.transversals(ps))
     nodes = {s: _node(cfg, s) for s in states}
     expected: dict[tuple[PointId, ...], Fraction] = {}
     for s in sorted(states, key=lambda s: nodes[s].t_sum):
         node = nodes[s]
-        total = len(node.below) + cfg.delta
-        if total == 0:
-            expected[s.members] = Fraction(1)  # forced escape hop
-            continue
         acc = Fraction(0)
         for nxt in node.succ:
             value = expected.get(nxt.members)
@@ -372,7 +338,10 @@ def exact_expected_steps(cfg: ProcessConfig, cap: int | None = None) -> Fraction
                     "pivot against the axis-sum order; monotonicity is broken"
                 )
             acc += value
-        expected[s.members] = 1 + acc / total
+        n_below = len(node.below)
+        expected[s.members] = chain.expected_steps(
+            acc, n_below, chain.escape_weight(cfg.delta, n_below)
+        )
     result = expected[cfg.start.members]
     return result if cfg.count_terminal_step else result - 1
 
@@ -383,7 +352,6 @@ def worst_case_expected_steps(
     delta: int,
     alpha_options: Iterable[int],
     count_terminal_step: bool = True,
-    cap: int | None = None,
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Adversary sweep: exact expected duration minimized over all augmented
     starts with each ``alpha_i`` drawn from ``alpha_options``."""
@@ -396,7 +364,7 @@ def worst_case_expected_steps(
             ps, adversary_start(ps), delta=delta,
             count_terminal_step=count_terminal_step,
         )
-        value = exact_expected_steps(cfg, cap=cap)
+        value = exact_expected_steps(cfg)
         if best is None or value < best[0]:
             best = (value, alphas)
     if best is None:

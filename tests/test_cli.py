@@ -47,7 +47,7 @@ def test_points_dump_csv():
 
 
 def test_process_expect_exact_value():
-    code, out, _ = run_cli(["process", "expect", "--r", "1", "--m", "4", "--exact"])
+    code, out, _ = run_cli(["process", "expect", "--r", "1", "--m", "4"])
     assert code == 0
     assert json.loads(out)["value"] == "11/6"
 
@@ -112,6 +112,14 @@ def test_exact_mode_cap_suggests_monte_carlo(monkeypatch):
     assert code == 1
     assert "too large for exact mode" in err
     assert "Monte Carlo" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
+def test_malformed_state_cap_is_a_one_line_usage_error(monkeypatch, raw):
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", raw)
+    code, out, err = run_cli(["uso", "expect", "--r", "2", "--m", "3", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err == f"error: PIVOTLAB_STATE_CAP must be a positive integer, got {raw!r}\n"
 
 
 def test_seed_generated_and_reported_when_missing():

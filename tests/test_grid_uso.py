@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pivotlab.errors import InstanceTooLargeError
 from pivotlab.grid_uso import (
     TERMINAL,
+    _rank_key,
     AugmentedConfig,
     CombOrientation,
     GridSpec,
@@ -255,10 +256,11 @@ def test_leaf_with_delta_is_one_step():
     assert expected_duration_exact(comb, AugmentedConfig(3), ()) == 1
 
 
-def test_exact_respects_state_cap():
+def test_exact_respects_state_cap(monkeypatch):
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "10")
     comb = build_comb(2, 4, Random(0))
     with pytest.raises(InstanceTooLargeError, match="too large for exact mode"):
-        expected_duration_exact(comb, None, "uniform", cap=10)
+        expected_duration_exact(comb, None, "uniform")
 
 
 def test_exact_agrees_between_chain_fast_path_and_generic():
@@ -285,6 +287,42 @@ def test_permutation_invariance_of_start_in_expectation_over_combs():
     var = sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1)
     se = math.sqrt(var / len(diffs))
     assert abs(mean) <= 4 * se
+
+
+def back_substitution_oracle(comb, cfg, start):
+    """Reference solver: every vertex sums its successors' values afresh from
+    ``out_neighbors``, in ascending rank order."""
+    spec = grid_spec(comb)
+    values = {}
+    for v in sorted(spec.vertices(), key=lambda u: _rank_key(comb, u)):
+        arcs = out_neighbors(comb, cfg, v)
+        if arcs.degree == 0:
+            values[v] = Fraction(0)
+            continue
+        total = sum((values[w] for w in arcs.targets), Fraction(0))
+        values[v] = 1 + total / arcs.degree
+    if start == "uniform":
+        return sum(values.values(), Fraction(0)) / len(values)
+    return values[start]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    m=st.integers(1, 5),
+    delta=st.sampled_from([None, 0, 1, 3]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_fiber_solver_matches_back_substitution_oracle(r, m, delta, seed, data):
+    comb = build_comb(r, m, Random(seed))
+    cfg = None if delta is None else AugmentedConfig(delta)
+    start = data.draw(
+        st.one_of(st.just("uniform"), st.tuples(*[st.integers(1, m)] * r))
+    )
+    assert expected_duration_exact(comb, cfg, start) == back_substitution_oracle(
+        comb, cfg, start
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +430,8 @@ def test_flipped_pair_breaks_unique_sinks():
     assert not has_topological_order(spec, mutated)
 
 
-def test_subgrid_check_cap():
+def test_subgrid_check_cap(monkeypatch):
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "3")
     comb = identity_comb(2, 4)
     with pytest.raises(InstanceTooLargeError):
-        unique_sink_violations(grid_spec(comb), grid_out_function(comb), cap=3)
+        unique_sink_violations(grid_spec(comb), grid_out_function(comb))

@@ -269,9 +269,10 @@ def test_exact_delta_limit_is_one_step():
     assert abs(float(exact_expected_steps(cfg)) - 1) < 1e-6
 
 
-def test_exact_respects_cap():
+def test_exact_respects_cap(monkeypatch):
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "5")
     with pytest.raises(InstanceTooLargeError, match="too large for exact mode"):
-        exact_expected_steps(plain_config(2, 4), cap=5)
+        exact_expected_steps(plain_config(2, 4))
 
 
 def test_worst_case_alpha_sweep_is_minimum():
