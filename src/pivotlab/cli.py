@@ -486,7 +486,9 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: use Monte Carlo mode, or raise PIVOTLAB_STATE_CAP", file=sys.stderr)
+        # the exact solves have a Monte Carlo counterpart; uso verify does not
+        alternative = "" if args.handler is _cmd_uso_verify else "use Monte Carlo mode, or "
+        print(f"hint: {alternative}raise PIVOTLAB_STATE_CAP", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

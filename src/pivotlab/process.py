@@ -230,7 +230,11 @@ def step(cfg: ProcessConfig, position: Transversal, rng: Random):
     escape edges; with nothing below the escape is forced without consuming
     randomness.
     """
-    node = _node(cfg, position)
+    return _draw(cfg, _node(cfg, position), rng)
+
+
+def _draw(cfg: ProcessConfig, node: _Node, rng: Random):
+    """:func:`step` from a node already looked up."""
     n_below = len(node.below)
     i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
     if i is TERMINAL:
@@ -252,7 +256,7 @@ def run(cfg: ProcessConfig, rng: Random) -> Trace:
                 "axis-intersection sum failed to decrease; monotonicity is broken"
             )
         prev_t_sum = node.t_sum
-        nxt, pivot = step(cfg, position, rng)
+        nxt, pivot = _draw(cfg, node, rng)
         records.append(
             TraceRecord(t, position.members, len(node.below), node.phase, pivot)
         )

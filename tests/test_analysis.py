@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pivotlab import geometry
 from pivotlab.analysis import (
@@ -16,9 +17,9 @@ from pivotlab.analysis import (
     compare_to_bound,
     mc_estimate,
     phase_law_report,
-    pivot_agreement_violations,
     verify_lemmas,
 )
+from pivotlab.analysis import _chi2_sf
 from pivotlab.geometry import PointId, flip_tail_sign, gen_point_set
 
 
@@ -243,15 +244,29 @@ def test_tail_sign_mutation_is_detected():
     assert any(c.counterexample for c in report.checks if not c.passed)
 
 
-def test_pivot_agreement_sampling_mode():
-    ps = gen_point_set(3, 3)
-    violations, cases = pivot_agreement_violations(ps, sample_pairs=500, seed=1)
-    assert not violations and cases == 500
-
-
 # ---------------------------------------------------------------------------
 # phase laws (small smoke; the full 1e5-trace runs live in the acceptance suite)
 # ---------------------------------------------------------------------------
+
+
+def test_chi2_sf_closed_form_values():
+    for x in (0.0, 0.1, 1.0, 7.5, 60.0, 1500.0):
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
+    for df in range(1, 6):
+        assert _chi2_sf(0.0, df) == 1.0
+        # the statistic a disallowed phase jump sets
+        assert _chi2_sf(math.inf, df) == 0.0
+    assert abs(_chi2_sf(3.841458820694124, 1) - 0.05) <= 1e-12
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 300), st.floats(0.0, 1.0))
+def test_chi2_sf_matches_scipy(df, u):
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    x = u * (4 * df + 40)
+    expected = float(chi2.sf(x, df))
+    if expected > 1e-30:
+        assert abs(_chi2_sf(x, df) - expected) <= 1e-10 * expected
 
 
 def test_phase_law_report_smoke():

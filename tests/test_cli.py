@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -112,6 +114,28 @@ def test_exact_mode_cap_suggests_monte_carlo(monkeypatch):
     assert code == 1
     assert "too large for exact mode" in err
     assert "Monte Carlo" in err
+
+
+def test_uso_verify_cap_hint_offers_no_monte_carlo(monkeypatch):
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "3")
+    code, _, err = run_cli(["uso", "verify", "--r", "2", "--m", "3", "--seed", "1"])
+    assert code == 1
+    assert "cap of 3" in err and "PIVOTLAB_STATE_CAP" in err
+    assert "Monte Carlo" not in err
+
+
+def test_cli_import_loads_no_scipy_or_numpy():
+    """Runs in a fresh interpreter: this test session itself imports scipy
+    as the oracle for the chi-square tails."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import pivotlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
