@@ -463,9 +463,9 @@ def _check_monotone(ps: PointSet, tag: str) -> LemmaCheck:
     cases = 0
     for S in geometry.transversals(ps):
         ts = geometry.axis_intersections(ps, S)
-        for p in geometry.below_set(ps, S, allow_on=ps.is_augmented):
+        for p in geometry.below_set(ps, S):
             cases += 1
-            after = geometry.pivot(ps, S, p)
+            after = geometry.pivot_color_swap(ps, S, p)
             ts_after = geometry.axis_intersections(ps, after)
             if not all(b <= a for a, b in zip(ts, ts_after)):
                 bad = f"axis value increased pivoting {p} at {S.members}"
@@ -558,7 +558,6 @@ def verify_lemmas(
     *,
     point_set: PointSet | None = None,
     deep_from: Sequence[int] = (),
-    include_pivot_agreement: bool = True,
 ) -> LemmaReport:
     """Run the structural verification suite on the ``(r, m)`` family (or a
     supplied point set), optionally also on its deep projections from higher
@@ -566,18 +565,17 @@ def verify_lemmas(
     """
     ps = point_set if point_set is not None else geometry.gen_point_set(r, m)
     checks = _geometry_checks(ps)
-    if include_pivot_agreement:
 
-        def check_agreement() -> LemmaCheck:
-            violations, cases = pivot_agreement_violations(ps)
-            return LemmaCheck(
-                "pivot_agreement",
-                not violations,
-                cases,
-                violations[0] if violations else None,
-            )
+    def check_agreement() -> LemmaCheck:
+        violations, cases = pivot_agreement_violations(ps)
+        return LemmaCheck(
+            "pivot_agreement",
+            not violations,
+            cases,
+            violations[0] if violations else None,
+        )
 
-        checks += _guarded("pivot_agreement", check_agreement)
+    checks += _guarded("pivot_agreement", check_agreement)
     for R in deep_from:
         try:
             deep = geometry.project_deep(R, m, r)
@@ -589,18 +587,23 @@ def verify_lemmas(
 
 
 def pivot_agreement_violations(ps: PointSet) -> tuple[list[str], int]:
-    """Compare the color-swap pivot against the geometric facet search on
-    every (position, below-point) pair."""
+    """Compare the color-swap pivot against the ratio-test pivot on every
+    (position, below-point) pair."""
     violations: list[str] = []
     cases = 0
     for S in geometry.transversals(ps):
-        for p in geometry.below_set(ps, S, allow_on=ps.is_augmented):
+        for p in geometry.below_set(ps, S):
             cases += 1
             try:
-                geometry.pivot(ps, S, p, method="both")
+                swapped = geometry.pivot_color_swap(ps, S, p)
+                tested = geometry.pivot_generic(ps, S, p)
+                problem = None if swapped == tested else (
+                    f"swap gives {swapped.members}, ratio test gives {tested.members}"
+                )
             except (DegeneracyError, GeneralPositionError, ValueError) as exc:
-                if len(violations) < 5:
-                    violations.append(f"{S.members} with {p}: {exc}")
+                problem = str(exc)
+            if problem is not None and len(violations) < 5:
+                violations.append(f"{S.members} with {p}: {problem}")
     return violations, cases
 
 
@@ -752,8 +755,11 @@ def phase_law_report(
     transition_p = _chi2_sf(stat, df) if df > 0 else 1.0
 
     color_total = sum(color_counts)
-    color_stat = sum(
-        (c - color_total / r) ** 2 / (color_total / r) for c in color_counts
+    # no positive-phase change at all is no evidence against uniform colors
+    color_stat = (
+        sum((c - color_total / r) ** 2 / (color_total / r) for c in color_counts)
+        if color_total
+        else 0.0
     )
     color_df = r - 1
     color_p = _chi2_sf(color_stat, color_df) if color_df > 0 else 1.0

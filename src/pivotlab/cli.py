@@ -226,7 +226,7 @@ def _cmd_process_run(args) -> int:
 
 def _cmd_process_expect(args) -> int:
     ps = _point_set_for(args)
-    if args.alpha_sweep:
+    if args.alpha_sweep is not None:
         value, alphas = process.worst_case_expected_steps(
             args.r,
             args.m,

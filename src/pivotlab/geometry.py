@@ -41,7 +41,6 @@ __all__ = [
     "is_pierced_subset",
     "make_transversal",
     "matrix_rank",
-    "pivot",
     "pivot_color_swap",
     "pivot_generic",
     "project_deep",
@@ -502,19 +501,17 @@ def side_of(point_set: PointSet, simplex: Transversal, x: PointId | Coords) -> S
     return Side.ON
 
 
-def below_set(
-    point_set: PointSet, simplex: Transversal, allow_on: bool = False
-) -> tuple[PointId, ...]:
+def below_set(point_set: PointSet, simplex: Transversal) -> tuple[PointId, ...]:
     """All points strictly below the simplex, in id order; members are never
     included.
 
-    A non-member lying exactly on the hyperplane raises by default: on the
-    standard unaugmented families that cannot happen, so it signals a broken
-    set.  Augmented sets can place an adversary hyperplane exactly through
-    inner-layer points (e.g. equal ``alpha_i = m + 1`` gives the start
-    hyperplane coordinate-sum ``m + 1``, which phase-1 inner points hit), so
-    callers working on augmented sets pass ``allow_on=True``; such points are
-    simply not below, which is all the pivot draw ever asks.
+    On an unaugmented set a non-member lying exactly on the hyperplane
+    raises: on the standard families that cannot happen, so it signals a
+    broken set.  An augmented set tolerates such points, because an
+    adversary hyperplane may pass exactly through inner-layer points (equal
+    ``alpha_i = m + 1`` gives the start hyperplane coordinate-sum ``m + 1``,
+    which phase-1 inner points hit); they are simply not below, which is all
+    the pivot draw ever asks.
     """
     members = set(simplex.members)
     below = []
@@ -522,7 +519,7 @@ def below_set(
         if pid in members:
             continue
         side = side_of(point_set, simplex, pid)
-        if side is Side.ON and not allow_on:
+        if side is Side.ON and not point_set.is_augmented:
             raise GeneralPositionError(
                 f"{pid} lies on the hyperplane of {simplex.members}"
             )
@@ -549,8 +546,8 @@ def pivot_color_swap(
     """Pivot by replacing the member of the pivot's color.
 
     On the standard families this is the unique pierced facet exchange; the
-    agreement with :func:`pivot_generic` is a verified invariant, not an
-    assumption baked into the generic search.
+    agreement with the ratio test of :func:`pivot_generic` is a verified
+    invariant, not an assumption baked into it.
     """
     _require_below(point_set, simplex, p)
     return simplex.replace(p)
@@ -559,53 +556,40 @@ def pivot_color_swap(
 def pivot_generic(
     point_set: PointSet, simplex: Transversal, p: PointId
 ) -> Transversal:
-    """Pivot by geometric facet search: among the facets of the extended
-    simplex that contain ``p``, exactly one other than the current position
-    is pierced; return it."""
-    _require_below(point_set, simplex, p)
-    r = point_set.r
-    pierced_facets = []
-    for removed in simplex.members:
-        facet = [pid for pid in simplex.members if pid != removed] + [p]
-        coords = [point_set.coords(pid) for pid in facet]
-        if is_pierced_subset(coords, r):
-            pierced_facets.append(facet)
-    if len(pierced_facets) != 1:
-        raise DegeneracyError(
-            f"pivot of {simplex.members} with {p}: expected exactly one pierced "
-            f"facet, found {len(pierced_facets)}"
-        )
-    facet = pierced_facets[0]
-    colors = sorted(pid.color for pid in facet)
-    if colors != list(range(1, r + 1)):
-        raise DegeneracyError(
-            f"pierced facet {facet} does not carry one point per color"
-        )
-    return Transversal(tuple(sorted(facet)))
+    """Pivot by the ratio test of the extended simplex ``S + p``.
 
+    With the members ``q_1..q_r`` as columns of ``Q``, one elimination of
+    ``[[Q, -1], [1 ... 1, 0]]`` against the right-hand sides
+    ``(0, ..., 0, 1)`` and ``(p, 1)`` gives ``lambda``, the weights of the
+    point where the diagonal crosses ``S``, and ``mu``, the weights of the
+    point of ``aff(S)`` on the diagonal through ``p``.  Sliding the crossing
+    down the diagonal toward ``p`` moves the weights along ``-mu``, so the
+    member with the least ``lambda_j / mu_j`` over ``mu_j > 0`` (some
+    ``mu_j`` is, as they sum to one) reaches zero first and leaves.
 
-def pivot(
-    point_set: PointSet,
-    simplex: Transversal,
-    p: PointId,
-    method: str = "swap",
-) -> Transversal:
-    """Pivot at ``simplex`` with the strictly-below point ``p``.
-
-    ``method`` is ``"swap"`` (default, constant time), ``"facet"`` (geometric
-    search) or ``"both"`` (run both and insist they agree).
+    A weight ``lambda_j <= 0`` (the line misses the open simplex), a tied
+    least ratio (it leaves through a lower face) or a leaving member of
+    another color than ``p`` raises :class:`DegeneracyError`.
     """
-    if method == "swap":
-        return pivot_color_swap(point_set, simplex, p)
-    if method == "facet":
-        return pivot_generic(point_set, simplex, p)
-    if method == "both":
-        swapped = pivot_color_swap(point_set, simplex, p)
-        searched = pivot_generic(point_set, simplex, p)
-        if swapped != searched:
-            raise DegeneracyError(
-                f"pivot disagreement at {simplex.members} with {p}: "
-                f"swap gives {swapped.members}, facet search gives {searched.members}"
-            )
-        return swapped
-    raise ValueError(f"unknown pivot method {method!r}")
+    _require_below(point_set, simplex, p)
+    # that check found c.x == 1 with every c_i > 0: the members are linearly
+    # independent and not parallel to the diagonal, so the matrix is nonsingular
+    r = point_set.r
+    q = [point_set.coords(x) for x in simplex.members]
+    rows = [[*(x[t] for x in q), -1, 0, point_set.coords(p)[t]] for t in range(r)]
+    rows.append([1] * r + [0, 1, 1])
+    red, _ = _rref([[Fraction(x) for x in row] for row in rows])
+    lam = [row[r + 1] for row in red[:r]]
+    mu = [row[r + 2] for row in red[:r]]
+    if any(x <= 0 for x in lam):
+        raise DegeneracyError(f"the diagonal misses the interior of {simplex.members}")
+    ratios = sorted((lam[j] / mu[j], j) for j in range(r) if mu[j] > 0)
+    if len(ratios) > 1 and ratios[0][0] == ratios[1][0]:
+        raise DegeneracyError(f"pivot of {simplex.members} with {p}: tied ratio test")
+    leaving = simplex.members[ratios[0][1]]
+    if leaving.color != p.color:
+        raise DegeneracyError(
+            f"pivot of {simplex.members} with {p}: the exit facet drops {leaving} "
+            "and lacks a color"
+        )
+    return simplex.replace(p)

@@ -116,9 +116,7 @@ def _node(cfg: ProcessConfig, position: Transversal) -> _Node:
     if node is None:
         ps = cfg.point_set
         tvec = geometry.axis_intersections(ps, position)
-        # adversary hyperplanes may pass exactly through inner-layer points;
-        # those are not strictly below and never enter the pivot pool
-        below = geometry.below_set(ps, position, allow_on=ps.is_augmented)
+        below = geometry.below_set(ps, position)
         succ = tuple(position.replace(p) for p in below)
         node = _Node(sum(tvec), phase_of(ps, position), below, succ)
         cfg._nodes[position.members] = node

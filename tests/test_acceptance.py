@@ -133,7 +133,7 @@ def test_criterion_05_geometry_lemma_suite():
     details = []
     for r, m in [(2, 3), (2, 4), (3, 2), (3, 3)]:
         deep = (3, 4) if (r, m) == (2, 3) else ()
-        rep = verify_lemmas(r, m, deep_from=deep, include_pivot_agreement=False)
+        rep = verify_lemmas(r, m, deep_from=deep)
         bad = [c for c in rep.checks if not c.passed]
         assert not bad, [(c.lemma, c.counterexample) for c in bad]
         details.append(f"({r},{m})x{sum(c.cases for c in rep.checks)}")
@@ -150,7 +150,7 @@ def test_criterion_06_pivot_equivalence():
     violations33, cases33 = analysis.pivot_agreement_violations(gen_point_set(3, 3))
     assert not violations33, violations33
     assert cases33 == 1215
-    report(6, "facet-search pivot equals color-swap pivot", t0, None,
+    report(6, "ratio-test pivot equals color-swap pivot", t0, 2.2,
            f"exhaustive {cases24} pairs at (2,4), {cases33} at (3,3)")
 
 
@@ -231,7 +231,7 @@ def test_criterion_11_sensitivity():
     t0 = time.perf_counter()
     # a single flipped tail sign must break the geometry suite
     mutated = flip_tail_sign(gen_point_set(2, 4), PointId(1, 1, 1), 1)
-    rep = verify_lemmas(2, 4, point_set=mutated, include_pivot_agreement=False)
+    rep = verify_lemmas(2, 4, point_set=mutated)
     assert not rep.all_passed
     failed = [c.lemma for c in rep.checks if not c.passed]
     # a single reversed rank comparison must break the unique-sink check

@@ -229,7 +229,7 @@ def test_verify_lemmas_deep_checks_are_included():
 
 
 def test_verify_lemmas_reports_bad_deep_parameters():
-    report = verify_lemmas(2, 2, deep_from=(3,), include_pivot_agreement=False)
+    report = verify_lemmas(2, 2, deep_from=(3,))
     deep = [c for c in report.checks if c.lemma.startswith("deep")]
     assert deep and not deep[0].passed  # m >= 3 required
 
@@ -278,6 +278,18 @@ def test_phase_law_report_smoke():
     assert all(ok for (_, _, _, _, ok) in report.good_phase_rows)
     blob = report.to_dict()
     assert blob["all_ok"] is True
+
+
+@pytest.mark.parametrize("r,delta", [(1, 100), (2, 1000)])
+def test_phase_law_report_without_positive_phase_changes(r, delta):
+    # with m = 1 and a heavy escape weight no trace makes a positive-phase
+    # change, so the color test has no counts
+    report = phase_law_report(r, 1, delta=delta, trials=3, seed=1)
+    assert report.to_dict()["pivot_color"] == {
+        "stat": 0.0,
+        "df": r - 1,
+        "p": 1.0,
+    }
 
 
 def test_phase_law_report_delta_zero_has_no_escape_cells():

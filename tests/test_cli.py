@@ -64,6 +64,16 @@ def test_process_expect_alpha_sweep():
     assert len(payload["worst_alphas"]) == 1
 
 
+@pytest.mark.parametrize("width", ["0", "-2"])
+def test_process_expect_empty_alpha_sweep_is_an_error(width):
+    code, out, err = run_cli(
+        ["process", "expect", "--r", "1", "--m", "3", "--alpha-sweep", width]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: no alpha choices supplied\n"
+
+
 def test_uso_expect_identity():
     code, out, _ = run_cli(
         ["uso", "expect", "--r", "1", "--m", "3", "--identity", "--seed", "0"]

@@ -22,7 +22,6 @@ from pivotlab.geometry import (
     is_pierced_subset,
     make_transversal,
     matrix_rank,
-    pivot,
     pivot_color_swap,
     pivot_generic,
     project_deep,
@@ -272,8 +271,6 @@ def test_below_set_flags_on_point():
     S = make_transversal(broken, [PointId(1, 2, 2), PointId(2, 2, 2)])
     with pytest.raises(GeneralPositionError, match="lies on the hyperplane"):
         below_set(broken, S)
-    # tolerant mode excludes it instead (the augmented-set convention)
-    assert PointId(1, 1, 2) not in below_set(broken, S, allow_on=True)
 
 
 def test_augmented_default_start_has_on_points_tolerated():
@@ -282,10 +279,7 @@ def test_augmented_default_start_has_on_points_tolerated():
     ps = augment(gen_point_set(2, 6))
     start = make_transversal(ps, [PointId(1, 2, 7), PointId(2, 2, 7)])
     assert side_of(ps, start, PointId(1, 1, 1)) is Side.ON
-    with pytest.raises(GeneralPositionError):
-        below_set(ps, start)
-    below = below_set(ps, start, allow_on=True)
-    assert PointId(1, 1, 1) not in below
+    assert PointId(1, 1, 1) not in below_set(ps, start)
 
 
 def test_degenerate_simplex_raises():
@@ -312,23 +306,39 @@ def test_degenerate_simplex_raises():
 # ---------------------------------------------------------------------------
 
 
+def facet_search_pivot(ps: PointSet, simplex: Transversal, p: PointId) -> Transversal:
+    """Oracle for :func:`pivot_generic` with ``p`` strictly below the
+    simplex: among the facets of the extended simplex that contain ``p``,
+    insist that exactly one is pierced (each decided by the Caratheodory
+    test) and return it."""
+    pierced_facets = []
+    for removed in simplex.members:
+        facet = [pid for pid in simplex.members if pid != removed] + [p]
+        if is_pierced_subset([ps.coords(pid) for pid in facet], ps.r):
+            pierced_facets.append(facet)
+    if len(pierced_facets) != 1:
+        raise DegeneracyError(f"found {len(pierced_facets)} pierced facets")
+    facet = pierced_facets[0]
+    if sorted(pid.color for pid in facet) != list(range(1, ps.r + 1)):
+        raise DegeneracyError(f"pierced facet {facet} lacks a color")
+    return Transversal(tuple(sorted(facet)))
+
+
 def test_pivot_color_swap_examples():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    assert pivot(ps, S, PointId(1, 2, 1), method="both").members == (
-        PointId(1, 2, 1),
-        PointId(2, 2, 2),
-    )
-    assert pivot(ps, S, PointId(2, 2, 1), method="both").members == (
-        PointId(1, 2, 2),
-        PointId(2, 2, 1),
-    )
+    for p, want in [
+        (PointId(1, 2, 1), (PointId(1, 2, 1), PointId(2, 2, 2))),
+        (PointId(2, 2, 1), (PointId(1, 2, 2), PointId(2, 2, 1))),
+    ]:
+        assert pivot_color_swap(ps, S, p).members == want
+        assert pivot_generic(ps, S, p).members == want
 
 
 def test_pivot_monotonicity_witness():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    after = pivot(ps, S, PointId(2, 2, 1))
+    after = pivot_color_swap(ps, S, PointId(2, 2, 1))
     assert axis_intersections(ps, S) == (2, 2)
     assert axis_intersections(ps, after) == (2, 1)
 
@@ -336,17 +346,11 @@ def test_pivot_monotonicity_witness():
 def test_pivot_requires_strictly_below():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    with pytest.raises(ValueError, match="not strictly below"):
-        pivot(ps, S, PointId(1, 1, 1))
-    with pytest.raises(ValueError, match="already a member"):
-        pivot(ps, S, PointId(1, 2, 2))
-
-
-def test_pivot_unknown_method():
-    ps = gen_point_set(2, 2)
-    S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    with pytest.raises(ValueError, match="unknown pivot method"):
-        pivot(ps, S, PointId(1, 2, 1), method="guess")
+    for pivot_fn in (pivot_color_swap, pivot_generic):
+        with pytest.raises(ValueError, match="not strictly below"):
+            pivot_fn(ps, S, PointId(1, 1, 1))
+        with pytest.raises(ValueError, match="already a member"):
+            pivot_fn(ps, S, PointId(1, 2, 2))
 
 
 @pytest.mark.parametrize("r,m", [(2, 3), (3, 2)])
@@ -355,6 +359,65 @@ def test_pivot_generic_agrees_with_swap_exhaustive(r, m):
     for S in transversals(ps):
         for p in below_set(ps, S):
             assert pivot_generic(ps, S, p) == pivot_color_swap(ps, S, p)
+
+
+@st.composite
+def small_colored_sets(draw) -> PointSet:
+    """1-3 points per color with distinct coordinates in [-4, 6], r in {2, 3}."""
+    r = draw(st.sampled_from([2, 3]))
+    sizes = [draw(st.integers(1, 3)) for _ in range(r)]
+    coords = draw(
+        st.lists(
+            st.tuples(*[st.integers(-4, 6)] * r),
+            min_size=sum(sizes),
+            max_size=sum(sizes),
+            unique=True,
+        )
+    )
+    it = iter(coords)
+    points = {
+        PointId(i, r, k): next(it)
+        for i, size in enumerate(sizes, start=1)
+        for k in range(1, size + 1)
+    }
+    return PointSet(r, 3, points)
+
+
+def test_pivot_generic_matches_facet_search_oracle():
+    """On every simplex with a valid hyperplane and no pierced proper
+    subset, and every point below it, the ratio test and the facet search
+    return the same transversal or both raise DegeneracyError."""
+    returned = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_colored_sets())
+    def check(ps):
+        for S in transversals(ps):
+            try:
+                hyperplane_coefficients(ps, S)
+            except DegeneracyError:
+                continue
+            coords = [ps.coords(q) for q in S.members]
+            if any(
+                is_pierced_subset(sub, ps.r)
+                for size in range(1, ps.r)
+                for sub in combinations(coords, size)
+            ):
+                continue
+            for p in ps.ids():
+                if p in S.members or side_of(ps, S, p) is not Side.BELOW:
+                    continue
+                try:
+                    want = facet_search_pivot(ps, S, p)
+                except DegeneracyError:
+                    with pytest.raises(DegeneracyError):
+                        pivot_generic(ps, S, p)
+                    continue
+                assert pivot_generic(ps, S, p) == want
+                returned.append(want)
+
+    check()
+    assert returned, "no draw reached a well-defined pivot"
 
 
 # ---------------------------------------------------------------------------
