@@ -1,11 +1,12 @@
 """Bound formulas, Monte Carlo estimation, and the verification suite.
 
-Closed-form lower bounds come in five families (see :data:`FAMILIES`); the
-comparison helpers evaluate a construction exactly or by Monte Carlo and
-report whether it clears its bound.  Statistical acceptance uses one-sided
-3-standard-error margins and pooled chi-square tests at significance 1e-3,
-whose upper tails are computed in closed form (:func:`_chi2_sf`); exact
-comparisons carry no tolerance at all.
+Closed-form lower bounds come in five families (see :data:`FAMILIES`), and
+each family names the construction it bounds: :func:`compare_to_bound`
+measures that construction, exactly or by Monte Carlo, from the bound's
+parameters alone and reports whether it clears its bound.  Statistical
+acceptance uses one-sided 3-standard-error margins and pooled chi-square
+tests at significance 1e-3, whose upper tails are computed in closed form
+(:func:`_chi2_sf`); exact comparisons carry no tolerance at all.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
@@ -24,17 +25,17 @@ from .process import ProcessConfig
 from .seeding import derive_rng
 
 __all__ = [
+    "ALPHA_SWEEP",
+    "DELTA_FAMILIES",
     "FAMILIES",
     "BoundParams",
     "ExpectationReport",
     "LemmaCheck",
     "LemmaReport",
-    "PaddedUsoTarget",
     "PhaseLawReport",
-    "ProcessTarget",
-    "UsoTarget",
     "bound",
     "compare_to_bound",
+    "format_number",
     "mc_estimate",
     "phase_law_report",
     "pivot_agreement_violations",
@@ -48,6 +49,13 @@ FAMILIES = (
     "augmented_theorem",
     "main_theorem",
 )
+
+#: the families whose bound and construction depend on ``delta``
+DELTA_FAMILIES = ("uso_lemma", "augmented_theorem")
+
+#: adversary sweep width: ``augmented_theorem`` takes the adversary's best
+#: over ``alpha_i in {m+1, ..., m+ALPHA_SWEEP}``
+ALPHA_SWEEP = 3
 
 #: z-quantile for the two-sided 99% normal confidence interval
 Z99 = 2.5758293035489004
@@ -63,8 +71,8 @@ CHI2_SIGNIFICANCE = 1e-3
 @dataclass(frozen=True)
 class BoundParams:
     """Parameters of one closed-form bound.  ``n`` is only used by the
-    ``corollary`` family (grid size); ``delta`` only by the augmented
-    families."""
+    ``corollary`` family (grid size, in place of ``m``); ``delta`` only by
+    :data:`DELTA_FAMILIES`."""
 
     family: str
     r: int
@@ -104,6 +112,16 @@ def bound(params: BoundParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+def format_number(x):
+    """JSON form of a result: a ``Fraction`` as ``"p/q"``, a float rounded
+    to 12 significant digits, anything else unchanged."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, float):
+        return float(f"{x:.12g}")
+    return x
+
+
 @dataclass
 class ExpectationReport:
     """An expected duration paired (optionally) with a bound and verdict.
@@ -127,27 +145,20 @@ class ExpectationReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def num(x):
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}"
-            if isinstance(x, float):
-                return float(f"{x:.12g}")
-            return x
-
         out = {
-            "value": num(self.value),
+            "value": format_number(self.value),
             "method": self.method,
             "trials": self.trials,
-            "se": num(self.se),
-            "ci_low": num(self.ci_low),
-            "ci_high": num(self.ci_high),
-            "bound": num(self.bound),
+            "se": format_number(self.se),
+            "ci_low": format_number(self.ci_low),
+            "ci_high": format_number(self.ci_high),
+            "bound": format_number(self.bound),
             "satisfied": self.satisfied,
             "inconclusive": self.inconclusive,
             "seed": self.seed,
         }
         if self.extras:
-            out["extras"] = {k: num(v) for k, v in self.extras.items()}
+            out["extras"] = {k: format_number(v) for k, v in self.extras.items()}
         return out
 
 
@@ -198,155 +209,115 @@ def _apply_verdict(report: ExpectationReport, b: float) -> ExpectationReport:
 
 
 # ---------------------------------------------------------------------------
-# bound comparison targets
+# bound comparisons
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UsoTarget:
-    """A grid-walk ensemble: ``orientations`` independently sampled combs,
-    each solved exactly from a uniform start.  ``delta is None`` walks the
-    plain grid; an integer walks the augmented one."""
-
-    r: int
-    m: int
-    delta: int | None = None
-    orientations: int = 200
-
-
-@dataclass(frozen=True)
-class PaddedUsoTarget:
-    """Like :class:`UsoTarget` but each comb (built at ``m = n // r``) is
-    padded to grid size ``n`` before solving; always walks the plain grid."""
-
-    r: int
-    n: int
-    orientations: int = 50
-
-
-@dataclass(frozen=True)
-class ProcessTarget:
-    """A pivoting process solved exactly (or sampled).  Without ``alphas``
-    or a sweep this is the plain process from the maximal-phase start and the
-    pivot count; augmented variants count the final escape hop.  An
-    ``alpha_sweep`` of width ``w`` reports the adversary's best (minimum)
-    value over ``alpha_i in {m+1, ..., m+w}``."""
-
-    r: int
-    m: int
-    delta: int = 0
-    alphas: tuple[int, ...] | None = None
-    alpha_sweep: int | None = None
-
-    def build_config(self) -> ProcessConfig:
-        base = geometry.gen_point_set(self.r, self.m)
-        if self.alphas is None and self.alpha_sweep is None:
-            return ProcessConfig(
-                base, process.main_start(base), delta=self.delta,
-                count_terminal_step=False,
-            )
-        if self.alphas is not None:
-            ps = base.augmented(self.alphas)
-            return ProcessConfig(
-                ps, process.adversary_start(ps), delta=self.delta,
-                count_terminal_step=True,
-            )
-        raise ValueError("alpha_sweep targets have no single configuration")
-
-
-def _ensemble_report(
-    values: Sequence[Fraction], params: BoundParams, seed: int
+def compare_to_bound(
+    params: BoundParams,
+    mode: str = "exact",
+    *,
+    orientations: int = 200,
+    trials: int = 100_000,
+    seed: int = 0,
 ) -> ExpectationReport:
-    floats = [float(v) for v in values]
-    report = _apply_verdict(_sample_report(floats, seed), bound(params))
+    """Measure the construction behind ``params.family`` and compare it
+    against its bound.
+
+    - ``uso_lemma``: the walk on combs augmented with ``delta`` escapes;
+    - ``uso_theorem_eq1``: the walk on plain combs;
+    - ``corollary``: the walk on plain combs built at ``n // r`` and padded
+      to grid size ``n``;
+    - ``main_theorem``: the plain process from the main start, counting
+      pivots;
+    - ``augmented_theorem``: the adversary's best over the starts with
+      ``alpha_i in {m+1, ..., m+ALPHA_SWEEP}``, counting the escape hop.
+
+    Exact process values are compared with no tolerance.  Comb ensembles
+    are intrinsically statistical (the bound holds for the randomized
+    construction in expectation), so even their "exact" mode reports the
+    mean over ``orientations`` (at least 2) exactly-solved combs with a 3-SE
+    verdict, alongside the min/max witnesses.  In ``"mc"`` mode every family
+    is sampled by ``trials`` seeded runs; the adversary's best is then the
+    alpha tuple with the least 3-SE margin, so the verdict holds only when
+    every adversary clears the bound.
+    """
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    b = bound(params)
+    family, r, m, delta = params.family, params.r, params.m, params.delta
+    if family == "augmented_theorem":
+        options = range(m + 1, m + 1 + ALPHA_SWEEP)
+        if mode == "exact":
+            value, worst = process.worst_case_expected_steps(r, m, delta, options)
+            return _exact_report(value, b, seed, worst_alphas=list(worst))
+        base = geometry.gen_point_set(r, m)
+        reports = {
+            alphas: _process_estimate(
+                ProcessConfig(base.augmented(alphas), delta=delta), trials, seed
+            )
+            for alphas in product(options, repeat=r)
+        }
+        worst = min(reports, key=lambda a: reports[a].value - 3 * reports[a].se)
+        report = _apply_verdict(reports[worst], b)
+        report.extras = {"worst_alphas": list(worst)}
+        return report
+    if family == "main_theorem":
+        cfg = ProcessConfig(geometry.gen_point_set(r, m))
+        if mode == "exact":
+            return _exact_report(process.exact_expected_steps(cfg), b, seed)
+        return _apply_verdict(_process_estimate(cfg, trials, seed), b)
+
+    walk_cfg = grid_uso.AugmentedConfig(delta) if family == "uso_lemma" else None
+
+    def comb(rng) -> grid_uso.CombOrientation:
+        if family != "corollary":
+            return grid_uso.build_comb(r, m, rng)
+        n = params.n
+        return grid_uso.embed_padded(grid_uso.build_comb(r, n // r, rng), n)
+
+    if mode == "mc":
+        def sample(rng):
+            return grid_uso.walk(comb(rng), walk_cfg, "uniform", rng, record=False).steps
+
+        return _apply_verdict(mc_estimate(sample, trials, seed), b)
+    if orientations < 2:
+        raise ValueError("need at least 2 orientations for a standard error")
+    values = [
+        float(
+            grid_uso.expected_duration_exact(
+                comb(derive_rng(seed, "comb", i)), walk_cfg, "uniform"
+            )
+        )
+        for i in range(orientations)
+    ]
+    report = _apply_verdict(_sample_report(values, seed), b)
     report.extras = {
         "ensemble": "orientations",
-        "max": max(floats),
-        "min": min(floats),
-        "max_index": max(range(len(floats)), key=floats.__getitem__),
+        "max": max(values),
+        "min": min(values),
+        "max_index": max(range(orientations), key=values.__getitem__),
     }
     return report
 
 
-def compare_to_bound(
-    target: UsoTarget | PaddedUsoTarget | ProcessTarget,
-    params: BoundParams,
-    mode: str = "exact",
-    *,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> ExpectationReport:
-    """Measure a target and compare it against a bound.
+def _process_estimate(cfg: ProcessConfig, trials: int, seed: int) -> ExpectationReport:
+    """Monte Carlo estimate of the step count of ``cfg``'s process."""
+    return mc_estimate(
+        lambda rng: process.run(cfg, rng).steps(cfg.count_terminal_step), trials, seed
+    )
 
-    Exact process values are compared with no tolerance.  Orientation
-    ensembles are intrinsically statistical (the bound holds for the
-    randomized construction in expectation), so even their "exact" mode
-    reports a mean over exactly-solved orientations with a 3-SE verdict,
-    alongside the min/max witnesses.
-    """
-    b = bound(params)
-    if isinstance(target, (UsoTarget, PaddedUsoTarget)):
-        if isinstance(target, PaddedUsoTarget):
-            m = target.n // target.r
-            cfg = None
-        else:
-            m = target.m
-            cfg = None if target.delta is None else grid_uso.AugmentedConfig(target.delta)
-        if mode == "exact":
-            values = []
-            for i in range(target.orientations):
-                rng = derive_rng(seed, "comb", i)
-                comb = grid_uso.build_comb(target.r, m, rng)
-                if isinstance(target, PaddedUsoTarget):
-                    comb = grid_uso.embed_padded(comb, target.n)
-                values.append(grid_uso.expected_duration_exact(comb, cfg, "uniform"))
-            return _ensemble_report(values, params, seed)
-        if mode == "mc":
-            def sample(rng):
-                comb = grid_uso.build_comb(target.r, m, rng)
-                if isinstance(target, PaddedUsoTarget):
-                    comb = grid_uso.embed_padded(comb, target.n)
-                return grid_uso.walk(comb, cfg, "uniform", rng, record=False).steps
 
-            report = mc_estimate(sample, trials, seed)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    elif isinstance(target, ProcessTarget):
-        if mode == "exact":
-            if target.alpha_sweep is not None:
-                options = range(target.m + 1, target.m + 1 + target.alpha_sweep)
-                value, best = process.worst_case_expected_steps(
-                    target.r, target.m, target.delta, options
-                )
-                return ExpectationReport(
-                    value=value,
-                    method="exact",
-                    bound=b,
-                    satisfied=value >= Fraction(b),
-                    seed=seed,
-                    extras={"worst_alphas": list(best)},
-                )
-            value = process.exact_expected_steps(target.build_config())
-            return ExpectationReport(
-                value=value,
-                method="exact",
-                bound=b,
-                satisfied=value >= Fraction(b),
-                seed=seed,
-            )
-        if mode == "mc":
-            cfg = target.build_config()
-
-            def sample(rng):
-                return process.run(cfg, rng).steps(cfg.count_terminal_step)
-
-            report = mc_estimate(sample, trials, seed)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    else:
-        raise TypeError(f"unsupported target {target!r}")
-
-    return _apply_verdict(report, b)
+def _exact_report(value: Fraction, b: float, seed: int, **extras) -> ExpectationReport:
+    """An exact value against bound ``b``, compared with no tolerance."""
+    return ExpectationReport(
+        value=value,
+        method="exact",
+        bound=b,
+        satisfied=value >= Fraction(b),
+        seed=seed,
+        extras=extras,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +677,7 @@ def phase_law_report(
 ) -> PhaseLawReport:
     """Stream ``trials`` augmented traces and test the phase laws."""
     ps = geometry.gen_point_set(r, m).augmented(alphas)
-    cfg = ProcessConfig(
-        ps, process.adversary_start(ps), delta=delta, count_terminal_step=True
-    )
+    cfg = ProcessConfig(ps, delta=delta)
     transition_counts: dict[int, dict[int, int]] = {}
     color_counts = [0] * r
     good_counts = [0] * (m + 1)  # index k

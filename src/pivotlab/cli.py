@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from . import analysis, geometry, grid_uso, process
@@ -25,14 +24,6 @@ EPILOG = """environment overrides:
   PIVOTLAB_STATE_CAP    cap on the state counts of exact solves and exhaustive
                         checks (default 1000000)
 """
-
-
-def _fmt(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -130,8 +121,8 @@ def _cmd_uso_expect(args) -> int:
         "delta": args.delta,
         "identity": bool(args.identity),
         "seed": seed,
-        "value": _fmt(value),
-        "value_float": _fmt(float(value)),
+        "value": analysis.format_number(value),
+        "value_float": analysis.format_number(float(value)),
     }
     _emit_json(payload, args.out)
     return 0
@@ -140,10 +131,9 @@ def _cmd_uso_expect(args) -> int:
 def _cmd_uso_verify(args) -> int:
     seed = _seed_of(args)
     comb = _comb_for(args, seed)
-    acyclic = grid_uso.has_topological_order(comb)
-    violations = grid_uso.unique_sink_violations(
-        grid_uso.grid_spec(comb), grid_uso.grid_out_function(comb)
-    )
+    spec, out_fn = grid_uso.grid_spec(comb), grid_uso.grid_out_function(comb)
+    acyclic = grid_uso.has_topological_order(spec, out_fn)
+    violations = grid_uso.unique_sink_violations(spec, out_fn)
     payload = {
         "r": args.r,
         "m": args.m,
@@ -180,22 +170,10 @@ def _cmd_points_dump(args) -> int:
     return 0
 
 
-def _process_config(args, ps: geometry.PointSet) -> process.ProcessConfig:
-    delta = args.delta or 0
-    if ps.is_augmented:
-        return process.ProcessConfig(
-            ps, process.adversary_start(ps), delta=delta, count_terminal_step=True
-        )
-    return process.ProcessConfig(
-        ps, process.main_start(ps), delta=delta,
-        count_terminal_step=delta > 0,
-    )
-
-
 def _cmd_process_run(args) -> int:
     seed = _seed_of(args)
     ps = _point_set_for(args)
-    cfg = _process_config(args, ps)
+    cfg = process.ProcessConfig(ps, delta=args.delta or 0)
     if args.format == "jsonl":
         trials = args.trials if args.trials is not None else 1
         chunks = []
@@ -240,12 +218,12 @@ def _cmd_process_expect(args) -> int:
             "alpha_sweep": args.alpha_sweep,
             "worst_alphas": list(alphas),
             "count_terminal_step": True,
-            "value": _fmt(value),
-            "value_float": _fmt(float(value)),
+            "value": analysis.format_number(value),
+            "value_float": analysis.format_number(float(value)),
         }
         _emit_json(payload, args.out)
         return 0
-    cfg = _process_config(args, ps)
+    cfg = process.ProcessConfig(ps, delta=args.delta or 0)
     value = process.exact_expected_steps(cfg)
     payload = {
         "r": args.r,
@@ -253,8 +231,8 @@ def _cmd_process_expect(args) -> int:
         "delta": cfg.delta,
         "alphas": list(ps.alphas) if ps.alphas else None,
         "count_terminal_step": cfg.count_terminal_step,
-        "value": _fmt(value),
-        "value_float": _fmt(float(value)),
+        "value": analysis.format_number(value),
+        "value_float": analysis.format_number(float(value)),
     }
     _emit_json(payload, args.out)
     return 0
@@ -298,32 +276,25 @@ def _bench_rows(args, seed: int) -> list[dict]:
         family = family.strip()
         if family not in analysis.FAMILIES:
             raise ValueError(f"unknown bound family {family!r}")
+        deltas = [0]
+        if family in analysis.DELTA_FAMILIES:
+            deltas = _parse_range(args.delta_list)
         for r in _parse_range(args.r_list):
             for m in _parse_range(args.m_list):
-                deltas = _parse_range(args.delta_list)
-                if family in ("uso_theorem_eq1", "corollary", "main_theorem"):
-                    deltas = [0]
                 for delta in deltas:
-                    if family == "uso_lemma":
-                        target = analysis.UsoTarget(r, m, delta, args.orientations)
+                    if family != "corollary":
                         params = analysis.BoundParams(family, r, m, delta)
-                    elif family == "uso_theorem_eq1":
-                        target = analysis.UsoTarget(r, m, None, args.orientations)
-                        params = analysis.BoundParams(family, r, m)
-                    elif family == "corollary":
-                        # the m column carries the grid size n for this family
-                        if m <= r:
-                            continue
-                        target = analysis.PaddedUsoTarget(r, m, args.orientations)
-                        params = analysis.BoundParams(family, r, n=m)
-                    elif family == "augmented_theorem":
-                        target = analysis.ProcessTarget(r, m, delta, alpha_sweep=3)
-                        params = analysis.BoundParams(family, r, m, delta)
+                    elif m <= r:
+                        continue
                     else:
-                        target = analysis.ProcessTarget(r, m)
-                        params = analysis.BoundParams(family, r, m)
+                        # the m column carries the grid size n for this family
+                        params = analysis.BoundParams(family, r, n=m)
                     report = analysis.compare_to_bound(
-                        target, params, mode, trials=args.trials, seed=seed
+                        params,
+                        mode,
+                        orientations=args.orientations,
+                        trials=args.trials,
+                        seed=seed,
                     )
                     satisfied = (
                         "inconclusive"
@@ -336,10 +307,10 @@ def _bench_rows(args, seed: int) -> list[dict]:
                             "r": r,
                             "m": m,
                             "delta": delta,
-                            "value": _fmt(report.value),
-                            "ci_low": _fmt(report.ci_low),
-                            "ci_high": _fmt(report.ci_high),
-                            "bound": _fmt(report.bound),
+                            "value": analysis.format_number(report.value),
+                            "ci_low": analysis.format_number(report.ci_low),
+                            "ci_high": analysis.format_number(report.ci_high),
+                            "bound": analysis.format_number(report.bound),
                             "satisfied": satisfied,
                             "seed": seed,
                             "trials": report.trials,

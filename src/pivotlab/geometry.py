@@ -31,7 +31,6 @@ __all__ = [
     "Side",
     "Transversal",
     "adversary_phase",
-    "augment",
     "axis_intersections",
     "below_set",
     "flip_tail_sign",
@@ -203,6 +202,7 @@ class PointSet:
         self.m = m
         self.alphas = alphas
         self._points: dict[PointId, Coords] = dict(points)
+        self._ids = tuple(sorted(self._points))
         seen: dict[Coords, PointId] = {}
         for pid, xs in self._points.items():
             if len(xs) != r:
@@ -210,10 +210,9 @@ class PointSet:
             if xs in seen:
                 raise ValueError(f"points {seen[xs]} and {pid} coincide at {xs}")
             seen[xs] = pid
-        self._colors: dict[int, tuple[PointId, ...]] = {}
-        for i in range(1, r + 1):
-            members = sorted(p for p in self._points if p.color == i)
-            self._colors[i] = tuple(members)
+        self._colors: dict[int, tuple[PointId, ...]] = {
+            i: tuple(p for p in self._ids if p.color == i) for i in range(1, r + 1)
+        }
         self._hyperplanes: dict[tuple[PointId, ...], tuple[Fraction, ...]] = {}
 
     # -- construction ------------------------------------------------------
@@ -261,7 +260,7 @@ class PointSet:
         return self.alphas is not None
 
     def ids(self) -> tuple[PointId, ...]:
-        return tuple(sorted(self._points))
+        return self._ids
 
     def coords(self, pid: PointId) -> Coords:
         return self._points[pid]
@@ -322,10 +321,6 @@ class PointSet:
 
 def gen_point_set(r: int, m: int) -> PointSet:
     return PointSet.generate(r, m)
-
-
-def augment(point_set: PointSet, alphas: Iterable[int] | None = None) -> PointSet:
-    return point_set.augmented(alphas)
 
 
 def project_deep(R: int, m: int, r: int) -> PointSet:

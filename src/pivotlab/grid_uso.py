@@ -45,7 +45,6 @@ __all__ = [
     "grid_spec",
     "has_topological_order",
     "identity_comb",
-    "is_unique_sink_orientation",
     "orient_edge",
     "out_neighbors",
     "unique_sink_violations",
@@ -519,30 +518,8 @@ def unique_sink_violations(
     return bad
 
 
-def _spec_and_out(
-    comb_or_spec: CombOrientation | GridSpec, out_fn: OutFn | None
-) -> tuple[GridSpec, OutFn]:
-    if isinstance(comb_or_spec, CombOrientation):
-        return grid_spec(comb_or_spec), out_fn or grid_out_function(comb_or_spec)
-    if out_fn is None:
-        raise ValueError("an adjacency function is required with a bare GridSpec")
-    return comb_or_spec, out_fn
-
-
-def is_unique_sink_orientation(
-    comb_or_spec: CombOrientation | GridSpec,
-    out_fn: OutFn | None = None,
-) -> bool:
-    spec, out_fn = _spec_and_out(comb_or_spec, out_fn)
-    return not unique_sink_violations(spec, out_fn, max_report=1)
-
-
-def has_topological_order(
-    comb_or_spec: CombOrientation | GridSpec,
-    out_fn: OutFn | None = None,
-) -> bool:
+def has_topological_order(spec: GridSpec, out_fn: OutFn) -> bool:
     """Kahn's algorithm over the full edge set."""
-    spec, out_fn = _spec_and_out(comb_or_spec, out_fn)
     chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
     indeg: dict[Vertex, int] = {v: 0 for v in spec.vertices()}
     outs: dict[Vertex, tuple[Vertex, ...]] = {}

@@ -73,18 +73,29 @@ class ProcessConfig:
 
     ``count_terminal_step=False`` reports pivots only (the plain-process
     convention); ``True`` also counts the final escape hop (the augmented
-    convention).  Simulated traces always carry both counts.
+    convention).  Simulated traces always carry both counts.  Left out,
+    ``start`` is the adversary start of an augmented set and the main start
+    otherwise, and the escape hop is counted exactly when the set is
+    augmented or ``delta > 0``.
     """
 
     def __init__(
         self,
         point_set: PointSet,
-        start: Transversal,
+        start: Transversal | None = None,
         delta: int = 0,
-        count_terminal_step: bool = False,
+        count_terminal_step: bool | None = None,
     ) -> None:
         if delta < 0:
             raise ValueError("delta must be >= 0")
+        if start is None:
+            start = (
+                adversary_start(point_set)
+                if point_set.is_augmented
+                else main_start(point_set)
+            )
+        if count_terminal_step is None:
+            count_terminal_step = point_set.is_augmented or delta > 0
         # re-validation also confirms membership of every start point
         geometry.make_transversal(point_set, start.members)
         self.point_set = point_set
@@ -353,20 +364,15 @@ def worst_case_expected_steps(
     m: int,
     delta: int,
     alpha_options: Iterable[int],
-    count_terminal_step: bool = True,
 ) -> tuple[Fraction, tuple[int, ...]]:
-    """Adversary sweep: exact expected duration minimized over all augmented
-    starts with each ``alpha_i`` drawn from ``alpha_options``."""
+    """Adversary sweep: exact expected duration, escape hop included,
+    minimized over all augmented starts with each ``alpha_i`` drawn from
+    ``alpha_options``; ties go to the first tuple in ``product`` order."""
     base = geometry.gen_point_set(r, m)
     options = sorted(set(alpha_options))
     best: tuple[Fraction, tuple[int, ...]] | None = None
     for alphas in product(options, repeat=r):
-        ps = base.augmented(alphas)
-        cfg = ProcessConfig(
-            ps, adversary_start(ps), delta=delta,
-            count_terminal_step=count_terminal_step,
-        )
-        value = exact_expected_steps(cfg)
+        value = exact_expected_steps(ProcessConfig(base.augmented(alphas), delta=delta))
         if best is None or value < best[0]:
             best = (value, alphas)
     if best is None:

@@ -120,10 +120,9 @@ def test_criterion_04_corollary_embedding():
             assert expected_duration_exact(
                 padded, None, "uniform"
             ) >= expected_duration_exact(comb, None, "uniform"), (n, i)
-            assert not unique_sink_violations(
-                grid_spec(padded), grid_uso.grid_out_function(padded)
-            ), (n, i)
-            assert has_topological_order(padded)
+            spec, out_fn = grid_spec(padded), grid_uso.grid_out_function(padded)
+            assert not unique_sink_violations(spec, out_fn), (n, i)
+            assert has_topological_order(spec, out_fn)
     report(4, "padded grids dominate their originals and stay unique-sink", t0, 60.0,
            "r=2, n in {5,7}, 50 combs each, exhaustive subgrid checks")
 

@@ -10,9 +10,6 @@ from pivotlab import geometry
 from pivotlab.analysis import (
     FAMILIES,
     BoundParams,
-    PaddedUsoTarget,
-    ProcessTarget,
-    UsoTarget,
     bound,
     compare_to_bound,
     mc_estimate,
@@ -104,7 +101,6 @@ def test_mc_estimate_reproducible():
 
 def test_mc_ci_contains_known_process_value():
     report = compare_to_bound(
-        ProcessTarget(1, 4),
         BoundParams("main_theorem", 1, 4),
         mode="mc",
         trials=30_000,
@@ -116,7 +112,6 @@ def test_mc_ci_contains_known_process_value():
 
 def test_mc_ci_contains_known_walk_value():
     report = compare_to_bound(
-        UsoTarget(1, 3, delta=None, orientations=1),
         BoundParams("uso_theorem_eq1", 1, 3),
         mode="mc",
         trials=30_000,
@@ -127,12 +122,8 @@ def test_mc_ci_contains_known_walk_value():
 
 def test_mc_ci_width_shrinks_like_root_two():
     kwargs = dict(mode="mc", seed=6)
-    small = compare_to_bound(
-        ProcessTarget(1, 4), BoundParams("main_theorem", 1, 4), trials=20_000, **kwargs
-    )
-    large = compare_to_bound(
-        ProcessTarget(1, 4), BoundParams("main_theorem", 1, 4), trials=40_000, **kwargs
-    )
+    small = compare_to_bound(BoundParams("main_theorem", 1, 4), trials=20_000, **kwargs)
+    large = compare_to_bound(BoundParams("main_theorem", 1, 4), trials=40_000, **kwargs)
     ratio = (large.ci_high - large.ci_low) / (small.ci_high - small.ci_low)
     assert abs(ratio - 1 / math.sqrt(2)) <= 0.2 / math.sqrt(2)
 
@@ -141,7 +132,6 @@ def test_inconclusive_flag_on_straddling_interval():
     # ten trials are far too few to separate H_2 = 1.5 from ln(3) ~ 1.0986:
     # the 3-SE margin reaches past the bound on both sides
     report = compare_to_bound(
-        ProcessTarget(1, 3),
         BoundParams("main_theorem", 1, 3),
         mode="mc",
         trials=10,
@@ -158,17 +148,15 @@ def test_inconclusive_flag_on_straddling_interval():
 
 def test_exact_process_comparison_r1_harmonic_vs_log():
     for m in range(2, 31):
-        report = compare_to_bound(
-            ProcessTarget(1, m), BoundParams("main_theorem", 1, m)
-        )
+        report = compare_to_bound(BoundParams("main_theorem", 1, m))
         assert report.satisfied is True
         assert isinstance(report.value, Fraction)
 
 
 def test_exact_uso_ensemble_report_fields():
     report = compare_to_bound(
-        UsoTarget(1, 6, delta=2, orientations=40),
         BoundParams("uso_lemma", 1, 6, 2),
+        orientations=40,
         seed=5,
     )
     # dimension-1 ensembles are rank-isomorphic: zero spread, exact verdict
@@ -179,24 +167,21 @@ def test_exact_uso_ensemble_report_fields():
 
 def test_exact_padded_ensemble_against_corollary():
     report = compare_to_bound(
-        PaddedUsoTarget(2, 5, orientations=30),
         BoundParams("corollary", 2, n=5),
+        orientations=30,
         seed=7,
     )
     assert report.satisfied is True
 
 
 def test_alpha_sweep_comparison_records_witness():
-    report = compare_to_bound(
-        ProcessTarget(2, 3, delta=2, alpha_sweep=2),
-        BoundParams("augmented_theorem", 2, 3, 2),
-    )
+    report = compare_to_bound(BoundParams("augmented_theorem", 2, 3, 2))
     assert report.satisfied is True
     assert len(report.extras["worst_alphas"]) == 2
 
 
 def test_report_serialization_round_trips_types():
-    report = compare_to_bound(ProcessTarget(1, 4), BoundParams("main_theorem", 1, 4))
+    report = compare_to_bound(BoundParams("main_theorem", 1, 4))
     blob = report.to_dict()
     assert blob["value"] == "11/6"
     assert isinstance(blob["bound"], float)

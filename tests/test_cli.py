@@ -214,6 +214,35 @@ def test_bench_bounds_csv_sorted_and_satisfied():
     assert all(r["seed"] == "3" for r in rows)
 
 
+@pytest.mark.parametrize("mode", [[], ["--mc"]], ids=["exact", "mc"])
+@pytest.mark.parametrize("family", analysis.FAMILIES)
+def test_bench_bounds_measures_every_family_in_both_modes(family, mode):
+    m = "5" if family == "corollary" else "3"  # the m column is n for corollary
+    code, out, err = run_cli(
+        [
+            "bench", "bounds", "--families", family, "--r-list", "2", "--m-list", m,
+            "--delta-list", "1", "--orientations", "5", "--trials", "200",
+            "--seed", "4", *mode,
+        ]
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["family"], row["r"], row["m"]) for row in rows] == [(family, "2", m)]
+
+
+@pytest.mark.parametrize("orientations", ["0", "1"])
+def test_bench_bounds_needs_two_orientations(orientations):
+    code, out, err = run_cli(
+        [
+            "bench", "bounds", "--r-list", "1", "--m-list", "2",
+            "--orientations", orientations, "--seed", "1",
+        ]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least 2 orientations for a standard error\n"
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "points.json"
     code, out, _ = run_cli(

@@ -12,7 +12,6 @@ from pivotlab.geometry import (
     PointSet,
     Side,
     Transversal,
-    augment,
     axis_intersections,
     below_set,
     flip_tail_sign,
@@ -155,16 +154,16 @@ def test_point_set_rejects_coincident_points():
 
 def test_augment_defaults_and_validation():
     ps = gen_point_set(2, 2)
-    aug = augment(ps)
+    aug = ps.augmented()
     assert aug.alphas == (3, 3)
     assert len(aug) == len(ps) + 2
     assert aug.coords(PointId(1, 2, 3)) == (3, 0)
     with pytest.raises(ValueError, match="below the minimum"):
-        augment(ps, [1, 3])
+        ps.augmented([1, 3])
     with pytest.raises(ValueError, match="coincides"):
-        augment(ps, [2, 3])
+        ps.augmented([2, 3])
     with pytest.raises(ValueError, match="already augmented"):
-        augment(aug)
+        aug.augmented()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ def test_below_set_flags_on_point():
 def test_augmented_default_start_has_on_points_tolerated():
     # with equal alphas = m+1 the start hyperplane passes exactly through the
     # phase-1 inner-layer points; they are neither below nor above
-    ps = augment(gen_point_set(2, 6))
+    ps = gen_point_set(2, 6).augmented()
     start = make_transversal(ps, [PointId(1, 2, 7), PointId(2, 2, 7)])
     assert side_of(ps, start, PointId(1, 1, 1)) is Side.ON
     assert PointId(1, 1, 1) not in below_set(ps, start)
@@ -476,7 +475,7 @@ def test_flip_tail_sign():
 
 
 def test_serialization_shapes():
-    ps = augment(gen_point_set(2, 2), [4, 3])
+    ps = gen_point_set(2, 2).augmented([4, 3])
     blob = ps.to_json_dict()
     assert blob["alphas"] == [4, 3]
     assert all(isinstance(p["coords"][0], str) for p in blob["points"])

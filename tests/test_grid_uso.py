@@ -24,7 +24,6 @@ from pivotlab.grid_uso import (
     grid_spec,
     has_topological_order,
     identity_comb,
-    is_unique_sink_orientation,
     orient_edge,
     out_neighbors,
     unique_sink_violations,
@@ -55,7 +54,7 @@ def test_leaf_comb():
 def test_one_level_comb_is_acyclic_tournament():
     comb = build_comb(1, 3, Random(2))
     assert sorted(comb.ranks) == [1, 2, 3]
-    assert has_topological_order(comb)
+    assert has_topological_order(grid_spec(comb), grid_out_function(comb))
     # exactly one sink and one source in the K_3 tournament
     degs = [len(out_neighbors(comb, None, (v,)).targets) for v in (1, 2, 3)]
     assert sorted(degs) == [0, 1, 2]
@@ -373,8 +372,9 @@ def test_embed_padded_preserves_uso_and_acyclicity():
     for n in (5, 7):
         comb = build_comb(2, n // 2, Random(n))
         padded = embed_padded(comb, n)
-        assert has_topological_order(padded)
-        assert is_unique_sink_orientation(padded)
+        spec, out_fn = grid_spec(padded), grid_out_function(padded)
+        assert has_topological_order(spec, out_fn)
+        assert not unique_sink_violations(spec, out_fn)
 
 
 def test_embed_padded_duration_dominates_original():
@@ -402,13 +402,15 @@ def test_embed_padded_rejects_bad_sizes():
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_random_combs_are_acyclic(r, m):
-    assert has_topological_order(build_comb(r, m, Random(f"{r}:{m}")))
+    comb = build_comb(r, m, Random(f"{r}:{m}"))
+    assert has_topological_order(grid_spec(comb), grid_out_function(comb))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_random_combs_have_unique_subgrid_sinks(r, m):
-    assert is_unique_sink_orientation(build_comb(r, m, Random(f"u{r}:{m}")))
+    comb = build_comb(r, m, Random(f"u{r}:{m}"))
+    assert not unique_sink_violations(grid_spec(comb), grid_out_function(comb))
 
 
 def test_identity_comb_duration_is_reported_without_bound_claim():

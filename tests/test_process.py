@@ -9,7 +9,6 @@ import pytest
 from pivotlab.errors import InstanceTooLargeError
 from pivotlab.geometry import (
     PointId,
-    augment,
     gen_point_set,
     make_transversal,
     transversals,
@@ -41,7 +40,7 @@ def plain_config(r, m, delta=0):
 
 
 def augmented_config(r, m, delta, alphas=None):
-    ps = augment(gen_point_set(r, m), alphas)
+    ps = gen_point_set(r, m).augmented(alphas)
     return ProcessConfig(
         ps, adversary_start(ps), delta=delta, count_terminal_step=True
     )
@@ -62,7 +61,7 @@ def test_adversary_start_requires_augmented_set():
     ps = gen_point_set(2, 3)
     with pytest.raises(ValueError, match="augmented"):
         adversary_start(ps)
-    assert adversary_start(augment(ps)).members == (
+    assert adversary_start(ps.augmented()).members == (
         PointId(1, 2, 4),
         PointId(2, 2, 4),
     )
@@ -91,6 +90,18 @@ def test_step_distribution_matches_weights():
         assert abs(counts[k] / trials - 0.2) < 4 * se
     se_esc = math.sqrt(0.4 * 0.6 / trials)
     assert abs(counts["escape"] / trials - 0.4) < 4 * se_esc
+
+
+@pytest.mark.parametrize(
+    "augmented,delta,counted", [(False, 0, False), (False, 2, True), (True, 0, True)]
+)
+def test_config_defaults_follow_the_point_set(augmented, delta, counted):
+    ps = gen_point_set(2, 3)
+    ps = ps.augmented() if augmented else ps
+    cfg = ProcessConfig(ps, delta=delta)
+    start = adversary_start(ps) if augmented else main_start(ps)
+    assert cfg.start == start
+    assert cfg.count_terminal_step is counted
 
 
 def test_config_validates_start_and_delta():
@@ -172,7 +183,7 @@ def test_trace_jsonl_shape():
 def test_phase_of_examples():
     ps = gen_point_set(2, 6)
     assert phase_of(ps, main_start(ps)) == 6
-    aug = augment(ps)
+    aug = ps.augmented()
     assert phase_of(aug, adversary_start(aug)) == 7
     ps22 = gen_point_set(2, 2)
     S = make_transversal(ps22, [PointId(1, 1, 1), PointId(2, 2, 1)])
@@ -242,9 +253,11 @@ def test_exact_r2_m2_matches_hand_back_substitution():
 
 
 def test_exact_counting_conventions_differ_by_one():
-    ps = augment(gen_point_set(2, 3))
+    ps = gen_point_set(2, 3).augmented()
     start = adversary_start(ps)
-    pivots = exact_expected_steps(ProcessConfig(ps, start, delta=1))
+    pivots = exact_expected_steps(
+        ProcessConfig(ps, start, delta=1, count_terminal_step=False)
+    )
     total = exact_expected_steps(
         ProcessConfig(ps, start, delta=1, count_terminal_step=True)
     )
