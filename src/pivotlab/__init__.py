@@ -8,8 +8,8 @@ pivoting, in two equivalent models.
   (acyclic, unique sink in every subgrid), simulates the directed random walk
   and solves its expected duration exactly.
 - :mod:`pivotlab.geometry` constructs the exact-integer point families around
-  the diagonal requirement line and decides every predicate over the
-  rationals.
+  the diagonal requirement line and decides every predicate exactly, the
+  side test and pivot by integer signs from one fraction-free elimination.
 - :mod:`pivotlab.process` runs the pivoting process on those point sets,
   tracks phases, and solves the finite chain exactly.
 - :mod:`pivotlab.analysis` evaluates the closed-form duration bounds,

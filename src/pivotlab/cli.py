@@ -43,11 +43,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept ``2..8`` or ``2,3,5``."""
+    """Accept ``2..8`` or ``2,3,5``; an empty range is an error."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return list(_parse_ints(text))
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = list(_parse_ints(text))
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    return values
 
 
 def _seed_of(args) -> int:
@@ -316,6 +320,8 @@ def _bench_rows(args, seed: int) -> list[dict]:
                             "trials": report.trials,
                         }
                     )
+    if not rows:
+        raise ValueError("empty sweep: nothing to measure (the corollary family needs m > r)")
     rows.sort(key=lambda row: (row["family"], row["r"], row["m"], row["delta"]))
     return rows
 

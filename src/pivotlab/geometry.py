@@ -1,4 +1,4 @@
-"""Exact-integer point families around one requirement line, with rational
+"""Exact-integer point families around one requirement line, with exact
 geometric predicates.
 
 The construction lives in ``Z^r``: every point has exactly one positive
@@ -9,9 +9,13 @@ The requirement line is the diagonal ``R * (1, ..., 1)``; a subset is
 *pierced* when its convex hull meets that line, and a pierced set with one
 point per color is a *transversal* (a pierced simplex).
 
-Every predicate here is decided exactly: coordinates are Python ints
-(magnitudes reach ``m**(2r-1)``), all derived values are ``Fraction``.
-Floats never participate in a geometric decision.
+Every predicate here is decided exactly, in Python ints: coordinates reach
+``m**(2r-1)`` and determinants multiply ``r`` of them, so nothing is ever
+narrowed to a fixed width.  The side test and the ratio-test pivot are
+integer sign tests on one fraction-free elimination (:func:`_bareiss`);
+``Fraction`` appears only in the values handed back (hyperplane
+coefficients, axis intersections).  Floats never participate in a
+geometric decision.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegeneracyError, GeneralPositionError
 
@@ -52,7 +57,7 @@ Coords = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra (dense, rational, tiny systems)
+# small exact linear algebra (dense, tiny systems)
 # ---------------------------------------------------------------------------
 
 
@@ -78,6 +83,37 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pr == nrows:
             break
     return a, pivot_cols
+
+
+def _bareiss(
+    rows: Sequence[Sequence[int]], rhs_columns: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of the square integer system
+    ``A x = b`` for each column ``b`` of ``rhs_columns``.
+
+    Returns ``(d, numerators)`` with ``x_i == numerators[k][i] / d`` for the
+    ``k``-th right-hand side, where ``d`` is ``det(A)`` up to sign (row
+    swaps flip it); ``d == 0`` (with no numerators) when ``A`` is singular.
+    Every division is exact by Sylvester's identity (Bareiss, Math. Comp.
+    22, 1968), so all entries stay Python ints bounded by minors of the
+    augmented matrix.
+    """
+    n = len(rows)
+    a = [[*row, *(col[i] for col in rhs_columns)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0, []
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return prev, [[row[n + c] for row in a] for c in range(len(rhs_columns))]
 
 
 def matrix_rank(rows: Iterable[Iterable[int | Fraction]]) -> int:
@@ -132,6 +168,11 @@ class PointId:
     def __post_init__(self) -> None:
         if self.color < 1 or self.layer < self.color or self.phase < 1:
             raise ValueError(f"invalid point id {self}")
+        # ids key every cache on the hot paths; hash the fields once
+        object.__setattr__(self, "_hash", hash((self.color, self.layer, self.phase)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.color, self.layer, self.phase)
@@ -213,7 +254,7 @@ class PointSet:
         self._colors: dict[int, tuple[PointId, ...]] = {
             i: tuple(p for p in self._ids if p.color == i) for i in range(1, r + 1)
         }
-        self._hyperplanes: dict[tuple[PointId, ...], tuple[Fraction, ...]] = {}
+        self._normals: dict[tuple[PointId, ...], tuple[Coords, int]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -267,6 +308,37 @@ class PointSet:
 
     def color_class(self, i: int) -> tuple[PointId, ...]:
         return self._colors[i]
+
+    def normal(self, members: tuple[PointId, ...]) -> tuple[Coords, int]:
+        """Integer pair ``(n, d)`` of the hyperplane ``n . x == d`` spanned
+        by ``members`` (one per color), with ``d > 0`` and every ``n_i > 0``.
+
+        One fraction-free elimination of ``A c = 1`` per member tuple, cached
+        on the set: ``c = n / d``.  A singular system, a coefficient of zero,
+        or a nonpositive axis intersection all violate general position and
+        raise :class:`DegeneracyError`; on the standard families this
+        indicates a construction bug.
+        """
+        cached = self._normals.get(members)
+        if cached is not None:
+            return cached
+        d, columns = _bareiss([self._points[p] for p in members], [(1,) * len(members)])
+        if d == 0:
+            raise DegeneracyError(
+                f"spanning system of {members} is singular; the simplex is degenerate"
+            )
+        n = columns[0]
+        if d < 0:
+            d, n = -d, [-x for x in n]
+        if 0 in n:
+            raise DegeneracyError(f"hyperplane of {members} is parallel to a coordinate axis")
+        if any(x < 0 for x in n):
+            raise DegeneracyError(
+                f"hyperplane of {members} meets an axis on the negative side"
+            )
+        pair = (tuple(n), d)
+        self._normals[members] = pair
+        return pair
 
     def layer_members(self, j: int) -> tuple[PointId, ...]:
         return tuple(p for p in self.ids() if p.layer == j)
@@ -369,7 +441,8 @@ def flip_tail_sign(point_set: PointSet, pid: PointId, coord_index: int) -> Point
 @dataclass(frozen=True)
 class Transversal:
     """One point per color, ordered by color.  Identity is the member tuple;
-    axis intersections are derived (and cached on the owning point set)."""
+    axis intersections are derived from the hyperplane cached on the owning
+    point set (:meth:`PointSet.normal`)."""
 
     members: tuple[PointId, ...]
 
@@ -444,51 +517,30 @@ def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:
 def hyperplane_coefficients(
     point_set: PointSet, simplex: Transversal
 ) -> tuple[Fraction, ...]:
-    """Coefficients ``c`` of the spanning hyperplane ``c . x == 1``.
-
-    Cached per member tuple.  A singular system, a coefficient of zero, or a
-    nonpositive axis intersection all violate general position and raise
-    :class:`DegeneracyError`; on the standard families this indicates a
-    construction bug.
-    """
-    cached = point_set._hyperplanes.get(simplex.members)
-    if cached is not None:
-        return cached
-    rows = [point_set.coords(pid) for pid in simplex.members]
-    status, c = solve_exact(rows, [1] * len(rows))
-    if status != "unique":
-        raise DegeneracyError(
-            f"spanning system of {simplex.members} is {status}; "
-            "the simplex is degenerate"
-        )
-    assert c is not None
-    if any(ci == 0 for ci in c):
-        raise DegeneracyError(
-            f"hyperplane of {simplex.members} is parallel to a coordinate axis"
-        )
-    if any(ci < 0 for ci in c):
-        raise DegeneracyError(
-            f"hyperplane of {simplex.members} meets an axis on the negative side"
-        )
-    coeffs = tuple(c)
-    point_set._hyperplanes[simplex.members] = coeffs
-    return coeffs
+    """Coefficients ``c = n / d`` of the spanning hyperplane ``c . x == 1``,
+    from the cached integer pair of :meth:`PointSet.normal` (which raises
+    :class:`DegeneracyError` off general position)."""
+    n, d = point_set.normal(simplex.members)
+    return tuple(Fraction(x, d) for x in n)
 
 
 def axis_intersections(
     point_set: PointSet, simplex: Transversal
 ) -> tuple[Fraction, ...]:
     """Positive values ``t_1..t_r`` where the simplex's hull meets each
-    coordinate axis (``t_i = 1 / c_i`` from the spanning hyperplane)."""
+    coordinate axis (``t_i = 1 / c_i = d / n_i`` from the spanning
+    hyperplane)."""
     return tuple(1 / c for c in hyperplane_coefficients(point_set, simplex))
 
 
 def side_of(point_set: PointSet, simplex: Transversal, x: PointId | Coords) -> Side:
     """Exact side of ``x`` relative to the simplex's spanning hyperplane,
-    oriented so the diagonal direction points to ``ABOVE``."""
+    oriented so the diagonal direction points to ``ABOVE``: the sign of
+    ``n . x - d`` for the integer pair of :meth:`PointSet.normal`, whose
+    ``d > 0`` fixes the orientation."""
     coords = point_set.coords(x) if isinstance(x, PointId) else x
-    c = hyperplane_coefficients(point_set, simplex)
-    value = sum((ci * xi for ci, xi in zip(c, coords)), Fraction(0)) - 1
+    n, d = point_set.normal(simplex.members)
+    value = sum(map(mul, n, coords)) - d
     if value > 0:
         return Side.ABOVE
     if value < 0:
@@ -553,11 +605,13 @@ def pivot_generic(
 ) -> Transversal:
     """Pivot by the ratio test of the extended simplex ``S + p``.
 
-    With the members ``q_1..q_r`` as columns of ``Q``, one elimination of
-    ``[[Q, -1], [1 ... 1, 0]]`` against the right-hand sides
-    ``(0, ..., 0, 1)`` and ``(p, 1)`` gives ``lambda``, the weights of the
+    With the members ``q_1..q_r`` as columns of ``Q``, one fraction-free
+    elimination (:func:`_bareiss`) of ``[[Q, -1], [1 ... 1, 0]]`` against the
+    right-hand sides ``(0, ..., 0, 1)`` and ``(p, 1)`` gives, as integer
+    numerators over one common denominator, ``lambda``, the weights of the
     point where the diagonal crosses ``S``, and ``mu``, the weights of the
-    point of ``aff(S)`` on the diagonal through ``p``.  Sliding the crossing
+    point of ``aff(S)`` on the diagonal through ``p``.  Signs are read off
+    the numerators and ratios compared exactly.  Sliding the crossing
     down the diagonal toward ``p`` moves the weights along ``-mu``, so the
     member with the least ``lambda_j / mu_j`` over ``mu_j > 0`` (some
     ``mu_j`` is, as they sum to one) reaches zero first and leaves.
@@ -567,18 +621,21 @@ def pivot_generic(
     another color than ``p`` raises :class:`DegeneracyError`.
     """
     _require_below(point_set, simplex, p)
-    # that check found c.x == 1 with every c_i > 0: the members are linearly
-    # independent and not parallel to the diagonal, so the matrix is nonsingular
+    # that check found n.x == d with d > 0 and every n_i > 0: the members are
+    # linearly independent and not parallel to the diagonal, so the matrix is
+    # nonsingular and both solutions share the denominator d
     r = point_set.r
     q = [point_set.coords(x) for x in simplex.members]
-    rows = [[*(x[t] for x in q), -1, 0, point_set.coords(p)[t]] for t in range(r)]
-    rows.append([1] * r + [0, 1, 1])
-    red, _ = _rref([[Fraction(x) for x in row] for row in rows])
-    lam = [row[r + 1] for row in red[:r]]
-    mu = [row[r + 2] for row in red[:r]]
-    if any(x <= 0 for x in lam):
+    rows = [[*(x[t] for x in q), -1] for t in range(r)]
+    rows.append([1] * r + [0])
+    d, (lam, mu) = _bareiss(rows, [(0,) * r + (1,), (*point_set.coords(p), 1)])
+    if d < 0:
+        lam, mu = [-x for x in lam], [-x for x in mu]
+    # with d > 0, lambda_j and mu_j have the signs of their numerators, and
+    # lambda_j / mu_j == lam[j] / mu[j]
+    if any(x <= 0 for x in lam[:r]):
         raise DegeneracyError(f"the diagonal misses the interior of {simplex.members}")
-    ratios = sorted((lam[j] / mu[j], j) for j in range(r) if mu[j] > 0)
+    ratios = sorted((Fraction(lam[j], mu[j]), j) for j in range(r) if mu[j] > 0)
     if len(ratios) > 1 and ratios[0][0] == ratios[1][0]:
         raise DegeneracyError(f"pivot of {simplex.members} with {p}: tied ratio test")
     leaving = simplex.members[ratios[0][1]]

@@ -36,7 +36,6 @@ __all__ = [
     "exact_expected_steps",
     "good_phases",
     "main_start",
-    "phase_from_min_t",
     "phase_of",
     "run",
     "step",
@@ -150,12 +149,6 @@ def phase_of(point_set: PointSet, position) -> int:
             f"transversal {position.members} has no outermost-layer point"
         )
     return min(phases)
-
-
-def phase_from_min_t(point_set: PointSet, position: Transversal) -> Fraction:
-    """The equivalent axis-intersection characterization: ``min(t_1..t_r)``.
-    Agrees exactly with :func:`phase_of` on the standard families."""
-    return min(geometry.axis_intersections(point_set, position))
 
 
 # ---------------------------------------------------------------------------

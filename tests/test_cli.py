@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -241,6 +242,34 @@ def test_bench_bounds_needs_two_orientations(orientations):
     assert code == 1
     assert out == ""
     assert err == "error: need at least 2 orientations for a standard error\n"
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (["--m-list", "5..2"], "error: empty range '5..2'\n"),
+        (
+            ["--families", "corollary", "--r-list", "2", "--m-list", "2"],
+            "error: empty sweep: nothing to measure (the corollary family needs m > r)\n",
+        ),
+    ],
+    ids=["reversed-range", "corollary-n-at-most-r"],
+)
+def test_bench_bounds_empty_sweep_is_an_error(sweep, message):
+    code, out, err = run_cli(["bench", "bounds", *sweep, "--seed", "1"])
+    assert (code, out, err) == (1, "", message)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pivotlab", "points", "dump", "--r", "2", "--m", "3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.encode() == (GOLDENS / "points-dump.txt").read_bytes()
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pivotlab.errors import DegeneracyError, GeneralPositionError
 from pivotlab.geometry import (
+    _bareiss,
     PointId,
     PointSet,
     Side,
@@ -252,6 +253,17 @@ def test_side_of_examples():
     assert side_of(ps, S, (11, -8)) is Side.ABOVE
 
 
+def test_normal_is_sign_normalised():
+    # the spanning matrix [[1, 3], [2, 1]] has determinant -5; c = (2/5, 1/5)
+    ps = PointSet(2, 1, {PointId(1, 2, 1): (1, 3), PointId(2, 2, 1): (2, 1)})
+    S = Transversal((PointId(1, 2, 1), PointId(2, 2, 1)))
+    n, d = ps.normal(S.members)
+    assert d > 0 and (Fraction(n[0], d), Fraction(n[1], d)) == (Fraction(2, 5), Fraction(1, 5))
+    assert side_of(ps, S, (1, 1)) is Side.BELOW
+    assert side_of(ps, S, (0, 5)) is Side.ON
+    assert side_of(ps, S, (3, 1)) is Side.ABOVE
+
+
 def test_below_set_examples():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
@@ -298,6 +310,176 @@ def test_degenerate_simplex_raises():
         hyperplane_coefficients(
             ps3, Transversal((PointId(1, 1, 1), PointId(2, 2, 1)))
         )
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against the rational reference
+# ---------------------------------------------------------------------------
+
+
+def rref_hyperplane(ps: PointSet, simplex: Transversal) -> tuple[Fraction, ...]:
+    """Reference for :meth:`PointSet.normal`: ``c`` with ``c . x == 1``
+    from one rational RREF solve, under the same three degeneracy checks."""
+    rows = [ps.coords(pid) for pid in simplex.members]
+    status, c = solve_exact(rows, [1] * len(rows))
+    if status != "unique":
+        raise DegeneracyError(f"spanning system is {status}; the simplex is degenerate")
+    if any(ci == 0 for ci in c):
+        raise DegeneracyError("hyperplane is parallel to a coordinate axis")
+    if any(ci < 0 for ci in c):
+        raise DegeneracyError("hyperplane meets an axis on the negative side")
+    return tuple(c)
+
+
+def fraction_side_of(c: tuple[Fraction, ...], coords) -> Side:
+    """Reference side test: the sign of the ``Fraction`` value ``c . x - 1``
+    for the reference coefficients ``c``."""
+    value = sum((ci * xi for ci, xi in zip(c, coords)), Fraction(0)) - 1
+    return Side.ABOVE if value > 0 else Side.BELOW if value < 0 else Side.ON
+
+
+DEGENERACY_KINDS = ("degenerate", "parallel", "negative side")
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or which degeneracy it raised."""
+    try:
+        return fn(*args)
+    except DegeneracyError as exc:
+        kinds = [kind for kind in DEGENERACY_KINDS if kind in str(exc)]
+        assert len(kinds) == 1, str(exc)
+        return ("raises", kinds[0])
+
+
+def assert_matches_reference(ps: PointSet, simplex: Transversal, points) -> bool:
+    """Coefficients, axis intersections and sides agree with the rational
+    reference (or both raise the same kind of error); returns whether the
+    simplex has a valid hyperplane."""
+    want = outcome(rref_hyperplane, ps, simplex)
+    assert outcome(hyperplane_coefficients, ps, simplex) == want
+    if want[0] == "raises":
+        assert outcome(axis_intersections, ps, simplex) == want
+        assert outcome(side_of, ps, simplex, points[0]) == want
+        return False
+    assert axis_intersections(ps, simplex) == tuple(1 / c for c in want)
+    n, d = ps.normal(simplex.members)
+    assert d > 0 and all(type(x) is int for x in (*n, d))
+    for x in points:
+        coords = ps.coords(x) if isinstance(x, PointId) else x
+        assert side_of(ps, simplex, x) is fraction_side_of(want, coords)
+    return True
+
+
+@st.composite
+def square_systems(draw):
+    """An n x n matrix with small entries (often singular) and one or two
+    right-hand sides with huge ones, n in 1..5."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    column = st.lists(st.integers(-(10**20), 10**20), min_size=n, max_size=n)
+    return rows, draw(st.lists(column, min_size=1, max_size=2))
+
+
+def cofactor_det(rows) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_bareiss_matches_rational_solve(system):
+    rows, rhs_columns = system
+    d, numerators = _bareiss(rows, rhs_columns)
+    if d == 0:
+        assert numerators == [] and cofactor_det(rows) == 0
+        return
+    assert abs(d) == abs(cofactor_det(rows))
+    for b, num in zip(rhs_columns, numerators, strict=True):
+        assert ("unique", [Fraction(v, d) for v in num]) == solve_exact(rows, b)
+
+
+@st.composite
+def integer_point_sets(draw) -> PointSet:
+    """1-3 points per color with distinct integer coordinates, r in 1..4;
+    small ranges hit every degeneracy, huge ones overflow any fixed width."""
+    r = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([4, 10**6, 10**30]))
+    sizes = [draw(st.integers(1, 3)) for _ in range(r)]
+    coords = draw(
+        st.lists(
+            st.tuples(*[st.integers(-bound, bound)] * r),
+            min_size=sum(sizes),
+            max_size=sum(sizes),
+            unique=True,
+        )
+    )
+    it = iter(coords)
+    points = {
+        PointId(i, r, k): next(it)
+        for i, size in enumerate(sizes, start=1)
+        for k in range(1, size + 1)
+    }
+    return PointSet(r, 3, points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_point_sets(), st.data())
+def test_integer_kernel_matches_reference_on_random_sets(ps, data):
+    extra = data.draw(st.tuples(*[st.integers(-9, 9)] * ps.r))
+    for S in transversals(ps):
+        assert_matches_reference(ps, S, list(ps.ids()) + [extra])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_kernel_matches_reference_on_augmented_sets(data):
+    r = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 2 if r == 4 else 3))
+    equal = data.draw(st.booleans())
+    alphas = (
+        (m + 1,) * r
+        if equal
+        else tuple(data.draw(st.integers(m + 1, m + 4)) for _ in range(r))
+    )
+    ps = gen_point_set(r, m).augmented(alphas)
+    starts = [make_transversal(ps, [PointId(i, r, m + 1) for i in range(1, r + 1)])]
+    for _ in range(4):
+        starts.append(
+            make_transversal(
+                ps, [data.draw(st.sampled_from(ps.color_class(i))) for i in range(1, r + 1)]
+            )
+        )
+    for S in starts:
+        assert assert_matches_reference(ps, S, list(ps.ids()))
+    if equal and r >= 2:
+        # the start hyperplane is coordinate sum m + 1, and a point of layer j
+        # and phase k has sum (r - j) m + k: phase-1 points of layer r - 1 lie on it
+        on = [p for p in ps.ids() if p.layer == r - 1 and p.phase == 1]
+        assert on and all(side_of(ps, starts[0], p) is Side.ON for p in on)
+
+
+def test_integer_kernel_beyond_64_bits():
+    """Coordinates near 700**7 > 2**63: nothing may narrow to a fixed width."""
+    ps = gen_point_set(4, 700)
+    assert max(abs(x) for p in ps for x in ps.coords(p)) > 2**63
+    for members in [
+        [PointId(1, 1, 1), PointId(2, 2, 5), PointId(3, 3, 700), PointId(4, 4, 350)],
+        [PointId(1, 2, 9), PointId(2, 3, 123), PointId(3, 4, 2), PointId(4, 4, 699)],
+        [PointId(1, 1, 700), PointId(2, 2, 1), PointId(3, 3, 1), PointId(4, 4, 1)],
+    ]:
+        S = make_transversal(ps, members)
+        assert assert_matches_reference(ps, S, list(ps.ids()))
+        n, d = ps.normal(S.members)
+        assert d > 2**63 and max(n) > 2**63
+        below = below_set(ps, S)
+        for p in below[:: max(1, len(below) // 5)]:
+            assert pivot_generic(ps, S, p) == pivot_color_swap(ps, S, p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from pivotlab.errors import InstanceTooLargeError
 from pivotlab.geometry import (
     PointId,
+    axis_intersections,
     gen_point_set,
     make_transversal,
     transversals,
@@ -20,7 +21,6 @@ from pivotlab.process import (
     exact_expected_steps,
     good_phases,
     main_start,
-    phase_from_min_t,
     phase_of,
     run,
     step,
@@ -191,6 +191,11 @@ def test_phase_of_examples():
     assert phase_of(ps22, TERMINAL) == 0
 
 
+def phase_from_min_t(point_set, position) -> Fraction:
+    """The axis-intersection characterization of the phase: ``min(t_1..t_r)``."""
+    return min(axis_intersections(point_set, position))
+
+
 @pytest.mark.parametrize("r,m", [(2, 4), (3, 3)])
 def test_phase_definitions_agree_exhaustively(r, m):
     ps = gen_point_set(r, m)
@@ -244,6 +249,31 @@ def test_exact_r1_matches_harmonic_closed_form():
     assert exact_expected_steps(plain_config(1, 4)) == Fraction(11, 6)
     for m in (2, 3, 7, 12):
         assert exact_expected_steps(plain_config(1, m)) == harmonic(m - 1)
+
+
+# generated before the fraction-free geometry kernel replaced the rational one
+PINNED_EXACT = {
+    "main-3-4": (
+        lambda: plain_config(3, 4),
+        "176963457842676087776492799187627/24158059351866954935156736000000",
+    ),
+    "main-4-3": (
+        lambda: plain_config(4, 3),
+        "8684606816136233405290577735872777106387029870591904642041262192116544677/"
+        "971696380693148422625974972717816879841102415268664259379200000000000000",
+    ),
+    "augmented-2-6-delta1-alphas-7-8": (
+        lambda: ProcessConfig(gen_point_set(2, 6).augmented((7, 8)), delta=1),
+        "16378742060853/3488566681600",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_EXACT))
+def test_exact_values_are_pinned(name):
+    make_config, want = PINNED_EXACT[name]
+    value = exact_expected_steps(make_config())
+    assert type(value) is Fraction and str(value) == want
 
 
 def test_exact_r2_m2_matches_hand_back_substitution():
