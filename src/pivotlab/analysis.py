@@ -676,6 +676,8 @@ def phase_law_report(
     alphas: Iterable[int] | None = None,
 ) -> PhaseLawReport:
     """Stream ``trials`` augmented traces and test the phase laws."""
+    if trials < 1:
+        raise ValueError(f"need at least 1 trace for the phase laws, got {trials}")
     ps = geometry.gen_point_set(r, m).augmented(alphas)
     cfg = ProcessConfig(ps, delta=delta)
     transition_counts: dict[int, dict[int, int]] = {}

@@ -54,6 +54,13 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
+def _dump_trials(trials: int) -> range:
+    """Trial indices of a jsonl trace dump, which needs at least one."""
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial for a jsonl trace dump, got {trials}")
+    return range(trials)
+
+
 def _seed_of(args) -> int:
     if args.seed is None:
         seed = fresh_seed()
@@ -94,7 +101,7 @@ def _cmd_uso_walk(args) -> int:
         # trace dump: one vertex tuple per line, terminal hops as "inf";
         # consecutive trials are concatenated
         lines = []
-        for i in range(args.trials):
+        for i in _dump_trials(args.trials):
             outcome = grid_uso.walk(comb, cfg, start, derive_rng(seed, "walk", i))
             assert outcome.visited is not None
             lines.extend(
@@ -179,9 +186,8 @@ def _cmd_process_run(args) -> int:
     ps = _point_set_for(args)
     cfg = process.ProcessConfig(ps, delta=args.delta or 0)
     if args.format == "jsonl":
-        trials = args.trials if args.trials is not None else 1
         chunks = []
-        for i in range(trials):
+        for i in _dump_trials(args.trials if args.trials is not None else 1):
             trace = process.run(cfg, derive_rng(seed, "trace", i))
             chunks.append(process.trace_to_jsonl(trace))
         _emit("".join(chunks), args.out)

@@ -45,7 +45,6 @@ __all__ = [
     "grid_spec",
     "has_topological_order",
     "identity_comb",
-    "orient_edge",
     "out_neighbors",
     "unique_sink_violations",
     "uso_lemma_bound",
@@ -188,29 +187,6 @@ def _identity_for(sizes: tuple[int, ...]) -> CombOrientation:
 # ---------------------------------------------------------------------------
 # orientation queries
 # ---------------------------------------------------------------------------
-
-
-def orient_edge(comb: CombOrientation, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
-    """Return the edge ``{u, v}`` as an ordered pair ``(tail, head)``.
-
-    The two vertices must differ in exactly one coordinate.  Edges along the
-    last factor follow the top-level ranks (higher rank is the tail); edges
-    along earlier factors are oriented by the child of the shared last
-    coordinate, recursively.
-    """
-    spec = grid_spec(comb)
-    if not (spec.contains(u) and spec.contains(v)):
-        raise ValueError(f"vertices must lie in the grid {spec.factor_sizes}")
-    diff = [i for i, (a, b) in enumerate(zip(u, v)) if a != b]
-    if len(diff) != 1:
-        raise ValueError("vertices must differ in exactly one coordinate")
-    d = diff[0]
-    node = comb
-    for level in range(spec.dimension - 1, d, -1):
-        node = node.children[u[level] - 1]
-    if node.ranks[u[d] - 1] > node.ranks[v[d] - 1]:
-        return (u, v)
-    return (v, u)
 
 
 @dataclass(frozen=True)

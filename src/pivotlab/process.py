@@ -9,7 +9,12 @@ counts (``pivot_count`` and ``total_steps = pivot_count + 1``).
 
 Transversal positions form a finite acyclic chain: every pivot strictly
 lowers the sum of axis intersections, which both guarantees termination and
-gives the back-substitution order for exact expected durations.
+gives the back-substitution order for exact expected durations.  Each
+:class:`ProcessConfig` holds that chain as one state graph, built on first
+use: a state per transversal, interned by its members, whose successors are
+direct references to other states.  Every edge is checked against the
+axis-sum order once, when it is built; :func:`run`, :func:`good_phases` and
+:func:`exact_expected_steps` all read the same graph.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ __all__ = [
     "main_start",
     "phase_of",
     "run",
-    "step",
     "trace_to_jsonl",
     "worst_case_expected_steps",
 ]
@@ -101,7 +105,7 @@ class ProcessConfig:
         self.start = start
         self.delta = delta
         self.count_terminal_step = count_terminal_step
-        self._nodes: dict[tuple[PointId, ...], _Node] = {}
+        self._states: dict[tuple[PointId, ...], _State] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -110,27 +114,47 @@ class ProcessConfig:
         )
 
 
-@dataclass(frozen=True)
-class _Node:
-    """Cached per-position data: axis intersections, phase, the strictly
-    -below points and their color-swap successors."""
+@dataclass(slots=True, eq=False, repr=False)
+class _State:
+    """One transversal of the state graph: its members, axis-intersection
+    sum and phase; ``below`` (the strictly-below points) and ``succ`` (their
+    color-swap successors, in the same order) stay ``None`` until
+    :func:`_successors` expands the state."""
 
+    members: tuple[PointId, ...]
     t_sum: Fraction
     phase: int
-    below: tuple[PointId, ...]
-    succ: tuple[Transversal, ...]
+    below: tuple[PointId, ...] | None = None
+    succ: tuple[_State, ...] | None = None
 
 
-def _node(cfg: ProcessConfig, position: Transversal) -> _Node:
-    node = cfg._nodes.get(position.members)
-    if node is None:
+def _state(cfg: ProcessConfig, members: tuple[PointId, ...]) -> _State:
+    st = cfg._states.get(members)
+    if st is None:
         ps = cfg.point_set
-        tvec = geometry.axis_intersections(ps, position)
-        below = geometry.below_set(ps, position)
-        succ = tuple(position.replace(p) for p in below)
-        node = _Node(sum(tvec), phase_of(ps, position), below, succ)
-        cfg._nodes[position.members] = node
-    return node
+        position = Transversal(members)
+        st = _State(
+            members, sum(geometry.axis_intersections(ps, position)), phase_of(ps, position)
+        )
+        cfg._states[members] = st
+    return st
+
+
+def _successors(cfg: ProcessConfig, st: _State) -> tuple[_State, ...]:
+    """The successors of ``st``, expanded on first use; each new edge must
+    strictly lower the axis-intersection sum."""
+    if st.succ is None:
+        position = Transversal(st.members)
+        below = geometry.below_set(cfg.point_set, position)
+        succ = tuple(_state(cfg, position.replace(p).members) for p in below)
+        for nxt in succ:
+            if nxt.t_sum >= st.t_sum:
+                raise InternalInvariantError(
+                    f"pivot from {st.members} to {nxt.members} does not lower "
+                    "the axis-intersection sum; monotonicity is broken"
+                )
+        st.below, st.succ = below, succ
+    return st.succ
 
 
 # ---------------------------------------------------------------------------
@@ -224,52 +248,30 @@ def trace_to_jsonl(trace: Trace) -> str:
 # ---------------------------------------------------------------------------
 
 
-def step(cfg: ProcessConfig, position: Transversal, rng: Random):
-    """One transition: returns ``(next_position, pivot)`` where the pivot is
-    a point id or ``None`` for the escape.
-
-    The pivot is drawn by :func:`chain.draw` over the below points and the
-    escape edges; with nothing below the escape is forced without consuming
-    randomness.
-    """
-    return _draw(cfg, _node(cfg, position), rng)
-
-
-def _draw(cfg: ProcessConfig, node: _Node, rng: Random):
-    """:func:`step` from a node already looked up."""
-    n_below = len(node.below)
-    i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
-    if i is TERMINAL:
-        return TERMINAL, None
-    return node.succ[i], node.below[i]
-
-
 def run(cfg: ProcessConfig, rng: Random) -> Trace:
-    """Run to the terminal position, recording every visited transversal."""
+    """Run to the terminal position, recording every visited transversal.
+
+    Each pivot is drawn by :func:`chain.draw` over the below points and the
+    escape edges; with nothing below the escape is forced without consuming
+    randomness."""
     budget = cfg.point_set.transversal_count() + 1
     records = []
-    position = cfg.start
-    prev_t_sum = None
+    st = _state(cfg, cfg.start.members)
     t = 0
     while True:
-        node = _node(cfg, position)
-        if prev_t_sum is not None and node.t_sum >= prev_t_sum:
-            raise InternalInvariantError(
-                "axis-intersection sum failed to decrease; monotonicity is broken"
-            )
-        prev_t_sum = node.t_sum
-        nxt, pivot = _draw(cfg, node, rng)
-        records.append(
-            TraceRecord(t, position.members, len(node.below), node.phase, pivot)
-        )
+        succ = st.succ if st.succ is not None else _successors(cfg, st)
+        n_below = len(succ)
+        i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
+        pivot = None if i is TERMINAL else st.below[i]
+        records.append(TraceRecord(t, st.members, n_below, st.phase, pivot))
         t += 1
         if t > budget:
             raise InternalInvariantError(
                 "process exceeded its step budget; positions must not repeat"
             )
-        if nxt is TERMINAL:
+        if i is TERMINAL:
             return Trace(tuple(records))
-        position = nxt
+        st = succ[i]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +313,9 @@ def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
         if any(p.layer == r - 1 for p in entry.members):
             continue
         good.add(phi)
-        entry_node = _node(cfg, Transversal(entry.members))
-        entry_all_below[phi] = layer_rm1 <= set(entry_node.below)
+        entry_state = _state(cfg, entry.members)
+        _successors(cfg, entry_state)
+        entry_all_below[phi] = layer_rm1 <= set(entry_state.below)
     return GoodPhaseReport(frozenset(good), entry_all_below)
 
 
@@ -326,29 +329,22 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     counting convention.
 
     Enumerates all transversals, then back-substitutes in increasing order of
-    the axis-intersection sum (pivots strictly decrease it, so successors are
-    always solved first).
+    the axis-intersection sum: every edge lowers it (:func:`_successors`
+    checks this), so successors are always solved first.
     """
     ps = cfg.point_set
     chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
-    states = list(geometry.transversals(ps))
-    nodes = {s: _node(cfg, s) for s in states}
-    expected: dict[tuple[PointId, ...], Fraction] = {}
-    for s in sorted(states, key=lambda s: nodes[s].t_sum):
-        node = nodes[s]
-        acc = Fraction(0)
-        for nxt in node.succ:
-            value = expected.get(nxt.members)
-            if value is None:
-                raise InternalInvariantError(
-                    "pivot against the axis-sum order; monotonicity is broken"
-                )
-            acc += value
-        n_below = len(node.below)
-        expected[s.members] = chain.expected_steps(
-            acc, n_below, chain.escape_weight(cfg.delta, n_below)
+    states = [_state(cfg, s.members) for s in geometry.transversals(ps)]
+    expected: dict[_State, Fraction] = {}
+    for st in sorted(states, key=lambda st: st.t_sum):
+        succ = _successors(cfg, st)
+        n_below = len(succ)
+        expected[st] = chain.expected_steps(
+            sum((expected[nxt] for nxt in succ), Fraction(0)),
+            n_below,
+            chain.escape_weight(cfg.delta, n_below),
         )
-    result = expected[cfg.start.members]
+    result = expected[_state(cfg, cfg.start.members)]
     return result if cfg.count_terminal_step else result - 1
 
 

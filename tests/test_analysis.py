@@ -277,6 +277,12 @@ def test_phase_law_report_without_positive_phase_changes(r, delta):
     }
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_phase_law_report_needs_a_trace(trials):
+    with pytest.raises(ValueError, match="need at least 1 trace"):
+        phase_law_report(2, 3, 0, trials, 1)
+
+
 def test_phase_law_report_delta_zero_has_no_escape_cells():
     report = phase_law_report(2, 4, delta=0, trials=3_000, seed=21)
     assert report.all_ok()

@@ -1,6 +1,8 @@
 """Tests for the command-line surface: formats, exit codes, reproducibility."""
 
 import csv
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -107,6 +109,14 @@ def test_verify_lemmas_failure_exit_code(monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
+def test_negative_phase_trials_is_a_usage_error():
+    code, out, err = run_cli(
+        ["verify", "lemmas", "--r", "2", "--m", "3", "--phase-trials", "-5", "--seed", "1"]
+    )
+    assert code == 1 and out == ""
+    assert err == "error: need at least 1 trace for the phase laws, got -5\n"
+
+
 def test_usage_error_exit_code():
     code, _, _ = run_cli(["no-such-group"])
     assert code == 1
@@ -172,6 +182,21 @@ def test_process_run_jsonl():
     lines = [json.loads(line) for line in out.strip().split("\n")]
     assert all(set(l) == {"t", "S", "pivot", "below", "phase"} for l in lines)
     assert sum(1 for l in lines if l["pivot"] == "inf") == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["process", "run", "--r", "2", "--m", "3"],
+        ["uso", "walk", "--r", "1", "--m", "3", "--format", "jsonl"],
+    ],
+    ids=["process-run", "uso-walk"],
+)
+def test_jsonl_dump_needs_a_trial(command, trials):
+    code, out, err = run_cli(command + ["--seed", "1", "--trials", trials])
+    assert code == 1 and out == ""
+    assert err == f"error: need at least 1 trial for a jsonl trace dump, got {trials}\n"
 
 
 def test_uso_walk_summary_json():
@@ -258,6 +283,20 @@ def test_bench_bounds_needs_two_orientations(orientations):
 def test_bench_bounds_empty_sweep_is_an_error(sweep, message):
     code, out, err = run_cli(["bench", "bounds", *sweep, "--seed", "1"])
     assert (code, out, err) == (1, "", message)
+
+
+def test_benchmark_tracer_names_exist():
+    """The benchmark's tracer patches these names by ``getattr``; a rename in
+    ``src/`` would break every traced benchmark run."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(mod, fn) for mod, fns in tracer.TRACED.items() for fn in fns]
+    names.append(("geometry", "transversals"))
+    for mod, fn in names:
+        module = importlib.import_module(f"pivotlab.{mod}")
+        assert callable(getattr(module, fn, None)), f"pivotlab.{mod}.{fn}"
 
 
 def test_python_dash_m_runs_the_cli():

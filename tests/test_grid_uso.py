@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -24,7 +25,6 @@ from pivotlab.grid_uso import (
     grid_spec,
     has_topological_order,
     identity_comb,
-    orient_edge,
     out_neighbors,
     unique_sink_violations,
     uso_lemma_bound,
@@ -87,6 +87,51 @@ def test_serialization_round_trip():
 # ---------------------------------------------------------------------------
 # orient_edge
 # ---------------------------------------------------------------------------
+
+
+def orient_edge(comb, u, v):
+    """Oracle: the edge ``{u, v}`` as an ordered pair ``(tail, head)``.
+
+    The two vertices must differ in exactly one coordinate.  Edges along the
+    last factor follow the top-level ranks (higher rank is the tail); edges
+    along earlier factors are oriented by the child of the shared last
+    coordinate, recursively.
+    """
+    spec = grid_spec(comb)
+    if not (spec.contains(u) and spec.contains(v)):
+        raise ValueError(f"vertices must lie in the grid {spec.factor_sizes}")
+    diff = [i for i, (a, b) in enumerate(zip(u, v)) if a != b]
+    if len(diff) != 1:
+        raise ValueError("vertices must differ in exactly one coordinate")
+    d = diff[0]
+    node = comb
+    for level in range(spec.dimension - 1, d, -1):
+        node = node.children[u[level] - 1]
+    if node.ranks[u[d] - 1] > node.ranks[v[d] - 1]:
+        return (u, v)
+    return (v, u)
+
+
+def test_out_function_lists_exactly_the_oriented_edges():
+    checked = 0
+    for r in (1, 2, 3):
+        for m in (1, 2, 3, 4):
+            for seed in range(5):
+                comb = build_comb(r, m, Random(seed))
+                out = grid_out_function(comb)
+                for v in product(range(1, m + 1), repeat=r):
+                    neighbours = [
+                        v[:i] + (x,) + v[i + 1 :]
+                        for i in range(r)
+                        for x in range(1, m + 1)
+                        if x != v[i]
+                    ]
+                    want = {w for w in neighbours if orient_edge(comb, v, w) == (v, w)}
+                    got = out(v)
+                    assert len(set(got)) == len(got) and set(got) == want
+                    checked += 1
+    assert checked == 700
+
 
 
 def test_orient_edge_identity_ranks():

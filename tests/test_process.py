@@ -5,11 +5,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pivotlab.errors import InstanceTooLargeError
+from pivotlab import chain
+from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
 from pivotlab.geometry import (
     PointId,
     axis_intersections,
+    below_set,
+    flip_tail_sign,
     gen_point_set,
     make_transversal,
     transversals,
@@ -17,13 +21,14 @@ from pivotlab.geometry import (
 from pivotlab.process import (
     TERMINAL,
     ProcessConfig,
+    Trace,
+    TraceRecord,
     adversary_start,
     exact_expected_steps,
     good_phases,
     main_start,
     phase_of,
     run,
-    step,
     trace_to_jsonl,
     worst_case_expected_steps,
 )
@@ -69,21 +74,20 @@ def test_adversary_start_requires_augmented_set():
 
 def test_step_forced_escape_without_candidates():
     ps = gen_point_set(1, 2)
-    cfg = ProcessConfig(ps, main_start(ps))
     bottom = make_transversal(ps, [PointId(1, 1, 1)])
-    nxt, pivot = step(cfg, bottom, Random(0))
-    assert nxt is TERMINAL and pivot is None
+    trace = run(ProcessConfig(ps, bottom), Random(0))
+    assert trace.records[0].pivot is None and trace.total_steps == 1
 
 
 def test_step_distribution_matches_weights():
     # |below| = 3 and delta = 2: each point 1/5, escape 2/5
     cfg = augmented_config(1, 3, delta=2)
-    start = adversary_start(cfg.point_set)
     trials = 20_000
     counts = {"escape": 0}
     for i in range(trials):
-        nxt, pivot = step(cfg, start, derive_rng(7, i))
-        key = "escape" if pivot is None else pivot.phase
+        first = run(cfg, derive_rng(7, i)).records[0]
+        assert first.members == adversary_start(cfg.point_set).members
+        key = "escape" if first.pivot is None else first.pivot.phase
         counts[key] = counts.get(key, 0) + 1
     se = math.sqrt(0.2 * 0.8 / trials)
     for k in (1, 2, 3):
@@ -162,6 +166,53 @@ def test_run_seed_determinism_byte_for_byte():
     a = trace_to_jsonl(run(cfg, Random(12345)))
     b = trace_to_jsonl(run(cfg, Random(12345)))
     assert a == b
+
+
+def scalar_run(cfg, rng) -> Trace:
+    """Oracle: the process stepped from scratch, recomputing the below set
+    and the axis-intersection sum of every visited position and checking
+    that the sum falls on every step."""
+    ps = cfg.point_set
+    records = []
+    position = cfg.start
+    prev_t_sum = None
+    t = 0
+    while True:
+        t_sum = sum(axis_intersections(ps, position))
+        if prev_t_sum is not None and t_sum >= prev_t_sum:
+            raise InternalInvariantError("monotonicity is broken")
+        prev_t_sum = t_sum
+        below = below_set(ps, position)
+        i = chain.draw(rng, len(below), chain.escape_weight(cfg.delta, len(below)))
+        pivot = None if i is TERMINAL else below[i]
+        records.append(
+            TraceRecord(t, position.members, len(below), phase_of(ps, position), pivot)
+        )
+        t += 1
+        if pivot is None:
+            return Trace(tuple(records))
+        position = position.replace(pivot)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    m=st.integers(1, 4),
+    data=st.data(),
+    delta=st.integers(0, 3),
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
+)
+def test_run_matches_scalar_oracle(r, m, data, delta, seeds):
+    ps = gen_point_set(r, m)
+    if data.draw(st.booleans(), label="augmented"):
+        alphas = data.draw(
+            st.lists(st.integers(m + 1, m + 4), min_size=r, max_size=r), label="alphas"
+        )
+        ps = ps.augmented(alphas)
+    cfg = ProcessConfig(ps, delta=delta)
+    for seed in seeds:  # the later traces run on the graph the earlier ones built
+        want = trace_to_jsonl(scalar_run(cfg, Random(seed)))
+        assert trace_to_jsonl(run(cfg, Random(seed))) == want
 
 
 def test_trace_jsonl_shape():
@@ -310,6 +361,13 @@ def test_exact_agrees_with_monte_carlo():
 def test_exact_delta_limit_is_one_step():
     cfg = augmented_config(2, 3, delta=10**9)
     assert abs(float(exact_expected_steps(cfg)) - 1) < 1e-6
+
+
+def test_broken_monotonicity_is_an_internal_error():
+    # a flipped tail coordinate lets some pivot raise the axis-intersection sum
+    ps = flip_tail_sign(gen_point_set(3, 2), PointId(1, 1, 1), 2)
+    with pytest.raises(InternalInvariantError, match="monotonicity is broken"):
+        exact_expected_steps(ProcessConfig(ps))
 
 
 def test_exact_respects_cap(monkeypatch):
