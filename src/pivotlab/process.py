@@ -10,11 +10,12 @@ counts (``pivot_count`` and ``total_steps = pivot_count + 1``).
 Transversal positions form a finite acyclic chain: every pivot strictly
 lowers the sum of axis intersections, which both guarantees termination and
 gives the back-substitution order for exact expected durations.  Each
-:class:`ProcessConfig` holds that chain as one state graph, built on first
-use: a state per transversal, interned by its members, whose successors are
-direct references to other states.  Every edge is checked against the
-axis-sum order once, when it is built; :func:`run`, :func:`good_phases` and
-:func:`exact_expected_steps` all read the same graph.
+:class:`ProcessConfig` holds that chain as one state graph, built lazily:
+a state per transversal, interned by its members, whose successors are
+direct references to other states, each edge made when first taken.  Every
+edge is checked against the axis-sum order once, when it is made;
+:func:`run`, :func:`good_phases` and :func:`exact_expected_steps` all read
+the same graph.
 """
 
 from __future__ import annotations
@@ -117,15 +118,16 @@ class ProcessConfig:
 @dataclass(slots=True, eq=False, repr=False)
 class _State:
     """One transversal of the state graph: its members, axis-intersection
-    sum and phase; ``below`` (the strictly-below points) and ``succ`` (their
-    color-swap successors, in the same order) stay ``None`` until
-    :func:`_successors` expands the state."""
+    sum and phase.  ``below`` (the strictly-below points) stays ``None``
+    until :func:`_below` expands the state; ``succ[i]``, the color-swap
+    successor for ``below[i]``, stays ``None`` until :func:`_edge` first
+    takes that edge."""
 
     members: tuple[PointId, ...]
     t_sum: Fraction
     phase: int
     below: tuple[PointId, ...] | None = None
-    succ: tuple[_State, ...] | None = None
+    succ: list[_State | None] | None = None
 
 
 def _state(cfg: ProcessConfig, members: tuple[PointId, ...]) -> _State:
@@ -140,21 +142,29 @@ def _state(cfg: ProcessConfig, members: tuple[PointId, ...]) -> _State:
     return st
 
 
-def _successors(cfg: ProcessConfig, st: _State) -> tuple[_State, ...]:
-    """The successors of ``st``, expanded on first use; each new edge must
-    strictly lower the axis-intersection sum."""
-    if st.succ is None:
-        position = Transversal(st.members)
-        below = geometry.below_set(cfg.point_set, position)
-        succ = tuple(_state(cfg, position.replace(p).members) for p in below)
-        for nxt in succ:
-            if nxt.t_sum >= st.t_sum:
-                raise InternalInvariantError(
-                    f"pivot from {st.members} to {nxt.members} does not lower "
-                    "the axis-intersection sum; monotonicity is broken"
-                )
-        st.below, st.succ = below, succ
-    return st.succ
+def _below(cfg: ProcessConfig, st: _State) -> tuple[PointId, ...]:
+    """The strictly-below points of ``st``, computed on first use."""
+    if st.below is None:
+        st.below = geometry.below_set(cfg.point_set, Transversal(st.members))
+        st.succ = [None] * len(st.below)
+    return st.below
+
+
+def _edge(cfg: ProcessConfig, st: _State, i: int) -> _State:
+    """The successor of ``st`` for pivot ``below[i]``.  An edge is built only
+    when first taken, so a trace through new states pays for the states it
+    visits, not for every point below them; each edge is checked once, when
+    built, to strictly lower the axis-intersection sum."""
+    nxt = st.succ[i]
+    if nxt is None:
+        nxt = _state(cfg, Transversal(st.members).replace(st.below[i]).members)
+        if nxt.t_sum >= st.t_sum:
+            raise InternalInvariantError(
+                f"pivot from {st.members} to {nxt.members} does not lower "
+                "the axis-intersection sum; monotonicity is broken"
+            )
+        st.succ[i] = nxt
+    return nxt
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +269,20 @@ def run(cfg: ProcessConfig, rng: Random) -> Trace:
     st = _state(cfg, cfg.start.members)
     t = 0
     while True:
-        succ = st.succ if st.succ is not None else _successors(cfg, st)
-        n_below = len(succ)
+        below = _below(cfg, st)
+        n_below = len(below)
         i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
-        pivot = None if i is TERMINAL else st.below[i]
+        pivot = None if i is TERMINAL else below[i]
         records.append(TraceRecord(t, st.members, n_below, st.phase, pivot))
         t += 1
+        # a second safeguard: it cannot fire while _edge checks every edge
         if t > budget:
             raise InternalInvariantError(
                 "process exceeded its step budget; positions must not repeat"
             )
         if i is TERMINAL:
             return Trace(tuple(records))
-        st = succ[i]
+        st = _edge(cfg, st, i)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +324,7 @@ def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
         if any(p.layer == r - 1 for p in entry.members):
             continue
         good.add(phi)
-        entry_state = _state(cfg, entry.members)
-        _successors(cfg, entry_state)
-        entry_all_below[phi] = layer_rm1 <= set(entry_state.below)
+        entry_all_below[phi] = layer_rm1 <= set(_below(cfg, _state(cfg, entry.members)))
     return GoodPhaseReport(frozenset(good), entry_all_below)
 
 
@@ -329,18 +338,17 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     counting convention.
 
     Enumerates all transversals, then back-substitutes in increasing order of
-    the axis-intersection sum: every edge lowers it (:func:`_successors`
-    checks this), so successors are always solved first.
+    the axis-intersection sum: every edge lowers it (:func:`_edge` checks
+    this), so successors are always solved first.
     """
     ps = cfg.point_set
     chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
     states = [_state(cfg, s.members) for s in geometry.transversals(ps)]
     expected: dict[_State, Fraction] = {}
     for st in sorted(states, key=lambda st: st.t_sum):
-        succ = _successors(cfg, st)
-        n_below = len(succ)
+        n_below = len(_below(cfg, st))
         expected[st] = chain.expected_steps(
-            sum((expected[nxt] for nxt in succ), Fraction(0)),
+            sum((expected[_edge(cfg, st, i)] for i in range(n_below)), Fraction(0)),
             n_below,
             chain.escape_weight(cfg.delta, n_below),
         )

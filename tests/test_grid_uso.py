@@ -85,7 +85,8 @@ def test_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# orient_edge
+# orient_edge: a reference oracle kept in the tests, its self-tests, and the
+# exhaustive check of grid_out_function against it
 # ---------------------------------------------------------------------------
 
 
@@ -110,28 +111,6 @@ def orient_edge(comb, u, v):
     if node.ranks[u[d] - 1] > node.ranks[v[d] - 1]:
         return (u, v)
     return (v, u)
-
-
-def test_out_function_lists_exactly_the_oriented_edges():
-    checked = 0
-    for r in (1, 2, 3):
-        for m in (1, 2, 3, 4):
-            for seed in range(5):
-                comb = build_comb(r, m, Random(seed))
-                out = grid_out_function(comb)
-                for v in product(range(1, m + 1), repeat=r):
-                    neighbours = [
-                        v[:i] + (x,) + v[i + 1 :]
-                        for i in range(r)
-                        for x in range(1, m + 1)
-                        if x != v[i]
-                    ]
-                    want = {w for w in neighbours if orient_edge(comb, v, w) == (v, w)}
-                    got = out(v)
-                    assert len(set(got)) == len(got) and set(got) == want
-                    checked += 1
-    assert checked == 700
-
 
 
 def test_orient_edge_identity_ranks():
@@ -171,6 +150,27 @@ def test_orient_edge_antisymmetric(seed, data):
     other = data.draw(st.integers(1, 3).filter(lambda x: x != u[axis]))
     v = tuple(other if i == axis else c for i, c in enumerate(u))
     assert orient_edge(comb, u, v) == orient_edge(comb, v, u)
+
+
+def test_out_function_lists_exactly_the_oriented_edges():
+    checked = 0
+    for r in (1, 2, 3):
+        for m in (1, 2, 3, 4):
+            for seed in range(5):
+                comb = build_comb(r, m, Random(seed))
+                out = grid_out_function(comb)
+                for v in product(range(1, m + 1), repeat=r):
+                    neighbours = [
+                        v[:i] + (x,) + v[i + 1 :]
+                        for i in range(r)
+                        for x in range(1, m + 1)
+                        if x != v[i]
+                    ]
+                    want = {w for w in neighbours if orient_edge(comb, v, w) == (v, w)}
+                    got = out(v)
+                    assert len(set(got)) == len(got) and set(got) == want
+                    checked += 1
+    assert checked == 700
 
 
 # ---------------------------------------------------------------------------
