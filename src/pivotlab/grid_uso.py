@@ -242,9 +242,10 @@ def flip_top_pair_out(
     comb: CombOrientation, a: int, b: int
 ) -> Callable[[Vertex], tuple[Vertex, ...]]:
     """Adjacency with the rank rule reversed for the single top-factor value
-    pair ``{a, b}``.  Fault injection for the checker-sensitivity tests: with
-    three or more values this creates a directed triangle, so some subgrid
-    loses its sink.
+    pair ``{a, b}``.  Fault injection for the checker-sensitivity tests: when
+    some third value's rank lies between the ranks of ``a`` and ``b``, this
+    creates a directed triangle, so some subgrid loses its sink.  A pair of
+    adjacent ranks only swaps them, which leaves a valid comb.
     """
     if a == b or not comb.ranks:
         raise ValueError("need two distinct values of the top factor")
@@ -468,29 +469,61 @@ def _subgrid_choices(spec: GridSpec) -> list[list[tuple[int, ...]]]:
     return choices
 
 
+def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[int]:
+    """One bitmask per axis of ``v``'s arcs: bit ``c-1`` of axis ``d`` is set
+    when an arc changes coordinate ``d`` to ``c``."""
+    masks = [0] * spec.dimension
+    for w in targets:
+        changed = [d for d, (a, b) in enumerate(zip(v, w)) if a != b]
+        if not spec.contains(w) or len(changed) != 1:
+            raise ValueError(f"arc {v} -> {w} does not join two grid neighbours")
+        d = changed[0]
+        masks[d] |= 1 << (w[d] - 1)
+    return masks
+
+
 def unique_sink_violations(
     spec: GridSpec,
     out_fn: OutFn,
     max_report: int = 5,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Exhaustively check every subgrid for a unique sink; returns the
-    offending subgrids (as tuples of per-factor value subsets), empty if the
-    orientation is a unique sink orientation."""
-    bad = []
-    for subsets in product(*_subgrid_choices(spec)):
-        member = [set(s) for s in subsets]
-        sinks = 0
-        for v in product(*subsets):
-            if not any(
-                all(w[i] in member[i] for i in range(len(w))) for w in out_fn(v)
-            ):
-                sinks += 1
-                if sinks > 1:
-                    break
-        if sinks != 1:
-            bad.append(subsets)
-            if len(bad) >= max_report:
-                break
+    offending subgrids (as tuples of per-factor value subsets, in
+    ``product`` order, at most ``max_report`` of them), empty if the
+    orientation is a unique sink orientation.
+
+    ``out_fn(v)`` must list only grid neighbours of ``v`` (vertices of the
+    grid that differ from ``v`` in exactly one coordinate); any other target
+    raises ``ValueError``.  Each vertex's arcs are read once, as one bitmask
+    per axis.  The subgrids are then swept one axis at a time, carrying the
+    vertices that lie in the subgrid on the axes fixed so far and have no
+    arc into it along them; after the last axis these are its sinks.
+    """
+    choices = _subgrid_choices(spec)
+    last = spec.dimension - 1
+    # (position bit, out-mask) per axis, for every vertex
+    entries = [
+        ([1 << (c - 1) for c in v], _out_masks(spec, v, out_fn(v)))
+        for v in spec.vertices()
+    ]
+    bad: list[tuple[tuple[int, ...], ...]] = []
+
+    def sweep(d: int, prefix: tuple, alive: list) -> bool:
+        """Sweep axis ``d``; True once ``max_report`` violations are found."""
+        # choices[d][i] is the value subset with bitmask i + 1
+        for mask, values in enumerate(choices[d], 1):
+            kept = [e for e in alive if e[0][d] & mask and not e[1][d] & mask]
+            if d < last:
+                if sweep(d + 1, prefix + (values,), kept):
+                    return True
+            elif len(kept) != 1:
+                bad.append(prefix + (values,))
+                if len(bad) >= max_report:
+                    return True
+        return False
+
+    if last >= 0:
+        sweep(0, (), entries)
     return bad
 
 

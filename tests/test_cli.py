@@ -92,6 +92,19 @@ def test_uso_verify_passes_on_real_comb():
     assert payload["acyclic"] and payload["unique_sinks"]
 
 
+def test_uso_verify_zero_dimensional_grid():
+    code, out, _ = run_cli(["uso", "verify", "--r", "0", "--m", "3", "--seed", "7"])
+    assert code == 0
+    assert json.loads(out) == {
+        "acyclic": True,
+        "m": 3,
+        "r": 0,
+        "seed": 7,
+        "unique_sinks": True,
+        "violations": [],
+    }
+
+
 def test_verify_lemmas_all_pass():
     code, out, _ = run_cli(["verify", "lemmas", "--r", "2", "--m", "4"])
     assert code == 0
@@ -344,6 +357,7 @@ RERUN_CASES = {
         "--delta", "1",
     ],
     "uso-expect-delta1": ["uso", "expect", "--r", "2", "--m", "4", "--seed", "7", "--delta", "1"],
+    "uso-verify": ["uso", "verify", "--r", "3", "--m", "3", "--seed", "7"],
     "process-run-alphas-delta2": [
         "process", "run", "--r", "2", "--m", "3", "--alphas", "5,5", "--delta", "2",
         "--seed", "7", "--trials", "3",

@@ -1,8 +1,10 @@
 """Tests for comb orientations, walks, and exact expected durations."""
 
 import math
+import re
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pivotlab.errors import InstanceTooLargeError
 from pivotlab.grid_uso import (
     TERMINAL,
+    _identity_for,
     _rank_key,
     AugmentedConfig,
     CombOrientation,
@@ -482,3 +485,135 @@ def test_subgrid_check_cap(monkeypatch):
     comb = identity_comb(2, 4)
     with pytest.raises(InstanceTooLargeError):
         unique_sink_violations(grid_spec(comb), grid_out_function(comb))
+
+    def never(v):
+        raise AssertionError(f"out_fn({v}) called before the state cap")
+
+    # the cap trips before any arc is read
+    with pytest.raises(InstanceTooLargeError):
+        unique_sink_violations(grid_spec(comb), never)
+
+
+@pytest.mark.parametrize("check", [unique_sink_violations, has_topological_order])
+@pytest.mark.parametrize("sizes", [(), (1,), (4,), (3, 2), (2, 3, 2)])
+def test_checks_read_each_vertex_once(check, sizes):
+    comb = _identity_for(sizes)
+    spec, out_fn = grid_spec(comb), grid_out_function(comb)
+    calls = Counter()
+
+    def counted(v):
+        calls[v] += 1
+        return out_fn(v)
+
+    check(spec, counted)
+    assert calls == Counter(spec.vertices())
+
+
+# ---------------------------------------------------------------------------
+# unique_sink_violations against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def scalar_unique_sink_violations(spec, out_fn, max_report=5):
+    """Oracle: walk every subgrid in ``product`` order, and test every vertex
+    of it by reading all its arcs again."""
+    choices = [
+        [
+            tuple(c for c in range(1, s + 1) if mask & (1 << (c - 1)))
+            for mask in range(1, 2**s)
+        ]
+        for s in spec.factor_sizes
+    ]
+    bad = []
+    for subsets in product(*choices):
+        member = [set(s) for s in subsets]
+        sinks = 0
+        for v in product(*subsets):
+            if not any(
+                all(w[i] in member[i] for i in range(len(w))) for w in out_fn(v)
+            ):
+                sinks += 1
+                if sinks > 1:
+                    break
+        if sinks != 1:
+            bad.append(subsets)
+            if len(bad) >= max_report:
+                break
+    return bad
+
+
+def reverse_arc(out_fn, v, w):
+    """Adjacency with the single arc ``v -> w`` turned into ``w -> v``."""
+
+    def out(u):
+        arcs = out_fn(u)
+        if u == v:
+            return tuple(x for x in arcs if x != w)
+        if u == w:
+            return arcs + (v,)
+        return arcs
+
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    r=st.sampled_from(range(4)),
+    m=st.sampled_from(range(1, 5)),
+    seed=st.integers(0, 10**6),
+    fault=st.sampled_from(["none", "flip", "reverse"]),
+    max_report=st.sampled_from([1, 5, 10**6]),
+    data=st.data(),
+)
+def test_unique_sink_violations_matches_scalar_oracle(r, m, seed, fault, max_report, data):
+    comb = build_comb(r, m, Random(seed))
+    if r >= 2 and data.draw(st.booleans(), label="padded"):
+        comb = embed_padded(comb, r * m + data.draw(st.integers(1, r - 1), label="extra"))
+    spec, out_fn = grid_spec(comb), grid_out_function(comb)
+    if fault == "flip" and comb.m >= 2:
+        pairs = list(combinations(range(1, comb.m + 1), 2))
+        out_fn = flip_top_pair_out(comb, *data.draw(st.sampled_from(pairs), label="pair"))
+    arcs = [(v, w) for v in spec.vertices() for w in out_fn(v)]
+    if fault == "reverse" and arcs:
+        out_fn = reverse_arc(out_fn, *data.draw(st.sampled_from(arcs), label="arc"))
+    assert unique_sink_violations(spec, out_fn, max_report) == (
+        scalar_unique_sink_violations(spec, out_fn, max_report)
+    )
+
+
+@pytest.mark.parametrize("r, m", [(1, 4), (2, 4), (3, 3)])
+def test_every_flipped_pair_matches_scalar_oracle(r, m):
+    comb = build_comb(r, m, Random(f"flip{r}:{m}"))
+    spec = grid_spec(comb)
+    for a, b in combinations(range(1, m + 1), 2):
+        out_fn = flip_top_pair_out(comb, a, b)
+        for max_report in (1, 5, 10**6):
+            assert unique_sink_violations(spec, out_fn, max_report) == (
+                scalar_unique_sink_violations(spec, out_fn, max_report)
+            ), (a, b, max_report)
+
+
+def test_zero_dimensional_grid_has_no_violation():
+    assert unique_sink_violations(GridSpec(()), lambda v: ()) == []
+    comb = build_comb(0, 3, Random(7))
+    assert unique_sink_violations(grid_spec(comb), grid_out_function(comb)) == []
+
+
+@pytest.mark.parametrize(
+    "v, w",
+    [
+        ((2, 1), (2, 1)),  # self-loop
+        ((2, 1), (1, 2)),  # two coordinates change
+        ((2, 1), (2, 4)),  # target outside the grid
+        ((2, 1), (2,)),  # target of the wrong dimension
+    ],
+)
+def test_non_neighbour_target_is_rejected(v, w):
+    comb = identity_comb(2, 3)
+    out_fn = grid_out_function(comb)
+
+    def bad(u):
+        return out_fn(u) + ((w,) if u == v else ())
+
+    with pytest.raises(ValueError, match=re.escape(f"{v} -> {w}")):
+        unique_sink_violations(grid_spec(comb), bad)
