@@ -667,6 +667,41 @@ class PhaseLawReport:
         }
 
 
+def _jump_law_chi2(
+    counts: dict[int, dict[int, int]], r: int, delta: int
+) -> tuple[float, int]:
+    """Pooled chi-square of the phase jump law and its degrees of freedom.
+
+    ``counts[src][dst]`` counts the jumps from phase ``src`` to ``dst``.
+    From phase ``src >= 1`` the process jumps to each lower positive phase
+    with weight ``r`` and to 0 with weight ``delta``; at total weight 0
+    (phase 1 at ``delta == 0``) the only jump is the forced escape to 0.
+    Every row with two or more allowed outcomes adds a multinomial term; a
+    jump to a target that is not allowed, from any row, makes the
+    statistic infinite.
+    """
+    stat = 0.0
+    df = 0
+    for src, targets in sorted(counts.items()):
+        weight_total = r * (src - 1) + delta
+        if src < 1:
+            outcomes = []  # nothing leaves the terminal phase
+        elif weight_total == 0:
+            outcomes = [0]
+        else:
+            outcomes = list(range(1, src)) + ([0] if delta > 0 else [])
+        if set(targets) - set(outcomes):
+            stat = math.inf
+        if len(outcomes) < 2:
+            continue
+        row_total = sum(targets.values())
+        for x in outcomes:
+            expected = row_total * ((r if x > 0 else delta) / weight_total)
+            stat += (targets.get(x, 0) - expected) ** 2 / expected
+        df += len(outcomes) - 1
+    return stat, df
+
+
 def phase_law_report(
     r: int,
     m: int,
@@ -687,42 +722,25 @@ def phase_law_report(
 
     for i in range(trials):
         trace = process.run(cfg, derive_rng(seed, "trace", i))
-        seq = trace.phase_sequence()
-        for prev, nxt in zip(seq, seq[1:]):
-            transition_counts.setdefault(prev, {})
-            transition_counts[prev][nxt] = transition_counts[prev].get(nxt, 0) + 1
-        for sigma, phi in trace.phase_changes():
+        records = trace.records
+        changes = trace.phase_changes()
+        prev = records[0].phase
+        for sigma, phi in changes:
+            row = transition_counts.setdefault(prev, {})
+            row[phi] = row.get(phi, 0) + 1
+            prev = phi
             if phi > 0:
-                pivot = trace.records[sigma - 1].pivot
+                pivot = records[sigma - 1].pivot
                 assert pivot is not None
                 color_counts[pivot.color - 1] += 1
-        report = process.good_phases(cfg, trace)
+        report = process.good_phases(cfg, trace, changes)
         for k in report.phases:
             if 1 <= k <= m:
                 good_counts[k] += 1
         if not all(report.entry_all_below.values()):
             consequence_ok = False
 
-    # pooled chi-square of the jump law, one multinomial row per source phase
-    stat = 0.0
-    df = 0
-    for src, targets in sorted(transition_counts.items()):
-        weight_total = r * (src - 1) + delta
-        if weight_total == 0 or src < 1:
-            continue
-        outcomes = list(range(1, src)) + ([0] if delta > 0 else [])
-        if len(outcomes) < 2:
-            continue
-        row_total = sum(targets.values())
-        for x in outcomes:
-            p = (r if x > 0 else delta) / weight_total
-            expected = row_total * p
-            observed = targets.get(x, 0)
-            stat += (observed - expected) ** 2 / expected
-        unexpected = set(targets) - set(outcomes)
-        if unexpected:
-            stat = math.inf
-        df += len(outcomes) - 1
+    stat, df = _jump_law_chi2(transition_counts, r, delta)
     transition_p = _chi2_sf(stat, df) if df > 0 else 1.0
 
     color_total = sum(color_counts)

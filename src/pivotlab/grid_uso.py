@@ -12,6 +12,14 @@ The orientation can be augmented with a terminal vertex reachable through
 ``delta`` parallel escape edges from every grid vertex (one edge from each
 sink if ``delta`` is zero), turning the walk into an absorbing chain whose
 expected absorption time this module computes exactly over the rationals.
+
+Each comb node keeps one row per value ``c`` of its factor,
+:meth:`CombOrientation.lower`: the values ranked below ``c``, built the first
+time they are asked for.  A vertex's out-arcs are one such row per axis, last
+axis first (:func:`_out_rows`).  :func:`walk` reads the rows directly and
+moves one coordinate per step; :func:`out_neighbors` and the structural
+checks flatten them into target tuples.  Both list the targets in the same
+order, so a walk draws exactly as it would over the flattened list.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from random import Random
 from typing import Callable, Iterator, Union
@@ -145,6 +154,23 @@ class CombOrientation:
             return ()
         return self.children[0].sizes + (len(self.ranks),)
 
+    @cached_property
+    def _lower_rows(self) -> list[tuple[int, ...] | None]:
+        # kept in the instance dict, outside the fields, so eq, hash and
+        # repr ignore it; one slot per value, filled by lower()
+        return [None] * (len(self.ranks) + 1)
+
+    def lower(self, c: int) -> tuple[int, ...]:
+        """The values ranked below value ``c``, ascending: the targets of
+        the arcs that leave ``c`` along the last factor.  Each row is built
+        on first use, so a walk pays only for the values it visits."""
+        rows = self._lower_rows
+        row = rows[c]
+        if row is None:
+            rank = self.ranks[c - 1]
+            row = rows[c] = tuple(w for w, q in enumerate(self.ranks, 1) if q < rank)
+        return row
+
 
 LEAF = CombOrientation((), ())
 
@@ -202,18 +228,27 @@ class OutArcs:
         return len(self.targets) + self.terminal
 
 
+def _out_rows(comb: CombOrientation, v: Vertex) -> list[tuple[int, ...]]:
+    """Out-arcs of ``v`` as one row per axis, last axis first: row ``k``
+    holds the values that coordinate ``len(v) - 1 - k`` may change to."""
+    rows = []
+    node = comb
+    d = len(v)
+    while node.ranks:
+        d -= 1
+        c = v[d]
+        rows.append(node.lower(c))
+        node = node.children[c - 1]
+    return rows
+
+
 def _grid_out_targets(comb: CombOrientation, v: Vertex) -> list[Vertex]:
-    if not comb.ranks:
-        return []
-    last = len(v) - 1
-    my_rank = comb.ranks[v[last] - 1]
-    out = [
-        v[:last] + (w,)
-        for w in range(1, comb.m + 1)
-        if comb.ranks[w - 1] < my_rank
-    ]
-    child = comb.children[v[last] - 1]
-    out.extend(t + (v[last],) for t in _grid_out_targets(child, v[:last]))
+    out = []
+    d = len(v)
+    for row in _out_rows(comb, v):
+        d -= 1
+        head, tail = v[:d], v[d + 1 :]
+        out.extend(head + (w,) + tail for w in row)
     return out
 
 
@@ -245,10 +280,14 @@ def flip_top_pair_out(
     pair ``{a, b}``.  Fault injection for the checker-sensitivity tests: when
     some third value's rank lies between the ranks of ``a`` and ``b``, this
     creates a directed triangle, so some subgrid loses its sink.  A pair of
-    adjacent ranks only swaps them, which leaves a valid comb.
+    adjacent ranks only swaps them, which leaves a valid comb.  ``a`` and
+    ``b`` must be distinct values in ``1..m``; any other pair would inject
+    no fault, so it raises ``ValueError``.
     """
-    if a == b or not comb.ranks:
-        raise ValueError("need two distinct values of the top factor")
+    if a == b or not (1 <= a <= comb.m and 1 <= b <= comb.m):
+        raise ValueError(
+            f"need two distinct values of the top factor 1..{comb.m}, got {a} and {b}"
+        )
     last = comb.dimension - 1
     pair = {a, b}
 
@@ -313,13 +352,16 @@ def walk(
     delta = _delta(cfg)
     budget = spec.vertex_count + 1
     visited: list[Union[Vertex, Terminal]] = [v]
+    x = list(v)  # the current vertex, one coordinate changed per step
+    r = len(x)
     steps = 0
     while True:
-        targets = _grid_out_targets(comb, v)
-        escape = chain.escape_weight(delta, len(targets))
-        if not targets and not escape:
+        rows = _out_rows(comb, x)
+        n_succ = sum(map(len, rows))
+        escape = chain.escape_weight(delta, n_succ)
+        if not n_succ and not escape:
             break  # sink of the plain grid
-        i = chain.draw(rng, len(targets), escape)
+        i = chain.draw(rng, n_succ, escape)
         steps += 1
         if steps > budget:
             raise InternalInvariantError(
@@ -329,9 +371,16 @@ def walk(
             if record:
                 visited.append(TERMINAL)
             break
-        v = targets[i]
+        # target i of the flattened rows: row k moves coordinate r - 1 - k
+        d = r - 1
+        for row in rows:
+            if i < len(row):
+                x[d] = row[i]
+                break
+            i -= len(row)
+            d -= 1
         if record:
-            visited.append(v)
+            visited.append(tuple(x))
     return WalkOutcome(steps, tuple(visited) if record else None)
 
 

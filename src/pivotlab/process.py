@@ -121,13 +121,16 @@ class _State:
     sum and phase.  ``below`` (the strictly-below points) stays ``None``
     until :func:`_below` expands the state; ``succ[i]``, the color-swap
     successor for ``below[i]``, stays ``None`` until :func:`_edge` first
-    takes that edge."""
+    takes that edge.  ``layer_rm1_below`` (every second-outermost-layer
+    point is below) stays ``None`` until :func:`good_phases` first needs
+    it."""
 
     members: tuple[PointId, ...]
     t_sum: Fraction
     phase: int
     below: tuple[PointId, ...] | None = None
     succ: list[_State | None] | None = None
+    layer_rm1_below: bool | None = None
 
 
 def _state(cfg: ProcessConfig, members: tuple[PointId, ...]) -> _State:
@@ -305,15 +308,22 @@ class GoodPhaseReport:
     entry_all_below: dict[int, bool]
 
 
-def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
+def good_phases(
+    cfg: ProcessConfig,
+    trace: Trace,
+    changes: list[tuple[int, int]] | None = None,
+) -> GoodPhaseReport:
+    """Good phases of ``trace``; ``changes`` may pass its
+    :meth:`Trace.phase_changes` when the caller has already read them."""
     ps = cfg.point_set
     r = ps.r
     if r < 2:
         return GoodPhaseReport(frozenset(), {})
-    layer_rm1 = set(ps.layer_members(r - 1))
+    if changes is None:
+        changes = trace.phase_changes()
     good: set[int] = set()
     entry_all_below: dict[int, bool] = {}
-    for sigma, phi in trace.phase_changes():
+    for sigma, phi in changes:
         if phi == 0 or sigma >= len(trace.records):
             continue
         pivot = trace.records[sigma - 1].pivot
@@ -324,7 +334,10 @@ def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
         if any(p.layer == r - 1 for p in entry.members):
             continue
         good.add(phi)
-        entry_all_below[phi] = layer_rm1 <= set(_below(cfg, _state(cfg, entry.members)))
+        st = _state(cfg, entry.members)
+        if st.layer_rm1_below is None:
+            st.layer_rm1_below = set(ps.layer_members(r - 1)) <= set(_below(cfg, st))
+        entry_all_below[phi] = st.layer_rm1_below
     return GoodPhaseReport(frozenset(good), entry_all_below)
 
 

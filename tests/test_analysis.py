@@ -16,7 +16,7 @@ from pivotlab.analysis import (
     phase_law_report,
     verify_lemmas,
 )
-from pivotlab.analysis import _chi2_sf
+from pivotlab.analysis import _chi2_sf, _jump_law_chi2
 from pivotlab.geometry import PointId, flip_tail_sign, gen_point_set
 
 
@@ -286,3 +286,44 @@ def test_phase_law_report_needs_a_trace(trials):
 def test_phase_law_report_delta_zero_has_no_escape_cells():
     report = phase_law_report(2, 4, delta=0, trials=3_000, seed=21)
     assert report.all_ok()
+
+
+# ---------------------------------------------------------------------------
+# the pooled jump-law chi-square on synthetic count tables
+# ---------------------------------------------------------------------------
+
+
+def test_jump_law_chi2_exact_counts_score_zero():
+    # r = 2, delta = 1: from phase 3 the weights are 2, 2, 1 on 1, 2, 0
+    counts = {3: {1: 40, 2: 40, 0: 20}, 2: {1: 20, 0: 10}, 1: {0: 7}}
+    assert _jump_law_chi2(counts, 2, 1) == (0.0, 3)
+
+
+def test_jump_law_chi2_sums_rows_in_phase_order():
+    # r = 1, delta = 0: phase 3 jumps to 1 or 2 with equal weight
+    stat, df = _jump_law_chi2({3: {1: 30, 2: 10}, 2: {1: 5}, 1: {0: 9}}, 1, 0)
+    assert df == 1
+    assert stat == pytest.approx((30 - 20) ** 2 / 20 + (10 - 20) ** 2 / 20)
+
+
+@pytest.mark.parametrize(
+    "counts, delta",
+    [
+        ({2: {0: 1, 1: 9}}, 0),  # phase 2 at delta 0: only 1 is allowed
+        ({1: {0: 5}, 3: {0: 1, 1: 4, 2: 4}}, 0),  # escape from phase 3
+        ({1: {0: 5, 2: 1}}, 1),  # a jump upward from phase 1
+        ({3: {1: 3, 2: 3, 3: 1, 0: 1}}, 1),  # a self-jump
+        ({0: {0: 1}}, 1),  # a jump out of the terminal phase
+    ],
+)
+def test_jump_law_chi2_unexpected_target_is_infinite(counts, delta):
+    stat, _ = _jump_law_chi2(counts, 2, delta)
+    assert stat == math.inf
+
+
+def test_jump_law_chi2_rows_with_one_outcome_add_no_df():
+    # phase 1 at delta 0 (forced escape), phase 1 at delta 1 (escape only)
+    # and phase 2 at delta 0 (only phase 1) carry no multinomial term
+    assert _jump_law_chi2({1: {0: 12}}, 2, 0) == (0.0, 0)
+    assert _jump_law_chi2({1: {0: 12}}, 2, 1) == (0.0, 0)
+    assert _jump_law_chi2({2: {1: 12}, 1: {0: 12}}, 3, 0) == (0.0, 0)

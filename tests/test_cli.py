@@ -370,6 +370,15 @@ RERUN_CASES = {
     "process-expect-alphas-delta1": [
         "process", "expect", "--r", "2", "--m", "3", "--alphas", "5,6", "--delta", "1",
     ],
+    # phase_law_report: transition and pivot-color tests, good phases
+    "verify-lemmas-phase-laws": [
+        "verify", "lemmas", "--r", "2", "--m", "6", "--phase-trials", "2000", "--seed", "7",
+    ],
+    # a fresh comb per trial; the corollary walks a padded grid at n=5
+    "bench-bounds-mc-padded": [
+        "bench", "bounds", "--families", "uso_lemma,corollary", "--r-list", "2",
+        "--m-list", "4,5", "--mc", "--trials", "300", "--seed", "11",
+    ],
 }
 
 

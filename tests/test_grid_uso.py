@@ -10,11 +10,15 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pivotlab.errors import InstanceTooLargeError
+from pivotlab import chain
+from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
 from pivotlab.grid_uso import (
     TERMINAL,
+    WalkOutcome,
     _identity_for,
     _rank_key,
+    _uniform_vertex,
+    LEAF,
     AugmentedConfig,
     CombOrientation,
     GridSpec,
@@ -256,6 +260,124 @@ def test_walk_large_delta_forces_immediate_escape():
     assert 1 < exact < Fraction(10001, 10000)
 
 
+# ---------------------------------------------------------------------------
+# walk against the scalar oracle
+# ---------------------------------------------------------------------------
+
+
+def recursive_out_targets(comb, v):
+    """Oracle: the grid targets of ``v``, rebuilt recursively from the rank
+    tuples, last axis first and ascending within an axis."""
+    if not comb.ranks:
+        return []
+    last = len(v) - 1
+    my_rank = comb.ranks[v[last] - 1]
+    out = [v[:last] + (w,) for w in range(1, comb.m + 1) if comb.ranks[w - 1] < my_rank]
+    child = comb.children[v[last] - 1]
+    out.extend(t + (v[last],) for t in recursive_out_targets(child, v[:last]))
+    return out
+
+
+def scalar_walk(comb, cfg, start, rng, record=True):
+    """Oracle: one walk that rebuilds every out-target list on every step."""
+    spec = grid_spec(comb)
+    if start == "uniform":
+        v = _uniform_vertex(spec, rng)
+    else:
+        v = start
+        if not spec.contains(v):
+            raise ValueError(f"start vertex {v} not in grid {spec.factor_sizes}")
+    delta = None if cfg is None else cfg.delta
+    budget = spec.vertex_count + 1
+    visited = [v]
+    steps = 0
+    while True:
+        targets = recursive_out_targets(comb, v)
+        escape = chain.escape_weight(delta, len(targets))
+        if not targets and not escape:
+            break
+        i = chain.draw(rng, len(targets), escape)
+        steps += 1
+        if steps > budget:
+            raise InternalInvariantError("walk exceeded its step budget")
+        if i is TERMINAL:
+            if record:
+                visited.append(TERMINAL)
+            break
+        v = targets[i]
+        if record:
+            visited.append(v)
+    return WalkOutcome(steps, tuple(visited) if record else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(0, 3),
+    m=st.integers(1, 5),
+    delta=st.sampled_from([None, 0, 1, 2]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_walk_matches_scalar_oracle(r, m, delta, seed, data):
+    comb = build_comb(r, m, Random(seed))
+    if r >= 2 and data.draw(st.booleans(), label="padded"):
+        comb = embed_padded(comb, r * m + data.draw(st.integers(1, r - 1), label="extra"))
+    cfg = None if delta is None else AugmentedConfig(delta)
+    sizes = comb.sizes
+    start = data.draw(
+        st.one_of(
+            st.just("uniform"), st.tuples(*[st.integers(1, s) for s in sizes])
+        ),
+        label="start",
+    )
+    for i in range(5):
+        rng_a, rng_b = Random(f"{seed}:{i}"), Random(f"{seed}:{i}")
+        assert walk(comb, cfg, start, rng_a, record=True) == scalar_walk(
+            comb, cfg, start, rng_b
+        )
+        # both consumed the same draws
+        assert rng_a.random() == rng_b.random()
+        unrecorded = walk(comb, cfg, start, Random(f"{seed}:{i}"), record=False)
+        oracle = scalar_walk(comb, cfg, start, Random(f"{seed}:{i}"), record=False)
+        assert unrecorded == oracle
+
+
+@pytest.mark.parametrize("r, m", [(0, 3), (1, 5), (2, 4), (3, 3)])
+def test_out_targets_match_recursive_oracle(r, m):
+    comb = build_comb(r, m, Random(f"targets{r}:{m}"))
+    if r >= 2:
+        comb = embed_padded(comb, r * m + 1)
+    out_fn = grid_out_function(comb)
+    for v in grid_spec(comb).vertices():
+        assert out_fn(v) == tuple(recursive_out_targets(comb, v))
+
+
+def test_lower_rows_list_the_lower_ranked_values():
+    comb = CombOrientation((3, 1, 4, 2), (LEAF,) * 4)
+    assert [comb.lower(c) for c in (1, 2, 3, 4)] == [(2, 4), (), (1, 2, 4), (2,)]
+
+
+def test_walking_leaves_equality_and_hash_unchanged():
+    walked = build_comb(3, 4, Random(5))
+    fresh = build_comb(3, 4, Random(5))
+    before = (hash(walked), repr(walked))
+    for i in range(50):
+        walk(walked, AugmentedConfig(1), "uniform", Random(i))
+    grid_out_function(walked)((1, 2, 3))
+    assert walked == fresh and fresh == walked
+    assert hash(walked) == hash(fresh)
+    assert (hash(walked), repr(walked)) == before
+    assert repr(walked) == repr(fresh)
+    assert comb_to_dict(walked) == comb_to_dict(fresh)
+
+
+def test_walk_start_vertex_is_checked():
+    comb = build_comb(2, 3, Random(6))
+    for start in [(0, 1), (1, 4), (1,), (1, 1, 1)]:
+        with pytest.raises(ValueError, match="not in grid"):
+            walk(comb, AugmentedConfig(1), start, Random(0))
+
+
 def test_monte_carlo_within_four_se_of_exact():
     comb = build_comb(2, 4, Random(21))
     cfg = AugmentedConfig(1)
@@ -478,6 +600,18 @@ def test_flipped_pair_breaks_unique_sinks():
     spec = grid_spec(comb)
     assert unique_sink_violations(spec, mutated)
     assert not has_topological_order(spec, mutated)
+
+
+@pytest.mark.parametrize("a, b", [(0, 5), (4, 9), (1, 7), (-1, 2), (3, 3)])
+def test_flip_rejects_values_outside_the_top_factor(a, b):
+    comb = build_comb(2, 6, Random(32))
+    with pytest.raises(ValueError, match="two distinct values of the top factor"):
+        flip_top_pair_out(comb, a, b)
+
+
+def test_flip_rejects_the_zero_dimensional_comb():
+    with pytest.raises(ValueError, match="two distinct values of the top factor"):
+        flip_top_pair_out(LEAF, 1, 2)
 
 
 def test_subgrid_check_cap(monkeypatch):

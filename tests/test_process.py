@@ -20,6 +20,7 @@ from pivotlab.geometry import (
 )
 from pivotlab.process import (
     TERMINAL,
+    GoodPhaseReport,
     ProcessConfig,
     Trace,
     TraceRecord,
@@ -289,6 +290,78 @@ def test_good_phases_match_independent_reimplementation():
         assert report.phases == frozenset(expected)
         # the documented consequence of a good entry
         assert all(report.entry_all_below.values())
+
+
+def scalar_good_phases(cfg, trace):
+    """Oracle: good phases with the layer-(r-1) set and the below set of
+    every good entry rebuilt from scratch."""
+    ps = cfg.point_set
+    r = ps.r
+    if r < 2:
+        return GoodPhaseReport(frozenset(), {})
+    layer_rm1 = set(ps.layer_members(r - 1))
+    good = set()
+    entry_all_below = {}
+    for sigma, phi in trace.phase_changes():
+        if phi == 0 or sigma >= len(trace.records):
+            continue
+        pivot = trace.records[sigma - 1].pivot
+        entry = trace.records[sigma]
+        if pivot.color != r:
+            continue
+        if any(p.layer == r - 1 for p in entry.members):
+            continue
+        good.add(phi)
+        entry_all_below[phi] = layer_rm1 <= set(
+            below_set(ps, make_transversal(ps, entry.members))
+        )
+    return GoodPhaseReport(frozenset(good), entry_all_below)
+
+
+@pytest.mark.parametrize(
+    "r, m, delta, alphas", [(2, 5, 0, None), (2, 6, 2, None), (3, 3, 1, (4, 5, 6))]
+)
+def test_good_phases_match_scalar_oracle(r, m, delta, alphas):
+    # one config for every trace, so later traces reuse the cached flags
+    cfg = augmented_config(r, m, delta, alphas)
+    plain = plain_config(r, m, delta)
+    seen = 0
+    for i in range(150):
+        for c in (cfg, plain):
+            trace = run(c, derive_rng(9, "gp-oracle", i))
+            report = good_phases(c, trace)
+            assert report == scalar_good_phases(c, trace)
+            assert good_phases(c, trace, trace.phase_changes()) == report
+            seen += len(report.phases)
+    assert seen > 0
+
+
+def test_good_phases_flag_false_when_a_layer_point_is_above():
+    # a trace fed by hand: its entry avoids layer r - 1 but sits where some
+    # layer r - 1 point is not below, and the report must say so
+    cfg = augmented_config(2, 4, 1)
+    ps = cfg.point_set
+    layer_rm1 = set(ps.layer_members(1))
+    for members in (t.members for t in transversals(ps)):
+        if any(p.layer == 1 for p in members):
+            continue
+        below = set(below_set(ps, make_transversal(ps, members)))
+        if not layer_rm1 <= below:
+            break
+    else:
+        pytest.skip("every layer-2 transversal has all of layer 1 below")
+    pivot = next(p for p in members if p.color == ps.r)
+    phase = phase_of(ps, make_transversal(ps, members))
+    trace = Trace(
+        (
+            TraceRecord(0, members, 0, phase + 1, pivot),
+            TraceRecord(1, members, 0, phase, None),
+        )
+    )
+    for _ in range(2):  # the second call reads the cached flag
+        report = good_phases(cfg, trace)
+        assert report == scalar_good_phases(cfg, trace)
+        assert report.entry_all_below == {phase: False}
 
 
 # ---------------------------------------------------------------------------
