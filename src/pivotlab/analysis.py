@@ -733,7 +733,7 @@ def phase_law_report(
                 pivot = records[sigma - 1].pivot
                 assert pivot is not None
                 color_counts[pivot.color - 1] += 1
-        report = process.good_phases(cfg, trace, changes)
+        report = process.good_phases(cfg, trace)
         for k in report.phases:
             if 1 <= k <= m:
                 good_counts[k] += 1

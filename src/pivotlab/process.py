@@ -308,22 +308,14 @@ class GoodPhaseReport:
     entry_all_below: dict[int, bool]
 
 
-def good_phases(
-    cfg: ProcessConfig,
-    trace: Trace,
-    changes: list[tuple[int, int]] | None = None,
-) -> GoodPhaseReport:
-    """Good phases of ``trace``; ``changes`` may pass its
-    :meth:`Trace.phase_changes` when the caller has already read them."""
+def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
     ps = cfg.point_set
     r = ps.r
     if r < 2:
         return GoodPhaseReport(frozenset(), {})
-    if changes is None:
-        changes = trace.phase_changes()
     good: set[int] = set()
     entry_all_below: dict[int, bool] = {}
-    for sigma, phi in changes:
+    for sigma, phi in trace.phase_changes():
         if phi == 0 or sigma >= len(trace.records):
             continue
         pivot = trace.records[sigma - 1].pivot

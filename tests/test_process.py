@@ -331,7 +331,6 @@ def test_good_phases_match_scalar_oracle(r, m, delta, alphas):
             trace = run(c, derive_rng(9, "gp-oracle", i))
             report = good_phases(c, trace)
             assert report == scalar_good_phases(c, trace)
-            assert good_phases(c, trace, trace.phase_changes()) == report
             seen += len(report.phases)
     assert seen > 0
 
@@ -342,14 +341,16 @@ def test_good_phases_flag_false_when_a_layer_point_is_above():
     cfg = augmented_config(2, 4, 1)
     ps = cfg.point_set
     layer_rm1 = set(ps.layer_members(1))
-    for members in (t.members for t in transversals(ps)):
-        if any(p.layer == 1 for p in members):
-            continue
-        below = set(below_set(ps, make_transversal(ps, members)))
-        if not layer_rm1 <= below:
-            break
-    else:
-        pytest.skip("every layer-2 transversal has all of layer 1 below")
+    members = next(
+        (
+            t.members
+            for t in transversals(ps)
+            if not any(p.layer == 1 for p in t.members)
+            and not layer_rm1 <= set(below_set(ps, t))
+        ),
+        None,
+    )
+    assert members is not None, "every layer-2 transversal has all of layer 1 below"
     pivot = next(p for p in members if p.color == ps.r)
     phase = phase_of(ps, make_transversal(ps, members))
     trace = Trace(
