@@ -213,7 +213,6 @@ def _cmd_process_run(args) -> int:
 
 
 def _cmd_process_expect(args) -> int:
-    ps = _point_set_for(args)
     if args.alpha_sweep is not None:
         value, alphas = process.worst_case_expected_steps(
             args.r,
@@ -233,6 +232,7 @@ def _cmd_process_expect(args) -> int:
         }
         _emit_json(payload, args.out)
         return 0
+    ps = _point_set_for(args)
     cfg = process.ProcessConfig(ps, delta=args.delta or 0)
     value = process.exact_expected_steps(cfg)
     payload = {
@@ -254,13 +254,16 @@ def _cmd_process_expect(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    deltas = _parse_ints(args.phase_deltas)
+    if args.phase_trials and not deltas:
+        raise ValueError("--phase-trials needs at least one delta in --phase-deltas")
     report = analysis.verify_lemmas(args.r, args.m, deep_from=tuple(args.deep or ()))
     payload = report.to_dict()
     ok = report.all_passed
     if args.phase_trials:
         seed = _seed_of(args)
         laws = []
-        for delta in _parse_ints(args.phase_deltas):
+        for delta in deltas:
             law = analysis.phase_law_report(
                 args.r, args.m, delta, args.phase_trials, seed
             )
@@ -422,9 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = proc.add_parser("expect", help="exact expected step count")
     _add_common(p)
     p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--alphas", default=None)
-    p.add_argument("--alpha-sweep", type=int, default=None, dest="alpha_sweep",
-                   help="adversary sweep width: report the minimum over alpha_i in {m+1..m+W}")
+    adversary = p.add_mutually_exclusive_group()
+    adversary.add_argument("--alphas", default=None)
+    adversary.add_argument("--alpha-sweep", type=int, default=None, dest="alpha_sweep",
+                           help="adversary sweep width: report the minimum over alpha_i in {m+1..m+W}")
     p.set_defaults(handler=_cmd_process_expect)
 
     verify = top.add_parser("verify", help="verification suites").add_subparsers(

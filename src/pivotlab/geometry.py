@@ -11,11 +11,12 @@ point per color is a *transversal* (a pierced simplex).
 
 Every predicate here is decided exactly, in Python ints: coordinates reach
 ``m**(2r-1)`` and determinants multiply ``r`` of them, so nothing is ever
-narrowed to a fixed width.  The side test and the ratio-test pivot are
-integer sign tests on one fraction-free elimination (:func:`_bareiss`);
-``Fraction`` appears only in the values handed back (hyperplane
-coefficients, axis intersections).  Floats never participate in a
-geometric decision.
+narrowed to a fixed width.  Every linear solve (the spanning hyperplane,
+the ratio-test pivot, the Caratheodory test and the rank check) runs on one
+fraction-free elimination, :func:`_eliminate`, and the side test and the
+pivot are integer sign tests on its result; ``Fraction`` appears only in
+the values handed back (hyperplane coefficients, axis intersections,
+solutions).  Floats never participate in a geometric decision.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -61,66 +63,48 @@ Coords = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    a = [row[:] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivot_cols: list[int] = []
-    pr = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(pr, nrows) if a[i][c] != 0), None)
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix of any
+    shape.
+
+    Returns ``(d, pivots, a)``: ``a / d`` is the reduced row echelon form,
+    ``pivots`` lists its pivot columns (a column without a pivot is skipped)
+    and every pivot row has ``a[i][pivots[i]] == d``.  ``d`` is the last
+    pivot, so for a nonsingular square ``A`` it is ``det(A)`` up to sign (row
+    swaps flip it).  Every division is exact by Sylvester's identity
+    (Bareiss, Math. Comp. 22, 1968), so all entries stay Python ints bounded
+    by minors of the input.
+    """
+    a = [list(row) for row in rows]
+    d = 1
+    pivots: list[int] = []
+    for c in range(len(a[0]) if a else 0):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(a)) if a[i][c]), None)
         if pivot is None:
             continue
-        a[pr], a[pivot] = a[pivot], a[pr]
-        inv = a[pr][c]
-        a[pr] = [x / inv for x in a[pr]]
-        for i in range(nrows):
-            if i != pr and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
-        pivot_cols.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return a, pivot_cols
-
-
-def _bareiss(
-    rows: Sequence[Sequence[int]], rhs_columns: Sequence[Sequence[int]]
-) -> tuple[int, list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination of the square integer system
-    ``A x = b`` for each column ``b`` of ``rhs_columns``.
-
-    Returns ``(d, numerators)`` with ``x_i == numerators[k][i] / d`` for the
-    ``k``-th right-hand side, where ``d`` is ``det(A)`` up to sign (row
-    swaps flip it); ``d == 0`` (with no numerators) when ``A`` is singular.
-    Every division is exact by Sylvester's identity (Bareiss, Math. Comp.
-    22, 1968), so all entries stay Python ints bounded by minors of the
-    augmented matrix.
-    """
-    n = len(rows)
-    a = [[*row, *(col[i] for col in rhs_columns)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return 0, []
         a[k], a[pivot] = a[pivot], a[k]
         top = a[k]
-        p = top[k]
-        for i in range(n):
+        p = top[c]
+        for i in range(len(a)):
             if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-    return prev, [[row[n + c] for row in a] for c in range(len(rhs_columns))]
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], top)]
+        d = p
+        pivots.append(c)
+    return d, pivots, a
+
+
+def _integer_row(row: Iterable[int | Fraction]) -> list[int]:
+    """``row`` scaled by the lcm of its denominators: the same equation in
+    Python ints."""
+    row = list(row)
+    scale = lcm(*(x.denominator for x in row))
+    return [int(x * scale) for x in row]
 
 
 def matrix_rank(rows: Iterable[Iterable[int | Fraction]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    return len(_rref(mat)[1])
+    return len(_eliminate([_integer_row(row) for row in rows])[1])
 
 
 def solve_exact(
@@ -131,21 +115,17 @@ def solve_exact(
     Returns ``("unique", x)``, ``("inconsistent", None)`` or
     ``("underdetermined", None)``.  Handles any shape; tiny systems only.
     """
-    rows = [[Fraction(x) for x in row] for row in a]
-    rhs = [Fraction(x) for x in b]
+    rows = [list(row) for row in a]
+    rhs = list(b)
     if not rows:
         return ("unique", []) if all(x == 0 for x in rhs) else ("inconsistent", None)
     ncols = len(rows[0])
-    aug = [row + [v] for row, v in zip(rows, rhs)]
-    red, piv = _rref(aug)
-    if ncols in piv:
+    d, pivots, red = _eliminate([_integer_row([*row, v]) for row, v in zip(rows, rhs)])
+    if ncols in pivots:
         return ("inconsistent", None)
-    if len(piv) < ncols:
+    if len(pivots) < ncols:
         return ("underdetermined", None)
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        x[c] = red[i][ncols]
-    return ("unique", x)
+    return ("unique", [Fraction(row[ncols], d) for row in red[:ncols]])
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +293,8 @@ class PointSet:
         """Integer pair ``(n, d)`` of the hyperplane ``n . x == d`` spanned
         by ``members`` (one per color), with ``d > 0`` and every ``n_i > 0``.
 
-        One fraction-free elimination of ``A c = 1`` per member tuple, cached
-        on the set: ``c = n / d``.  A singular system, a coefficient of zero,
+        One fraction-free elimination of ``[A | 1]`` per member tuple,
+        cached on the set: ``c = n / d``.  A singular system, a coefficient of zero,
         or a nonpositive axis intersection all violate general position and
         raise :class:`DegeneracyError`; on the standard families this
         indicates a construction bug.
@@ -322,12 +302,12 @@ class PointSet:
         cached = self._normals.get(members)
         if cached is not None:
             return cached
-        d, columns = _bareiss([self._points[p] for p in members], [(1,) * len(members)])
-        if d == 0:
+        d, pivots, a = _eliminate([[*self._points[p], 1] for p in members])
+        if pivots != list(range(len(members))):
             raise DegeneracyError(
                 f"spanning system of {members} is singular; the simplex is degenerate"
             )
-        n = columns[0]
+        n = [row[-1] for row in a]
         if d < 0:
             d, n = -d, [-x for x in n]
         if 0 in n:
@@ -502,13 +482,10 @@ def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:
     if r == 1:
         return True  # the whole line is the requirement line
     proj = [tuple(x[t] - x[t + 1] for t in range(r - 1)) for x in pts]
-    dim = r - 1
-    for size in range(1, min(len(proj), dim + 1) + 1):
+    rhs = (0,) * (r - 1) + (1,)
+    for size in range(1, min(len(proj), r) + 1):
         for subset in combinations(proj, size):
-            rows = [[Fraction(q[t]) for q in subset] for t in range(dim)]
-            rows.append([Fraction(1)] * size)
-            rhs = [Fraction(0)] * dim + [Fraction(1)]
-            status, lam = solve_exact(rows, rhs)
+            status, lam = solve_exact([*zip(*subset), (1,) * size], rhs)
             if status == "unique" and all(l >= 0 for l in lam):  # type: ignore[union-attr]
                 return True
     return False
@@ -606,11 +583,12 @@ def pivot_generic(
     """Pivot by the ratio test of the extended simplex ``S + p``.
 
     With the members ``q_1..q_r`` as columns of ``Q``, one fraction-free
-    elimination (:func:`_bareiss`) of ``[[Q, -1], [1 ... 1, 0]]`` against the
-    right-hand sides ``(0, ..., 0, 1)`` and ``(p, 1)`` gives, as integer
-    numerators over one common denominator, ``lambda``, the weights of the
-    point where the diagonal crosses ``S``, and ``mu``, the weights of the
-    point of ``aff(S)`` on the diagonal through ``p``.  Signs are read off
+    elimination (:func:`_eliminate`) of ``[[Q, -1 | 0, p], [1 ... 1, 0 | 1,
+    1]]`` (the matrix ``[[Q, -1], [1 ... 1, 0]]`` beside the right-hand
+    sides ``(0, ..., 0, 1)`` and ``(p, 1)``) gives, as integer numerators
+    over one common denominator, ``lambda``, the weights of the point where
+    the diagonal crosses ``S``, and ``mu``, the weights of the point of
+    ``aff(S)`` on the diagonal through ``p``.  Signs are read off
     the numerators and ratios compared exactly.  Sliding the crossing
     down the diagonal toward ``p`` moves the weights along ``-mu``, so the
     member with the least ``lambda_j / mu_j`` over ``mu_j > 0`` (some
@@ -626,9 +604,10 @@ def pivot_generic(
     # nonsingular and both solutions share the denominator d
     r = point_set.r
     q = [point_set.coords(x) for x in simplex.members]
-    rows = [[*(x[t] for x in q), -1] for t in range(r)]
-    rows.append([1] * r + [0])
-    d, (lam, mu) = _bareiss(rows, [(0,) * r + (1,), (*point_set.coords(p), 1)])
+    rows = [[*(x[t] for x in q), -1, 0, y] for t, y in enumerate(point_set.coords(p))]
+    rows.append([1] * r + [0, 1, 1])
+    d, _, a = _eliminate(rows)
+    lam, mu = [row[r + 1] for row in a], [row[r + 2] for row in a]
     if d < 0:
         lam, mu = [-x for x in lam], [-x for x in mu]
     # with d > 0, lambda_j and mu_j have the signs of their numerators, and

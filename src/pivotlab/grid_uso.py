@@ -148,8 +148,10 @@ class CombOrientation:
         """Size of the last factor."""
         return len(self.ranks)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
+        # cached outside the fields like _lower_rows: every out-arc query
+        # checks its vertex against the grid shape
         if not self.ranks:
             return ()
         return self.children[0].sizes + (len(self.ranks),)
@@ -243,6 +245,9 @@ def _out_rows(comb: CombOrientation, v: Vertex) -> list[tuple[int, ...]]:
 
 
 def _grid_out_targets(comb: CombOrientation, v: Vertex) -> list[Vertex]:
+    spec = grid_spec(comb)
+    if not spec.contains(v):
+        raise ValueError(f"vertex {v} not in grid {spec.factor_sizes}")
     out = []
     d = len(v)
     for row in _out_rows(comb, v):
@@ -257,9 +262,6 @@ def out_neighbors(
 ) -> OutArcs:
     """Out-edges of ``v``: grid arcs under the comb, plus terminal edges per
     ``cfg`` (``None`` means the plain, unaugmented grid)."""
-    spec = grid_spec(comb)
-    if not spec.contains(v):
-        raise ValueError(f"vertex {v} not in grid {spec.factor_sizes}")
     targets = tuple(_grid_out_targets(comb, v))
     return OutArcs(targets, chain.escape_weight(_delta(cfg), len(targets)))
 

@@ -77,6 +77,14 @@ def test_process_expect_empty_alpha_sweep_is_an_error(width):
     assert err == "error: no alpha choices supplied\n"
 
 
+def test_process_expect_alpha_sweep_excludes_alphas():
+    code, out, err = run_cli(
+        ["process", "expect", "--r", "2", "--m", "3", "--alpha-sweep", "2", "--alphas", "9,9"]
+    )
+    assert code == 1 and out == ""
+    assert "argument --alphas: not allowed with argument --alpha-sweep" in err
+
+
 def test_uso_expect_identity():
     code, out, _ = run_cli(
         ["uso", "expect", "--r", "1", "--m", "3", "--identity", "--seed", "0"]
@@ -128,6 +136,16 @@ def test_negative_phase_trials_is_a_usage_error():
     )
     assert code == 1 and out == ""
     assert err == "error: need at least 1 trace for the phase laws, got -5\n"
+
+
+def test_phase_trials_without_deltas_is_a_usage_error():
+    code, out, err = run_cli(
+        ["verify", "lemmas", "--r", "2", "--m", "3", "--phase-trials", "50",
+         "--phase-deltas", "", "--seed", "1"]
+    )
+    assert (code, out, err) == (
+        1, "", "error: --phase-trials needs at least one delta in --phase-deltas\n"
+    )
 
 
 def test_usage_error_exit_code():

@@ -1,4 +1,4 @@
-"""Tests for the exact point construction and its rational predicates."""
+"""Tests for the exact point construction and its exact predicates."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pivotlab.errors import DegeneracyError, GeneralPositionError
 from pivotlab.geometry import (
-    _bareiss,
+    _eliminate,
     PointId,
     PointSet,
     Side,
@@ -31,6 +31,76 @@ from pivotlab.geometry import (
 )
 
 
+# ---------------------------------------------------------------------------
+# rational references: the Fraction RREF, and the solve and Caratheodory test
+# built on it, which the fraction-free kernel replaced in the module
+# ---------------------------------------------------------------------------
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    a = [row[:] for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivot_cols: list[int] = []
+    pr = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(pr, nrows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[pr], a[pivot] = a[pivot], a[pr]
+        inv = a[pr][c]
+        a[pr] = [x / inv for x in a[pr]]
+        for i in range(nrows):
+            if i != pr and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivot_cols.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    return a, pivot_cols
+
+
+def rref_solve(a, b) -> tuple[str, list[Fraction] | None]:
+    """Reference for :func:`solve_exact`, by one rational RREF."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    rhs = [Fraction(x) for x in b]
+    if not rows:
+        return ("unique", []) if all(x == 0 for x in rhs) else ("inconsistent", None)
+    ncols = len(rows[0])
+    aug = [row + [v] for row, v in zip(rows, rhs)]
+    red, piv = _rref(aug)
+    if ncols in piv:
+        return ("inconsistent", None)
+    if len(piv) < ncols:
+        return ("underdetermined", None)
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(piv):
+        x[c] = red[i][ncols]
+    return ("unique", x)
+
+
+def rref_is_pierced_subset(points, r: int) -> bool:
+    """Reference for :func:`is_pierced_subset`: the same Caratheodory
+    search, each candidate one rational RREF solve."""
+    pts = list(points)
+    if not pts:
+        return False
+    if r == 1:
+        return True
+    proj = [tuple(x[t] - x[t + 1] for t in range(r - 1)) for x in pts]
+    dim = r - 1
+    for size in range(1, min(len(proj), dim + 1) + 1):
+        for subset in combinations(proj, size):
+            rows = [[Fraction(q[t]) for q in subset] for t in range(dim)]
+            rows.append([Fraction(1)] * size)
+            rhs = [Fraction(0)] * dim + [Fraction(1)]
+            status, lam = rref_solve(rows, rhs)
+            if status == "unique" and all(l >= 0 for l in lam):
+                return True
+    return False
+
+
 def barycentric_axis_values(ps: PointSet, simplex: Transversal) -> tuple:
     """Independent oracle for axis intersections: per axis, solve the
     barycentric system (member columns, weights summing to one, target on the
@@ -46,7 +116,7 @@ def barycentric_axis_values(ps: PointSet, simplex: Transversal) -> tuple:
                 + [Fraction(-1 if coord == axis else 0)]
             )
         rows.append([Fraction(1)] * r + [Fraction(0)])
-        status, sol = solve_exact(rows, [0] * r + [1])
+        status, sol = rref_solve(rows, [0] * r + [1])
         assert status == "unique"
         weights, t = sol[:r], sol[r]
         assert all(w >= 0 for w in weights)
@@ -90,6 +160,24 @@ def test_solve_exact_solutions_satisfy_system(a, b):
     if status == "unique":
         for row, rhs in zip(a, b):
             assert sum(Fraction(c) * v for c, v in zip(row, x)) == rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_exact_and_rank_match_rref_on_fractions(data):
+    """Rational input is scaled to integer rows; the status, the solution
+    and the rank are those of the rational RREF."""
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.builds(Fraction, st.integers(-4, 4), st.integers(2, 6)), st.integers(-3, 3)
+    )
+    a = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                           min_size=nrows, max_size=nrows))
+    b = data.draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    got = solve_exact(a, b)
+    assert got == rref_solve(a, b)
+    assert got[1] is None or all(type(x) is Fraction for x in got[1])
+    assert matrix_rank(a) == len(_rref([[Fraction(x) for x in row] for row in a])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +300,17 @@ def test_pierced_iff_full_colors_on_larger_subsets(data):
     assert pierced == full
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_pierced_subset_matches_rational_body(data):
+    r = data.draw(st.integers(1, 4))
+    bound = data.draw(st.sampled_from([2, 10**20]))
+    points = data.draw(
+        st.lists(st.tuples(*[st.integers(-bound, bound)] * r), max_size=5)
+    )
+    assert is_pierced_subset(points, r) == rref_is_pierced_subset(points, r)
+
+
 def test_pierced_rejects_wrong_arity():
     with pytest.raises(ValueError):
         is_pierced_subset([(1, 2, 3)], 2)
@@ -321,7 +420,7 @@ def rref_hyperplane(ps: PointSet, simplex: Transversal) -> tuple[Fraction, ...]:
     """Reference for :meth:`PointSet.normal`: ``c`` with ``c . x == 1``
     from one rational RREF solve, under the same three degeneracy checks."""
     rows = [ps.coords(pid) for pid in simplex.members]
-    status, c = solve_exact(rows, [1] * len(rows))
+    status, c = rref_solve(rows, [1] * len(rows))
     if status != "unique":
         raise DegeneracyError(f"spanning system is {status}; the simplex is degenerate")
     if any(ci == 0 for ci in c):
@@ -394,14 +493,53 @@ def cofactor_det(rows) -> int:
 @settings(max_examples=150, deadline=None)
 @given(square_systems())
 def test_bareiss_matches_rational_solve(system):
+    """A square system beside its right-hand sides, the way
+    :meth:`PointSet.normal` and :func:`pivot_generic` call the kernel: it is
+    nonsingular iff the pivots are its first ``n`` columns, ``d`` is then
+    the determinant up to sign, and each right-hand column over ``d`` is the
+    rational solution."""
     rows, rhs_columns = system
-    d, numerators = _bareiss(rows, rhs_columns)
-    if d == 0:
-        assert numerators == [] and cofactor_det(rows) == 0
+    n = len(rows)
+    d, pivots, a = _eliminate(
+        [[*row, *(col[i] for col in rhs_columns)] for i, row in enumerate(rows)]
+    )
+    if pivots != list(range(n)):
+        assert cofactor_det(rows) == 0
+        assert all(rref_solve(rows, b)[0] != "unique" for b in rhs_columns)
         return
     assert abs(d) == abs(cofactor_det(rows))
-    for b, num in zip(rhs_columns, numerators, strict=True):
-        assert ("unique", [Fraction(v, d) for v in num]) == solve_exact(rows, b)
+    for k, b in enumerate(rhs_columns):
+        assert ("unique", [Fraction(row[n + k], d) for row in a]) == rref_solve(rows, b)
+
+
+@st.composite
+def integer_matrices(draw) -> list[list[int]]:
+    """1-5 rows by 1-6 columns with entries past ``10**20`` or in
+    ``-3..3``; some rows are small combinations of others and one column
+    may be zero, so the rank is often deficient and columns get skipped."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([3, 10**20]))
+    row = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=nrows))
+    while len(rows) < nrows:
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        f, g = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([f * u + g * v for u, v in zip(x, y)])
+    zero = draw(st.none() | st.integers(0, ncols - 1))
+    if zero is not None:
+        rows = [[0 if c == zero else x for c, x in enumerate(r)] for r in rows]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_eliminate_matches_rref(rows):
+    d, pivots, a = _eliminate(rows)
+    red, want_pivots = _rref([[Fraction(x) for x in row] for row in rows])
+    assert pivots == want_pivots
+    assert all(a[i][c] == d for i, c in enumerate(pivots))
+    assert all(type(x) is int for row in a for x in row)
+    assert [[Fraction(x, d) for x in row] for row in a] == red
 
 
 @st.composite

@@ -378,6 +378,18 @@ def test_walk_start_vertex_is_checked():
             walk(comb, AugmentedConfig(1), start, Random(0))
 
 
+@pytest.mark.parametrize("v", [(0, 1), (1,), (4, 1)])
+def test_out_queries_reject_vertices_outside_the_grid(v):
+    comb = build_comb(2, 3, Random(1))
+    for out in (
+        lambda: out_neighbors(comb, None, v),
+        lambda: grid_out_function(comb)(v),
+        lambda: flip_top_pair_out(comb, 1, 3)(v),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"vertex {v} not in grid (3, 3)")):
+            out()
+
+
 def test_monte_carlo_within_four_se_of_exact():
     comb = build_comb(2, 4, Random(21))
     cfg = AugmentedConfig(1)
