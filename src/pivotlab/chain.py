@@ -3,16 +3,18 @@
 The directed walk on a comb-oriented grid and the pivoting process are the
 same object: a finite, acyclic chain whose states each have ``n_succ``
 successors, drawn uniformly, plus ``escape`` parallel edges toward one
-absorbing terminal state.
+absorbing terminal state.  :func:`solve` gives both models their exact
+expected durations with plain integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from fractions import Fraction
 from random import Random
+from typing import Sequence
 
-from .errors import InstanceTooLargeError
+from .errors import InstanceTooLargeError, InternalInvariantError
 
 __all__ = [
     "TERMINAL",
@@ -20,7 +22,7 @@ __all__ = [
     "check_state_count",
     "draw",
     "escape_weight",
-    "expected_steps",
+    "solve",
     "state_cap",
 ]
 
@@ -51,14 +53,6 @@ def escape_weight(delta: int | None, n_succ: int) -> int:
     return 0 if n_succ else 1
 
 
-def expected_steps(succ_sum: Fraction, n_succ: int, escape: int) -> Fraction:
-    """Expected steps to absorption of a state whose successors' values sum
-    to ``succ_sum``: 0 at a dead end, else ``1 + succ_sum / (n_succ +
-    escape)``."""
-    total = n_succ + escape
-    return Fraction(0) if total == 0 else 1 + succ_sum / total
-
-
 def draw(rng: Random, n_succ: int, escape: int) -> int | Terminal:
     """One uniform draw over ``n_succ + escape`` edges: an index below
     ``n_succ`` picks that successor, any other the terminal.  A state without
@@ -67,6 +61,140 @@ def draw(rng: Random, n_succ: int, escape: int) -> int | Terminal:
         return TERMINAL
     i = rng.randrange(n_succ + escape)
     return i if i < n_succ else TERMINAL
+
+
+def solve(
+    weights: Sequence[int],
+    reads: Sequence[Sequence[int]],
+    writes: Sequence[Sequence[int]],
+    n_groups: int,
+) -> tuple[list[int], int]:
+    """Expected steps to absorption of every state of an acyclic chain, as
+    integers over one common denominator.
+
+    States come successors first.  State ``i`` has out-weight ``weights[i]
+    = n_succ + escape``; the values of its successors sum to the sum of the
+    groups ``reads[i]``, and once solved its own value joins the groups
+    ``writes[i]``: groups it reads, or groups no earlier state wrote.  Its
+    expected step count is 0 when the weight is 0, else ``1 + S /
+    weights[i]`` for that sum ``S`` (Kemeny and Snell, *Finite Markov
+    Chains*, ch. III).
+
+    Returns ``(scaled, D)``: the value of state ``i`` is ``scaled[i] / D``,
+    where ``D`` from :func:`_denominator` is a multiple of every value's
+    denominator.  Each value is then ``D + S // weight`` over Python ints.
+    A division that leaves a remainder means ``D`` is not such a multiple
+    and raises :class:`InternalInvariantError`, so a wrong bound can never
+    yield a wrong value.
+    """
+    d = _denominator(weights, reads, writes, n_groups)
+    sums = [0] * n_groups
+    scaled = []
+    for i, (t, rd, wr) in enumerate(zip(weights, reads, writes)):
+        if t:
+            q, rem = divmod(sum([sums[g] for g in rd]), t)
+            if rem:
+                raise InternalInvariantError(
+                    f"the common denominator does not clear state {i} of weight "
+                    f"{t}; its exponent bound is wrong"
+                )
+            x = d + q
+            for g in wr:
+                sums[g] += x
+        else:
+            x = 0
+        scaled.append(x)
+    return scaled, d
+
+
+def _denominator(
+    weights: Sequence[int],
+    reads: Sequence[Sequence[int]],
+    writes: Sequence[Sequence[int]],
+    n_groups: int,
+) -> int:
+    """A multiple of the denominator of every value :func:`solve` finds.
+
+    The value of a state of weight ``T > 0`` is ``1 + S / T``, so for each
+    prime ``p`` its denominator holds at most ``e_p = v_p(T) + max e_p`` of
+    the groups it reads.  A group's ``e_p`` is the largest among the states
+    that write to it, which is the last writer's: it reads the group, so
+    its own ``e_p`` is at least as large, unless the group was empty.  A
+    state of weight 0 has value 0.  The result is the product of ``p **
+    e_p`` over the largest ``e_p`` of any state.
+
+    The exponents are kept per element ``b`` of :func:`_coprime_base` rather
+    than per prime: for a prime ``p`` dividing ``b``, ``e_p = v_p(b) * e_b``
+    at every state, so the product of ``b ** e_b`` is the same number.  The
+    exponents of all elements travel packed in one int, a field each with a
+    guard bit on top.  Along a path an exponent grows by less than
+    ``weight.bit_length()`` per state, so a field wide enough for the state
+    count times that never carries into its neighbour, and the guard bits
+    give a componentwise max in a few integer operations.
+    """
+    width = (len(weights) * max(weights, default=0).bit_length()).bit_length() + 1
+    shift = width - 1
+    field = {b: k * width for k, b in enumerate(_coprime_base(set(weights)))}
+    guard = sum(1 << (offset + shift) for offset in field.values())
+    own = {}  # weight -> its packed exponents v_b(weight)
+    for t in set(weights):
+        packed, rest = 0, t
+        for b, offset in field.items():
+            while rest and rest % b == 0:
+                rest //= b
+                packed += 1 << offset
+        own[t] = packed
+
+    def pmax(exps: list[int]) -> int:
+        """The componentwise max of packed exponents."""
+        e = 0
+        for b in exps:
+            ge = ((e | guard) - b) & guard  # guard bits of the fields where e >= b
+            if ge != guard:
+                ge -= ge >> shift  # those fields' value bits
+                e = b ^ ((e ^ b) & ge)
+        return e
+
+    groups = [0] * n_groups
+    unwritten = []  # the exponents of states that write no group
+    for t, rd, wr in zip(weights, reads, writes):
+        if not t:
+            continue  # value 0, denominator 1
+        e = pmax([groups[g] for g in rd]) + own[t]
+        for g in wr:
+            groups[g] = e
+        if not wr:
+            unwritten.append(e)
+    top = pmax(groups + unwritten)
+    d = 1
+    for b, offset in field.items():
+        d *= b ** ((top >> offset) & ((1 << shift) - 1))
+    return d
+
+
+def _coprime_base(numbers: set[int]) -> list[int]:
+    """Pairwise coprime integers above 1 such that every positive number in
+    ``numbers`` is a product of their powers: a prime factorization's role,
+    found with gcds alone, so any weight size stays cheap."""
+    base: list[int] = []
+    # smallest first: a larger number then mostly just divides out the base
+    todo = sorted((n for n in numbers if n > 1), reverse=True)
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            while g == b:  # divide out what the base already holds
+                x //= b
+                g = math.gcd(x, b)
+            if g > 1:
+                # split both at their common part; the product shrinks by g
+                del base[i]
+                todo.extend(y for y in (b // g, g, x // g) if y > 1)
+                break
+        else:
+            if x > 1:
+                base.append(x)
+    return base
 
 
 def state_cap() -> int:

@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import analysis, geometry, grid_uso, process
-from .errors import InstanceTooLargeError
+from .errors import DegeneracyError, GeneralPositionError, InstanceTooLargeError
 from .seeding import derive_rng, fresh_seed
 
 EPILOG = """environment overrides:
@@ -255,6 +255,9 @@ def _cmd_process_expect(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     deltas = _parse_ints(args.phase_deltas)
+    if args.phase_trials < 0:
+        # the message phase_law_report would give, before the suite runs
+        raise ValueError(f"need at least 1 trace for the phase laws, got {args.phase_trials}")
     if args.phase_trials and not deltas:
         raise ValueError("--phase-trials needs at least one delta in --phase-deltas")
     report = analysis.verify_lemmas(args.r, args.m, deep_from=tuple(args.deep or ()))
@@ -302,13 +305,16 @@ def _bench_rows(args, seed: int) -> list[dict]:
                     else:
                         # the m column carries the grid size n for this family
                         params = analysis.BoundParams(family, r, n=m)
-                    report = analysis.compare_to_bound(
-                        params,
-                        mode,
-                        orientations=args.orientations,
-                        trials=args.trials,
-                        seed=seed,
-                    )
+                    try:
+                        report = analysis.compare_to_bound(
+                            params,
+                            mode,
+                            orientations=args.orientations,
+                            trials=args.trials,
+                            seed=seed,
+                        )
+                    except (GeneralPositionError, DegeneracyError) as exc:
+                        raise type(exc)(f"{family} at (r, m) = ({r}, {m}): {exc}") from exc
                     satisfied = (
                         "inconclusive"
                         if report.inconclusive
@@ -479,6 +485,11 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (GeneralPositionError, DegeneracyError) as exc:
+        # the point family is not in general position at this size
+        where = f"(r, m) = ({args.r}, {args.m}): " if hasattr(args, "r") else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

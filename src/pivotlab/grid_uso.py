@@ -162,6 +162,12 @@ class CombOrientation:
         # repr ignore it; one slot per value, filled by lower()
         return [None] * (len(self.ranks) + 1)
 
+    @cached_property
+    def _vertex_table(self) -> _VertexTable:
+        # kept like _lower_rows: the plain and escape solves of one comb
+        # share one compiled table
+        return _compile(self)
+
     def lower(self, c: int) -> tuple[int, ...]:
         """The values ranked below value ``c``, ascending: the targets of
         the arcs that leave ``c`` along the last factor.  Each row is built
@@ -386,13 +392,50 @@ def walk(
     return WalkOutcome(steps, tuple(visited) if record else None)
 
 
-def _rank_key(comb: CombOrientation, v: Vertex) -> tuple[int, ...]:
-    key = []
-    node = comb
-    for c in reversed(v):
-        key.append(node.ranks[c - 1])
-        node = node.children[c - 1]
-    return tuple(key)
+@dataclass(frozen=True)
+class _VertexTable:
+    """A comb compiled for the exact solve, its vertices in ascending rank
+    order.  A vertex's index is its mixed-radix number, first coordinate
+    fastest; ``row[index]`` is its position in the rank order.  Position
+    ``i`` has ``n_succ[i]`` out-arcs into the grid and lies on the lines
+    ``fibers[i]``, one id per axis among ``n_fibers``."""
+
+    n_succ: list[int]
+    fibers: list[tuple[int, ...]]
+    n_fibers: int
+    row: list[int]
+
+
+def _ranked(
+    node: CombOrientation, strides: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """``(index, n_succ)`` of the vertices of ``node``'s grid in ascending
+    rank order: the values of the last factor by rank, each followed by
+    its hyperplane's vertices in their own order."""
+    if not node.ranks:
+        return [(0, 0)]
+    stride = strides[-1]
+    out = []
+    for q, c in sorted(zip(node.ranks, range(node.m))):
+        base = c * stride
+        out.extend(
+            (base + i, q - 1 + n) for i, n in _ranked(node.children[c], strides[:-1])
+        )
+    return out
+
+
+def _compile(comb: CombOrientation) -> _VertexTable:
+    sizes = comb.sizes
+    strides = tuple(math.prod(sizes[:d]) for d in range(len(sizes)))
+    count = math.prod(sizes)
+    ranked = _ranked(comb, strides)
+    axes = [(d * count, st, s) for d, (st, s) in enumerate(zip(strides, sizes))]
+    # the fiber of axis d through a vertex: its index with coordinate d zeroed
+    fibers = [tuple(off + i - i // st % s * st for off, st, s in axes) for i, _ in ranked]
+    row = [0] * count
+    for k, (i, _) in enumerate(ranked):
+        row[i] = k
+    return _VertexTable([n for _, n in ranked], fibers, len(axes) * count, row)
 
 
 def expected_duration_exact(
@@ -407,30 +450,25 @@ def expected_duration_exact(
     chain.  A vertex's successors along one factor are the lower-ranked
     vertices of its fiber (its line along that factor), which that order
     visits first; a running sum per fiber therefore holds their values, and
-    the out-degree is ``sum(key) - r``.  ``start == "uniform"`` averages over
-    all grid vertices.
+    :func:`chain.solve` reads and writes each vertex's fibers over plain
+    integers.  The comb is compiled once into a vertex table, kept on it,
+    so every solve of one comb shares it.  ``start == "uniform"``
+    averages over all grid vertices.
     """
     spec = grid_spec(comb)
     chain.check_state_count(spec.vertex_count, "vertices", "exact mode")
     if start != "uniform" and not spec.contains(start):  # type: ignore[arg-type]
         raise ValueError(f"start vertex {start} not in grid {spec.factor_sizes}")
+    table = comb._vertex_table
     delta = _delta(cfg)
-    r = spec.dimension
-    values: dict[Vertex, Fraction] = {}
-    fiber_sums: dict[tuple[int, Vertex], Fraction] = {}
-    zero = Fraction(0)
-    for key, v in sorted((_rank_key(comb, u), u) for u in spec.vertices()):
-        fibers = [(d, v[:d] + v[d + 1 :]) for d in range(r)]
-        n_succ = sum(key) - r
-        succ_sum = sum((fiber_sums.get(f, zero) for f in fibers), zero)
-        e = chain.expected_steps(succ_sum, n_succ, chain.escape_weight(delta, n_succ))
-        values[v] = e
-        for f in fibers:
-            fiber_sums[f] = fiber_sums.get(f, zero) + e
-
+    weights = [n + chain.escape_weight(delta, n) for n in table.n_succ]
+    scaled, d = chain.solve(weights, table.fibers, table.fibers, table.n_fibers)
     if start == "uniform":
-        return sum(values.values(), zero) / len(values)
-    return values[start]  # type: ignore[index]
+        return Fraction(sum(scaled), d * len(scaled))
+    index = 0
+    for c, s in zip(reversed(start), reversed(spec.factor_sizes)):  # type: ignore[arg-type]
+        index = index * s + c - 1
+    return Fraction(scaled[table.row[index]], d)
 
 
 # ---------------------------------------------------------------------------

@@ -342,23 +342,27 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     """Exact expected step count from ``cfg.start``, per the config's
     counting convention.
 
-    Enumerates all transversals, then back-substitutes in increasing order of
-    the axis-intersection sum: every edge lowers it (:func:`_edge` checks
-    this), so successors are always solved first.
+    Enumerates all transversals and orders them by increasing
+    axis-intersection sum: every edge lowers it (:func:`_edge` checks this),
+    so successors always come first.  :func:`chain.solve` then
+    back-substitutes over plain integers, each state reading its
+    successors' values and writing its own.
     """
     ps = cfg.point_set
     chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
-    states = [_state(cfg, s.members) for s in geometry.transversals(ps)]
-    expected: dict[_State, Fraction] = {}
-    for st in sorted(states, key=lambda st: st.t_sum):
+    states = sorted(
+        (_state(cfg, s.members) for s in geometry.transversals(ps)),
+        key=lambda st: st.t_sum,
+    )
+    ids = {st: k for k, st in enumerate(states)}
+    weights, reads = [], []
+    for st in states:
         n_below = len(_below(cfg, st))
-        expected[st] = chain.expected_steps(
-            sum((expected[_edge(cfg, st, i)] for i in range(n_below)), Fraction(0)),
-            n_below,
-            chain.escape_weight(cfg.delta, n_below),
-        )
-    result = expected[_state(cfg, cfg.start.members)]
-    return result if cfg.count_terminal_step else result - 1
+        weights.append(n_below + chain.escape_weight(cfg.delta, n_below))
+        reads.append([ids[_edge(cfg, st, i)] for i in range(n_below)])
+    scaled, d = chain.solve(weights, reads, [(k,) for k in range(len(states))], len(states))
+    x = scaled[ids[_state(cfg, cfg.start.members)]]
+    return Fraction(x if cfg.count_terminal_step else x - d, d)
 
 
 def worst_case_expected_steps(

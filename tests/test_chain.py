@@ -1,0 +1,172 @@
+"""Tests for the integer absorbing-chain kernel against a Fraction oracle."""
+
+import math
+from fractions import Fraction
+from itertools import combinations
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pivotlab import chain, geometry, grid_uso, process
+from pivotlab.errors import InternalInvariantError
+
+
+def expected_steps(succ_sum: Fraction, n_succ: int, escape: int) -> Fraction:
+    """Expected steps to absorption of a state whose successors' values sum
+    to ``succ_sum``: 0 at a dead end, else ``1 + succ_sum / (n_succ +
+    escape)``."""
+    total = n_succ + escape
+    return Fraction(0) if total == 0 else 1 + succ_sum / total
+
+
+def fraction_solve(states, n_groups):
+    """Reference back-substitution over ``Fraction``s: ``states`` lists
+    ``(n_succ, escape, reads, writes)`` successors first."""
+    sums = [Fraction(0)] * n_groups
+    values = []
+    for n_succ, escape, reads, writes in states:
+        x = expected_steps(sum((sums[g] for g in reads), Fraction(0)), n_succ, escape)
+        for g in writes:
+            sums[g] += x
+        values.append(x)
+    return values
+
+
+def kernel_solve(states, n_groups):
+    weights = [n + e for n, e, _, _ in states]
+    reads = [rd for _, _, rd, _ in states]
+    writes = [wr for _, _, _, wr in states]
+    scaled, d = chain.solve(weights, reads, writes, n_groups)
+    return [Fraction(x, d) for x in scaled]
+
+
+# successor counts rich in repeated prime powers, so exponents above 1 occur
+SUCC_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 16, 27]
+
+
+@st.composite
+def shared_group_chains(draw):
+    """Random acyclic chains whose groups several states read and write;
+    dead ends read nothing and may or may not escape.  A state writes
+    groups it reads or groups no earlier state wrote, as :func:`chain.solve`
+    asks."""
+    n_groups = draw(st.integers(1, 8))
+    written = set()
+    states = []
+    for _ in range(draw(st.integers(1, 30))):
+        escape = draw(st.sampled_from([0, 0, 1, 2, 4]))
+        if draw(st.booleans()):
+            n_succ, reads = 0, []
+        else:
+            n_succ = draw(st.sampled_from(SUCC_COUNTS))
+            reads = draw(st.lists(st.integers(0, n_groups - 1), min_size=1, max_size=4))
+        writable = sorted(set(reads) | (set(range(n_groups)) - written))
+        writes = (
+            draw(st.lists(st.sampled_from(writable), max_size=3, unique=True))
+            if writable else []
+        )
+        written.update(writes)
+        states.append((n_succ, escape, reads, writes))
+    return states, n_groups
+
+
+@st.composite
+def long_paths(draw):
+    """A path of up to 80 states, each reading the one before it, with
+    weights drawn from the prime powers 4, 8, 9, 16 and 27."""
+    length = draw(st.integers(1, 80))
+    states = [(0, draw(st.sampled_from([0, 1])), [], [0])]
+    for k in range(1, length):
+        n_succ = draw(st.sampled_from([4, 8, 9, 16, 27]))
+        escape = draw(st.sampled_from([0, 0, 4, 9]))
+        states.append((n_succ, escape, [k - 1], [k]))
+    return states, length
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_=st.one_of(shared_group_chains(), long_paths()))
+def test_kernel_matches_fraction_back_substitution(chain_):
+    states, n_groups = chain_
+    assert kernel_solve(states, n_groups) == fraction_solve(states, n_groups)
+
+
+def test_kernel_values_of_a_small_chain():
+    # a dead end that escapes, then two states of weight 2 above it:
+    # 1, 1 + 1/2 = 3/2 and 1 + 3/4 = 7/4, over D = 4
+    states = [(0, 1, [], [0]), (1, 1, [0], [1]), (1, 1, [1], [2])]
+    weights = [1, 2, 2]
+    reads = [rd for _, _, rd, _ in states]
+    writes = [wr for _, _, _, wr in states]
+    assert chain.solve(weights, reads, writes, 3) == ([4, 6, 7], 4)
+    assert chain.solve([], [], [], 0) == ([], 1)
+    # a dead end without escape stays at 0 and adds nothing to its groups;
+    # the bound still counts the 3 of the weight above it
+    assert chain.solve([0, 3], [[], [0]], [[0], [1]], 2) == ([0, 3], 3)
+
+
+@given(st.sets(st.integers(0, 10**6), max_size=8))
+def test_coprime_base_factors_every_number(numbers):
+    base = chain._coprime_base(numbers)
+    assert all(b > 1 for b in base)
+    assert all(math.gcd(a, b) == 1 for a, b in combinations(base, 2))
+    for n in numbers - {0}:
+        for b in base:
+            while n % b == 0:
+                n //= b
+        assert n == 1
+
+
+def test_kernel_takes_huge_weights_without_factoring():
+    # weights without a factor below 10**5: trial division would not finish
+    p, q = 2**61 - 1, 10**18 + 9
+    states = [(0, p, [], [0]), (q, 0, [0], [1]), (1, p * q - 1, [0, 1], [2])]
+    assert kernel_solve(states, 3) == fraction_solve(states, 3)
+
+
+def _short_by_one(monkeypatch, pick_prime):
+    """Make ``chain._denominator`` return its bound with one factor of a
+    prime taken out; ``pick_prime`` chooses the prime from the bound."""
+    full = chain._denominator
+
+    def short(*args):
+        d = full(*args)
+        return d // pick_prime(d)
+
+    monkeypatch.setattr(chain, "_denominator", short)
+
+
+def _largest_prime_factor(d: int) -> int:
+    p, largest = 2, 1
+    while d > 1:
+        while d % p == 0:
+            d //= p
+            largest = p
+        p += 1
+    return largest
+
+
+def test_short_denominator_raises_instead_of_a_wrong_value(monkeypatch):
+    states = [(0, 1, [], [0]), (1, 1, [0], [1]), (1, 1, [1], [2])]
+    _short_by_one(monkeypatch, lambda d: 2)
+    with pytest.raises(InternalInvariantError, match="does not clear"):
+        kernel_solve(states, 3)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: grid_uso.expected_duration_exact(grid_uso.build_comb(2, 4, Random(3)), None),
+        lambda: grid_uso.expected_duration_exact(
+            grid_uso.build_comb(3, 3, Random(3)), grid_uso.AugmentedConfig(1)
+        ),
+        lambda: process.exact_expected_steps(
+            process.ProcessConfig(geometry.gen_point_set(2, 3))
+        ),
+    ],
+    ids=["comb-2-4", "comb-3-3-delta1", "process-2-3"],
+)
+def test_model_solves_raise_on_a_short_denominator(monkeypatch, solve):
+    _short_by_one(monkeypatch, _largest_prime_factor)
+    with pytest.raises(InternalInvariantError, match="does not clear"):
+        solve()

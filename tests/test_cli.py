@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from pivotlab import analysis, cli
+from pivotlab import analysis, cli, process
 from pivotlab.analysis import LemmaCheck, LemmaReport
+from pivotlab.errors import DegeneracyError
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -136,6 +137,57 @@ def test_negative_phase_trials_is_a_usage_error():
     )
     assert code == 1 and out == ""
     assert err == "error: need at least 1 trace for the phase laws, got -5\n"
+
+
+def test_negative_phase_trials_is_rejected_before_the_suite_runs(monkeypatch):
+    def suite(*args, **kwargs):
+        raise AssertionError("the lemma suite ran before the count was checked")
+
+    monkeypatch.setattr(analysis, "verify_lemmas", suite)
+    code, out, err = run_cli(
+        ["verify", "lemmas", "--r", "3", "--m", "7", "--phase-trials", "-5", "--seed", "1"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: need at least 1 trace for the phase laws, got -5\n"
+
+
+# the point family is not in general position at (5, 2): point (1,5,2) lies
+# on the hyperplane of (1,1,2) and on-axis points of the other colours
+GENERAL_POSITION_FAILURES = {
+    "process-expect": ["process", "expect", "--r", "5", "--m", "2"],
+    "process-run": [
+        "process", "run", "--r", "5", "--m", "2", "--seed", "1", "--trials", "5", "--format", "json"
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", GENERAL_POSITION_FAILURES.values(), ids=list(GENERAL_POSITION_FAILURES))
+def test_general_position_failure_is_one_error_line(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: (r, m) = (5, 2): PointId(")
+    assert "lies on the hyperplane of" in err
+
+
+def test_bench_bounds_names_the_size_that_left_general_position():
+    code, out, err = run_cli(
+        ["bench", "bounds", "--families", "main_theorem", "--r-list", "5", "--m-list", "2",
+         "--seed", "1"]
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: main_theorem at (r, m) = (5, 2): PointId(")
+
+
+def test_degenerate_simplex_is_one_error_line(monkeypatch):
+    def degenerate(cfg):
+        raise DegeneracyError("spanning system is singular")
+
+    monkeypatch.setattr(process, "exact_expected_steps", degenerate)
+    code, out, err = run_cli(["process", "expect", "--r", "2", "--m", "3"])
+    assert (code, out) == (1, "")
+    assert err == "error: (r, m) = (2, 3): spanning system is singular\n"
 
 
 def test_phase_trials_without_deltas_is_a_usage_error():

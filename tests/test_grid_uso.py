@@ -16,7 +16,6 @@ from pivotlab.grid_uso import (
     TERMINAL,
     WalkOutcome,
     _identity_for,
-    _rank_key,
     _uniform_vertex,
     LEAF,
     AugmentedConfig,
@@ -470,6 +469,17 @@ def test_permutation_invariance_of_start_in_expectation_over_combs():
     assert abs(mean) <= 4 * se
 
 
+def _rank_key(comb, v):
+    """The ranks of ``v``'s coordinates, last coordinate first: every arc
+    lowers this tuple lexicographically."""
+    key = []
+    node = comb
+    for c in reversed(v):
+        key.append(node.ranks[c - 1])
+        node = node.children[c - 1]
+    return tuple(key)
+
+
 def back_substitution_oracle(comb, cfg, start):
     """Reference solver: every vertex sums its successors' values afresh from
     ``out_neighbors``, in ascending rank order."""
@@ -489,13 +499,13 @@ def back_substitution_oracle(comb, cfg, start):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    r=st.integers(1, 3),
-    m=st.integers(1, 5),
+    r=st.integers(1, 4),
     delta=st.sampled_from([None, 0, 1, 3]),
     seed=st.integers(0, 10**6),
     data=st.data(),
 )
-def test_fiber_solver_matches_back_substitution_oracle(r, m, delta, seed, data):
+def test_fiber_solver_matches_back_substitution_oracle(r, delta, seed, data):
+    m = data.draw(st.integers(1, 5 if r < 4 else 4))
     comb = build_comb(r, m, Random(seed))
     cfg = None if delta is None else AugmentedConfig(delta)
     start = data.draw(

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pivotlab import chain
+from pivotlab import chain, process
 from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
 from pivotlab.geometry import (
     PointId,
@@ -34,6 +34,7 @@ from pivotlab.process import (
     worst_case_expected_steps,
 )
 from pivotlab.seeding import derive_rng
+from test_chain import expected_steps
 
 
 def harmonic(n: int) -> Fraction:
@@ -399,6 +400,36 @@ def test_exact_values_are_pinned(name):
     make_config, want = PINNED_EXACT[name]
     value = exact_expected_steps(make_config())
     assert type(value) is Fraction and str(value) == want
+
+
+def fraction_expected_steps(cfg):
+    """Reference solver: ``Fraction`` back-substitution over every
+    transversal in increasing order of the axis-intersection sum."""
+    ps = cfg.point_set
+    states = [process._state(cfg, s.members) for s in transversals(ps)]
+    expected = {}
+    for st in sorted(states, key=lambda st: st.t_sum):
+        n_below = len(process._below(cfg, st))
+        expected[st] = expected_steps(
+            sum((expected[process._edge(cfg, st, i)] for i in range(n_below)), Fraction(0)),
+            n_below,
+            chain.escape_weight(cfg.delta, n_below),
+        )
+    result = expected[process._state(cfg, cfg.start.members)]
+    return result if cfg.count_terminal_step else result - 1
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2])
+@pytest.mark.parametrize("r,m", [(1, 2), (1, 5), (2, 2), (2, 4), (3, 2), (3, 3)])
+def test_exact_matches_fraction_oracle(r, m, delta):
+    ps = gen_point_set(r, m)
+    augmented = ps.augmented(tuple(range(m + 1, m + 1 + r)))
+    for cfg in (
+        ProcessConfig(ps, delta=delta),
+        ProcessConfig(augmented, delta=delta),
+        ProcessConfig(augmented, delta=delta, count_terminal_step=False),
+    ):
+        assert exact_expected_steps(cfg) == fraction_expected_steps(cfg)
 
 
 def test_exact_r2_m2_matches_hand_back_substitution():
