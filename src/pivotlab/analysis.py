@@ -12,11 +12,11 @@ tests at significance 1e-3, whose upper tails are computed in closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from statistics import fmean
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import geometry, grid_uso, process
 from .errors import DegeneracyError, GeneralPositionError
@@ -29,7 +29,9 @@ __all__ = [
     "DELTA_FAMILIES",
     "FAMILIES",
     "BoundParams",
+    "ChiSquare",
     "ExpectationReport",
+    "GoodPhase",
     "LemmaCheck",
     "LemmaReport",
     "PhaseLawReport",
@@ -145,18 +147,9 @@ class ExpectationReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "value": format_number(self.value),
-            "method": self.method,
-            "trials": self.trials,
-            "se": format_number(self.se),
-            "ci_low": format_number(self.ci_low),
-            "ci_high": format_number(self.ci_high),
-            "bound": format_number(self.bound),
-            "satisfied": self.satisfied,
-            "inconclusive": self.inconclusive,
-            "seed": self.seed,
-        }
+        """Every field through :func:`format_number`; ``extras`` only when
+        it is non-empty."""
+        out = {k: format_number(v) for k, v in vars(self).items() if k != "extras"}
         if self.extras:
             out["extras"] = {k: format_number(v) for k, v in self.extras.items()}
         return out
@@ -332,14 +325,6 @@ class LemmaCheck:
     cases: int
     counterexample: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "passed": self.passed,
-            "cases": self.cases,
-            "counterexample": self.counterexample,
-        }
-
 
 @dataclass
 class LemmaReport:
@@ -352,12 +337,7 @@ class LemmaReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "m": self.m,
-            "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return asdict(self) | {"all_passed": self.all_passed}
 
 
 def _check_colors_and_pierced(ps: PointSet, tag: str) -> list[LemmaCheck]:
@@ -382,13 +362,11 @@ def _check_colors_and_pierced(ps: PointSet, tag: str) -> list[LemmaCheck]:
     for S in geometry.transversals(ps):
         axis_cases += 1
         try:
-            ts = geometry.axis_intersections(ps, S)
+            # raises unless every axis intersection is positive
+            geometry.axis_intersections(ps, S)
         except DegeneracyError as exc:
             if pierced_bad is None:
                 pierced_bad = f"axis intersections failed on {S.members}: {exc}"
-            continue
-        if any(t <= 0 for t in ts) and pierced_bad is None:
-            pierced_bad = f"nonpositive axis intersection {ts} on {S.members}"
     return [
         LemmaCheck(f"colors{tag}", colors_bad is None, cases, colors_bad),
         LemmaCheck(
@@ -419,12 +397,10 @@ def _check_non_degenerate(ps: PointSet, tag: str) -> LemmaCheck:
             bad = f"pierced proper subset {proper_pierced} of {S.members}"
             break
         try:
-            c = geometry.hyperplane_coefficients(ps, S)
+            # raises unless every coefficient is positive
+            geometry.hyperplane_coefficients(ps, S)
         except DegeneracyError as exc:
             bad = f"degenerate hyperplane on {S.members}: {exc}"
-            break
-        if sum(c) == 0:
-            bad = f"hyperplane of {S.members} parallel to the diagonal"
             break
     return LemmaCheck(f"non_degenerate{tag}", bad is None, cases, bad)
 
@@ -608,15 +584,43 @@ def _chi2_sf(x: float, df: int) -> float:
     return min(total, 1.0)
 
 
+@dataclass(frozen=True)
+class ChiSquare:
+    """One chi-square test: statistic, degrees of freedom, upper-tail p."""
+
+    stat: float
+    df: int
+    p: float
+
+
+def _chi_square(stat: float, df: int) -> ChiSquare:
+    # with no degrees of freedom there is nothing to test
+    return ChiSquare(stat, df, _chi2_sf(stat, df) if df > 0 else 1.0)
+
+
+@dataclass(frozen=True)
+class GoodPhase:
+    """Observed frequency ``p_hat`` (standard error ``se``) of phase ``k``
+    being good, against its ``floor``; ``ok = (p_hat >= floor - 3 se)``."""
+
+    k: int
+    floor: float
+    p_hat: float
+    se: float
+    ok: bool
+
+
 @dataclass
 class PhaseLawReport:
     """Empirical conformance of trace phases to their transition laws.
 
     ``transition``: pooled chi-square over all source phases of the jump
     distribution (uniform weight per lower phase, escape weight ``delta``).
-    ``color``: chi-square of phase-change pivot colors against uniform.
-    ``good_phase_rows``: per-phase ``(k, floor, p_hat, se, ok)`` with
-    ``ok = (p_hat >= floor - 3 se)``.
+    ``pivot_color``: chi-square of phase-change pivot colors against
+    uniform.  ``good_phases``: one :class:`GoodPhase` per phase ``1..m-1``.
+    ``entry_consequence_ok``: every good phase was entered with all the
+    second-outermost-layer points strictly below.  The fields are the JSON
+    shape.
     """
 
     r: int
@@ -624,47 +628,21 @@ class PhaseLawReport:
     delta: int
     trials: int
     seed: int
-    transition_stat: float
-    transition_df: int
-    transition_p: float
-    color_stat: float
-    color_df: int
-    color_p: float
-    good_phase_rows: list[tuple[int, float, float, float, bool]]
+    transition: ChiSquare
+    pivot_color: ChiSquare
+    good_phases: list[GoodPhase]
     entry_consequence_ok: bool
 
-    def all_ok(self, significance: float = CHI2_SIGNIFICANCE) -> bool:
+    def all_ok(self) -> bool:
         return (
-            self.transition_p >= significance
-            and self.color_p >= significance
-            and all(row[4] for row in self.good_phase_rows)
+            self.transition.p >= CHI2_SIGNIFICANCE
+            and self.pivot_color.p >= CHI2_SIGNIFICANCE
+            and all(row.ok for row in self.good_phases)
             and self.entry_consequence_ok
         )
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "m": self.m,
-            "delta": self.delta,
-            "trials": self.trials,
-            "seed": self.seed,
-            "transition": {
-                "stat": self.transition_stat,
-                "df": self.transition_df,
-                "p": self.transition_p,
-            },
-            "pivot_color": {
-                "stat": self.color_stat,
-                "df": self.color_df,
-                "p": self.color_p,
-            },
-            "good_phases": [
-                {"k": k, "floor": b, "p_hat": p, "se": se, "ok": ok}
-                for k, b, p, se, ok in self.good_phase_rows
-            ],
-            "entry_consequence_ok": self.entry_consequence_ok,
-            "all_ok": self.all_ok(),
-        }
+        return asdict(self) | {"all_ok": self.all_ok()}
 
 
 def _jump_law_chi2(
@@ -708,12 +686,14 @@ def phase_law_report(
     delta: int,
     trials: int,
     seed: int,
-    alphas: Iterable[int] | None = None,
 ) -> PhaseLawReport:
-    """Stream ``trials`` augmented traces and test the phase laws."""
+    """Stream ``trials`` traces from the adversary start of the augmented
+    ``(r, m)`` family (every ``alpha_i = m + 1``) and test the phase laws:
+    the jump law and the pivot colors by chi-square, and each phase's
+    good-phase frequency against its floor."""
     if trials < 1:
         raise ValueError(f"need at least 1 trace for the phase laws, got {trials}")
-    ps = geometry.gen_point_set(r, m).augmented(alphas)
+    ps = geometry.gen_point_set(r, m).augmented()
     cfg = ProcessConfig(ps, delta=delta)
     transition_counts: dict[int, dict[int, int]] = {}
     color_counts = [0] * r
@@ -740,9 +720,6 @@ def phase_law_report(
         if not all(report.entry_all_below.values()):
             consequence_ok = False
 
-    stat, df = _jump_law_chi2(transition_counts, r, delta)
-    transition_p = _chi2_sf(stat, df) if df > 0 else 1.0
-
     color_total = sum(color_counts)
     # no positive-phase change at all is no evidence against uniform colors
     color_stat = (
@@ -750,15 +727,13 @@ def phase_law_report(
         if color_total
         else 0.0
     )
-    color_df = r - 1
-    color_p = _chi2_sf(color_stat, color_df) if color_df > 0 else 1.0
 
     rows = []
     for k in range(1, m):
         floor = 1 / (r * (delta + k * r))
         p_hat = good_counts[k] / trials
         se = math.sqrt(p_hat * (1 - p_hat) / trials)
-        rows.append((k, floor, p_hat, se, p_hat >= floor - 3 * se))
+        rows.append(GoodPhase(k, floor, p_hat, se, p_hat >= floor - 3 * se))
 
     return PhaseLawReport(
         r=r,
@@ -766,12 +741,8 @@ def phase_law_report(
         delta=delta,
         trials=trials,
         seed=seed,
-        transition_stat=stat,
-        transition_df=df,
-        transition_p=transition_p,
-        color_stat=color_stat,
-        color_df=color_df,
-        color_p=color_p,
-        good_phase_rows=rows,
+        transition=_chi_square(*_jump_law_chi2(transition_counts, r, delta)),
+        pivot_color=_chi_square(color_stat, r - 1),
+        good_phases=rows,
         entry_consequence_ok=consequence_ok,
     )

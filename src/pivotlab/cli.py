@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from . import analysis, geometry, grid_uso, process
@@ -79,6 +80,14 @@ def _aug_cfg(args) -> grid_uso.AugmentedConfig | None:
     return None if args.delta is None else grid_uso.AugmentedConfig(args.delta)
 
 
+def _exact_value(value: Fraction) -> dict:
+    """An exact result as ``"p/q"`` and as a rounded float."""
+    return {
+        "value": analysis.format_number(value),
+        "value_float": analysis.format_number(float(value)),
+    }
+
+
 # ---------------------------------------------------------------------------
 # uso commands
 # ---------------------------------------------------------------------------
@@ -132,8 +141,7 @@ def _cmd_uso_expect(args) -> int:
         "delta": args.delta,
         "identity": bool(args.identity),
         "seed": seed,
-        "value": analysis.format_number(value),
-        "value_float": analysis.format_number(float(value)),
+        **_exact_value(value),
     }
     _emit_json(payload, args.out)
     return 0
@@ -213,38 +221,29 @@ def _cmd_process_run(args) -> int:
 
 
 def _cmd_process_expect(args) -> int:
+    delta = args.delta or 0
+    payload = {"r": args.r, "m": args.m, "delta": delta}
     if args.alpha_sweep is not None:
         value, alphas = process.worst_case_expected_steps(
             args.r,
             args.m,
-            args.delta or 0,
+            delta,
             range(args.m + 1, args.m + 1 + args.alpha_sweep),
         )
-        payload = {
-            "r": args.r,
-            "m": args.m,
-            "delta": args.delta or 0,
-            "alpha_sweep": args.alpha_sweep,
-            "worst_alphas": list(alphas),
-            "count_terminal_step": True,
-            "value": analysis.format_number(value),
-            "value_float": analysis.format_number(float(value)),
-        }
-        _emit_json(payload, args.out)
-        return 0
-    ps = _point_set_for(args)
-    cfg = process.ProcessConfig(ps, delta=args.delta or 0)
-    value = process.exact_expected_steps(cfg)
-    payload = {
-        "r": args.r,
-        "m": args.m,
-        "delta": cfg.delta,
-        "alphas": list(ps.alphas) if ps.alphas else None,
-        "count_terminal_step": cfg.count_terminal_step,
-        "value": analysis.format_number(value),
-        "value_float": analysis.format_number(float(value)),
-    }
-    _emit_json(payload, args.out)
+        payload.update(
+            alpha_sweep=args.alpha_sweep,
+            worst_alphas=list(alphas),
+            count_terminal_step=True,
+        )
+    else:
+        ps = _point_set_for(args)
+        cfg = process.ProcessConfig(ps, delta=delta)
+        value = process.exact_expected_steps(cfg)
+        payload.update(
+            alphas=list(ps.alphas) if ps.alphas else None,
+            count_terminal_step=cfg.count_terminal_step,
+        )
+    _emit_json(payload | _exact_value(value), args.out)
     return 0
 
 
@@ -315,26 +314,16 @@ def _bench_rows(args, seed: int) -> list[dict]:
                         )
                     except (GeneralPositionError, DegeneracyError) as exc:
                         raise type(exc)(f"{family} at (r, m) = ({r}, {m}): {exc}") from exc
-                    satisfied = (
+                    # the measured columns come from the report's own JSON
+                    blob = report.to_dict()
+                    row = {k: blob.get(k) for k in _BENCH_COLUMNS}
+                    row.update(family=family, r=r, m=m, delta=delta)
+                    row["satisfied"] = (
                         "inconclusive"
                         if report.inconclusive
                         else ("true" if report.satisfied else "false")
                     )
-                    rows.append(
-                        {
-                            "family": family,
-                            "r": r,
-                            "m": m,
-                            "delta": delta,
-                            "value": analysis.format_number(report.value),
-                            "ci_low": analysis.format_number(report.ci_low),
-                            "ci_high": analysis.format_number(report.ci_high),
-                            "bound": analysis.format_number(report.bound),
-                            "satisfied": satisfied,
-                            "seed": seed,
-                            "trials": report.trials,
-                        }
-                    )
+                    rows.append(row)
     if not rows:
         raise ValueError("empty sweep: nothing to measure (the corollary family needs m > r)")
     rows.sort(key=lambda row: (row["family"], row["r"], row["m"], row["delta"]))

@@ -37,7 +37,6 @@ __all__ = [
     "PointSet",
     "Side",
     "Transversal",
-    "adversary_phase",
     "axis_intersections",
     "below_set",
     "flip_tail_sign",
@@ -158,10 +157,6 @@ class PointId:
         return (self.color, self.layer, self.phase)
 
 
-def adversary_phase(m: int) -> int:
-    return m + 1
-
-
 def gen_point(r: int, m: int, pid: PointId, alpha: int | None = None) -> Coords:
     """Exact coordinates of the point labelled ``pid`` in the ``(r, m)``
     family.
@@ -205,7 +200,7 @@ def gen_point(r: int, m: int, pid: PointId, alpha: int | None = None) -> Coords:
 class PointSet:
     """An immutable labelled point set in ``Z^r``.
 
-    Usually built by :meth:`generate` (the standard family) or
+    Usually built by :func:`gen_point_set` (the standard family) or
     :func:`project_deep`; arbitrary labelled sets are accepted for fault
     injection, but no general-position repair is attempted.
     """
@@ -238,16 +233,6 @@ class PointSet:
 
     # -- construction ------------------------------------------------------
 
-    @classmethod
-    def generate(cls, r: int, m: int) -> "PointSet":
-        points = {}
-        for i in range(1, r + 1):
-            for j in range(i, r + 1):
-                for k in range(1, m + 1):
-                    pid = PointId(i, j, k)
-                    points[pid] = gen_point(r, m, pid)
-        return cls(r, m, points)
-
     def augmented(self, alphas: Iterable[int] | None = None) -> "PointSet":
         """Add one adversary point per axis (phase ``m + 1``).
 
@@ -270,7 +255,7 @@ class PointSet:
                 )
         points = dict(self._points)
         for i in range(1, self.r + 1):
-            pid = PointId(i, self.r, adversary_phase(self.m))
+            pid = PointId(i, self.r, self.m + 1)
             points[pid] = gen_point(self.r, self.m, pid, alpha=chosen[i - 1])
         return PointSet(self.r, self.m, points, alphas=chosen)
 
@@ -372,7 +357,15 @@ class PointSet:
 
 
 def gen_point_set(r: int, m: int) -> PointSet:
-    return PointSet.generate(r, m)
+    """The standard ``(r, m)`` family: point ``(i, j, k)`` for every color
+    ``i <= j <= r`` (layer ``j``) and phase ``k <= m``, at :func:`gen_point`."""
+    points = {}
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            for k in range(1, m + 1):
+                pid = PointId(i, j, k)
+                points[pid] = gen_point(r, m, pid)
+    return PointSet(r, m, points)
 
 
 def project_deep(R: int, m: int, r: int) -> PointSet:

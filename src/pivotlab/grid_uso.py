@@ -45,7 +45,6 @@ __all__ = [
     "Vertex",
     "WalkOutcome",
     "build_comb",
-    "comb_from_dict",
     "comb_to_dict",
     "embed_padded",
     "expected_duration_exact",
@@ -82,11 +81,6 @@ class GridSpec:
     @property
     def dimension(self) -> int:
         return len(self.factor_sizes)
-
-    @property
-    def size(self) -> int:
-        """Grid size: the sum of the factor sizes (not the vertex count)."""
-        return sum(self.factor_sizes)
 
     @property
     def vertex_count(self) -> int:
@@ -649,10 +643,3 @@ def comb_to_dict(comb: CombOrientation) -> dict:
         "perm": list(comb.ranks),
         "children": [comb_to_dict(c) for c in comb.children],
     }
-
-
-def comb_from_dict(data: dict) -> CombOrientation:
-    return CombOrientation(
-        tuple(data["perm"]),
-        tuple(comb_from_dict(c) for c in data["children"]),
-    )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import chain, geometry
 from .chain import TERMINAL
@@ -175,11 +175,9 @@ def _edge(cfg: ProcessConfig, st: _State, i: int) -> _State:
 # ---------------------------------------------------------------------------
 
 
-def phase_of(point_set: PointSet, position) -> int:
+def phase_of(point_set: PointSet, position: Transversal) -> int:
     """Phase of a position: the smallest phase among its outermost-layer
-    members (0 for the terminal position)."""
-    if position is TERMINAL:
-        return 0
+    members."""
     phases = [p.phase for p in position.members if p.layer == point_set.r]
     if not phases:
         raise InternalInvariantError(
@@ -221,9 +219,6 @@ class Trace:
     def steps(self, count_terminal_step: bool) -> int:
         return self.total_steps if count_terminal_step else self.pivot_count
 
-    def positions(self) -> Iterator[tuple[PointId, ...]]:
-        return (rec.members for rec in self.records)
-
     def phase_changes(self) -> list[tuple[int, int]]:
         """Times and values of phase changes, including the final change to
         phase 0 at the escape hop."""
@@ -233,9 +228,6 @@ class Trace:
                 changes.append((rec.t, rec.phase))
         changes.append((len(self.records), 0))
         return changes
-
-    def phase_sequence(self) -> list[int]:
-        return [self.records[0].phase] + [phi for _, phi in self.phase_changes()]
 
 
 def trace_to_jsonl(trace: Trace) -> str:

@@ -189,13 +189,13 @@ def test_criterion_09_phase_laws():
     details = []
     for delta in (0, 2):
         law = phase_law_report(2, 6, delta, trials=100_000, seed=SEED)
-        assert law.transition_p >= 1e-3, law.to_dict()["transition"]
-        assert law.color_p >= 1e-3, law.to_dict()["pivot_color"]
-        for k, floor, p_hat, se, ok in law.good_phase_rows:
-            assert ok, (delta, k, floor, p_hat, se)
+        assert law.transition.p >= 1e-3, law.to_dict()["transition"]
+        assert law.pivot_color.p >= 1e-3, law.to_dict()["pivot_color"]
+        for row in law.good_phases:
+            assert row.ok, (delta, row)
         assert law.entry_consequence_ok
         details.append(
-            f"d={delta}: p_trans={law.transition_p:.3f} p_color={law.color_p:.3f}"
+            f"d={delta}: p_trans={law.transition.p:.3f} p_color={law.pivot_color.p:.3f}"
         )
     report(9, "phase transition, pivot color, and good-phase laws hold", t0, 120.0,
            "; ".join(details) + " @1e5 traces each")

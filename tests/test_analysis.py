@@ -187,6 +187,37 @@ def test_report_serialization_round_trips_types():
     assert isinstance(blob["bound"], float)
 
 
+@pytest.mark.parametrize(
+    "params,orientations,seed,extras",
+    [
+        # the exact comb ensemble: float witnesses rounded to 12 digits and
+        # an int index
+        (
+            BoundParams("uso_lemma", 2, 3, 1),
+            5,
+            5,
+            {
+                "ensemble": "orientations",
+                "max": 1.99444444444,
+                "min": 1.88888888889,
+                "max_index": 3,
+            },
+        ),
+        (BoundParams("augmented_theorem", 2, 3, 2), 200, 0, {"worst_alphas": [4, 4]}),
+    ],
+)
+def test_report_serialization_pins_extras(params, orientations, seed, extras):
+    blob = compare_to_bound(params, orientations=orientations, seed=seed).to_dict()
+    assert blob["extras"] == extras
+    assert {k: type(v) for k, v in blob["extras"].items()} == {
+        k: type(v) for k, v in extras.items()
+    }
+
+
+def test_report_serialization_omits_empty_extras():
+    assert "extras" not in compare_to_bound(BoundParams("main_theorem", 1, 4)).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # lemma suite
 # ---------------------------------------------------------------------------
@@ -256,11 +287,11 @@ def test_chi2_sf_matches_scipy(df, u):
 
 def test_phase_law_report_smoke():
     report = phase_law_report(2, 5, delta=1, trials=4_000, seed=20)
-    assert report.transition_df > 0
-    assert report.transition_p >= 1e-3
-    assert report.color_p >= 1e-3
+    assert report.transition.df > 0
+    assert report.transition.p >= 1e-3
+    assert report.pivot_color.p >= 1e-3
     assert report.entry_consequence_ok
-    assert all(ok for (_, _, _, _, ok) in report.good_phase_rows)
+    assert all(row.ok for row in report.good_phases)
     blob = report.to_dict()
     assert blob["all_ok"] is True
 

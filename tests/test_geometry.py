@@ -1,5 +1,6 @@
 """Tests for the exact point construction and its exact predicates."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -381,6 +382,36 @@ def test_below_set_flags_on_point():
     S = make_transversal(broken, [PointId(1, 2, 2), PointId(2, 2, 2)])
     with pytest.raises(GeneralPositionError, match="lies on the hyperplane"):
         below_set(broken, S)
+
+
+@pytest.mark.parametrize(
+    "r,members,normal,on_point",
+    [
+        # (1,1,2) = (690, -512, -128, -32, -8) with 690 = 2 (1 + 256 + 64 + 16 + 8),
+        # so the hyperplane (1/2, 1/2, 1/2, 1/2, 1) . x == 1 holds 2 e_1
+        (
+            5,
+            [(1, 1, 2), (2, 5, 2), (3, 5, 2), (4, 5, 2), (5, 5, 1)],
+            ((2760, 2760, 2760, 2760, 5520), 5520),
+            PointId(1, 5, 2),
+        ),
+        (
+            6,
+            [(1, 1, 1), (2, 6, 2), (3, 6, 2), (4, 6, 2), (5, 6, 2), (6, 6, 1)],
+            ((21904, 21912, 21912, 21912, 21912, 43824), 43824),
+            PointId(2, 2, 2),
+        ),
+    ],
+)
+def test_standard_family_is_not_in_general_position_at_m_2(r, members, normal, on_point):
+    # two known coincidences of the standard family: a non-member on the
+    # hyperplane of a transversal
+    ps = gen_point_set(r, 2)
+    S = make_transversal(ps, [PointId(*x) for x in members])
+    assert ps.normal(S.members) == normal
+    assert side_of(ps, S, on_point) is Side.ON
+    with pytest.raises(GeneralPositionError, match="^" + re.escape(f"{on_point!r} lies on the hyperplane")):
+        below_set(ps, S)
 
 
 def test_augmented_default_start_has_on_points_tolerated():

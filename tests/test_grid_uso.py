@@ -22,7 +22,6 @@ from pivotlab.grid_uso import (
     CombOrientation,
     GridSpec,
     build_comb,
-    comb_from_dict,
     comb_to_dict,
     embed_padded,
     expected_duration_exact,
@@ -83,11 +82,6 @@ def test_build_validates_inputs():
 def test_comb_rejects_malformed_ranks():
     with pytest.raises(ValueError):
         CombOrientation((1, 3), (identity_comb(0, 1), identity_comb(0, 1)))
-
-
-def test_serialization_round_trip():
-    comb = build_comb(3, 3, Random(5))
-    assert comb_from_dict(comb_to_dict(comb)) == comb
 
 
 # ---------------------------------------------------------------------------
