@@ -11,11 +11,15 @@ Transversal positions form a finite acyclic chain: every pivot strictly
 lowers the sum of axis intersections, which both guarantees termination and
 gives the back-substitution order for exact expected durations.  Each
 :class:`ProcessConfig` holds that chain as one state graph, built lazily:
-a state per transversal, interned by its members, whose successors are
-direct references to other states, each edge made when first taken.  Every
-edge is checked against the axis-sum order once, when it is made;
-:func:`run`, :func:`good_phases` and :func:`exact_expected_steps` all read
-the same graph.
+a state per transversal, interned by an integer id (the mixed-radix number
+of its members' places in their color classes, so ids run in the order of
+:func:`geometry.transversals`), whose successors are direct references to
+other states, each edge made when first taken.  A pivot changes one digit
+of the id, so an edge finds its successor by arithmetic and builds a member
+tuple only for a state not seen before.  Every edge is checked against the
+axis-sum order once, when it is made, on the sum held as an exact integer
+pair; :func:`run`, :func:`good_phases` and :func:`exact_expected_steps` all
+read the same graph.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from random import Random
 from typing import Iterable
 
@@ -106,7 +111,12 @@ class ProcessConfig:
         self.start = start
         self.delta = delta
         self.count_terminal_step = count_terminal_step
-        self._states: dict[tuple[PointId, ...], _State] = {}
+        # state ids: the place of each member in its color class, as digits
+        # of a mixed-radix number whose last color varies fastest
+        classes = [point_set.color_class(i) for i in range(1, point_set.r + 1)]
+        self._index = {p: k for cls in classes for k, p in enumerate(cls)}
+        self._stride = [prod(map(len, classes[c + 1 :])) for c in range(len(classes))]
+        self._states: dict[int, _State] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -117,32 +127,45 @@ class ProcessConfig:
 
 @dataclass(slots=True, eq=False, repr=False)
 class _State:
-    """One transversal of the state graph: its members, axis-intersection
-    sum and phase.  ``below`` (the strictly-below points) stays ``None``
-    until :func:`_below` expands the state; ``succ[i]``, the color-swap
-    successor for ``below[i]``, stays ``None`` until :func:`_edge` first
-    takes that edge.  ``layer_rm1_below`` (every second-outermost-layer
-    point is below) stays ``None`` until :func:`good_phases` first needs
-    it."""
+    """One transversal of the state graph: its id, members, phase, and its
+    axis-intersection sum as the exact integer pair ``t_num / t_den`` with
+    ``t_den > 0``; ``<`` compares those sums exactly.  ``below`` (the
+    strictly-below points) stays ``None`` until :func:`_below` expands the
+    state; ``succ[i]``, the color-swap successor for ``below[i]``, stays
+    ``None`` until :func:`_edge` first takes that edge.  ``layer_rm1_below``
+    (every second-outermost-layer point is below) stays ``None`` until
+    :func:`good_phases` first needs it."""
 
+    sid: int
     members: tuple[PointId, ...]
-    t_sum: Fraction
+    t_num: int
+    t_den: int
     phase: int
     below: tuple[PointId, ...] | None = None
     succ: list[_State | None] | None = None
     layer_rm1_below: bool | None = None
 
+    def __lt__(self, other: _State) -> bool:
+        return self.t_num * other.t_den < other.t_num * self.t_den
+
+
+def _new_state(cfg: ProcessConfig, members: tuple[PointId, ...], sid: int) -> _State:
+    """Build and intern the state ``sid`` with these members."""
+    ps = cfg.point_set
+    position = Transversal(members)
+    # t_i = 1 / c_i, summed over the product of the numerators of the c_i
+    t_num, t_den = 0, 1
+    for c in geometry.hyperplane_coefficients(ps, position):
+        t_num, t_den = t_num * c.numerator + c.denominator * t_den, t_den * c.numerator
+    st = cfg._states[sid] = _State(sid, members, t_num, t_den, phase_of(ps, position))
+    return st
+
 
 def _state(cfg: ProcessConfig, members: tuple[PointId, ...]) -> _State:
-    st = cfg._states.get(members)
-    if st is None:
-        ps = cfg.point_set
-        position = Transversal(members)
-        st = _State(
-            members, sum(geometry.axis_intersections(ps, position)), phase_of(ps, position)
-        )
-        cfg._states[members] = st
-    return st
+    index = cfg._index
+    sid = sum([index[p] * s for p, s in zip(members, cfg._stride)])
+    st = cfg._states.get(sid)
+    return _new_state(cfg, members, sid) if st is None else st
 
 
 def _below(cfg: ProcessConfig, st: _State) -> tuple[PointId, ...]:
@@ -160,8 +183,16 @@ def _edge(cfg: ProcessConfig, st: _State, i: int) -> _State:
     built, to strictly lower the axis-intersection sum."""
     nxt = st.succ[i]
     if nxt is None:
-        nxt = _state(cfg, Transversal(st.members).replace(st.below[i]).members)
-        if nxt.t_sum >= st.t_sum:
+        p = st.below[i]
+        c = p.color - 1
+        index = cfg._index
+        sid = st.sid + (index[p] - index[st.members[c]]) * cfg._stride[c]
+        nxt = cfg._states.get(sid)
+        if nxt is None:
+            members = list(st.members)
+            members[c] = p
+            nxt = _new_state(cfg, tuple(members), sid)
+        if nxt.t_num * st.t_den >= st.t_num * nxt.t_den:
             raise InternalInvariantError(
                 f"pivot from {st.members} to {nxt.members} does not lower "
                 "the axis-intersection sum; monotonicity is broken"
@@ -330,30 +361,42 @@ def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
 # ---------------------------------------------------------------------------
 
 
+def _solve_order(st: _State) -> tuple[float, _State]:
+    """Sort key of increasing axis-intersection sum.  Int / int true
+    division is correctly rounded, hence monotone: distinct floats already
+    give the exact order, and only float ties fall through to the exact
+    cross-multiplied :meth:`_State.__lt__`."""
+    return st.t_num / st.t_den, st
+
+
 def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     """Exact expected step count from ``cfg.start``, per the config's
     counting convention.
 
-    Enumerates all transversals and orders them by increasing
-    axis-intersection sum: every edge lowers it (:func:`_edge` checks this),
-    so successors always come first.  :func:`chain.solve` then
-    back-substitutes over plain integers, each state reading its
-    successors' values and writing its own.
+    Enumerates all transversals, the k-th as state id k, and orders them by
+    increasing axis-intersection sum: every edge lowers it (:func:`_edge`
+    checks this), so successors always come first.  :func:`chain.solve`
+    then back-substitutes over plain integers, each state reading its
+    successors' ids and writing its own; the result is the one
+    ``Fraction`` built.
     """
     ps = cfg.point_set
     chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
+    known = cfg._states
     states = sorted(
-        (_state(cfg, s.members) for s in geometry.transversals(ps)),
-        key=lambda st: st.t_sum,
+        (
+            known.get(sid) or _new_state(cfg, s.members, sid)
+            for sid, s in enumerate(geometry.transversals(ps))
+        ),
+        key=_solve_order,
     )
-    ids = {st: k for k, st in enumerate(states)}
     weights, reads = [], []
     for st in states:
         n_below = len(_below(cfg, st))
         weights.append(n_below + chain.escape_weight(cfg.delta, n_below))
-        reads.append([ids[_edge(cfg, st, i)] for i in range(n_below)])
-    scaled, d = chain.solve(weights, reads, [(k,) for k in range(len(states))], len(states))
-    x = scaled[ids[_state(cfg, cfg.start.members)]]
+        reads.append([_edge(cfg, st, i).sid for i in range(n_below)])
+    scaled, d = chain.solve(weights, reads, [(st.sid,) for st in states], len(states))
+    x = scaled[states.index(_state(cfg, cfg.start.members))]
     return Fraction(x if cfg.count_terminal_step else x - d, d)
 
 

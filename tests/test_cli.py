@@ -170,6 +170,19 @@ def test_general_position_failure_is_one_error_line(argv):
     assert "lies on the hyperplane of" in err
 
 
+def test_general_position_error_prints_point_id_reprs():
+    code, _, err = run_cli(GENERAL_POSITION_FAILURES["process-expect"])
+    members = ", ".join(
+        f"PointId(color={i}, layer={j}, phase={k})"
+        for i, j, k in ((1, 1, 2), (2, 5, 2), (3, 5, 2), (4, 5, 2), (5, 5, 1))
+    )
+    assert (code, err) == (
+        1,
+        f"error: (r, m) = (5, 2): PointId(color=1, layer=5, phase=2) lies on the "
+        f"hyperplane of ({members})\n",
+    )
+
+
 def test_bench_bounds_names_the_size_that_left_general_position():
     code, out, err = run_cli(
         ["bench", "bounds", "--families", "main_theorem", "--r-list", "5", "--m-list", "2",

@@ -212,6 +212,35 @@ def test_gen_point_validates_ranges():
         PointId(2, 1, 1)
 
 
+def test_point_id_repr_and_error_text():
+    assert repr(PointId(1, 5, 2)) == "PointId(color=1, layer=5, phase=2)"
+    for bad in ((0, 1, 1), (2, 1, 1), (1, 1, 0)):
+        want = "invalid point id PointId(color={}, layer={}, phase={})".format(*bad)
+        with pytest.raises(ValueError, match=re.escape(want) + "$"):
+            PointId(*bad)
+
+
+def test_point_ids_sort_by_color_then_layer_then_phase():
+    ids = [PointId(2, 2, 1), PointId(1, 2, 1), PointId(1, 1, 3), PointId(1, 2, 1)]
+    assert sorted(ids) == [PointId(1, 1, 3), PointId(1, 2, 1), PointId(1, 2, 1), PointId(2, 2, 1)]
+
+
+def test_point_id_equals_the_plain_tuple_of_its_fields():
+    pid = PointId(1, 3, 2)
+    assert pid == (1, 3, 2) and hash(pid) == hash((1, 3, 2))
+    assert pid.as_tuple() == (1, 3, 2) and type(pid.as_tuple()) is tuple
+
+
+def test_side_of_reads_a_plain_tuple_as_coordinates():
+    # (1, 3, 2) names the point at (2, 0, 0) but, as a plain tuple, is the
+    # coordinate vector (1, 3, 2): the two lie on opposite sides
+    ps = gen_point_set(3, 4)
+    S = make_transversal(ps, [PointId(i, 3, 3) for i in (1, 2, 3)])
+    assert ps.coords(PointId(1, 3, 2)) == (2, 0, 0)
+    assert side_of(ps, S, PointId(1, 3, 2)) is Side.BELOW
+    assert side_of(ps, S, (1, 3, 2)) is Side.ABOVE
+
+
 @settings(max_examples=120)
 @given(st.data())
 def test_sign_structure(data):

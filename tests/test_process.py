@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ from pivotlab import chain, process
 from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
 from pivotlab.geometry import (
     PointId,
+    Transversal,
     axis_intersections,
     below_set,
     flip_tail_sign,
@@ -402,19 +404,20 @@ def test_exact_values_are_pinned(name):
 
 
 def fraction_expected_steps(cfg):
-    """Reference solver: ``Fraction`` back-substitution over every
-    transversal in increasing order of the axis-intersection sum."""
+    """Reference solver on ``geometry`` alone: ``Fraction`` back-substitution
+    over every transversal in increasing order of the ``Fraction`` sum of
+    its axis intersections, each reading the values of its color swaps
+    with the points below it."""
     ps = cfg.point_set
-    states = [process._state(cfg, s.members) for s in transversals(ps)]
     expected = {}
-    for st in sorted(states, key=lambda st: st.t_sum):
-        n_below = len(process._below(cfg, st))
-        expected[st] = expected_steps(
-            sum((expected[process._edge(cfg, st, i)] for i in range(n_below)), Fraction(0)),
-            n_below,
-            chain.escape_weight(cfg.delta, n_below),
+    for s in sorted(transversals(ps), key=lambda s: sum(axis_intersections(ps, s))):
+        below = below_set(ps, s)
+        expected[s.members] = expected_steps(
+            sum((expected[s.replace(p).members] for p in below), Fraction(0)),
+            len(below),
+            chain.escape_weight(cfg.delta, len(below)),
         )
-    result = expected[process._state(cfg, cfg.start.members)]
+    result = expected[cfg.start.members]
     return result if cfg.count_terminal_step else result - 1
 
 
@@ -429,6 +432,36 @@ def test_exact_matches_fraction_oracle(r, m, delta):
         ProcessConfig(augmented, delta=delta, count_terminal_step=False),
     ):
         assert exact_expected_steps(cfg) == fraction_expected_steps(cfg)
+
+
+def test_solve_order_is_exact_on_a_float_tie():
+    # all three sums round to the float 1.0 but differ exactly
+    e = 10**17
+    a = process._State(0, (), e + 1, e, 1)
+    b = process._State(1, (), e + 2, e, 1)
+    c = process._State(2, (), 2 * (e + 3), 2 * e, 1)
+    assert len({process._solve_order(st)[0] for st in (a, b, c)}) == 1
+    for states in permutations((a, b, c)):
+        assert sorted(states, key=process._solve_order) == [a, b, c]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    m=st.integers(1, 4),
+    alphas=st.none() | st.lists(st.integers(0, 3), min_size=3, max_size=3),
+)
+def test_solve_order_follows_the_exact_axis_sum(r, m, alphas):
+    ps = gen_point_set(r, m)
+    if alphas is not None:
+        ps = ps.augmented([m + 1 + a for a in alphas[:r]])
+    cfg = ProcessConfig(ps)
+    exact_expected_steps(cfg)
+    states = sorted(cfg._states.values(), key=process._solve_order)
+    assert len(states) == ps.transversal_count()
+    sums = [sum(axis_intersections(ps, Transversal(st.members))) for st in states]
+    assert all(Fraction(st.t_num, st.t_den) == t for st, t in zip(states, sums))
+    assert sums == sorted(sums)
 
 
 def test_exact_r2_m2_matches_hand_back_substitution():
