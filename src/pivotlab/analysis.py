@@ -409,15 +409,18 @@ def _check_monotone(ps: PointSet, tag: str) -> LemmaCheck:
     bad = None
     cases = 0
     for S in geometry.transversals(ps):
-        ts = geometry.axis_intersections(ps, S)
+        n, d = ps.normal(S.members)
         for p in geometry.below_set(ps, S):
             cases += 1
             after = geometry.pivot_color_swap(ps, S, p)
-            ts_after = geometry.axis_intersections(ps, after)
-            if not all(b <= a for a, b in zip(ts, ts_after)):
+            n2, d2 = ps.normal(after.members)
+            # t_i = d / n_i with d and every n_i positive, so the pivot
+            # lowers t_i when diff_i > 0 and raises it when diff_i < 0
+            diffs = [d * b - d2 * a for a, b in zip(n, n2)]
+            if any(x < 0 for x in diffs):
                 bad = f"axis value increased pivoting {p} at {S.members}"
                 break
-            if not any(b < a for a, b in zip(ts, ts_after)):
+            if not any(diffs):
                 bad = f"no strict decrease pivoting {p} at {S.members}"
                 break
         if bad:

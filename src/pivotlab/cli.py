@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -359,7 +360,11 @@ def _add_common(p: argparse.ArgumentParser, *, trials: int | None = None) -> Non
         p.add_argument("--trials", type=int, default=trials)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pivotlab`` parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged, and no action has a mutable
+    default."""
     parser = argparse.ArgumentParser(
         prog="pivotlab",
         description="Grid-walk and pivoting-process lower-bound laboratory",
@@ -459,9 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.  The parser is built
+    by the first call and reused by every later one in the process."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

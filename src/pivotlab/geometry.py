@@ -13,10 +13,11 @@ Every predicate here is decided exactly, in Python ints: coordinates reach
 ``m**(2r-1)`` and determinants multiply ``r`` of them, so nothing is ever
 narrowed to a fixed width.  Every linear solve (the spanning hyperplane,
 the ratio-test pivot, the Caratheodory test and the rank check) runs on one
-fraction-free elimination, :func:`_eliminate`, and the side test and the
-pivot are integer sign tests on its result; ``Fraction`` appears only in
-the values handed back (hyperplane coefficients, axis intersections,
-solutions).  Floats never participate in a geometric decision.
+fraction-free elimination, :func:`_eliminate`, and the side test, the
+pivot and the Caratheodory test are integer sign tests on its result;
+``Fraction`` appears only in the values handed back (hyperplane
+coefficients, axis intersections, solutions).  Floats never participate in
+a geometric decision.
 """
 
 from __future__ import annotations
@@ -470,7 +471,11 @@ def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:
     whether the origin lies in the hull of the projections.  By Caratheodory
     it suffices to find one affinely independent subset of at most ``r``
     projected points whose barycentric coordinates for the origin are all
-    nonnegative; each candidate is one exact linear solve.
+    nonnegative.  Each candidate is one fraction-free elimination
+    (:func:`_eliminate`) of its integer system ``[P | 0], [1 ... 1 | 1]``:
+    it has a unique solution when the pivots are exactly its ``size``
+    columns, and then the solution is ``a[i][size] / d``, whose signs are
+    those of ``a[i][size] * d``.
     """
     pts = list(points)
     if not pts:
@@ -480,11 +485,13 @@ def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:
     if r == 1:
         return True  # the whole line is the requirement line
     proj = [tuple(x[t] - x[t + 1] for t in range(r - 1)) for x in pts]
-    rhs = (0,) * (r - 1) + (1,)
     for size in range(1, min(len(proj), r) + 1):
+        columns = list(range(size))
         for subset in combinations(proj, size):
-            status, lam = solve_exact([*zip(*subset), (1,) * size], rhs)
-            if status == "unique" and all(l >= 0 for l in lam):  # type: ignore[union-attr]
+            d, pivots, a = _eliminate(
+                [*([*col, 0] for col in zip(*subset)), [1] * (size + 1)]
+            )
+            if pivots == columns and all(row[size] * d >= 0 for row in a[:size]):
                 return True
     return False
 
@@ -588,7 +595,8 @@ def pivot_generic(
     over one common denominator, ``lambda``, the weights of the point where
     the diagonal crosses ``S``, and ``mu``, the weights of the point of
     ``aff(S)`` on the diagonal through ``p``.  Signs are read off
-    the numerators and ratios compared exactly.  Sliding the crossing
+    the numerators, and ratios are compared by cross-multiplying them, so
+    the test builds no ``Fraction``.  Sliding the crossing
     down the diagonal toward ``p`` moves the weights along ``-mu``, so the
     member with the least ``lambda_j / mu_j`` over ``mu_j > 0`` (some
     ``mu_j`` is, as they sum to one) reaches zero first and leaves.
@@ -613,10 +621,21 @@ def pivot_generic(
     # lambda_j / mu_j == lam[j] / mu[j]
     if any(x <= 0 for x in lam[:r]):
         raise DegeneracyError(f"the diagonal misses the interior of {simplex.members}")
-    ratios = sorted((Fraction(lam[j], mu[j]), j) for j in range(r) if mu[j] > 0)
-    if len(ratios) > 1 and ratios[0][0] == ratios[1][0]:
+    # the least lam[j] / mu[j] over mu[j] > 0, compared by cross-multiplying
+    best, tied = None, False
+    for j in range(r):
+        if mu[j] > 0:
+            if best is None:
+                best = j
+                continue
+            diff = lam[j] * mu[best] - lam[best] * mu[j]
+            if diff < 0:
+                best, tied = j, False
+            elif diff == 0:
+                tied = True
+    if tied:
         raise DegeneracyError(f"pivot of {simplex.members} with {p}: tied ratio test")
-    leaving = simplex.members[ratios[0][1]]
+    leaving = simplex.members[best]
     if leaving.color != p.color:
         raise DegeneracyError(
             f"pivot of {simplex.members} with {p}: the exit facet drops {leaving} "

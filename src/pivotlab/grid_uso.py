@@ -578,35 +578,49 @@ def unique_sink_violations(
     ``out_fn(v)`` must list only grid neighbours of ``v`` (vertices of the
     grid that differ from ``v`` in exactly one coordinate); any other target
     raises ``ValueError``.  Each vertex's arcs are read once, as one bitmask
-    per axis.  The subgrids are then swept one axis at a time, carrying the
-    vertices that lie in the subgrid on the axes fixed so far and have no
-    arc into it along them; after the last axis these are its sinks.
+    per axis, and the vertices are numbered in ``spec.vertices()`` order.
+    For each axis ``d`` and value subset, one int bitset holds the vertices
+    whose coordinate ``d`` lies in the subset and that have no arc along
+    ``d`` into it.  The subgrids are then swept one axis at a time, and the
+    bitset of vertices in the subgrid on the axes fixed so far with no arc
+    into it along them is the ``&`` of those sets; after the last axis it
+    holds the subgrid's sinks, and a subgrid is good when it has one bit.
     """
     choices = _subgrid_choices(spec)
     last = spec.dimension - 1
-    # (position bit, out-mask) per axis, for every vertex
-    entries = [
-        ([1 << (c - 1) for c in v], _out_masks(spec, v, out_fn(v)))
-        for v in spec.vertices()
+    # groups[d][(position bit, out-mask)]: bitset of the vertices with that
+    # coordinate and those arcs along axis d
+    groups: list[dict[tuple[int, int], int]] = [{} for _ in range(spec.dimension)]
+    for i, v in enumerate(spec.vertices()):
+        for group, c, out in zip(groups, v, _out_masks(spec, v, out_fn(v))):
+            key = (1 << (c - 1), out)
+            group[key] = group.get(key, 0) | 1 << i
+    # keep[d][i] for the value subset with bitmask i + 1 (choices[d][i]); the
+    # groups of one axis are disjoint, so their sum is their union
+    keep = [
+        [
+            sum(vs for (pos, out), vs in group.items() if pos & mask and not out & mask)
+            for mask in range(1, len(subsets) + 1)
+        ]
+        for group, subsets in zip(groups, choices)
     ]
     bad: list[tuple[tuple[int, ...], ...]] = []
 
-    def sweep(d: int, prefix: tuple, alive: list) -> bool:
+    def sweep(d: int, prefix: tuple, alive: int) -> bool:
         """Sweep axis ``d``; True once ``max_report`` violations are found."""
-        # choices[d][i] is the value subset with bitmask i + 1
-        for mask, values in enumerate(choices[d], 1):
-            kept = [e for e in alive if e[0][d] & mask and not e[1][d] & mask]
+        for values, kept in zip(choices[d], keep[d]):
+            kept &= alive
             if d < last:
                 if sweep(d + 1, prefix + (values,), kept):
                     return True
-            elif len(kept) != 1:
+            elif not kept or kept & (kept - 1):
                 bad.append(prefix + (values,))
                 if len(bad) >= max_report:
                     return True
         return False
 
     if last >= 0:
-        sweep(0, (), entries)
+        sweep(0, (), (1 << spec.vertex_count) - 1)
     return bad
 
 

@@ -260,6 +260,28 @@ def test_tail_sign_mutation_is_detected():
     assert any(c.counterexample for c in report.checks if not c.passed)
 
 
+@pytest.mark.parametrize(
+    "r, m, pid, index, cases, counterexample",
+    [
+        (
+            3, 2, PointId(1, 1, 1), 2, 37,
+            "axis value increased pivoting PointId(color=3, layer=3, phase=1) at "
+            "(PointId(color=1, layer=1, phase=1), PointId(color=2, layer=3, phase=1), "
+            "PointId(color=3, layer=3, phase=2))",
+        ),
+        (
+            2, 4, PointId(1, 1, 1), 1, 0,
+            "raised: hyperplane of (PointId(color=1, layer=1, phase=1), "
+            "PointId(color=2, layer=2, phase=1)) meets an axis on the negative side",
+        ),
+    ],
+)
+def test_monotone_check_reports_the_first_tail_sign_fault(r, m, pid, index, cases, counterexample):
+    mutated = flip_tail_sign(gen_point_set(r, m), pid, index)
+    (check,) = [c for c in verify_lemmas(r, m, point_set=mutated).checks if c.lemma == "monotone"]
+    assert (check.passed, check.cases, check.counterexample) == (False, cases, counterexample)
+
+
 # ---------------------------------------------------------------------------
 # phase laws (small smoke; the full 1e5-trace runs live in the acceptance suite)
 # ---------------------------------------------------------------------------

@@ -225,6 +225,53 @@ def test_help_exits_zero():
     assert code == 0
 
 
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_dispatch_reuses_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_deep_does_not_carry_over_to_the_next_call():
+    base = ["verify", "lemmas", "--r", "2", "--m", "3"]
+    code, out, _ = run_cli([*base, "--deep", "3"])
+    assert code == 0
+    assert any("@deep" in c["lemma"] for c in json.loads(out)["checks"])
+    code, out, _ = run_cli(base)
+    assert code == 0
+    assert not any("@deep" in c["lemma"] for c in json.loads(out)["checks"])
+
+
+@pytest.mark.parametrize(
+    "first, first_code",
+    [(["uso", "expect", "--r", "2"], 1), (["--help"], 0), (["uso", "verify", "--help"], 0)],
+)
+def test_usage_error_or_help_leaves_the_parser_usable(first, first_code):
+    argv = ["uso", "verify", "--r", "2", "--m", "4", "--seed", "11"]
+    cli.build_parser.cache_clear()
+    fresh = run_cli(argv)
+    assert run_cli(first)[0] == first_code
+    assert run_cli(argv) == fresh
+    assert fresh[0] == 0
+
+
+def test_handlers_look_up_the_library_at_call_time(monkeypatch):
+    run_cli(["uso", "verify", "--r", "1", "--m", "2", "--seed", "1"])
+    calls = []
+    failing = LemmaReport(2, 3, [LemmaCheck("colors", False, 1, "patched")])
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        return failing
+
+    monkeypatch.setattr(analysis, "verify_lemmas", patched)
+    code, out, _ = run_cli(["verify", "lemmas", "--r", "2", "--m", "3"])
+    assert (code, len(calls)) == (2, 1)
+    assert json.loads(out)["checks"][0]["counterexample"] == "patched"
+
+
 def test_exact_mode_cap_suggests_monte_carlo(monkeypatch):
     monkeypatch.setenv("PIVOTLAB_STATE_CAP", "4")
     code, _, err = run_cli(["process", "expect", "--r", "2", "--m", "3"])

@@ -330,15 +330,36 @@ def test_pierced_iff_full_colors_on_larger_subsets(data):
     assert pierced == full
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_is_pierced_subset_matches_rational_body(data):
-    r = data.draw(st.integers(1, 4))
-    bound = data.draw(st.sampled_from([2, 10**20]))
-    points = data.draw(
-        st.lists(st.tuples(*[st.integers(-bound, bound)] * r), max_size=5)
-    )
-    assert is_pierced_subset(points, r) == rref_is_pierced_subset(points, r)
+def negative_d_candidates(points, r: int) -> int:
+    """How many Caratheodory candidates of ``points`` have a unique
+    barycentric solution whose elimination ends with ``d < 0``, so that
+    :func:`is_pierced_subset` reads each weight's sign through ``d``."""
+    proj = [tuple(x[t] - x[t + 1] for t in range(r - 1)) for x in points]
+    count = 0
+    for size in range(1, min(len(proj), r) + 1):
+        for subset in combinations(proj, size):
+            d, pivots, _ = _eliminate([*([*col, 0] for col in zip(*subset)), [1] * (size + 1)])
+            count += pivots == list(range(size)) and d < 0
+    return count
+
+
+def test_is_pierced_subset_matches_rational_body():
+    negative = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        r = data.draw(st.integers(1, 4))
+        bound = data.draw(st.sampled_from([2, 10**20]))
+        points = data.draw(
+            st.lists(st.tuples(*[st.integers(-bound, bound)] * r), max_size=5)
+        )
+        assert is_pierced_subset(points, r) == rref_is_pierced_subset(points, r)
+        if r > 1 and negative_d_candidates(points, r):
+            negative.append(points)
+
+    check()
+    assert negative, "no draw ended an elimination with d < 0"
 
 
 def test_pierced_rejects_wrong_arity():
@@ -703,6 +724,39 @@ def facet_search_pivot(ps: PointSet, simplex: Transversal, p: PointId) -> Transv
     return Transversal(tuple(sorted(facet)))
 
 
+def fraction_ratio_pivot(ps: PointSet, simplex: Transversal, p: PointId) -> Transversal:
+    """Reference for :func:`pivot_generic` with ``p`` strictly below the
+    simplex: the same elimination, with the ratio test sorting the
+    ``Fraction`` ratios ``lambda_j / mu_j``."""
+    r = ps.r
+    q = [ps.coords(x) for x in simplex.members]
+    rows = [[*(x[t] for x in q), -1, 0, y] for t, y in enumerate(ps.coords(p))]
+    rows.append([1] * r + [0, 1, 1])
+    d, _, a = _eliminate(rows)
+    lam, mu = [row[r + 1] for row in a], [row[r + 2] for row in a]
+    if d < 0:
+        lam, mu = [-x for x in lam], [-x for x in mu]
+    if any(x <= 0 for x in lam[:r]):
+        raise DegeneracyError(f"the diagonal misses the interior of {simplex.members}")
+    ratios = sorted((Fraction(lam[j], mu[j]), j) for j in range(r) if mu[j] > 0)
+    if len(ratios) > 1 and ratios[0][0] == ratios[1][0]:
+        raise DegeneracyError(f"pivot of {simplex.members} with {p}: tied ratio test")
+    leaving = simplex.members[ratios[0][1]]
+    if leaving.color != p.color:
+        raise DegeneracyError(
+            f"pivot of {simplex.members} with {p}: the exit facet drops {leaving} "
+            "and lacks a color"
+        )
+    return simplex.replace(p)
+
+
+def pivot_outcome(pivot, ps, simplex, p):
+    try:
+        return pivot(ps, simplex, p)
+    except DegeneracyError as exc:
+        return ("raises", str(exc))
+
+
 def test_pivot_color_swap_examples():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
@@ -797,6 +851,48 @@ def test_pivot_generic_matches_facet_search_oracle():
 
     check()
     assert returned, "no draw reached a well-defined pivot"
+
+
+def test_pivot_generic_matches_fraction_ratio_test():
+    """On every simplex with a valid hyperplane and every point below it,
+    the cross-multiplied ratio test returns what the ``Fraction`` sort
+    returned, or raises the same message."""
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_colored_sets())
+    def check(ps):
+        for S in transversals(ps):
+            try:
+                hyperplane_coefficients(ps, S)
+            except DegeneracyError:
+                continue
+            for p in ps.ids():
+                if p in S.members or side_of(ps, S, p) is not Side.BELOW:
+                    continue
+                want = pivot_outcome(fraction_ratio_pivot, ps, S, p)
+                assert pivot_outcome(pivot_generic, ps, S, p) == want
+                outcomes.add(want[0] if isinstance(want, tuple) else "pivot")
+
+    check()
+    assert "pivot" in outcomes and "raises" in outcomes, outcomes
+
+
+def test_pivot_generic_tied_ratio_raises():
+    # p sits on the diagonal below the simplex, so the point of aff(S) on the
+    # diagonal through p is where the diagonal crosses S: lambda == mu and
+    # both members tie at ratio 1
+    ps = PointSet(2, 3, {
+        PointId(1, 2, 1): (2, 0),
+        PointId(1, 2, 2): (0, 0),
+        PointId(2, 2, 1): (0, 2),
+    })
+    S = make_transversal(ps, [PointId(1, 2, 1), PointId(2, 2, 1)])
+    p = PointId(1, 2, 2)
+    assert side_of(ps, S, p) is Side.BELOW
+    for pivot in (pivot_generic, fraction_ratio_pivot):
+        with pytest.raises(DegeneracyError, match="tied ratio test"):
+            pivot(ps, S, p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from pivotlab.grid_uso import (
     TERMINAL,
     WalkOutcome,
     _identity_for,
+    _out_masks,
+    _subgrid_choices,
     _uniform_vertex,
     LEAF,
     AugmentedConfig,
@@ -729,6 +731,67 @@ def test_unique_sink_violations_matches_scalar_oracle(r, m, seed, fault, max_rep
     assert unique_sink_violations(spec, out_fn, max_report) == (
         scalar_unique_sink_violations(spec, out_fn, max_report)
     )
+
+
+def list_unique_sink_violations(spec, out_fn, max_report=5):
+    """Oracle: the per-axis sweep that carries the surviving vertices as a
+    list of ``(position bits, out-masks)`` entries."""
+    choices = _subgrid_choices(spec)
+    last = spec.dimension - 1
+    entries = [
+        ([1 << (c - 1) for c in v], _out_masks(spec, v, out_fn(v)))
+        for v in spec.vertices()
+    ]
+    bad = []
+
+    def sweep(d, prefix, alive):
+        for mask, values in enumerate(choices[d], 1):
+            kept = [e for e in alive if e[0][d] & mask and not e[1][d] & mask]
+            if d < last:
+                if sweep(d + 1, prefix + (values,), kept):
+                    return True
+            elif len(kept) != 1:
+                bad.append(prefix + (values,))
+                if len(bad) >= max_report:
+                    return True
+        return False
+
+    if last >= 0:
+        sweep(0, (), entries)
+    return bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(0, 3),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 10**6),
+    fault=st.sampled_from(["none", "flip", "reverse"]),
+    max_report=st.sampled_from([1, 5, 10**6]),
+    data=st.data(),
+)
+def test_unique_sink_violations_matches_list_sweep(r, m, seed, fault, max_report, data):
+    comb = build_comb(r, m, Random(seed))
+    spec, out_fn = grid_spec(comb), grid_out_function(comb)
+    if fault == "flip" and r >= 1 and m >= 2:
+        pairs = list(combinations(range(1, m + 1), 2))
+        out_fn = flip_top_pair_out(comb, *data.draw(st.sampled_from(pairs), label="pair"))
+    arcs = [(v, w) for v in spec.vertices() for w in out_fn(v)]
+    if fault == "reverse" and arcs:
+        out_fn = reverse_arc(out_fn, *data.draw(st.sampled_from(arcs), label="arc"))
+    assert unique_sink_violations(spec, out_fn, max_report) == (
+        list_unique_sink_violations(spec, out_fn, max_report)
+    )
+
+
+def test_a_subgrid_with_two_sinks_is_a_violation():
+    # every arc of the 2x2 grid points into (1, 1) or (2, 2): each edge has
+    # one sink, the whole grid two
+    arcs = {(1, 2): ((1, 1), (2, 2)), (2, 1): ((1, 1), (2, 2)), (1, 1): (), (2, 2): ()}
+    spec = GridSpec((2, 2))
+    want = [((1, 2), (1, 2))]
+    assert scalar_unique_sink_violations(spec, arcs.get) == want
+    assert unique_sink_violations(spec, arcs.get) == want
 
 
 @pytest.mark.parametrize("r, m", [(1, 4), (2, 4), (3, 3)])
