@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import geometry, grid_uso, process
 from .errors import DegeneracyError, GeneralPositionError
-from .geometry import PointSet, Side
+from .geometry import PointId, PointSet, Side, Transversal
 from .process import ProcessConfig
 from .seeding import derive_rng
 
@@ -340,9 +340,29 @@ class LemmaReport:
         return asdict(self) | {"all_passed": self.all_passed}
 
 
-def _check_colors_and_pierced(ps: PointSet, tag: str) -> list[LemmaCheck]:
+#: the faults of a broken point set, which the suite reports, never raises
+_FAULTS = (DegeneracyError, GeneralPositionError, ValueError)
+
+
+def _lemma(name: str, cases: Iterable[str | None]) -> LemmaCheck:
+    """Run a check whose ``cases`` yield ``None`` per case that holds, or a
+    counterexample: the count stops at the first counterexample, inclusive,
+    and a check that raises is recorded as failed with 0 cases."""
+    count = 0
+    try:
+        for count, bad in enumerate(cases, 1):
+            if bad is not None:
+                return LemmaCheck(name, False, count, bad)
+    except _FAULTS as exc:
+        return LemmaCheck(name, False, 0, f"raised: {exc}")
+    return LemmaCheck(name, True, count)
+
+
+def _colors_and_pierced(ps: PointSet, tag: str) -> list[LemmaCheck]:
     """Subsets of size <= r: pierced iff one point of every color; and every
-    transversal meets every axis at a strictly positive value."""
+    transversal meets every axis at a strictly positive value.  Both count
+    every case and keep the first counterexample; neither can raise on a
+    ``PointSet``, whose points all have ``r`` coordinates."""
     r = ps.r
     ids = ps.ids()
     colors_bad = pierced_bad = None
@@ -358,148 +378,114 @@ def _check_colors_and_pierced(ps: PointSet, tag: str) -> list[LemmaCheck]:
                 colors_bad = f"pierced subset missing a color: {subset}"
             if full_color and not pierced and pierced_bad is None:
                 pierced_bad = f"full-color subset not pierced: {subset}"
-    axis_cases = 0
     for S in geometry.transversals(ps):
-        axis_cases += 1
         try:
-            # raises unless every axis intersection is positive
-            geometry.axis_intersections(ps, S)
+            ps.normal(S.members)
         except DegeneracyError as exc:
             if pierced_bad is None:
                 pierced_bad = f"axis intersections failed on {S.members}: {exc}"
     return [
         LemmaCheck(f"colors{tag}", colors_bad is None, cases, colors_bad),
         LemmaCheck(
-            f"pierced{tag}", pierced_bad is None, cases + axis_cases, pierced_bad
+            f"pierced{tag}",
+            pierced_bad is None,
+            cases + ps.transversal_count(),
+            pierced_bad,
         ),
     ]
 
 
-def _check_non_degenerate(ps: PointSet, tag: str) -> LemmaCheck:
+def _non_degenerate(ps: PointSet) -> Iterator[str | None]:
+    """Per transversal: affinely independent, no pierced proper subset, and
+    a spanning hyperplane with positive coefficients."""
     r = ps.r
-    bad = None
-    cases = 0
     for S in geometry.transversals(ps):
-        cases += 1
         coords = [ps.coords(p) for p in S.members]
-        if geometry.matrix_rank([list(x) + [1] for x in coords]) != r:
-            bad = f"affinely dependent transversal {S.members}"
-            break
-        proper_pierced = None
-        for size in range(1, r):
-            for sub in combinations(coords, size):
-                if geometry.is_pierced_subset(sub, r):
-                    proper_pierced = sub
-                    break
-            if proper_pierced:
-                break
-        if proper_pierced:
-            bad = f"pierced proper subset {proper_pierced} of {S.members}"
-            break
-        try:
-            # raises unless every coefficient is positive
-            geometry.hyperplane_coefficients(ps, S)
-        except DegeneracyError as exc:
-            bad = f"degenerate hyperplane on {S.members}: {exc}"
-            break
-    return LemmaCheck(f"non_degenerate{tag}", bad is None, cases, bad)
+        proper = (sub for size in range(1, r) for sub in combinations(coords, size))
+        if geometry.matrix_rank([[*x, 1] for x in coords]) != r:
+            yield f"affinely dependent transversal {S.members}"
+        elif sub := next((s for s in proper if geometry.is_pierced_subset(s, r)), None):
+            yield f"pierced proper subset {sub} of {S.members}"
+        else:
+            try:
+                ps.normal(S.members)
+            except DegeneracyError as exc:
+                yield f"degenerate hyperplane on {S.members}: {exc}"
+            else:
+                yield None
 
 
-def _check_monotone(ps: PointSet, tag: str) -> LemmaCheck:
-    bad = None
-    cases = 0
+def _monotone(ps: PointSet) -> Iterator[str | None]:
+    """Per transversal and point below it: the color-swap pivot raises no
+    axis value and lowers at least one."""
     for S in geometry.transversals(ps):
         n, d = ps.normal(S.members)
         for p in geometry.below_set(ps, S):
-            cases += 1
-            after = geometry.pivot_color_swap(ps, S, p)
-            n2, d2 = ps.normal(after.members)
+            n2, d2 = ps.normal(S.replace(p).members)
             # t_i = d / n_i with d and every n_i positive, so the pivot
             # lowers t_i when diff_i > 0 and raises it when diff_i < 0
             diffs = [d * b - d2 * a for a, b in zip(n, n2)]
             if any(x < 0 for x in diffs):
-                bad = f"axis value increased pivoting {p} at {S.members}"
-                break
-            if not any(diffs):
-                bad = f"no strict decrease pivoting {p} at {S.members}"
-                break
-        if bad:
-            break
-    return LemmaCheck(f"monotone{tag}", bad is None, cases, bad)
+                yield f"axis value increased pivoting {p} at {S.members}"
+            elif not any(diffs):
+                yield f"no strict decrease pivoting {p} at {S.members}"
+            else:
+                yield None
 
 
-def _check_layer_trichotomy(ps: PointSet, tag: str) -> LemmaCheck:
+def _layer_trichotomy(ps: PointSet) -> Iterator[str | None]:
     """Per transversal: colors with ``t_i <= t_r`` keep their second-layer
     points strictly above; colors with ``t_i >= t_r + 1`` keep them strictly
     below; the minimizing color keeps everything off the outermost layer
-    strictly above and contributes its own axis point as a member."""
+    strictly above and contributes its own axis point as a member.
+
+    With ``t_i = d / n_i`` and ``d``, ``n_i`` positive, ``t_i <= t_r`` is
+    ``n_r <= n_i``, ``t_i >= t_r + 1`` is ``d (n_r - n_i) >= n_i n_r``, and
+    the least ``t_i`` is at the first largest ``n_i``."""
     r = ps.r
     if r < 2 or ps.m < 2:
-        return LemmaCheck(f"layer_r_minus_1{tag}", True, 0, None)
-    bad = None
-    cases = 0
+        return
+    colors = range(1, r + 1)
+    second = {i: [p for p in ps.color_class(i) if p.layer == r - 1] for i in colors}
+    inner = {i: [p for p in ps.color_class(i) if p.layer < r] for i in colors}
+
+    def all_on(S: Transversal, points: list[PointId], side: Side) -> bool:
+        return all(geometry.side_of(ps, S, p) is side for p in points if p not in S.members)
+
     for S in geometry.transversals(ps):
-        ts = geometry.axis_intersections(ps, S)
-        t_last = ts[-1]
-        members = set(S.members)
-        for i in range(1, r + 1):
-            band = [
-                p
-                for p in ps.ids()
-                if p.color == i and p.layer == r - 1 and p not in members
-            ]
-            if ts[i - 1] <= t_last:
-                cases += 1
-                if any(geometry.side_of(ps, S, p) is not Side.ABOVE for p in band):
-                    bad = f"(a) fails for color {i} at {S.members}"
-                    break
-            if ts[i - 1] >= t_last + 1:
-                cases += 1
-                if any(geometry.side_of(ps, S, p) is not Side.BELOW for p in band):
-                    bad = f"(b) fails for color {i} at {S.members}"
-                    break
-        if bad:
-            break
-        i_min = min(range(1, r + 1), key=lambda i: ts[i - 1])
-        cases += 1
-        inner = [
-            p
-            for p in ps.ids()
-            if p.color == i_min and p.layer < r and p not in members
-        ]
-        if any(geometry.side_of(ps, S, p) is not Side.ABOVE for p in inner):
-            bad = f"(c) fails: inner point of color {i_min} not above {S.members}"
-            break
+        n, d = ps.normal(S.members)
+        n_r = n[-1]
+        for i in colors:
+            n_i = n[i - 1]
+            if n_r <= n_i:
+                yield None if all_on(S, second[i], Side.ABOVE) else (
+                    f"(a) fails for color {i} at {S.members}"
+                )
+            if d * (n_r - n_i) >= n_i * n_r:
+                yield None if all_on(S, second[i], Side.BELOW) else (
+                    f"(b) fails for color {i} at {S.members}"
+                )
+        i_min = max(colors, key=lambda i: n[i - 1])
         member = S.member(i_min)
-        if member.layer != r:
-            bad = f"(c) fails: minimizing member {member} off the outer layer"
-            break
-        if ps.coords(member) != tuple(
-            ts[i_min - 1] if t == i_min else 0 for t in range(1, r + 1)
-        ):
-            bad = f"(c) fails: member {member} is not the axis point at t_min"
-            break
-    return LemmaCheck(f"layer_r_minus_1{tag}", bad is None, cases, bad)
-
-
-def _guarded(name: str, fn: Callable[[], LemmaCheck | list[LemmaCheck]]) -> list[LemmaCheck]:
-    """Failures are report content: a check that raises on a broken set is
-    recorded as a failed check, never propagated."""
-    try:
-        result = fn()
-        return result if isinstance(result, list) else [result]
-    except (DegeneracyError, GeneralPositionError, ValueError) as exc:
-        return [LemmaCheck(name, False, 0, f"raised: {exc}")]
+        if not all_on(S, inner[i_min], Side.ABOVE):
+            yield f"(c) fails: inner point of color {i_min} not above {S.members}"
+        elif member.layer != r:
+            yield f"(c) fails: minimizing member {member} off the outer layer"
+        elif [x * n[i_min - 1] for x in ps.coords(member)] != [
+            d if t == i_min else 0 for t in colors
+        ]:
+            yield f"(c) fails: member {member} is not the axis point at t_min"
+        else:
+            yield None
 
 
 def _geometry_checks(ps: PointSet, tag: str = "") -> list[LemmaCheck]:
-    checks = _guarded(f"colors{tag}", lambda: _check_colors_and_pierced(ps, tag))
-    checks += _guarded(f"non_degenerate{tag}", lambda: _check_non_degenerate(ps, tag))
-    checks += _guarded(f"monotone{tag}", lambda: _check_monotone(ps, tag))
-    checks += _guarded(
-        f"layer_r_minus_1{tag}", lambda: _check_layer_trichotomy(ps, tag)
-    )
-    return checks
+    return [
+        *_colors_and_pierced(ps, tag),
+        _lemma(f"non_degenerate{tag}", _non_degenerate(ps)),
+        _lemma(f"monotone{tag}", _monotone(ps)),
+        _lemma(f"layer_r_minus_1{tag}", _layer_trichotomy(ps)),
+    ]
 
 
 def verify_lemmas(
@@ -515,17 +501,12 @@ def verify_lemmas(
     """
     ps = point_set if point_set is not None else geometry.gen_point_set(r, m)
     checks = _geometry_checks(ps)
-
-    def check_agreement() -> LemmaCheck:
+    try:
         violations, cases = pivot_agreement_violations(ps)
-        return LemmaCheck(
-            "pivot_agreement",
-            not violations,
-            cases,
-            violations[0] if violations else None,
-        )
-
-    checks += _guarded("pivot_agreement", check_agreement)
+    except _FAULTS as exc:
+        violations, cases = [f"raised: {exc}"], 0
+    first = violations[0] if violations else None
+    checks.append(LemmaCheck("pivot_agreement", not violations, cases, first))
     for R in deep_from:
         try:
             deep = geometry.project_deep(R, m, r)
@@ -550,7 +531,7 @@ def pivot_agreement_violations(ps: PointSet) -> tuple[list[str], int]:
                 problem = None if swapped == tested else (
                     f"swap gives {swapped.members}, ratio test gives {tested.members}"
                 )
-            except (DegeneracyError, GeneralPositionError, ValueError) as exc:
+            except _FAULTS as exc:
                 problem = str(exc)
             if problem is not None and len(violations) < 5:
                 violations.append(f"{S.members} with {p}: {problem}")

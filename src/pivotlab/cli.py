@@ -151,7 +151,8 @@ def _cmd_uso_expect(args) -> int:
 def _cmd_uso_verify(args) -> int:
     seed = _seed_of(args)
     comb = _comb_for(args, seed)
-    spec, out_fn = grid_uso.grid_spec(comb), grid_uso.grid_out_function(comb)
+    # both checks read every vertex's arcs: cache them so each is built once
+    spec, out_fn = grid_uso.grid_spec(comb), functools.cache(grid_uso.grid_out_function(comb))
     acyclic = grid_uso.has_topological_order(spec, out_fn)
     violations = grid_uso.unique_sink_violations(spec, out_fn)
     payload = {

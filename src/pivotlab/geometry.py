@@ -359,7 +359,13 @@ class PointSet:
 
 def gen_point_set(r: int, m: int) -> PointSet:
     """The standard ``(r, m)`` family: point ``(i, j, k)`` for every color
-    ``i <= j <= r`` (layer ``j``) and phase ``k <= m``, at :func:`gen_point`."""
+    ``i <= j <= r`` (layer ``j``) and phase ``k <= m``, at :func:`gen_point`.
+
+    Not in general position at ``(5, 2)``, where (1,5,2) lies on the hyperplane
+    of (1,1,2), (2,5,2), ..., (5,5,1), nor at ``(6, 2)``, where (2,2,2) lies on
+    that of (1,1,1), (2,6,2), ..., (6,6,1).  A passing ``verify lemmas --r R
+    --m M`` proves, exhaustively at that size, what :func:`below_set` enforces
+    here: no point lies on the hyperplane of a transversal it is not in."""
     points = {}
     for i in range(1, r + 1):
         for j in range(i, r + 1):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import ne
 from random import Random
 from typing import Callable, Iterator, Union
 
@@ -554,13 +555,15 @@ def _subgrid_choices(spec: GridSpec) -> list[list[tuple[int, ...]]]:
 
 def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[int]:
     """One bitmask per axis of ``v``'s arcs: bit ``c-1`` of axis ``d`` is set
-    when an arc changes coordinate ``d`` to ``c``."""
+    when an arc changes coordinate ``d`` to ``c``.  An arc that does not join
+    the grid vertex ``v`` to a grid neighbour raises ``ValueError``."""
     masks = [0] * spec.dimension
     for w in targets:
-        changed = [d for d, (a, b) in enumerate(zip(v, w)) if a != b]
-        if not spec.contains(w) or len(changed) != 1:
+        changed = list(map(ne, v, w))
+        # v is in the grid: so is w if it differs from v in one coordinate, in range
+        d = changed.index(True) if len(w) == len(v) and changed.count(True) == 1 else -1
+        if d < 0 or not 1 <= w[d] <= spec.factor_sizes[d]:
             raise ValueError(f"arc {v} -> {w} does not join two grid neighbours")
-        d = changed[0]
         masks[d] |= 1 << (w[d] - 1)
     return masks
 
@@ -625,12 +628,14 @@ def unique_sink_violations(
 
 
 def has_topological_order(spec: GridSpec, out_fn: OutFn) -> bool:
-    """Kahn's algorithm over the full edge set."""
+    """Kahn's algorithm over the full edge set; an arc that does not join two
+    grid neighbours raises ``ValueError``, as in the unique-sink check."""
     chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
     indeg: dict[Vertex, int] = {v: 0 for v in spec.vertices()}
     outs: dict[Vertex, tuple[Vertex, ...]] = {}
     for v in spec.vertices():
         outs[v] = out_fn(v)
+        _out_masks(spec, v, outs[v])
         for w in outs[v]:
             indeg[w] += 1
     queue = [v for v, d in indeg.items() if d == 0]

@@ -1,7 +1,9 @@
 """Tests for bounds, Monte Carlo estimation, and the verification suites."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from pivotlab.analysis import (
 )
 from pivotlab.analysis import _chi2_sf, _jump_law_chi2
 from pivotlab.geometry import PointId, flip_tail_sign, gen_point_set
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +284,28 @@ def test_monotone_check_reports_the_first_tail_sign_fault(r, m, pid, index, case
     mutated = flip_tail_sign(gen_point_set(r, m), pid, index)
     (check,) = [c for c in verify_lemmas(r, m, point_set=mutated).checks if c.lemma == "monotone"]
     assert (check.passed, check.cases, check.counterexample) == (False, cases, counterexample)
+
+
+def _inner_mutations():
+    """Every single-coordinate sign flip of an inner-layer point at the
+    small sizes, keyed as in ``goldens/verify-lemmas-mutations.json``."""
+    for r, m in [(2, 3), (2, 4), (3, 2), (2, 5)]:
+        base = gen_point_set(r, m)
+        for pid in base.ids():
+            for index, x in enumerate(base.coords(pid)):
+                if pid.layer < r and x:
+                    key = f"r={r} m={m} point={pid.color},{pid.layer},{pid.phase} index={index}"
+                    yield key, r, m, flip_tail_sign(base, pid, index)
+
+
+def test_failing_lemma_reports_match_their_golden():
+    golden = json.loads((GOLDENS / "verify-lemmas-mutations.json").read_text())
+    reports = {
+        key: verify_lemmas(r, m, point_set=mutated).to_dict()
+        for key, r, m, mutated in _inner_mutations()
+    }
+    assert len(reports) == 38
+    assert reports == golden
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from pivotlab import analysis, cli, process
+from pivotlab import analysis, cli, grid_uso, process
 from pivotlab.analysis import LemmaCheck, LemmaReport
 from pivotlab.errors import DegeneracyError
 
@@ -101,6 +102,20 @@ def test_uso_verify_passes_on_real_comb():
     assert payload["acyclic"] and payload["unique_sinks"]
 
 
+def test_uso_verify_reads_each_vertex_once(monkeypatch):
+    reads = Counter()
+    targets = grid_uso._grid_out_targets
+
+    def counted(comb, v):
+        reads[v] += 1
+        return targets(comb, v)
+
+    monkeypatch.setattr(grid_uso, "_grid_out_targets", counted)
+    code, _, _ = run_cli(["uso", "verify", "--r", "2", "--m", "3", "--seed", "1"])
+    assert code == 0
+    assert len(reads) == 9 and set(reads.values()) == {1}
+
+
 def test_uso_verify_zero_dimensional_grid():
     code, out, _ = run_cli(["uso", "verify", "--r", "0", "--m", "3", "--seed", "7"])
     assert code == 0
@@ -119,6 +134,23 @@ def test_verify_lemmas_all_pass():
     assert code == 0
     payload = json.loads(out)
     assert payload["all_passed"] is True and payload["ok"] is True
+
+
+def test_verify_lemmas_case_counts_match_the_benchmark_golden(monkeypatch):
+    """The benchmark's ``verify_cli`` lemma jobs fail when a case count
+    differs from its golden; this finds such a change in the fast suite."""
+    root = Path(__file__).parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    golden = json.loads((root / "goldens" / "verify_cli.json").read_text())["values"]
+    for argv in workloads.LEMMA_ARGVS:
+        code, out, _ = run_cli(argv)
+        assert code == 0, argv
+        cases = {c["lemma"]: c["cases"] for c in json.loads(out)["checks"]}
+        assert cases == golden[" ".join(argv)], argv
 
 
 def test_verify_lemmas_failure_exit_code(monkeypatch):

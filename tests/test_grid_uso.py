@@ -812,21 +812,31 @@ def test_zero_dimensional_grid_has_no_violation():
     assert unique_sink_violations(grid_spec(comb), grid_out_function(comb)) == []
 
 
+BAD_ARCS = [
+    ((2, 1), (2, 1)),  # self-loop
+    ((2, 1), (1, 2)),  # two coordinates change
+    ((2, 1), (2, 4)),  # target outside the grid
+    ((2, 1), (2,)),  # target of the wrong dimension
+]
+
+
 @pytest.mark.parametrize(
-    "v, w",
+    "check, v, w",
     [
-        ((2, 1), (2, 1)),  # self-loop
-        ((2, 1), (1, 2)),  # two coordinates change
-        ((2, 1), (2, 4)),  # target outside the grid
-        ((2, 1), (2,)),  # target of the wrong dimension
+        # the unique-sink cases keep the ids "v<i>-w<i>"
+        pytest.param(check, v, w, id=f"{prefix}v{i}-w{i}")
+        for prefix, check in [("", unique_sink_violations), ("topo-", has_topological_order)]
+        for i, (v, w) in enumerate(BAD_ARCS)
     ],
 )
-def test_non_neighbour_target_is_rejected(v, w):
+def test_non_neighbour_target_is_rejected(check, v, w):
     comb = identity_comb(2, 3)
     out_fn = grid_out_function(comb)
 
     def bad(u):
         return out_fn(u) + ((w,) if u == v else ())
 
-    with pytest.raises(ValueError, match=re.escape(f"{v} -> {w}")):
-        unique_sink_violations(grid_spec(comb), bad)
+    with pytest.raises(
+        ValueError, match=re.escape(f"arc {v} -> {w} does not join two grid neighbours")
+    ):
+        check(grid_spec(comb), bad)
