@@ -2,11 +2,13 @@
 pivoting, in two equivalent models.
 
 - :mod:`pivotlab.chain` holds the absorbing-chain rules both models share:
-  the terminal state, the escape, value and draw rules, and the state cap
-  (``PIVOTLAB_STATE_CAP``) on exact solves and exhaustive checks.
+  the escape, value and draw rules (a draw names the escape ``None``), and
+  the state cap (``PIVOTLAB_STATE_CAP``) on exact solves and exhaustive
+  checks.
 - :mod:`pivotlab.grid_uso` builds recursive comb orientations of grid graphs
   (acyclic, unique sink in every subgrid), simulates the directed random walk
-  and solves its expected duration exactly.
+  and solves its expected duration exactly; ``out_neighbors`` is its one
+  flattened view of a vertex's out-arcs.
 - :mod:`pivotlab.geometry` constructs the exact-integer point families around
   the diagonal requirement line and decides every predicate exactly, the
   side test and pivot by integer signs from one fraction-free elimination.

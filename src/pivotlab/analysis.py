@@ -466,7 +466,7 @@ def _layer_trichotomy(ps: PointSet) -> Iterator[str | None]:
                     f"(b) fails for color {i} at {S.members}"
                 )
         i_min = max(colors, key=lambda i: n[i - 1])
-        member = S.member(i_min)
+        member = S.members[i_min - 1]
         if not all_on(S, inner[i_min], Side.ABOVE):
             yield f"(c) fails: inner point of color {i_min} not above {S.members}"
         elif member.layer != r:

@@ -3,8 +3,9 @@
 The directed walk on a comb-oriented grid and the pivoting process are the
 same object: a finite, acyclic chain whose states each have ``n_succ``
 successors, drawn uniformly, plus ``escape`` parallel edges toward one
-absorbing terminal state.  :func:`solve` gives both models their exact
-expected durations with plain integer arithmetic.
+absorbing terminal state.  A draw names that escape ``None``, as both
+models' records do.  :func:`solve` gives both models their exact expected
+durations with plain integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from typing import Sequence
 from .errors import InstanceTooLargeError, InternalInvariantError
 
 __all__ = [
-    "TERMINAL",
-    "Terminal",
     "check_state_count",
     "draw",
     "escape_weight",
@@ -27,18 +26,6 @@ __all__ = [
 ]
 
 STATE_CAP_ENV = "PIVOTLAB_STATE_CAP"
-
-
-class Terminal:
-    """Type of the terminal state; :data:`TERMINAL` is its one instance."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "TERMINAL"
-
-
-TERMINAL = Terminal()
 
 
 def escape_weight(delta: int | None, n_succ: int) -> int:
@@ -53,14 +40,15 @@ def escape_weight(delta: int | None, n_succ: int) -> int:
     return 0 if n_succ else 1
 
 
-def draw(rng: Random, n_succ: int, escape: int) -> int | Terminal:
+def draw(rng: Random, n_succ: int, escape: int) -> int | None:
     """One uniform draw over ``n_succ + escape`` edges: an index below
-    ``n_succ`` picks that successor, any other the terminal.  A state without
-    successors escapes without a draw; callers stop at a dead end first."""
+    ``n_succ`` picks that successor, any other the terminal, returned as
+    ``None``.  A state without successors gives ``None`` without a draw;
+    callers stop at a dead end first."""
     if n_succ == 0:
-        return TERMINAL
+        return None
     i = rng.randrange(n_succ + escape)
-    return i if i < n_succ else TERMINAL
+    return i if i < n_succ else None
 
 
 def solve(

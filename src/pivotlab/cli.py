@@ -41,7 +41,13 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    """Comma-separated ints; a blank text is ``()``, an empty field an error."""
+    if not text.strip():
+        return ()
+    fields = text.split(",")
+    if not all(map(str.strip, fields)):
+        raise ValueError(f"empty field in the list {text!r}")
+    return tuple(map(int, fields))
 
 
 def _parse_range(text: str) -> list[int]:
@@ -54,6 +60,14 @@ def _parse_range(text: str) -> list[int]:
     if not values:
         raise ValueError(f"empty range {text!r}")
     return values
+
+
+def _trials(args) -> int:
+    """``--trials``, by default 1 for a jsonl trace dump and 100000 for a
+    json summary."""
+    if args.trials is not None:
+        return args.trials
+    return 1 if args.format == "jsonl" else 100_000
 
 
 def _dump_trials(trials: int) -> range:
@@ -111,18 +125,18 @@ def _cmd_uso_walk(args) -> int:
         # trace dump: one vertex tuple per line, terminal hops as "inf";
         # consecutive trials are concatenated
         lines = []
-        for i in _dump_trials(args.trials):
+        for i in _dump_trials(_trials(args)):
             outcome = grid_uso.walk(comb, cfg, start, derive_rng(seed, "walk", i))
             assert outcome.visited is not None
             lines.extend(
-                json.dumps("inf" if v is grid_uso.TERMINAL else list(v))
+                json.dumps("inf" if v is None else list(v))
                 for v in outcome.visited
             )
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     report = analysis.mc_estimate(
         lambda rng: grid_uso.walk(comb, cfg, start, rng, record=False).steps,
-        args.trials,
+        _trials(args),
         seed,
     )
     payload = report.to_dict()
@@ -152,7 +166,8 @@ def _cmd_uso_verify(args) -> int:
     seed = _seed_of(args)
     comb = _comb_for(args, seed)
     # both checks read every vertex's arcs: cache them so each is built once
-    spec, out_fn = grid_uso.grid_spec(comb), functools.cache(grid_uso.grid_out_function(comb))
+    out_fn = functools.cache(functools.partial(grid_uso.out_neighbors, comb))
+    spec = grid_uso.grid_spec(comb)
     acyclic = grid_uso.has_topological_order(spec, out_fn)
     violations = grid_uso.unique_sink_violations(spec, out_fn)
     payload = {
@@ -197,14 +212,14 @@ def _cmd_process_run(args) -> int:
     cfg = process.ProcessConfig(ps, delta=args.delta or 0)
     if args.format == "jsonl":
         chunks = []
-        for i in _dump_trials(args.trials if args.trials is not None else 1):
+        for i in _dump_trials(_trials(args)):
             trace = process.run(cfg, derive_rng(seed, "trace", i))
             chunks.append(process.trace_to_jsonl(trace))
         _emit("".join(chunks), args.out)
         return 0
     report = analysis.mc_estimate(
         lambda rng: process.run(cfg, rng).steps(cfg.count_terminal_step),
-        args.trials if args.trials is not None else 100_000,
+        _trials(args),
         seed,
     )
     payload = report.to_dict()
@@ -259,6 +274,8 @@ def _cmd_verify_lemmas(args) -> int:
     if args.phase_trials < 0:
         # the message phase_law_report would give, before the suite runs
         raise ValueError(f"need at least 1 trace for the phase laws, got {args.phase_trials}")
+    if any(delta < 0 for delta in deltas):
+        raise ValueError("delta must be >= 0")
     if args.phase_trials and not deltas:
         raise ValueError("--phase-trials needs at least one delta in --phase-deltas")
     report = analysis.verify_lemmas(args.r, args.m, deep_from=tuple(args.deep or ()))
@@ -352,13 +369,14 @@ def _cmd_bench_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, trials: int | None = None) -> None:
+def _add_common(p: argparse.ArgumentParser, *, trials: bool = False) -> None:
     p.add_argument("--r", type=int, required=True, help="dimension")
     p.add_argument("--m", type=int, required=True, help="per-factor size / phases")
     p.add_argument("--seed", type=int, default=None, help="master seed (generated and printed if omitted)")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    if trials is not None:
-        p.add_argument("--trials", type=int, default=trials)
+    if trials:
+        p.add_argument("--trials", type=int, default=None,
+                       help="default: 1 for jsonl trace dumps, 100000 for json summaries")
 
 
 @functools.cache
@@ -383,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_uso_build)
 
     p = uso.add_parser("walk", help="sample random walks")
-    _add_common(p, trials=100_000)
+    _add_common(p, trials=True)
     p.add_argument("--delta", type=int, default=None, help="escape multiplicity (omit for the plain grid)")
     p.add_argument("--identity", action="store_true")
     p.add_argument("--start", default=None, help='start vertex "c1,c2,..." (default uniform)')
@@ -415,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = proc.add_parser("run", help="sample traces")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=None,
-                   help="default: 1 for jsonl trace dumps, 100000 for json summaries")
+    _add_common(p, trials=True)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--alphas", default=None)
     p.add_argument("--format", choices=("json", "jsonl"), default="jsonl")

@@ -16,8 +16,8 @@ the ratio-test pivot, the Caratheodory test and the rank check) runs on one
 fraction-free elimination, :func:`_eliminate`, and the side test, the
 pivot and the Caratheodory test are integer sign tests on its result;
 ``Fraction`` appears only in the values handed back (hyperplane
-coefficients, axis intersections, solutions).  Floats never participate in
-a geometric decision.
+coefficients and solutions).  Floats never participate in a geometric
+decision.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "PointSet",
     "Side",
     "Transversal",
-    "axis_intersections",
     "below_set",
     "flip_tail_sign",
     "gen_point",
@@ -153,9 +152,6 @@ class PointId(namedtuple("PointId", "color layer phase")):
                 f"invalid point id PointId(color={color!r}, layer={layer!r}, phase={phase!r})"
             )
         return super().__new__(cls, color, layer, phase)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return tuple(self)
 
 
 def gen_point(r: int, m: int, pid: PointId, alpha: int | None = None) -> Coords:
@@ -426,9 +422,6 @@ class Transversal:
 
     members: tuple[PointId, ...]
 
-    def member(self, color: int) -> PointId:
-        return self.members[color - 1]
-
     def replace(self, point: PointId) -> "Transversal":
         members = list(self.members)
         members[point.color - 1] = point
@@ -510,15 +503,6 @@ def hyperplane_coefficients(
     :class:`DegeneracyError` off general position)."""
     n, d = point_set.normal(simplex.members)
     return tuple(Fraction(x, d) for x in n)
-
-
-def axis_intersections(
-    point_set: PointSet, simplex: Transversal
-) -> tuple[Fraction, ...]:
-    """Positive values ``t_1..t_r`` where the simplex's hull meets each
-    coordinate axis (``t_i = 1 / c_i = d / n_i`` from the spanning
-    hyperplane)."""
-    return tuple(1 / c for c in hyperplane_coefficients(point_set, simplex))
 
 
 def side_of(point_set: PointSet, simplex: Transversal, x: PointId | Coords) -> Side:

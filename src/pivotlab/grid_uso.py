@@ -12,14 +12,17 @@ The orientation can be augmented with a terminal vertex reachable through
 ``delta`` parallel escape edges from every grid vertex (one edge from each
 sink if ``delta`` is zero), turning the walk into an absorbing chain whose
 expected absorption time this module computes exactly over the rationals.
+The escape edges are counted by :func:`chain.escape_weight`, never listed,
+and a walk records an escape as ``None``.
 
 Each comb node keeps one row per value ``c`` of its factor,
 :meth:`CombOrientation.lower`: the values ranked below ``c``, built the first
 time they are asked for.  A vertex's out-arcs are one such row per axis, last
 axis first (:func:`_out_rows`).  :func:`walk` reads the rows directly and
-moves one coordinate per step; :func:`out_neighbors` and the structural
-checks flatten them into target tuples.  Both list the targets in the same
-order, so a walk draws exactly as it would over the flattened list.
+moves one coordinate per step; :func:`out_neighbors`, the one flattened
+view, lists them as target tuples for the structural checks.  Both list the
+targets in the same order, so a walk draws exactly as it would over the
+flattened list.
 """
 
 from __future__ import annotations
@@ -31,18 +34,15 @@ from functools import cached_property
 from itertools import product
 from operator import ne
 from random import Random
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator
 
 from . import chain
-from .chain import TERMINAL, Terminal
 from .errors import InternalInvariantError
 
 __all__ = [
     "AugmentedConfig",
     "CombOrientation",
     "GridSpec",
-    "OutArcs",
-    "TERMINAL",
     "Vertex",
     "WalkOutcome",
     "build_comb",
@@ -50,7 +50,6 @@ __all__ = [
     "embed_padded",
     "expected_duration_exact",
     "flip_top_pair_out",
-    "grid_out_function",
     "grid_spec",
     "has_topological_order",
     "identity_comb",
@@ -218,19 +217,6 @@ def _identity_for(sizes: tuple[int, ...]) -> CombOrientation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutArcs:
-    """Out-edge multiset of a vertex: grid targets plus the terminal vertex
-    with an integer multiplicity (parallel edges are never materialized)."""
-
-    targets: tuple[Vertex, ...]
-    terminal: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.targets) + self.terminal
-
-
 def _out_rows(comb: CombOrientation, v: Vertex) -> list[tuple[int, ...]]:
     """Out-arcs of ``v`` as one row per axis, last axis first: row ``k``
     holds the values that coordinate ``len(v) - 1 - k`` may change to."""
@@ -245,7 +231,10 @@ def _out_rows(comb: CombOrientation, v: Vertex) -> list[tuple[int, ...]]:
     return rows
 
 
-def _grid_out_targets(comb: CombOrientation, v: Vertex) -> list[Vertex]:
+def out_neighbors(comb: CombOrientation, v: Vertex) -> tuple[Vertex, ...]:
+    """The targets of ``v``'s grid arcs under the comb, in :func:`_out_rows`
+    order.  Escape edges are not listed: :func:`chain.escape_weight` counts
+    them.  A vertex outside the grid raises ``ValueError``."""
     spec = grid_spec(comb)
     if not spec.contains(v):
         raise ValueError(f"vertex {v} not in grid {spec.factor_sizes}")
@@ -255,25 +244,11 @@ def _grid_out_targets(comb: CombOrientation, v: Vertex) -> list[Vertex]:
         d -= 1
         head, tail = v[:d], v[d + 1 :]
         out.extend(head + (w,) + tail for w in row)
-    return out
-
-
-def out_neighbors(
-    comb: CombOrientation, cfg: AugmentedConfig | None, v: Vertex
-) -> OutArcs:
-    """Out-edges of ``v``: grid arcs under the comb, plus terminal edges per
-    ``cfg`` (``None`` means the plain, unaugmented grid)."""
-    targets = tuple(_grid_out_targets(comb, v))
-    return OutArcs(targets, chain.escape_weight(_delta(cfg), len(targets)))
+    return tuple(out)
 
 
 def _delta(cfg: AugmentedConfig | None) -> int | None:
     return None if cfg is None else cfg.delta
-
-
-def grid_out_function(comb: CombOrientation) -> Callable[[Vertex], tuple[Vertex, ...]]:
-    """Grid-arc adjacency as a plain callable (for the structural checkers)."""
-    return lambda v: tuple(_grid_out_targets(comb, v))
 
 
 def flip_top_pair_out(
@@ -295,7 +270,7 @@ def flip_top_pair_out(
     pair = {a, b}
 
     def out(v: Vertex) -> tuple[Vertex, ...]:
-        arcs = set(_grid_out_targets(comb, v))
+        arcs = set(out_neighbors(comb, v))
         if v[last] in pair:
             (other,) = pair - {v[last]}
             w = v[:last] + (other,) + v[last + 1 :]
@@ -316,10 +291,11 @@ def flip_top_pair_out(
 @dataclass(frozen=True)
 class WalkOutcome:
     """Result of one walk: the step count and (optionally) the vertex
-    sequence, whose last entry is the final sink or ``TERMINAL``."""
+    sequence, whose last entry is the final sink or ``None`` for an
+    escape."""
 
     steps: int
-    visited: tuple[Union[Vertex, Terminal], ...] | None = None
+    visited: tuple[Vertex | None, ...] | None = None
 
 
 def _uniform_vertex(spec: GridSpec, rng: Random) -> Vertex:
@@ -354,7 +330,7 @@ def walk(
             raise ValueError(f"start vertex {v} not in grid {spec.factor_sizes}")
     delta = _delta(cfg)
     budget = spec.vertex_count + 1
-    visited: list[Union[Vertex, Terminal]] = [v]
+    visited: list[Vertex | None] = [v]
     x = list(v)  # the current vertex, one coordinate changed per step
     r = len(x)
     steps = 0
@@ -370,9 +346,9 @@ def walk(
             raise InternalInvariantError(
                 "walk exceeded its step budget; the orientation is not acyclic"
             )
-        if i is TERMINAL:
+        if i is None:
             if record:
-                visited.append(TERMINAL)
+                visited.append(None)
             break
         # target i of the flattened rows: row k moves coordinate r - 1 - k
         d = r - 1

@@ -33,14 +33,12 @@ from random import Random
 from typing import Iterable
 
 from . import chain, geometry
-from .chain import TERMINAL
 from .errors import InternalInvariantError
 from .geometry import PointId, PointSet, Transversal
 
 __all__ = [
     "GoodPhaseReport",
     "ProcessConfig",
-    "TERMINAL",
     "Trace",
     "TraceRecord",
     "adversary_start",
@@ -121,7 +119,7 @@ class ProcessConfig:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ProcessConfig(r={self.point_set.r}, m={self.point_set.m}, "
-            f"delta={self.delta}, start={[p.as_tuple() for p in self.start.members]})"
+            f"delta={self.delta}, start={[tuple(p) for p in self.start.members]})"
         )
 
 
@@ -268,8 +266,8 @@ def trace_to_jsonl(trace: Trace) -> str:
             json.dumps(
                 {
                     "t": rec.t,
-                    "S": [list(p.as_tuple()) for p in rec.members],
-                    "pivot": "inf" if rec.pivot is None else list(rec.pivot.as_tuple()),
+                    "S": [list(p) for p in rec.members],
+                    "pivot": "inf" if rec.pivot is None else list(rec.pivot),
                     "below": rec.below_count,
                     "phase": rec.phase,
                 },
@@ -298,7 +296,7 @@ def run(cfg: ProcessConfig, rng: Random) -> Trace:
         below = _below(cfg, st)
         n_below = len(below)
         i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
-        pivot = None if i is TERMINAL else below[i]
+        pivot = None if i is None else below[i]
         records.append(TraceRecord(t, st.members, n_below, st.phase, pivot))
         t += 1
         # a second safeguard: it cannot fire while _edge checks every edge
@@ -306,7 +304,7 @@ def run(cfg: ProcessConfig, rng: Random) -> Trace:
             raise InternalInvariantError(
                 "process exceeded its step budget; positions must not repeat"
             )
-        if i is TERMINAL:
+        if i is None:
             return Trace(tuple(records))
         st = _edge(cfg, st, i)
 

@@ -11,6 +11,7 @@ import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import partial
 
 from pivotlab import analysis, cli, geometry, grid_uso, process
 from pivotlab.analysis import BoundParams, bound, phase_law_report, verify_lemmas
@@ -120,7 +121,7 @@ def test_criterion_04_corollary_embedding():
             assert expected_duration_exact(
                 padded, None, "uniform"
             ) >= expected_duration_exact(comb, None, "uniform"), (n, i)
-            spec, out_fn = grid_spec(padded), grid_uso.grid_out_function(padded)
+            spec, out_fn = grid_spec(padded), partial(grid_uso.out_neighbors, padded)
             assert not unique_sink_violations(spec, out_fn), (n, i)
             assert has_topological_order(spec, out_fn)
     report(4, "padded grids dominate their originals and stay unique-sink", t0, 60.0,

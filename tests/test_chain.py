@@ -170,3 +170,24 @@ def test_model_solves_raise_on_a_short_denominator(monkeypatch, solve):
     _short_by_one(monkeypatch, _largest_prime_factor)
     with pytest.raises(InternalInvariantError, match="does not clear"):
         solve()
+
+
+@pytest.mark.parametrize(
+    "delta, n_succ, want",
+    [(None, 0, 0), (None, 3, 0), (0, 0, 1), (0, 3, 0), (2, 0, 2), (2, 3, 2)],
+)
+def test_escape_weight(delta, n_succ, want):
+    # None: no terminal; 0: one edge from a dead end only; else delta everywhere
+    assert chain.escape_weight(delta, n_succ) == want
+
+
+def test_draw_names_an_escape_none():
+    # over two successors and one escape edge, draw reads one randrange(3)
+    for seed in range(50):
+        i = Random(seed).randrange(3)
+        assert chain.draw(Random(seed), 2, 1) == (i if i < 2 else None)
+    # a dead end escapes without consuming randomness
+    rng = Random(7)
+    before = rng.getstate()
+    assert chain.draw(rng, 0, 3) is None and chain.draw(rng, 0, 0) is None
+    assert rng.getstate() == before

@@ -104,13 +104,13 @@ def test_uso_verify_passes_on_real_comb():
 
 def test_uso_verify_reads_each_vertex_once(monkeypatch):
     reads = Counter()
-    targets = grid_uso._grid_out_targets
+    targets = grid_uso.out_neighbors
 
     def counted(comb, v):
         reads[v] += 1
         return targets(comb, v)
 
-    monkeypatch.setattr(grid_uso, "_grid_out_targets", counted)
+    monkeypatch.setattr(grid_uso, "out_neighbors", counted)
     code, _, _ = run_cli(["uso", "verify", "--r", "2", "--m", "3", "--seed", "1"])
     assert code == 0
     assert len(reads) == 9 and set(reads.values()) == {1}
@@ -181,6 +181,36 @@ def test_negative_phase_trials_is_rejected_before_the_suite_runs(monkeypatch):
     )
     assert (code, out) == (1, "")
     assert err == "error: need at least 1 trace for the phase laws, got -5\n"
+
+
+def test_negative_phase_delta_is_rejected_before_the_suite_runs(monkeypatch):
+    def suite(*args, **kwargs):
+        raise AssertionError("the lemma suite ran before the deltas were checked")
+
+    monkeypatch.setattr(analysis, "verify_lemmas", suite)
+    code, out, err = run_cli(
+        ["verify", "lemmas", "--r", "3", "--m", "5", "--phase-trials", "5",
+         "--phase-deltas", "-1", "--seed", "1"]
+    )
+    assert (code, out, err) == (1, "", "error: delta must be >= 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["uso", "expect", "--r", "2", "--m", "3", "--seed", "1", "--start", "1,,2"], "1,,2"),
+        (["uso", "walk", "--r", "2", "--m", "3", "--seed", "1", "--start", "1,2,"], "1,2,"),
+        (["process", "expect", "--r", "2", "--m", "3", "--alphas", "4,,5"], "4,,5"),
+        (["verify", "lemmas", "--r", "2", "--m", "3", "--phase-deltas", ",2"], ",2"),
+        (["bench", "bounds", "--r-list", "1,,2", "--seed", "1"], "1,,2"),
+        (["bench", "bounds", "--m-list", "2, ,3", "--seed", "1"], "2, ,3"),
+        (["bench", "bounds", "--families", "uso_lemma", "--delta-list", "0,", "--seed", "1"], "0,"),
+    ],
+    ids=["start", "start-trailing", "alphas", "phase-deltas", "r-list", "m-list", "delta-list"],
+)
+def test_empty_list_field_is_a_usage_error(argv, text):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (1, "", f"error: empty field in the list {text!r}\n")
 
 
 # the point family is not in general position at (5, 2): point (1,5,2) lies
@@ -374,6 +404,14 @@ def test_jsonl_dump_needs_a_trial(command, trials):
     assert err == f"error: need at least 1 trial for a jsonl trace dump, got {trials}\n"
 
 
+def test_uso_walk_jsonl_dumps_one_walk_by_default():
+    argv = ["uso", "walk", "--r", "2", "--m", "3", "--seed", "1", "--format", "jsonl"]
+    assert run_cli(argv) == run_cli(argv + ["--trials", "1"])
+    # json summaries keep their default
+    args = cli.build_parser().parse_args(["uso", "walk", "--r", "2", "--m", "3"])
+    assert cli._trials(args) == 100_000
+
+
 def test_uso_walk_summary_json():
     code, out, _ = run_cli(
         ["uso", "walk", "--r", "1", "--m", "3", "--seed", "9", "--trials", "4000"]
@@ -513,6 +551,16 @@ RERUN_CASES = {
     "uso-walk-delta0-jsonl": [
         "uso", "walk", "--r", "2", "--m", "3", "--seed", "7", "--trials", "4",
         "--delta", "0", "--format", "jsonl",
+    ],
+    # no terminal: every walk ends at the sink, so no "inf" appears
+    "uso-walk-plain-jsonl": [
+        "uso", "walk", "--r", "2", "--m", "3", "--seed", "7", "--trials", "4",
+        "--format", "jsonl",
+    ],
+    # delta 1: walks escape mid-walk, each escape printed as "inf"
+    "uso-walk-delta1-jsonl": [
+        "uso", "walk", "--r", "2", "--m", "3", "--seed", "7", "--trials", "4",
+        "--delta", "1", "--format", "jsonl",
     ],
     "uso-walk-delta1-json": [
         "uso", "walk", "--r", "2", "--m", "4", "--seed", "7", "--trials", "200",

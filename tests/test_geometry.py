@@ -14,7 +14,6 @@ from pivotlab.geometry import (
     PointSet,
     Side,
     Transversal,
-    axis_intersections,
     below_set,
     flip_tail_sign,
     gen_point,
@@ -228,7 +227,7 @@ def test_point_ids_sort_by_color_then_layer_then_phase():
 def test_point_id_equals_the_plain_tuple_of_its_fields():
     pid = PointId(1, 3, 2)
     assert pid == (1, 3, 2) and hash(pid) == hash((1, 3, 2))
-    assert pid.as_tuple() == (1, 3, 2) and type(pid.as_tuple()) is tuple
+    assert list(pid) == [1, 3, 2]
 
 
 def test_side_of_reads_a_plain_tuple_as_coordinates():
@@ -373,6 +372,14 @@ def test_pierced_rejects_wrong_arity():
 # ---------------------------------------------------------------------------
 
 
+def axis_intersections(point_set: PointSet, simplex: Transversal) -> tuple[Fraction, ...]:
+    """The values ``t_1..t_r`` where the simplex's hull meets each coordinate
+    axis: ``t_i = d / n_i`` for the integer hyperplane ``n . x = d`` of
+    :meth:`PointSet.normal`."""
+    n, d = point_set.normal(simplex.members)
+    return tuple(Fraction(d, x) for x in n)
+
+
 def test_axis_points_intersect_at_their_phases():
     ps = gen_point_set(3, 4)
     S = make_transversal(ps, [PointId(i, 3, 4) for i in (1, 2, 3)])
@@ -385,7 +392,7 @@ def test_axis_intersections_worked_example():
     assert ps.coords(PointId(1, 1, 1)) == (11, -8)
     assert axis_intersections(ps, S) == (Fraction(11, 9), Fraction(1))
     # the minimizing axis value is contributed by a member on that axis
-    assert ps.coords(S.member(2)) == (0, 1)
+    assert ps.coords(S.members[1]) == (0, 1)
 
 
 @pytest.mark.parametrize("r,m", [(2, 3), (3, 2)])

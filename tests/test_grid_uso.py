@@ -4,6 +4,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, product
 from random import Random
 
@@ -13,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from pivotlab import chain
 from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
 from pivotlab.grid_uso import (
-    TERMINAL,
     WalkOutcome,
     _identity_for,
     _out_masks,
@@ -28,7 +28,6 @@ from pivotlab.grid_uso import (
     embed_padded,
     expected_duration_exact,
     flip_top_pair_out,
-    grid_out_function,
     grid_spec,
     has_topological_order,
     identity_comb,
@@ -55,15 +54,15 @@ def test_leaf_comb():
     comb = build_comb(0, 5, Random(1))
     assert comb.dimension == 0 and comb.sizes == ()
     assert grid_spec(comb).vertex_count == 1
-    assert out_neighbors(comb, None, ()).degree == 0
+    assert out_neighbors(comb, ()) == ()
 
 
 def test_one_level_comb_is_acyclic_tournament():
     comb = build_comb(1, 3, Random(2))
     assert sorted(comb.ranks) == [1, 2, 3]
-    assert has_topological_order(grid_spec(comb), grid_out_function(comb))
+    assert has_topological_order(grid_spec(comb), partial(out_neighbors, comb))
     # exactly one sink and one source in the K_3 tournament
-    degs = [len(out_neighbors(comb, None, (v,)).targets) for v in (1, 2, 3)]
+    degs = [len(out_neighbors(comb, (v,))) for v in (1, 2, 3)]
     assert sorted(degs) == [0, 1, 2]
 
 
@@ -88,7 +87,7 @@ def test_comb_rejects_malformed_ranks():
 
 # ---------------------------------------------------------------------------
 # orient_edge: a reference oracle kept in the tests, its self-tests, and the
-# exhaustive check of grid_out_function against it
+# exhaustive check of out_neighbors against it
 # ---------------------------------------------------------------------------
 
 
@@ -160,7 +159,7 @@ def test_out_function_lists_exactly_the_oriented_edges():
         for m in (1, 2, 3, 4):
             for seed in range(5):
                 comb = build_comb(r, m, Random(seed))
-                out = grid_out_function(comb)
+                out = partial(out_neighbors, comb)
                 for v in product(range(1, m + 1), repeat=r):
                     neighbours = [
                         v[:i] + (x,) + v[i + 1 :]
@@ -180,29 +179,13 @@ def test_out_function_lists_exactly_the_oriented_edges():
 # ---------------------------------------------------------------------------
 
 
-def test_out_neighbors_sink_gets_terminal_edge_at_delta_zero():
-    comb = identity_comb(1, 3)
-    arcs = out_neighbors(comb, AugmentedConfig(0), (1,))
-    assert arcs.targets == () and arcs.terminal == 1
-
-
-def test_out_neighbors_with_delta_multiplicity():
-    comb = identity_comb(1, 3)
-    arcs = out_neighbors(comb, AugmentedConfig(2), (3,))
-    assert sorted(arcs.targets) == [(1,), (2,)]
-    assert arcs.terminal == 2 and arcs.degree == 4
-
-
-def test_out_neighbors_leaf_with_delta():
-    comb = build_comb(0, 1, Random(0))
-    arcs = out_neighbors(comb, AugmentedConfig(4), ())
-    assert arcs.targets == () and arcs.terminal == 4
-
-
-def test_out_neighbors_nonsink_delta_zero_has_no_terminal():
-    comb = identity_comb(1, 3)
-    arcs = out_neighbors(comb, AugmentedConfig(0), (3,))
-    assert arcs.terminal == 0
+def test_out_neighbors_lists_lower_ranks_last_axis_first():
+    # top ranks (2, 1, 3): value 3 has the highest rank, value 2 the lowest;
+    # every hyperplane carries the identity comb on K_3
+    comb = CombOrientation((2, 1, 3), (identity_comb(1, 3),) * 3)
+    assert out_neighbors(comb, (3, 3)) == ((3, 1), (3, 2), (1, 3), (2, 3))
+    assert out_neighbors(comb, (1, 2)) == ()
+    assert out_neighbors(comb, (2, 1)) == ((2, 2), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +197,7 @@ def test_walk_single_vertex_delta_zero_takes_one_hop():
     comb = identity_comb(1, 1)
     outcome = walk(comb, AugmentedConfig(0), (1,), Random(0))
     assert outcome.steps == 1
-    assert outcome.visited == ((1,), TERMINAL)
+    assert outcome.visited == ((1,), None)
 
 
 def test_walk_base_graph_stops_at_sink():
@@ -295,9 +278,9 @@ def scalar_walk(comb, cfg, start, rng, record=True):
         steps += 1
         if steps > budget:
             raise InternalInvariantError("walk exceeded its step budget")
-        if i is TERMINAL:
+        if i is None:
             if record:
-                visited.append(TERMINAL)
+                visited.append(None)
             break
         v = targets[i]
         if record:
@@ -342,7 +325,7 @@ def test_out_targets_match_recursive_oracle(r, m):
     comb = build_comb(r, m, Random(f"targets{r}:{m}"))
     if r >= 2:
         comb = embed_padded(comb, r * m + 1)
-    out_fn = grid_out_function(comb)
+    out_fn = partial(out_neighbors, comb)
     for v in grid_spec(comb).vertices():
         assert out_fn(v) == tuple(recursive_out_targets(comb, v))
 
@@ -358,7 +341,7 @@ def test_walking_leaves_equality_and_hash_unchanged():
     before = (hash(walked), repr(walked))
     for i in range(50):
         walk(walked, AugmentedConfig(1), "uniform", Random(i))
-    grid_out_function(walked)((1, 2, 3))
+    out_neighbors(walked, (1, 2, 3))
     assert walked == fresh and fresh == walked
     assert hash(walked) == hash(fresh)
     assert (hash(walked), repr(walked)) == before
@@ -377,8 +360,7 @@ def test_walk_start_vertex_is_checked():
 def test_out_queries_reject_vertices_outside_the_grid(v):
     comb = build_comb(2, 3, Random(1))
     for out in (
-        lambda: out_neighbors(comb, None, v),
-        lambda: grid_out_function(comb)(v),
+        lambda: out_neighbors(comb, v),
         lambda: flip_top_pair_out(comb, 1, 3)(v),
     ):
         with pytest.raises(ValueError, match=re.escape(f"vertex {v} not in grid (3, 3)")):
@@ -480,14 +462,16 @@ def back_substitution_oracle(comb, cfg, start):
     """Reference solver: every vertex sums its successors' values afresh from
     ``out_neighbors``, in ascending rank order."""
     spec = grid_spec(comb)
+    delta = None if cfg is None else cfg.delta
     values = {}
     for v in sorted(spec.vertices(), key=lambda u: _rank_key(comb, u)):
-        arcs = out_neighbors(comb, cfg, v)
-        if arcs.degree == 0:
+        targets = out_neighbors(comb, v)
+        degree = len(targets) + chain.escape_weight(delta, len(targets))
+        if degree == 0:
             values[v] = Fraction(0)
             continue
-        total = sum((values[w] for w in arcs.targets), Fraction(0))
-        values[v] = 1 + total / arcs.degree
+        total = sum((values[w] for w in targets), Fraction(0))
+        values[v] = 1 + total / degree
     if start == "uniform":
         return sum(values.values(), Fraction(0)) / len(values)
     return values[start]
@@ -546,7 +530,7 @@ def test_embed_padded_shape_and_edges_into_subgrid():
     assert sorted(padded.sizes) == [2, 3]
     # every arc leaving a new vertex lands in the embedded subgrid or on
     # another new vertex; every arc between old and new points at the old part
-    out = grid_out_function(padded)
+    out = partial(out_neighbors, padded)
     spec = GridSpec(padded.sizes)
     for v in spec.vertices():
         v_new = any(c > 2 for c in v)
@@ -560,7 +544,7 @@ def test_embed_padded_preserves_uso_and_acyclicity():
     for n in (5, 7):
         comb = build_comb(2, n // 2, Random(n))
         padded = embed_padded(comb, n)
-        spec, out_fn = grid_spec(padded), grid_out_function(padded)
+        spec, out_fn = grid_spec(padded), partial(out_neighbors, padded)
         assert has_topological_order(spec, out_fn)
         assert not unique_sink_violations(spec, out_fn)
 
@@ -591,14 +575,14 @@ def test_embed_padded_rejects_bad_sizes():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_random_combs_are_acyclic(r, m):
     comb = build_comb(r, m, Random(f"{r}:{m}"))
-    assert has_topological_order(grid_spec(comb), grid_out_function(comb))
+    assert has_topological_order(grid_spec(comb), partial(out_neighbors, comb))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_random_combs_have_unique_subgrid_sinks(r, m):
     comb = build_comb(r, m, Random(f"u{r}:{m}"))
-    assert not unique_sink_violations(grid_spec(comb), grid_out_function(comb))
+    assert not unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb))
 
 
 def test_identity_comb_duration_is_reported_without_bound_claim():
@@ -636,7 +620,7 @@ def test_subgrid_check_cap(monkeypatch):
     monkeypatch.setenv("PIVOTLAB_STATE_CAP", "3")
     comb = identity_comb(2, 4)
     with pytest.raises(InstanceTooLargeError):
-        unique_sink_violations(grid_spec(comb), grid_out_function(comb))
+        unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb))
 
     def never(v):
         raise AssertionError(f"out_fn({v}) called before the state cap")
@@ -650,7 +634,7 @@ def test_subgrid_check_cap(monkeypatch):
 @pytest.mark.parametrize("sizes", [(), (1,), (4,), (3, 2), (2, 3, 2)])
 def test_checks_read_each_vertex_once(check, sizes):
     comb = _identity_for(sizes)
-    spec, out_fn = grid_spec(comb), grid_out_function(comb)
+    spec, out_fn = grid_spec(comb), partial(out_neighbors, comb)
     calls = Counter()
 
     def counted(v):
@@ -668,7 +652,9 @@ def test_checks_read_each_vertex_once(check, sizes):
 
 def scalar_unique_sink_violations(spec, out_fn, max_report=5):
     """Oracle: walk every subgrid in ``product`` order, and test every vertex
-    of it by reading all its arcs again."""
+    of it against all its arcs.  Arcs are a pure function of the vertex, so
+    each vertex's are read once and cached."""
+    out_fn = cache(out_fn)
     choices = [
         [
             tuple(c for c in range(1, s + 1) if mask & (1 << (c - 1)))
@@ -721,7 +707,7 @@ def test_unique_sink_violations_matches_scalar_oracle(r, m, seed, fault, max_rep
     comb = build_comb(r, m, Random(seed))
     if r >= 2 and data.draw(st.booleans(), label="padded"):
         comb = embed_padded(comb, r * m + data.draw(st.integers(1, r - 1), label="extra"))
-    spec, out_fn = grid_spec(comb), grid_out_function(comb)
+    spec, out_fn = grid_spec(comb), partial(out_neighbors, comb)
     if fault == "flip" and comb.m >= 2:
         pairs = list(combinations(range(1, comb.m + 1), 2))
         out_fn = flip_top_pair_out(comb, *data.draw(st.sampled_from(pairs), label="pair"))
@@ -772,7 +758,7 @@ def list_unique_sink_violations(spec, out_fn, max_report=5):
 )
 def test_unique_sink_violations_matches_list_sweep(r, m, seed, fault, max_report, data):
     comb = build_comb(r, m, Random(seed))
-    spec, out_fn = grid_spec(comb), grid_out_function(comb)
+    spec, out_fn = grid_spec(comb), partial(out_neighbors, comb)
     if fault == "flip" and r >= 1 and m >= 2:
         pairs = list(combinations(range(1, m + 1), 2))
         out_fn = flip_top_pair_out(comb, *data.draw(st.sampled_from(pairs), label="pair"))
@@ -809,7 +795,7 @@ def test_every_flipped_pair_matches_scalar_oracle(r, m):
 def test_zero_dimensional_grid_has_no_violation():
     assert unique_sink_violations(GridSpec(()), lambda v: ()) == []
     comb = build_comb(0, 3, Random(7))
-    assert unique_sink_violations(grid_spec(comb), grid_out_function(comb)) == []
+    assert unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb)) == []
 
 
 BAD_ARCS = [
@@ -831,7 +817,7 @@ BAD_ARCS = [
 )
 def test_non_neighbour_target_is_rejected(check, v, w):
     comb = identity_comb(2, 3)
-    out_fn = grid_out_function(comb)
+    out_fn = partial(out_neighbors, comb)
 
     def bad(u):
         return out_fn(u) + ((w,) if u == v else ())

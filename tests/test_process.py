@@ -13,7 +13,6 @@ from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
 from pivotlab.geometry import (
     PointId,
     Transversal,
-    axis_intersections,
     below_set,
     flip_tail_sign,
     gen_point_set,
@@ -21,7 +20,6 @@ from pivotlab.geometry import (
     transversals,
 )
 from pivotlab.process import (
-    TERMINAL,
     GoodPhaseReport,
     ProcessConfig,
     Trace,
@@ -37,6 +35,7 @@ from pivotlab.process import (
 )
 from pivotlab.seeding import derive_rng
 from test_chain import expected_steps
+from test_geometry import axis_intersections
 
 
 def harmonic(n: int) -> Fraction:
@@ -188,7 +187,7 @@ def scalar_run(cfg, rng) -> Trace:
         prev_t_sum = t_sum
         below = below_set(ps, position)
         i = chain.draw(rng, len(below), chain.escape_weight(cfg.delta, len(below)))
-        pivot = None if i is TERMINAL else below[i]
+        pivot = None if i is None else below[i]
         records.append(
             TraceRecord(t, position.members, len(below), phase_of(ps, position), pivot)
         )
