@@ -686,15 +686,13 @@ def phase_law_report(
 
     for i in range(trials):
         trace = process.run(cfg, derive_rng(seed, "trace", i))
-        records = trace.records
-        changes = trace.phase_changes()
-        prev = records[0].phase
-        for sigma, phi in changes:
+        prev = trace.states[0].phase
+        for sigma, phi in trace.phase_changes():
             row = transition_counts.setdefault(prev, {})
             row[phi] = row.get(phi, 0) + 1
             prev = phi
             if phi > 0:
-                pivot = records[sigma - 1].pivot
+                pivot = trace.pivot(sigma - 1)
                 assert pivot is not None
                 color_counts[pivot.color - 1] += 1
         report = process.good_phases(cfg, trace)

@@ -53,8 +53,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _parse_range(text: str) -> list[int]:
     """Accept ``2..8`` or ``2,3,5``; an empty range is an error."""
     if ".." in text:
-        lo, hi = text.split("..")
-        values = list(range(int(lo), int(hi) + 1))
+        try:
+            lo, hi = map(int, text.split(".."))
+        except ValueError:
+            raise ValueError(
+                f"malformed range {text!r}: expected LO..HI with integer bounds"
+            ) from None
+        values = list(range(lo, hi + 1))
     else:
         values = list(_parse_ints(text))
     if not values:

@@ -18,11 +18,15 @@ and a walk records an escape as ``None``.
 Each comb node keeps one row per value ``c`` of its factor,
 :meth:`CombOrientation.lower`: the values ranked below ``c``, built the first
 time they are asked for.  A vertex's out-arcs are one such row per axis, last
-axis first (:func:`_out_rows`).  :func:`walk` reads the rows directly and
-moves one coordinate per step; :func:`out_neighbors`, the one flattened
-view, lists them as target tuples for the structural checks.  Both list the
-targets in the same order, so a walk draws exactly as it would over the
-flattened list.
+axis first (:func:`_out_rows`).  :func:`out_neighbors` lists them as target
+tuples for the structural checks.  :func:`walk` steps over vertex ids
+(mixed radix, first coordinate fastest: the number a uniform start draws)
+and reads the same arcs, in the same order, as id changes: per node and
+value a row of :meth:`CombOrientation.moves`, built from the ranks, and per
+vertex its rows joined on its first visit, both kept on the comb.  It
+decodes coordinates only to record them.  So a walk draws exactly as it
+would over :func:`out_neighbors`, and a fresh comb per trial fills only
+what its one walk visits.
 """
 
 from __future__ import annotations
@@ -157,6 +161,17 @@ class CombOrientation:
         return [None] * (len(self.ranks) + 1)
 
     @cached_property
+    def _move_rows(self) -> list[tuple[int, ...] | None]:
+        # kept like _lower_rows; one slot per value, filled by moves()
+        return [None] * (len(self.ranks) + 1)
+
+    @cached_property
+    def _vertex_moves(self) -> dict[int, tuple[int, ...]]:
+        # kept like _lower_rows: the out-arc moves of each vertex a walk
+        # has visited, filled by _moves() on the first visit
+        return {}
+
+    @cached_property
     def _vertex_table(self) -> _VertexTable:
         # kept like _lower_rows: the plain and escape solves of one comb
         # share one compiled table
@@ -171,6 +186,22 @@ class CombOrientation:
         if row is None:
             rank = self.ranks[c - 1]
             row = rows[c] = tuple(w for w, q in enumerate(self.ranks, 1) if q < rank)
+        return row
+
+    def moves(self, c: int) -> tuple[int, ...]:
+        """The arcs of :meth:`lower` as changes of the vertex id
+        (:func:`_vertex_id`), in the same order: ``(w - c) * stride`` for
+        each lower value ``w``, ``stride`` being the vertex count of one
+        hyperplane.  Built from the ranks on first use, like the rows of
+        :meth:`lower`."""
+        rows = self._move_rows
+        row = rows[c]
+        if row is None:
+            rank = self.ranks[c - 1]
+            stride = math.prod(self.children[0].sizes)
+            row = rows[c] = tuple(
+                [(w - c) * stride for w, q in enumerate(self.ranks, 1) if q < rank]
+            )
         return row
 
 
@@ -298,13 +329,38 @@ class WalkOutcome:
     visited: tuple[Vertex | None, ...] | None = None
 
 
-def _uniform_vertex(spec: GridSpec, rng: Random) -> Vertex:
-    idx = rng.randrange(spec.vertex_count)
+def _vertex_id(sizes: tuple[int, ...], v: Vertex) -> int:
+    """The mixed-radix number of ``v``, first coordinate fastest."""
+    index = 0
+    for c, s in zip(reversed(v), reversed(sizes)):
+        index = index * s + c - 1
+    return index
+
+
+def _vertex(sizes: tuple[int, ...], index: int) -> Vertex:
+    """The vertex numbered ``index``; inverse of :func:`_vertex_id`."""
     coords = []
-    for s in spec.factor_sizes:
-        idx, c = divmod(idx, s)
+    for s in sizes:
+        index, c = divmod(index, s)
         coords.append(c + 1)
     return tuple(coords)
+
+
+def _moves(comb: CombOrientation, index: int) -> tuple[int, ...]:
+    """The out-arcs of vertex ``index`` as id changes, one :meth:`moves`
+    row per axis in :func:`_out_rows` order, kept on the comb after the
+    first call."""
+    x = _vertex(comb.sizes, index)
+    d = len(x)
+    node = comb
+    out: tuple[int, ...] = ()
+    while node.ranks:
+        d -= 1
+        c = x[d]
+        out += node.moves(c)
+        node = node.children[c - 1]
+    comb._vertex_moves[index] = out
+    return out
 
 
 def walk(
@@ -319,24 +375,30 @@ def walk(
     Each step draws uniformly over the out-edge multiset, so the terminal is
     chosen with probability ``delta / (outdeg + delta)``.  The walk stops at a
     sink (plain grid) or at the terminal (augmented).  ``start`` may be a
-    vertex or ``"uniform"``.
+    vertex or ``"uniform"``.  The walk steps over vertex ids
+    (:func:`_vertex_id`), adding the drawn one of the vertex's id changes
+    kept on the comb (:func:`_moves`), and decodes coordinates only to
+    record them.
     """
-    spec = grid_spec(comb)
+    sizes = comb.sizes
+    count = math.prod(sizes)
     if start == "uniform":
-        v = _uniform_vertex(spec, rng)
+        v = rng.randrange(count)
     else:
-        v = start  # type: ignore[assignment]
-        if not spec.contains(v):
-            raise ValueError(f"start vertex {v} not in grid {spec.factor_sizes}")
+        spec = grid_spec(comb)
+        if not spec.contains(start):  # type: ignore[arg-type]
+            raise ValueError(f"start vertex {start} not in grid {spec.factor_sizes}")
+        v = _vertex_id(sizes, start)  # type: ignore[arg-type]
     delta = _delta(cfg)
-    budget = spec.vertex_count + 1
-    visited: list[Vertex | None] = [v]
-    x = list(v)  # the current vertex, one coordinate changed per step
-    r = len(x)
+    budget = count + 1
+    known = comb._vertex_moves
+    path = [v]
     steps = 0
     while True:
-        rows = _out_rows(comb, x)
-        n_succ = sum(map(len, rows))
+        out = known.get(v)
+        if out is None:
+            out = _moves(comb, v)
+        n_succ = len(out)
         escape = chain.escape_weight(delta, n_succ)
         if not n_succ and not escape:
             break  # sink of the plain grid
@@ -347,20 +409,15 @@ def walk(
                 "walk exceeded its step budget; the orientation is not acyclic"
             )
         if i is None:
-            if record:
-                visited.append(None)
             break
-        # target i of the flattened rows: row k moves coordinate r - 1 - k
-        d = r - 1
-        for row in rows:
-            if i < len(row):
-                x[d] = row[i]
-                break
-            i -= len(row)
-            d -= 1
-        if record:
-            visited.append(tuple(x))
-    return WalkOutcome(steps, tuple(visited) if record else None)
+        v += out[i]
+        path.append(v)
+    if not record:
+        return WalkOutcome(steps)
+    visited: list[Vertex | None] = [_vertex(sizes, u) for u in path]
+    if steps == len(path):  # the last step escaped
+        visited.append(None)
+    return WalkOutcome(steps, tuple(visited))
 
 
 @dataclass(frozen=True)
@@ -436,10 +493,7 @@ def expected_duration_exact(
     scaled, d = chain.solve(weights, table.fibers, table.fibers, table.n_fibers)
     if start == "uniform":
         return Fraction(sum(scaled), d * len(scaled))
-    index = 0
-    for c, s in zip(reversed(start), reversed(spec.factor_sizes)):  # type: ignore[arg-type]
-        index = index * s + c - 1
-    return Fraction(scaled[table.row[index]], d)
+    return Fraction(scaled[table.row[_vertex_id(spec.factor_sizes, start)]], d)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

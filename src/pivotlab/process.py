@@ -19,7 +19,10 @@ of the id, so an edge finds its successor by arithmetic and builds a member
 tuple only for a state not seen before.  Every edge is checked against the
 axis-sum order once, when it is made, on the sum held as an exact integer
 pair; :func:`run`, :func:`good_phases` and :func:`exact_expected_steps` all
-read the same graph.
+read the same graph.  A :class:`Trace` keeps the states a run visited and
+the index drawn at each, so a step allocates nothing beyond two list slots;
+its :class:`TraceRecord` view, its phase changes and the pivots are read
+off those states.
 """
 
 from __future__ import annotations
@@ -115,6 +118,8 @@ class ProcessConfig:
         self._index = {p: k for cls in classes for k, p in enumerate(cls)}
         self._stride = [prod(map(len, classes[c + 1 :])) for c in range(len(classes))]
         self._states: dict[int, _State] = {}
+        # the second-outermost layer, made by good_phases on first use
+        self._layer_rm1: frozenset[PointId] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -232,18 +237,41 @@ class TraceRecord:
     pivot: PointId | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Trace:
-    records: tuple[TraceRecord, ...]
+    """One run: ``states[t]``, the state visited at step ``t``, and
+    ``picks[t]``, the index into its ``below`` drawn there (``None`` for
+    the final escape hop).  :attr:`records` and :meth:`phase_changes` are
+    built from them on first read."""
+
+    states: list[_State]
+    picks: list[int | None]
+    _records: tuple[TraceRecord, ...] | None = None
+    _changes: list[tuple[int, int]] | None = None
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """The visited positions, one :class:`TraceRecord` each."""
+        if self._records is None:
+            self._records = tuple(
+                TraceRecord(t, st.members, len(st.below), st.phase, self.pivot(t))
+                for t, st in enumerate(self.states)
+            )
+        return self._records
+
+    def pivot(self, t: int) -> PointId | None:
+        """The point pivoted in at step ``t``, ``None`` for the escape."""
+        i = self.picks[t]
+        return None if i is None else self.states[t].below[i]
 
     @property
     def pivot_count(self) -> int:
-        return len(self.records) - 1
+        return len(self.states) - 1
 
     @property
     def total_steps(self) -> int:
         """Pivot count plus the final escape hop."""
-        return len(self.records)
+        return len(self.states)
 
     def steps(self, count_terminal_step: bool) -> int:
         return self.total_steps if count_terminal_step else self.pivot_count
@@ -251,12 +279,16 @@ class Trace:
     def phase_changes(self) -> list[tuple[int, int]]:
         """Times and values of phase changes, including the final change to
         phase 0 at the escape hop."""
-        changes = []
-        for prev, rec in zip(self.records, self.records[1:]):
-            if rec.phase != prev.phase:
-                changes.append((rec.t, rec.phase))
-        changes.append((len(self.records), 0))
-        return changes
+        if self._changes is None:
+            changes = []
+            prev = self.states[0].phase
+            for t, st in enumerate(self.states):
+                if st.phase != prev:
+                    prev = st.phase
+                    changes.append((t, prev))
+            changes.append((len(self.states), 0))
+            self._changes = changes
+        return self._changes
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -283,30 +315,30 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 
 def run(cfg: ProcessConfig, rng: Random) -> Trace:
-    """Run to the terminal position, recording every visited transversal.
+    """Run to the terminal position, keeping every visited state.
 
     Each pivot is drawn by :func:`chain.draw` over the below points and the
     escape edges; with nothing below the escape is forced without consuming
     randomness."""
     budget = cfg.point_set.transversal_count() + 1
-    records = []
+    delta = cfg.delta
     st = _state(cfg, cfg.start.members)
-    t = 0
+    states = [st]
+    picks = []
     while True:
-        below = _below(cfg, st)
+        below = st.below or _below(cfg, st)
         n_below = len(below)
-        i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
-        pivot = None if i is None else below[i]
-        records.append(TraceRecord(t, st.members, n_below, st.phase, pivot))
-        t += 1
+        i = chain.draw(rng, n_below, chain.escape_weight(delta, n_below))
+        picks.append(i)
         # a second safeguard: it cannot fire while _edge checks every edge
-        if t > budget:
+        if len(picks) > budget:
             raise InternalInvariantError(
                 "process exceeded its step budget; positions must not repeat"
             )
         if i is None:
-            return Trace(tuple(records))
-        st = _edge(cfg, st, i)
+            return Trace(states, picks)
+        st = st.succ[i] or _edge(cfg, st, i)
+        states.append(st)
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +366,24 @@ def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
     r = ps.r
     if r < 2:
         return GoodPhaseReport(frozenset(), {})
+    if cfg._layer_rm1 is None:
+        cfg._layer_rm1 = frozenset(ps.layer_members(r - 1))
     good: set[int] = set()
     entry_all_below: dict[int, bool] = {}
-    for sigma, phi in trace.phase_changes():
-        if phi == 0 or sigma >= len(trace.records):
-            continue
-        pivot = trace.records[sigma - 1].pivot
-        entry = trace.records[sigma]
+    states = trace.states
+    # the last change is the escape to phase 0, after every state
+    for sigma, phi in trace.phase_changes()[:-1]:
+        pivot = trace.pivot(sigma - 1)
         assert pivot is not None  # a positive-phase change is a point pivot
         if pivot.color != r:
             continue
+        entry = states[sigma]
         if any(p.layer == r - 1 for p in entry.members):
             continue
         good.add(phi)
-        st = _state(cfg, entry.members)
-        if st.layer_rm1_below is None:
-            st.layer_rm1_below = set(ps.layer_members(r - 1)) <= set(_below(cfg, st))
-        entry_all_below[phi] = st.layer_rm1_below
+        if entry.layer_rm1_below is None:
+            entry.layer_rm1_below = cfg._layer_rm1.issubset(_below(cfg, entry))
+        entry_all_below[phi] = entry.layer_rm1_below
     return GoodPhaseReport(frozenset(good), entry_all_below)
 
 

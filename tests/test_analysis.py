@@ -406,3 +406,100 @@ def test_jump_law_chi2_rows_with_one_outcome_add_no_df():
     assert _jump_law_chi2({1: {0: 12}}, 2, 0) == (0.0, 0)
     assert _jump_law_chi2({1: {0: 12}}, 2, 1) == (0.0, 0)
     assert _jump_law_chi2({2: {1: 12}, 1: {0: 12}}, 3, 0) == (0.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# seeded Monte Carlo at the benchmark's shapes, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+SIM_MC_SEEDS = (1, 2)
+
+
+def sim_mc_shapes() -> dict:
+    """Phase-law reports at (2, 6) and comb-walk estimates at (3, 8),
+    delta 1, the shapes the ``sim_mc`` benchmark samples; the golden
+    ``goldens/sim-mc-shapes.json`` holds this dict."""
+    from pivotlab import grid_uso
+    from pivotlab.seeding import derive_rng
+
+    out = {}
+    for seed in SIM_MC_SEEDS:
+        for delta in (0, 2):
+            rep = phase_law_report(2, 6, delta, 3000, seed)
+            out[f"phase delta={delta} seed={seed}"] = rep.to_dict()
+    comb = grid_uso.build_comb(3, 8, derive_rng(1, "comb"))
+    cfg = grid_uso.AugmentedConfig(1)
+    for seed in SIM_MC_SEEDS:
+        rep = mc_estimate(
+            lambda rng: grid_uso.walk(comb, cfg, "uniform", rng, record=False).steps,
+            3000,
+            seed,
+        )
+        out[f"walk delta=1 seed={seed}"] = rep.to_dict()
+    return out
+
+
+def sim_mc_shapes_json() -> str:
+    return json.dumps(sim_mc_shapes(), indent=2, sort_keys=True) + "\n"
+
+
+def test_sim_mc_shapes_match_their_golden():
+    assert sim_mc_shapes_json().encode() == (GOLDENS / "sim-mc-shapes.json").read_bytes()
+
+
+def test_sampler_call_contract(monkeypatch):
+    """The calls a seeded Monte Carlo job makes, as the benchmark's tracer
+    counts them: one stream, one ``run`` and one ``good_phases`` per phase
+    trace, a ``below_set`` only inside ``run`` and only for a state no
+    earlier trace expanded, and one ``walk`` per Monte Carlo trial."""
+    from collections import Counter
+
+    from pivotlab import analysis, grid_uso, process
+
+    calls = Counter()
+    open_calls = []
+    visited = set()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "below_set" and open_calls[-1:] == ["run"]:
+                calls["below_set in run"] += 1
+            open_calls.append(name)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+            if name == "run":
+                visited.update(rec.members for rec in result.records)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [
+        (analysis, "derive_rng"),
+        (process, "run"),
+        (process, "good_phases"),
+        (geometry, "below_set"),
+        (grid_uso, "walk"),
+    ]:
+        counting(module, name)
+
+    phase_law_report(2, 6, 2, 300, 5)
+    assert (calls["derive_rng"], calls["run"], calls["good_phases"]) == (300, 300, 300)
+    # each state is expanded once, by the first trace that visits it
+    assert calls["below_set"] == calls["below_set in run"] == len(visited) > 0
+
+    calls.clear()
+    comb = grid_uso.build_comb(3, 8, analysis.derive_rng(1, "comb"))
+    calls.clear()
+    cfg = grid_uso.AugmentedConfig(1)
+    mc_estimate(
+        lambda rng: grid_uso.walk(comb, cfg, "uniform", rng, record=False).steps, 200, 3
+    )
+    assert (calls["derive_rng"], calls["walk"]) == (200, 200)
+    calls.clear()
+    compare_to_bound(BoundParams("uso_lemma", 2, 5, 1), "mc", trials=50, seed=4)
+    assert (calls["derive_rng"], calls["walk"]) == (50, 50)

@@ -498,6 +498,22 @@ def test_bench_bounds_empty_sweep_is_an_error(sweep, message):
     assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize("flag", ["--r-list", "--m-list"])
+@pytest.mark.parametrize("text", ["1..2..3", "2..", "..5", "a..3"])
+def test_malformed_range_is_a_usage_error(flag, text):
+    code, out, err = run_cli(["bench", "bounds", flag, text, "--seed", "1"])
+    message = f"error: malformed range {text!r}: expected LO..HI with integer bounds\n"
+    assert (code, out, err) == (1, "", message)
+
+
+def test_parse_range_accepts_ranges_and_lists():
+    assert cli._parse_range("2..8") == [2, 3, 4, 5, 6, 7, 8]
+    assert cli._parse_range("3..3") == [3]
+    assert cli._parse_range("2,3,5") == [2, 3, 5]
+    with pytest.raises(ValueError, match="empty range '5..2'"):
+        cli._parse_range("5..2")
+
+
 def test_benchmark_tracer_names_exist():
     """The benchmark's tracer patches these names by ``getattr``; a rename in
     ``src/`` would break every traced benchmark run."""

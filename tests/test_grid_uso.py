@@ -18,7 +18,7 @@ from pivotlab.grid_uso import (
     _identity_for,
     _out_masks,
     _subgrid_choices,
-    _uniform_vertex,
+    _out_rows,
     LEAF,
     AugmentedConfig,
     CombOrientation,
@@ -256,11 +256,22 @@ def recursive_out_targets(comb, v):
     return out
 
 
+def uniform_vertex(spec, rng):
+    """One uniform draw over the grid's vertices, numbered first coordinate
+    fastest."""
+    idx = rng.randrange(spec.vertex_count)
+    coords = []
+    for s in spec.factor_sizes:
+        idx, c = divmod(idx, s)
+        coords.append(c + 1)
+    return tuple(coords)
+
+
 def scalar_walk(comb, cfg, start, rng, record=True):
     """Oracle: one walk that rebuilds every out-target list on every step."""
     spec = grid_spec(comb)
     if start == "uniform":
-        v = _uniform_vertex(spec, rng)
+        v = uniform_vertex(spec, rng)
     else:
         v = start
         if not spec.contains(v):
@@ -320,6 +331,89 @@ def test_walk_matches_scalar_oracle(r, m, delta, seed, data):
         assert unrecorded == oracle
 
 
+def rows_walk(comb, cfg, start, rng, record=True):
+    """Oracle: one walk over coordinate tuples, reading the comb's
+    :func:`_out_rows` on every step and moving the coordinate the drawn
+    row names."""
+    spec = grid_spec(comb)
+    if start == "uniform":
+        v = uniform_vertex(spec, rng)
+    else:
+        v = start
+        if not spec.contains(v):
+            raise ValueError(f"start vertex {v} not in grid {spec.factor_sizes}")
+    delta = None if cfg is None else cfg.delta
+    budget = spec.vertex_count + 1
+    visited = [v]
+    x = list(v)
+    r = len(x)
+    steps = 0
+    while True:
+        rows = _out_rows(comb, x)
+        n_succ = sum(map(len, rows))
+        escape = chain.escape_weight(delta, n_succ)
+        if not n_succ and not escape:
+            break
+        i = chain.draw(rng, n_succ, escape)
+        steps += 1
+        if steps > budget:
+            raise InternalInvariantError("walk exceeded its step budget")
+        if i is None:
+            if record:
+                visited.append(None)
+            break
+        # target i of the flattened rows: row k moves coordinate r - 1 - k
+        d = r - 1
+        for row in rows:
+            if i < len(row):
+                x[d] = row[i]
+                break
+            i -= len(row)
+            d -= 1
+        if record:
+            visited.append(tuple(x))
+    return WalkOutcome(steps, tuple(visited) if record else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(0, 3),
+    m=st.integers(1, 5),
+    delta=st.sampled_from([None, 0, 1, 2]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_walk_draws_as_the_rows_oracle(r, m, delta, seed, data):
+    # separate copies of one comb, so the walk fills its successor ids on
+    # its own; the stream states after every call pin the draws one by one
+    comb, oracle_comb = build_comb(r, m, Random(seed)), build_comb(r, m, Random(seed))
+    cfg = None if delta is None else AugmentedConfig(delta)
+    rng, oracle_rng = Random(seed), Random(seed)
+    for _ in range(6):
+        start = data.draw(
+            st.one_of(
+                st.just("uniform"), st.tuples(*[st.integers(1, m) for _ in range(r)])
+            ),
+            label="start",
+        )
+        record = data.draw(st.booleans(), label="record")
+        got = walk(comb, cfg, start, rng, record=record)
+        want = rows_walk(oracle_comb, cfg, start, oracle_rng, record=record)
+        assert (got.steps, got.visited) == (want.steps, want.visited)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_walk_fills_moves_only_for_visited_vertices():
+    comb = build_comb(3, 6, Random(3))
+    visited = set()
+    for i in range(20):
+        visited.update(walk(comb, AugmentedConfig(1), "uniform", Random(i)).visited)
+    visited.discard(None)
+    sizes = comb.sizes
+    ids = {sum((c - 1) * math.prod(sizes[:d]) for d, c in enumerate(v)) for v in visited}
+    assert set(comb._vertex_moves) == ids and len(ids) < math.prod(sizes)
+
+
 @pytest.mark.parametrize("r, m", [(0, 3), (1, 5), (2, 4), (3, 3)])
 def test_out_targets_match_recursive_oracle(r, m):
     comb = build_comb(r, m, Random(f"targets{r}:{m}"))
@@ -333,6 +427,16 @@ def test_out_targets_match_recursive_oracle(r, m):
 def test_lower_rows_list_the_lower_ranked_values():
     comb = CombOrientation((3, 1, 4, 2), (LEAF,) * 4)
     assert [comb.lower(c) for c in (1, 2, 3, 4)] == [(2, 4), (), (1, 2, 4), (2,)]
+
+
+@pytest.mark.parametrize("r, m", [(1, 5), (2, 4), (3, 3)])
+def test_moves_are_the_lower_rows_as_id_changes(r, m):
+    comb = build_comb(r, m, Random(f"moves{r}:{m}"))
+    node, stride = comb, m ** (r - 1)
+    while node.ranks:
+        for c in range(1, m + 1):
+            assert node.moves(c) == tuple((w - c) * stride for w in node.lower(c))
+        node, stride = node.children[-1], stride // m
 
 
 def test_walking_leaves_equality_and_hash_unchanged():

@@ -171,15 +171,19 @@ def test_run_seed_determinism_byte_for_byte():
     assert a == b
 
 
+def hand_state(members, phase, below) -> process._State:
+    """A state built outside any config's graph, for traces fed by hand."""
+    return process._State(-1, members, 0, 1, phase, below)
+
+
 def scalar_run(cfg, rng) -> Trace:
     """Oracle: the process stepped from scratch, recomputing the below set
     and the axis-intersection sum of every visited position and checking
     that the sum falls on every step."""
     ps = cfg.point_set
-    records = []
+    states, picks = [], []
     position = cfg.start
     prev_t_sum = None
-    t = 0
     while True:
         t_sum = sum(axis_intersections(ps, position))
         if prev_t_sum is not None and t_sum >= prev_t_sum:
@@ -187,14 +191,62 @@ def scalar_run(cfg, rng) -> Trace:
         prev_t_sum = t_sum
         below = below_set(ps, position)
         i = chain.draw(rng, len(below), chain.escape_weight(cfg.delta, len(below)))
+        states.append(hand_state(position.members, phase_of(ps, position), below))
+        picks.append(i)
+        if i is None:
+            return Trace(states, picks)
+        position = position.replace(below[i])
+
+
+def record_run(cfg, rng) -> tuple[TraceRecord, ...]:
+    """Oracle: the process stepped over the config's state graph, building
+    one :class:`TraceRecord` per step as it goes."""
+    budget = cfg.point_set.transversal_count() + 1
+    records = []
+    st = process._state(cfg, cfg.start.members)
+    t = 0
+    while True:
+        below = process._below(cfg, st)
+        n_below = len(below)
+        i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
         pivot = None if i is None else below[i]
-        records.append(
-            TraceRecord(t, position.members, len(below), phase_of(ps, position), pivot)
-        )
+        records.append(TraceRecord(t, st.members, n_below, st.phase, pivot))
         t += 1
-        if pivot is None:
-            return Trace(tuple(records))
-        position = position.replace(pivot)
+        if t > budget:
+            raise InternalInvariantError(
+                "process exceeded its step budget; positions must not repeat"
+            )
+        if i is None:
+            return tuple(records)
+        st = process._edge(cfg, st, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    m=st.integers(1, 5),
+    data=st.data(),
+    delta=st.integers(0, 2),
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
+)
+def test_run_draws_as_the_record_oracle(r, m, data, delta, seeds):
+    # run and the oracle on separate configs, so each builds its own graph;
+    # the stream states after every call pin the draws one by one
+    ps = gen_point_set(r, m)
+    if data.draw(st.booleans(), label="augmented"):
+        alphas = data.draw(
+            st.lists(st.integers(m + 1, m + 4), min_size=r, max_size=r), label="alphas"
+        )
+        ps = ps.augmented(alphas)
+    cfg, oracle_cfg = ProcessConfig(ps, delta=delta), ProcessConfig(ps, delta=delta)
+    for seed in seeds:
+        rng, oracle_rng = Random(seed), Random(seed)
+        for _ in range(3):
+            trace = run(cfg, rng)
+            want = record_run(oracle_cfg, oracle_rng)
+            assert trace.records == want
+            assert (trace.total_steps, trace.pivot_count) == (len(want), len(want) - 1)
+            assert rng.getstate() == oracle_rng.getstate()
 
 
 @settings(max_examples=80, deadline=None)
@@ -354,12 +406,9 @@ def test_good_phases_flag_false_when_a_layer_point_is_above():
     assert members is not None, "every layer-2 transversal has all of layer 1 below"
     pivot = next(p for p in members if p.color == ps.r)
     phase = phase_of(ps, make_transversal(ps, members))
-    trace = Trace(
-        (
-            TraceRecord(0, members, 0, phase + 1, pivot),
-            TraceRecord(1, members, 0, phase, None),
-        )
-    )
+    # the first state pivots that point in; the entry is the config's own
+    entry = process._state(cfg, members)
+    trace = Trace([hand_state(members, phase + 1, (pivot,)), entry], [0, None])
     for _ in range(2):  # the second call reads the cached flag
         report = good_phases(cfg, trace)
         assert report == scalar_good_phases(cfg, trace)
