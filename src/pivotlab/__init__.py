@@ -7,13 +7,14 @@ pivoting, in two equivalent models.
   checks.
 - :mod:`pivotlab.grid_uso` builds recursive comb orientations of grid graphs
   (acyclic, unique sink in every subgrid), simulates the directed random walk
-  and solves its expected duration exactly; ``out_neighbors`` is its one
-  flattened view of a vertex's out-arcs.
+  and solves its expected duration exactly; a comb keeps its arcs as rows
+  of vertex-id changes, which ``out_neighbors`` decodes into targets.
 - :mod:`pivotlab.geometry` constructs the exact-integer point families around
   the diagonal requirement line and decides every predicate exactly, the
   side test and pivot by integer signs from one fraction-free elimination.
 - :mod:`pivotlab.process` runs the pivoting process on those point sets,
-  tracks phases, and solves the finite chain exactly.
+  tracks phases, and solves the finite chain exactly; a trace is the states
+  it visited and the index drawn at each.
 - :mod:`pivotlab.analysis` evaluates the closed-form duration bounds,
   estimates expectations by seeded Monte Carlo, and verifies the structural
   and statistical laws the constructions are supposed to obey.

@@ -695,12 +695,11 @@ def phase_law_report(
                 pivot = trace.pivot(sigma - 1)
                 assert pivot is not None
                 color_counts[pivot.color - 1] += 1
-        report = process.good_phases(cfg, trace)
-        for k in report.phases:
+        good = process.good_phases(cfg, trace)
+        for k in good:
             if 1 <= k <= m:
                 good_counts[k] += 1
-        if not all(report.entry_all_below.values()):
-            consequence_ok = False
+        consequence_ok = consequence_ok and all(good.values())
 
     color_total = sum(color_counts)
     # no positive-phase change at all is no evidence against uniform colors

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import analysis, geometry, grid_uso, process
+from . import analysis, chain, geometry, grid_uso, process
 from .errors import DegeneracyError, GeneralPositionError, InstanceTooLargeError
 from .seeding import derive_rng, fresh_seed
 
@@ -41,13 +41,19 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    """Comma-separated ints; a blank text is ``()``, an empty field an error."""
+    """Comma-separated ints; a blank text is ``()``, an empty field or one
+    that is not an integer an error naming the list."""
     if not text.strip():
         return ()
-    fields = text.split(",")
-    if not all(map(str.strip, fields)):
-        raise ValueError(f"empty field in the list {text!r}")
-    return tuple(map(int, fields))
+    values = []
+    for field in text.split(","):
+        if not field.strip():
+            raise ValueError(f"empty field in the list {text!r}")
+        try:
+            values.append(int(field))
+        except ValueError:
+            raise ValueError(f"not an integer {field.strip()!r} in the list {text!r}") from None
+    return tuple(values)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -88,6 +94,12 @@ def _seed_of(args) -> int:
         print(f"generated seed: {seed}", file=sys.stderr)
         return seed
     return args.seed
+
+
+def _check_vertex_cap(args, purpose: str) -> None:
+    """Refuse an ``m**r``-vertex grid over the state cap before building it."""
+    if args.r >= 0 and args.m >= 1:
+        chain.check_state_count(args.m**args.r, "vertices", purpose)
 
 
 def _comb_for(args, seed: int) -> grid_uso.CombOrientation:
@@ -152,6 +164,7 @@ def _cmd_uso_walk(args) -> int:
 
 def _cmd_uso_expect(args) -> int:
     seed = _seed_of(args)
+    _check_vertex_cap(args, "exact mode")
     comb = _comb_for(args, seed)
     start = tuple(_parse_ints(args.start)) if args.start else "uniform"
     value = grid_uso.expected_duration_exact(comb, _aug_cfg(args), start)
@@ -169,6 +182,7 @@ def _cmd_uso_expect(args) -> int:
 
 def _cmd_uso_verify(args) -> int:
     seed = _seed_of(args)
+    _check_vertex_cap(args, "the acyclicity check")
     comb = _comb_for(args, seed)
     # both checks read every vertex's arcs: cache them so each is built once
     out_fn = functools.cache(functools.partial(grid_uso.out_neighbors, comb))

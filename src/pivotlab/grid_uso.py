@@ -16,17 +16,16 @@ The escape edges are counted by :func:`chain.escape_weight`, never listed,
 and a walk records an escape as ``None``.
 
 Each comb node keeps one row per value ``c`` of its factor,
-:meth:`CombOrientation.lower`: the values ranked below ``c``, built the first
-time they are asked for.  A vertex's out-arcs are one such row per axis, last
-axis first (:func:`_out_rows`).  :func:`out_neighbors` lists them as target
-tuples for the structural checks.  :func:`walk` steps over vertex ids
-(mixed radix, first coordinate fastest: the number a uniform start draws)
-and reads the same arcs, in the same order, as id changes: per node and
-value a row of :meth:`CombOrientation.moves`, built from the ranks, and per
-vertex its rows joined on its first visit, both kept on the comb.  It
-decodes coordinates only to record them.  So a walk draws exactly as it
-would over :func:`out_neighbors`, and a fresh comb per trial fills only
-what its one walk visits.
+:meth:`CombOrientation.moves`: the arcs that leave ``c`` along that factor,
+as changes of the vertex id (mixed radix, first coordinate fastest: the
+number a uniform start draws), built from the ranks the first time they are
+asked for.  A vertex's out-arcs are one such row per axis, last axis first.
+:func:`walk` joins a vertex's rows on its first visit, keeps the join on the
+comb, and steps by adding the drawn change to the id; it decodes
+coordinates only to record them.  :func:`out_neighbors` decodes the same
+rows, in the same order, into target tuples for the structural checks.  So
+a walk draws exactly as it would over :func:`out_neighbors`, and a fresh
+comb per trial fills only what its one walk visits.
 """
 
 from __future__ import annotations
@@ -148,52 +147,35 @@ class CombOrientation:
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
-        # cached outside the fields like _lower_rows: every out-arc query
+        # cached outside the fields like _move_rows: every out-arc query
         # checks its vertex against the grid shape
         if not self.ranks:
             return ()
         return self.children[0].sizes + (len(self.ranks),)
 
     @cached_property
-    def _lower_rows(self) -> list[tuple[int, ...] | None]:
-        # kept in the instance dict, outside the fields, so eq, hash and
-        # repr ignore it; one slot per value, filled by lower()
-        return [None] * (len(self.ranks) + 1)
-
-    @cached_property
     def _move_rows(self) -> list[tuple[int, ...] | None]:
-        # kept like _lower_rows; one slot per value, filled by moves()
+        # kept in the instance dict, outside the fields, so eq, hash and
+        # repr ignore it; one slot per value, filled by moves()
         return [None] * (len(self.ranks) + 1)
 
     @cached_property
     def _vertex_moves(self) -> dict[int, tuple[int, ...]]:
-        # kept like _lower_rows: the out-arc moves of each vertex a walk
+        # kept like _move_rows: the out-arc moves of each vertex a walk
         # has visited, filled by _moves() on the first visit
         return {}
 
     @cached_property
     def _vertex_table(self) -> _VertexTable:
-        # kept like _lower_rows: the plain and escape solves of one comb
+        # kept like _move_rows: the plain and escape solves of one comb
         # share one compiled table
         return _compile(self)
 
-    def lower(self, c: int) -> tuple[int, ...]:
-        """The values ranked below value ``c``, ascending: the targets of
-        the arcs that leave ``c`` along the last factor.  Each row is built
-        on first use, so a walk pays only for the values it visits."""
-        rows = self._lower_rows
-        row = rows[c]
-        if row is None:
-            rank = self.ranks[c - 1]
-            row = rows[c] = tuple(w for w, q in enumerate(self.ranks, 1) if q < rank)
-        return row
-
     def moves(self, c: int) -> tuple[int, ...]:
-        """The arcs of :meth:`lower` as changes of the vertex id
-        (:func:`_vertex_id`), in the same order: ``(w - c) * stride`` for
-        each lower value ``w``, ``stride`` being the vertex count of one
-        hyperplane.  Built from the ranks on first use, like the rows of
-        :meth:`lower`."""
+        """The arcs leaving value ``c`` along the last factor as changes of
+        the vertex id (:func:`_vertex_id`): ``(w - c) * stride`` for each
+        value ``w`` ranked below ``c``, ascending, ``stride`` being the vertex
+        count of one hyperplane.  A row is built on first use."""
         rows = self._move_rows
         row = rows[c]
         if row is None:
@@ -248,38 +230,26 @@ def _identity_for(sizes: tuple[int, ...]) -> CombOrientation:
 # ---------------------------------------------------------------------------
 
 
-def _out_rows(comb: CombOrientation, v: Vertex) -> list[tuple[int, ...]]:
-    """Out-arcs of ``v`` as one row per axis, last axis first: row ``k``
-    holds the values that coordinate ``len(v) - 1 - k`` may change to."""
-    rows = []
-    node = comb
-    d = len(v)
-    while node.ranks:
-        d -= 1
-        c = v[d]
-        rows.append(node.lower(c))
-        node = node.children[c - 1]
-    return rows
-
-
 def out_neighbors(comb: CombOrientation, v: Vertex) -> tuple[Vertex, ...]:
-    """The targets of ``v``'s grid arcs under the comb, in :func:`_out_rows`
-    order.  Escape edges are not listed: :func:`chain.escape_weight` counts
-    them.  A vertex outside the grid raises ``ValueError``."""
+    """The targets of ``v``'s grid arcs: per axis, last axis first, the
+    :meth:`moves` row of ``v``'s value ``c`` decoded as ``c + move // stride``.
+    Escape edges are not listed: :func:`chain.escape_weight` counts them.
+    A vertex outside the grid raises ``ValueError``."""
     spec = grid_spec(comb)
     if not spec.contains(v):
         raise ValueError(f"vertex {v} not in grid {spec.factor_sizes}")
     out = []
+    node = comb
     d = len(v)
-    for row in _out_rows(comb, v):
+    stride = spec.vertex_count
+    while node.ranks:
         d -= 1
+        c = v[d]
+        stride //= spec.factor_sizes[d]
         head, tail = v[:d], v[d + 1 :]
-        out.extend(head + (w,) + tail for w in row)
+        out.extend(head + (c + move // stride,) + tail for move in node.moves(c))
+        node = node.children[c - 1]
     return tuple(out)
-
-
-def _delta(cfg: AugmentedConfig | None) -> int | None:
-    return None if cfg is None else cfg.delta
 
 
 def flip_top_pair_out(
@@ -348,8 +318,8 @@ def _vertex(sizes: tuple[int, ...], index: int) -> Vertex:
 
 def _moves(comb: CombOrientation, index: int) -> tuple[int, ...]:
     """The out-arcs of vertex ``index`` as id changes, one :meth:`moves`
-    row per axis in :func:`_out_rows` order, kept on the comb after the
-    first call."""
+    row per axis, last axis first, kept on the comb after the first
+    call."""
     x = _vertex(comb.sizes, index)
     d = len(x)
     node = comb
@@ -389,7 +359,7 @@ def walk(
         if not spec.contains(start):  # type: ignore[arg-type]
             raise ValueError(f"start vertex {start} not in grid {spec.factor_sizes}")
         v = _vertex_id(sizes, start)  # type: ignore[arg-type]
-    delta = _delta(cfg)
+    delta = None if cfg is None else cfg.delta
     budget = count + 1
     known = comb._vertex_moves
     path = [v]
@@ -488,7 +458,7 @@ def expected_duration_exact(
     if start != "uniform" and not spec.contains(start):  # type: ignore[arg-type]
         raise ValueError(f"start vertex {start} not in grid {spec.factor_sizes}")
     table = comb._vertex_table
-    delta = _delta(cfg)
+    delta = None if cfg is None else cfg.delta
     weights = [n + chain.escape_weight(delta, n) for n in table.n_succ]
     scaled, d = chain.solve(weights, table.fibers, table.fibers, table.n_fibers)
     if start == "uniform":

@@ -19,10 +19,9 @@ of the id, so an edge finds its successor by arithmetic and builds a member
 tuple only for a state not seen before.  Every edge is checked against the
 axis-sum order once, when it is made, on the sum held as an exact integer
 pair; :func:`run`, :func:`good_phases` and :func:`exact_expected_steps` all
-read the same graph.  A :class:`Trace` keeps the states a run visited and
-the index drawn at each, so a step allocates nothing beyond two list slots;
-its :class:`TraceRecord` view, its phase changes and the pivots are read
-off those states.
+read the same graph.  A :class:`Trace` is the states a run visited and the
+index drawn at each, so a step allocates nothing beyond two list slots; its
+pivots, its phase changes and its jsonl dump are read off those states.
 """
 
 from __future__ import annotations
@@ -40,10 +39,8 @@ from .errors import InternalInvariantError
 from .geometry import PointId, PointSet, Transversal
 
 __all__ = [
-    "GoodPhaseReport",
     "ProcessConfig",
     "Trace",
-    "TraceRecord",
     "adversary_start",
     "exact_expected_steps",
     "good_phases",
@@ -225,39 +222,16 @@ def phase_of(point_set: PointSet, position: Transversal) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One visited position: the pivot chosen there is a point id, or
-    ``None`` for the final escape hop."""
-
-    t: int
-    members: tuple[PointId, ...]
-    below_count: int
-    phase: int
-    pivot: PointId | None
-
-
 @dataclass(slots=True, eq=False, repr=False)
 class Trace:
     """One run: ``states[t]``, the state visited at step ``t``, and
     ``picks[t]``, the index into its ``below`` drawn there (``None`` for
-    the final escape hop).  :attr:`records` and :meth:`phase_changes` are
-    built from them on first read."""
+    the final escape hop).  :meth:`phase_changes` is built from them on
+    first read."""
 
     states: list[_State]
     picks: list[int | None]
-    _records: tuple[TraceRecord, ...] | None = None
     _changes: list[tuple[int, int]] | None = None
-
-    @property
-    def records(self) -> tuple[TraceRecord, ...]:
-        """The visited positions, one :class:`TraceRecord` each."""
-        if self._records is None:
-            self._records = tuple(
-                TraceRecord(t, st.members, len(st.below), st.phase, self.pivot(t))
-                for t, st in enumerate(self.states)
-            )
-        return self._records
 
     def pivot(self, t: int) -> PointId | None:
         """The point pivoted in at step ``t``, ``None`` for the escape."""
@@ -293,15 +267,16 @@ class Trace:
 
 def trace_to_jsonl(trace: Trace) -> str:
     lines = []
-    for rec in trace.records:
+    for t, st in enumerate(trace.states):
+        pivot = trace.pivot(t)
         lines.append(
             json.dumps(
                 {
-                    "t": rec.t,
-                    "S": [list(p) for p in rec.members],
-                    "pivot": "inf" if rec.pivot is None else list(rec.pivot),
-                    "below": rec.below_count,
-                    "phase": rec.phase,
+                    "t": t,
+                    "S": [list(p) for p in st.members],
+                    "pivot": "inf" if pivot is None else list(pivot),
+                    "below": len(st.below),
+                    "phase": st.phase,
                 },
                 separators=(",", ":"),
             )
@@ -346,45 +321,35 @@ def run(cfg: ProcessConfig, rng: Random) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoodPhaseReport:
-    """Good phases of one trace.
+def good_phases(cfg: ProcessConfig, trace: Trace) -> dict[int, bool]:
+    """The good phases of one trace, each mapped to whether every
+    second-outermost-layer point was strictly below its entry position.
 
     A visited phase is good when it was entered by pivoting a point of the
-    last color and the entry position avoids the second-outermost layer.
-    ``entry_all_below[k]`` records the expected consequence: whether every
-    second-outermost-layer point was strictly below the entry position.
-    Empty below dimension 2, where the notion is not defined.
+    last color and the entry position avoids the second-outermost layer;
+    all of that layer below the entry is the expected consequence.  Empty
+    below dimension 2, where the notion is not defined.
     """
-
-    phases: frozenset[int]
-    entry_all_below: dict[int, bool]
-
-
-def good_phases(cfg: ProcessConfig, trace: Trace) -> GoodPhaseReport:
     ps = cfg.point_set
     r = ps.r
     if r < 2:
-        return GoodPhaseReport(frozenset(), {})
+        return {}
     if cfg._layer_rm1 is None:
         cfg._layer_rm1 = frozenset(ps.layer_members(r - 1))
-    good: set[int] = set()
-    entry_all_below: dict[int, bool] = {}
-    states = trace.states
+    good: dict[int, bool] = {}
     # the last change is the escape to phase 0, after every state
     for sigma, phi in trace.phase_changes()[:-1]:
         pivot = trace.pivot(sigma - 1)
         assert pivot is not None  # a positive-phase change is a point pivot
         if pivot.color != r:
             continue
-        entry = states[sigma]
+        entry = trace.states[sigma]
         if any(p.layer == r - 1 for p in entry.members):
             continue
-        good.add(phi)
         if entry.layer_rm1_below is None:
             entry.layer_rm1_below = cfg._layer_rm1.issubset(_below(cfg, entry))
-        entry_all_below[phi] = entry.layer_rm1_below
-    return GoodPhaseReport(frozenset(good), entry_all_below)
+        good[phi] = entry.layer_rm1_below
+    return good
 
 
 # ---------------------------------------------------------------------------

@@ -473,7 +473,7 @@ def test_sampler_call_contract(monkeypatch):
             finally:
                 open_calls.pop()
             if name == "run":
-                visited.update(rec.members for rec in result.records)
+                visited.update(st.members for st in result.states)
             return result
 
         monkeypatch.setattr(module, name, wrapper)

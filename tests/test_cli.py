@@ -213,6 +213,22 @@ def test_empty_list_field_is_a_usage_error(argv, text):
     assert (code, out, err) == (1, "", f"error: empty field in the list {text!r}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, field, text",
+    [
+        (["points", "dump", "--r", "2", "--m", "3", "--alphas", "4,x"], "x", "4,x"),
+        (["process", "expect", "--r", "2", "--m", "3", "--alphas", "4,5.5"], "5.5", "4,5.5"),
+        (["uso", "walk", "--r", "2", "--m", "3", "--seed", "1", "--start", "1,a"], "a", "1,a"),
+        (["verify", "lemmas", "--r", "2", "--m", "3", "--phase-deltas", "0,two"], "two", "0,two"),
+        (["bench", "bounds", "--r-list", "1,b", "--seed", "1"], "b", "1,b"),
+    ],
+    ids=["alphas", "alphas-float", "start", "phase-deltas", "r-list"],
+)
+def test_non_integer_list_field_is_a_usage_error(argv, field, text):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (1, "", f"error: not an integer {field!r} in the list {text!r}\n")
+
+
 # the point family is not in general position at (5, 2): point (1,5,2) lies
 # on the hyperplane of (1,1,2) and on-axis points of the other colours
 GENERAL_POSITION_FAILURES = {
@@ -348,6 +364,29 @@ def test_uso_verify_cap_hint_offers_no_monte_carlo(monkeypatch):
     assert code == 1
     assert "cap of 3" in err and "PIVOTLAB_STATE_CAP" in err
     assert "Monte Carlo" not in err
+
+
+@pytest.mark.parametrize(
+    "command, purpose, hint",
+    [
+        ("expect", "exact mode", "use Monte Carlo mode, or raise PIVOTLAB_STATE_CAP"),
+        ("verify", "the acyclicity check", "raise PIVOTLAB_STATE_CAP"),
+    ],
+)
+@pytest.mark.parametrize("r, m", [(6, 12), (7, 9)])
+def test_oversized_grid_is_refused_before_the_comb_is_built(monkeypatch, command, purpose, hint, r, m):
+    def build_comb(*args):
+        raise AssertionError("the comb was built")
+
+    monkeypatch.delenv("PIVOTLAB_STATE_CAP", raising=False)
+    monkeypatch.setattr(grid_uso, "build_comb", build_comb)
+    code, out, err = run_cli(["uso", command, "--r", str(r), "--m", str(m), "--seed", "1"])
+    assert (code, out, err) == (
+        1,
+        "",
+        f"error: instance too large for {purpose}: {m**r} vertices exceed the cap of 1000000\n"
+        f"hint: {hint}\n",
+    )
 
 
 def test_cli_import_loads_no_scipy_or_numpy():

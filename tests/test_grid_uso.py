@@ -18,7 +18,6 @@ from pivotlab.grid_uso import (
     _identity_for,
     _out_masks,
     _subgrid_choices,
-    _out_rows,
     LEAF,
     AugmentedConfig,
     CombOrientation,
@@ -267,8 +266,9 @@ def uniform_vertex(spec, rng):
     return tuple(coords)
 
 
-def scalar_walk(comb, cfg, start, rng, record=True):
-    """Oracle: one walk that rebuilds every out-target list on every step."""
+def scalar_walk(comb, cfg, start, rng, record=True, targets_of=recursive_out_targets):
+    """Oracle: one walk over coordinate tuples that rebuilds every
+    out-target list, ``targets_of(comb, v)``, on every step."""
     spec = grid_spec(comb)
     if start == "uniform":
         v = uniform_vertex(spec, rng)
@@ -281,7 +281,7 @@ def scalar_walk(comb, cfg, start, rng, record=True):
     visited = [v]
     steps = 0
     while True:
-        targets = recursive_out_targets(comb, v)
+        targets = targets_of(comb, v)
         escape = chain.escape_weight(delta, len(targets))
         if not targets and not escape:
             break
@@ -332,47 +332,9 @@ def test_walk_matches_scalar_oracle(r, m, delta, seed, data):
 
 
 def rows_walk(comb, cfg, start, rng, record=True):
-    """Oracle: one walk over coordinate tuples, reading the comb's
-    :func:`_out_rows` on every step and moving the coordinate the drawn
-    row names."""
-    spec = grid_spec(comb)
-    if start == "uniform":
-        v = uniform_vertex(spec, rng)
-    else:
-        v = start
-        if not spec.contains(v):
-            raise ValueError(f"start vertex {v} not in grid {spec.factor_sizes}")
-    delta = None if cfg is None else cfg.delta
-    budget = spec.vertex_count + 1
-    visited = [v]
-    x = list(v)
-    r = len(x)
-    steps = 0
-    while True:
-        rows = _out_rows(comb, x)
-        n_succ = sum(map(len, rows))
-        escape = chain.escape_weight(delta, n_succ)
-        if not n_succ and not escape:
-            break
-        i = chain.draw(rng, n_succ, escape)
-        steps += 1
-        if steps > budget:
-            raise InternalInvariantError("walk exceeded its step budget")
-        if i is None:
-            if record:
-                visited.append(None)
-            break
-        # target i of the flattened rows: row k moves coordinate r - 1 - k
-        d = r - 1
-        for row in rows:
-            if i < len(row):
-                x[d] = row[i]
-                break
-            i -= len(row)
-            d -= 1
-        if record:
-            visited.append(tuple(x))
-    return WalkOutcome(steps, tuple(visited) if record else None)
+    """Oracle: one walk over coordinate tuples, drawing over the comb's
+    :func:`out_neighbors` on every step."""
+    return scalar_walk(comb, cfg, start, rng, record, targets_of=out_neighbors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,14 +381,32 @@ def test_out_targets_match_recursive_oracle(r, m):
     comb = build_comb(r, m, Random(f"targets{r}:{m}"))
     if r >= 2:
         comb = embed_padded(comb, r * m + 1)
-    out_fn = partial(out_neighbors, comb)
     for v in grid_spec(comb).vertices():
-        assert out_fn(v) == tuple(recursive_out_targets(comb, v))
+        assert out_neighbors(comb, v) == tuple(recursive_out_targets(comb, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.integers(0, 3),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_out_targets_match_recursive_oracle_on_drawn_combs(r, m, seed, data):
+    if data.draw(st.booleans(), label="identity"):
+        comb = identity_comb(r, m)
+    else:
+        comb = build_comb(r, m, Random(seed))
+    if r >= 2 and data.draw(st.booleans(), label="padded"):
+        comb = embed_padded(comb, r * m + data.draw(st.integers(1, r - 1), label="extra"))
+    for v in grid_spec(comb).vertices():
+        assert out_neighbors(comb, v) == tuple(recursive_out_targets(comb, v))
 
 
 def test_lower_rows_list_the_lower_ranked_values():
+    # a hyperplane holds one vertex here, so each move is a value change
     comb = CombOrientation((3, 1, 4, 2), (LEAF,) * 4)
-    assert [comb.lower(c) for c in (1, 2, 3, 4)] == [(2, 4), (), (1, 2, 4), (2,)]
+    assert [comb.moves(c) for c in (1, 2, 3, 4)] == [(1, 3), (), (-2, -1, 1), (-2,)]
 
 
 @pytest.mark.parametrize("r, m", [(1, 5), (2, 4), (3, 3)])
@@ -435,7 +415,8 @@ def test_moves_are_the_lower_rows_as_id_changes(r, m):
     node, stride = comb, m ** (r - 1)
     while node.ranks:
         for c in range(1, m + 1):
-            assert node.moves(c) == tuple((w - c) * stride for w in node.lower(c))
+            lower = [w for w in range(1, m + 1) if node.ranks[w - 1] < node.ranks[c - 1]]
+            assert node.moves(c) == tuple((w - c) * stride for w in lower)
         node, stride = node.children[-1], stride // m
 
 

@@ -20,10 +20,8 @@ from pivotlab.geometry import (
     transversals,
 )
 from pivotlab.process import (
-    GoodPhaseReport,
     ProcessConfig,
     Trace,
-    TraceRecord,
     adversary_start,
     exact_expected_steps,
     good_phases,
@@ -79,7 +77,7 @@ def test_step_forced_escape_without_candidates():
     ps = gen_point_set(1, 2)
     bottom = make_transversal(ps, [PointId(1, 1, 1)])
     trace = run(ProcessConfig(ps, bottom), Random(0))
-    assert trace.records[0].pivot is None and trace.total_steps == 1
+    assert trace.pivot(0) is None and trace.total_steps == 1
 
 
 def test_step_distribution_matches_weights():
@@ -88,9 +86,10 @@ def test_step_distribution_matches_weights():
     trials = 20_000
     counts = {"escape": 0}
     for i in range(trials):
-        first = run(cfg, derive_rng(7, i)).records[0]
-        assert first.members == adversary_start(cfg.point_set).members
-        key = "escape" if first.pivot is None else first.pivot.phase
+        trace = run(cfg, derive_rng(7, i))
+        assert trace.states[0].members == adversary_start(cfg.point_set).members
+        pivot = trace.pivot(0)
+        key = "escape" if pivot is None else pivot.phase
         counts[key] = counts.get(key, 0) + 1
     se = math.sqrt(0.2 * 0.8 / trials)
     for k in (1, 2, 3):
@@ -130,7 +129,7 @@ def test_run_deterministic_single_pivot():
     trace = run(cfg, Random(0))
     assert trace.pivot_count == 1
     assert trace.total_steps == 2
-    assert [r.members for r in trace.records] == [
+    assert [st.members for st in trace.states] == [
         (PointId(1, 1, 2),),
         (PointId(1, 1, 1),),
     ]
@@ -150,18 +149,19 @@ def test_trace_invariants_hold_on_sampled_runs():
     n_states = cfg.point_set.transversal_count()
     for i in range(300):
         trace = run(cfg, derive_rng(3, "run", i))
-        positions = [rec.members for rec in trace.records]
+        positions = [st.members for st in trace.states]
         assert len(set(positions)) == len(positions)  # no repeats
         assert len(positions) < n_states
-        phases = [trace.records[0].phase] + [phi for _, phi in trace.phase_changes()]
+        phases = [trace.states[0].phase] + [phi for _, phi in trace.phase_changes()]
         assert all(a > b for a, b in zip(phases, phases[1:]))
         assert phases[0] == cfg.point_set.m + 1
         assert phases[-1] == 0
         # phase changes only when pivoting an outermost-layer point
-        for prev, rec in zip(trace.records, trace.records[1:]):
-            if rec.phase != prev.phase:
-                assert prev.pivot is not None
-                assert prev.pivot.layer == cfg.point_set.r
+        for t in range(1, len(trace.states)):
+            if trace.states[t].phase != trace.states[t - 1].phase:
+                pivot = trace.pivot(t - 1)
+                assert pivot is not None
+                assert pivot.layer == cfg.point_set.r
 
 
 def test_run_seed_determinism_byte_for_byte():
@@ -198,9 +198,17 @@ def scalar_run(cfg, rng) -> Trace:
         position = position.replace(below[i])
 
 
-def record_run(cfg, rng) -> tuple[TraceRecord, ...]:
-    """Oracle: the process stepped over the config's state graph, building
-    one :class:`TraceRecord` per step as it goes."""
+def trace_steps(trace) -> tuple:
+    """A trace as one ``(members, below count, phase, pivot)`` per step."""
+    return tuple(
+        (st.members, len(st.below), st.phase, trace.pivot(t))
+        for t, st in enumerate(trace.states)
+    )
+
+
+def record_run(cfg, rng) -> tuple:
+    """Oracle: the process stepped over the config's state graph, recording
+    ``(members, below count, phase, pivot)`` per step as it goes."""
     budget = cfg.point_set.transversal_count() + 1
     records = []
     st = process._state(cfg, cfg.start.members)
@@ -210,7 +218,7 @@ def record_run(cfg, rng) -> tuple[TraceRecord, ...]:
         n_below = len(below)
         i = chain.draw(rng, n_below, chain.escape_weight(cfg.delta, n_below))
         pivot = None if i is None else below[i]
-        records.append(TraceRecord(t, st.members, n_below, st.phase, pivot))
+        records.append((st.members, n_below, st.phase, pivot))
         t += 1
         if t > budget:
             raise InternalInvariantError(
@@ -244,7 +252,7 @@ def test_run_draws_as_the_record_oracle(r, m, data, delta, seeds):
         for _ in range(3):
             trace = run(cfg, rng)
             want = record_run(oracle_cfg, oracle_rng)
-            assert trace.records == want
+            assert trace_steps(trace) == want
             assert (trace.total_steps, trace.pivot_count) == (len(want), len(want) - 1)
             assert rng.getstate() == oracle_rng.getstate()
 
@@ -316,8 +324,7 @@ def test_phase_definitions_agree_exhaustively(r, m):
 def test_good_phases_empty_below_dimension_two():
     cfg = plain_config(1, 5)
     trace = run(cfg, Random(2))
-    report = good_phases(cfg, trace)
-    assert report.phases == frozenset() and report.entry_all_below == {}
+    assert good_phases(cfg, trace) == {}
 
 
 def test_good_phases_match_independent_reimplementation():
@@ -326,23 +333,23 @@ def test_good_phases_match_independent_reimplementation():
     for i in range(200):
         trace = run(cfg, derive_rng(8, "gp", i))
         report = good_phases(cfg, trace)
-        # independent re-derivation straight from the records
+        # independent re-derivation straight from the states
         expected = set()
-        phases = [rec.phase for rec in trace.records]
-        for t in range(1, len(trace.records)):
+        phases = [st.phase for st in trace.states]
+        for t in range(1, len(trace.states)):
             if phases[t] == phases[t - 1]:
                 continue
-            pivot = trace.records[t - 1].pivot
-            entry = trace.records[t].members
+            pivot = trace.pivot(t - 1)
+            entry = trace.states[t].members
             if (
                 pivot is not None
                 and pivot.color == ps.r
                 and not any(p.layer == ps.r - 1 for p in entry)
             ):
                 expected.add(phases[t])
-        assert report.phases == frozenset(expected)
+        assert set(report) == expected
         # the documented consequence of a good entry
-        assert all(report.entry_all_below.values())
+        assert all(report.values())
 
 
 def scalar_good_phases(cfg, trace):
@@ -351,24 +358,22 @@ def scalar_good_phases(cfg, trace):
     ps = cfg.point_set
     r = ps.r
     if r < 2:
-        return GoodPhaseReport(frozenset(), {})
+        return {}
     layer_rm1 = set(ps.layer_members(r - 1))
-    good = set()
-    entry_all_below = {}
+    good = {}
     for sigma, phi in trace.phase_changes():
-        if phi == 0 or sigma >= len(trace.records):
+        if phi == 0 or sigma >= len(trace.states):
             continue
-        pivot = trace.records[sigma - 1].pivot
-        entry = trace.records[sigma]
+        pivot = trace.pivot(sigma - 1)
+        entry = trace.states[sigma]
         if pivot.color != r:
             continue
         if any(p.layer == r - 1 for p in entry.members):
             continue
-        good.add(phi)
-        entry_all_below[phi] = layer_rm1 <= set(
+        good[phi] = layer_rm1 <= set(
             below_set(ps, make_transversal(ps, entry.members))
         )
-    return GoodPhaseReport(frozenset(good), entry_all_below)
+    return good
 
 
 @pytest.mark.parametrize(
@@ -384,7 +389,7 @@ def test_good_phases_match_scalar_oracle(r, m, delta, alphas):
             trace = run(c, derive_rng(9, "gp-oracle", i))
             report = good_phases(c, trace)
             assert report == scalar_good_phases(c, trace)
-            seen += len(report.phases)
+            seen += len(report)
     assert seen > 0
 
 
@@ -412,7 +417,7 @@ def test_good_phases_flag_false_when_a_layer_point_is_above():
     for _ in range(2):  # the second call reads the cached flag
         report = good_phases(cfg, trace)
         assert report == scalar_good_phases(cfg, trace)
-        assert report.entry_all_below == {phase: False}
+        assert report == {phase: False}
 
 
 # ---------------------------------------------------------------------------
