@@ -199,10 +199,13 @@ def state_cap() -> int:
 
 
 def check_state_count(count: int, states: str, purpose: str) -> None:
-    """Raise :class:`InstanceTooLargeError` when ``count`` exceeds the cap."""
+    """Raise :class:`InstanceTooLargeError` when ``count`` exceeds the cap.
+    A count of more than 40 digits is written as a power of ten: Python
+    refuses to write an int of more than 4300 digits in decimal."""
     cap = state_cap()
     if count > cap:
+        shown = count if count < 10**40 else f"about 10^{math.log10(count):.1f}"
         raise InstanceTooLargeError(
-            f"instance too large for {purpose}: {count} {states} exceed the "
+            f"instance too large for {purpose}: {shown} {states} exceed the "
             f"cap of {cap}"
         )

@@ -517,8 +517,9 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GeneralPositionError, DegeneracyError) as exc:
-        # the point family is not in general position at this size
+    except (GeneralPositionError, DegeneracyError, RecursionError) as exc:
+        # the point family is not in general position at this size, or a comb,
+        # built by one recursion per dimension, is deeper than Python allows
         where = f"(r, m) = ({args.r}, {args.m}): " if hasattr(args, "r") else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1

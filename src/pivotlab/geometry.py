@@ -12,12 +12,11 @@ point per color is a *transversal* (a pierced simplex).
 Every predicate here is decided exactly, in Python ints: coordinates reach
 ``m**(2r-1)`` and determinants multiply ``r`` of them, so nothing is ever
 narrowed to a fixed width.  Every linear solve (the spanning hyperplane,
-the ratio-test pivot, the Caratheodory test and the rank check) runs on one
-fraction-free elimination, :func:`_eliminate`, and the side test, the
-pivot and the Caratheodory test are integer sign tests on its result;
-``Fraction`` appears only in the values handed back (hyperplane
-coefficients and solutions).  Floats never participate in a geometric
-decision.
+the ratio-test pivot and the Caratheodory test) runs on one fraction-free
+elimination, :func:`_eliminate`, and the side test, the pivot and the
+Caratheodory test are integer sign tests on its result; ``Fraction``
+appears only in the values handed back (hyperplane coefficients and
+solutions).  Floats never participate in a geometric decision.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ __all__ = [
     "hyperplane_coefficients",
     "is_pierced_subset",
     "make_transversal",
-    "matrix_rank",
-    "pivot_color_swap",
     "pivot_generic",
     "project_deep",
     "side_of",
@@ -101,10 +98,6 @@ def _integer_row(row: Iterable[int | Fraction]) -> list[int]:
     row = list(row)
     scale = lcm(*(x.denominator for x in row))
     return [int(x * scale) for x in row]
-
-
-def matrix_rank(rows: Iterable[Iterable[int | Fraction]]) -> int:
-    return len(_eliminate([_integer_row(row) for row in rows])[1])
 
 
 def solve_exact(
@@ -553,30 +546,15 @@ def below_set(point_set: PointSet, simplex: Transversal) -> tuple[PointId, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _require_below(point_set: PointSet, simplex: Transversal, p: PointId) -> None:
-    if p in set(simplex.members):
-        raise ValueError(f"pivot point {p} is already a member")
-    if side_of(point_set, simplex, p) is not _BELOW:
-        raise ValueError(f"pivot point {p} is not strictly below the simplex")
-
-
-def pivot_color_swap(
-    point_set: PointSet, simplex: Transversal, p: PointId
-) -> Transversal:
-    """Pivot by replacing the member of the pivot's color.
-
-    On the standard families this is the unique pierced facet exchange; the
-    agreement with the ratio test of :func:`pivot_generic` is a verified
-    invariant, not an assumption baked into it.
-    """
-    _require_below(point_set, simplex, p)
-    return simplex.replace(p)
-
-
 def pivot_generic(
     point_set: PointSet, simplex: Transversal, p: PointId
 ) -> Transversal:
     """Pivot by the ratio test of the extended simplex ``S + p``.
+
+    ``p`` must be strictly below ``S`` and not a member, else
+    :class:`ValueError`.  The process pivots by the color swap
+    ``S.replace(p)``; this returns exactly that or raises, so each return
+    checks the swap instead of assuming it.
 
     With the members ``q_1..q_r`` as columns of ``Q``, one fraction-free
     elimination (:func:`_eliminate`) of ``[[Q, -1 | 0, p], [1 ... 1, 0 | 1,
@@ -593,10 +571,14 @@ def pivot_generic(
 
     A weight ``lambda_j <= 0`` (the line misses the open simplex), a tied
     least ratio (it leaves through a lower face) or a leaving member of
-    another color than ``p`` raises :class:`DegeneracyError`.
+    another color than ``p`` (the ratio test disagrees with the swap) raises
+    :class:`DegeneracyError`.
     """
-    _require_below(point_set, simplex, p)
-    # that check found n.x == d with d > 0 and every n_i > 0: the members are
+    if p in simplex.members:
+        raise ValueError(f"pivot point {p} is already a member")
+    if side_of(point_set, simplex, p) is not _BELOW:
+        raise ValueError(f"pivot point {p} is not strictly below the simplex")
+    # the side test found n.x == d with d > 0 and every n_i > 0: the members are
     # linearly independent and not parallel to the diagonal, so the matrix is
     # nonsingular and both solutions share the denominator d
     r = point_set.r

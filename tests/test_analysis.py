@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,10 @@ from pivotlab.analysis import (
     phase_law_report,
     verify_lemmas,
 )
-from pivotlab.analysis import _chi2_sf, _jump_law_chi2
-from pivotlab.geometry import PointId, flip_tail_sign, gen_point_set
+from pivotlab.analysis import LemmaCheck, _FAULTS, _chi2_sf, _jump_law_chi2, _lemma
+from pivotlab.errors import DegeneracyError
+from pivotlab.geometry import PointId, Side, flip_tail_sign, gen_point_set
+from test_geometry import small_colored_sets
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -306,6 +309,155 @@ def test_failing_lemma_reports_match_their_golden():
     }
     assert len(reports) == 38
     assert reports == golden
+
+
+def _members(*pids) -> str:
+    return f"({', '.join(map(repr, pids))})"
+
+
+A1, B1, B2 = PointId(1, 2, 1), PointId(2, 2, 1), PointId(2, 2, 2)
+D1, D2, D3 = PointId(1, 3, 1), PointId(2, 3, 1), PointId(3, 3, 1)
+
+#: hand-built sets that reach a failing path no standard family or
+#: tail-sign mutant reaches, with the check they fail as
+#: ``(lemma, passed, cases, counterexample)``
+HAND_BUILT_FAILURES = {
+    "pierced proper subset": (
+        {A1: (6, 6), B1: (0, 4)},
+        ("non_degenerate", False, 1, f"pierced proper subset ((6, 6),) of {_members(A1, B1)}"),
+    ),
+    # the two reports that changed when the suite stopped ranking [A | 1]
+    # apart: both read "affinely dependent transversal S" before, and now
+    # each fails the first later check of S
+    "affinely dependent transversal": (
+        {D1: (1, 0, 0), D2: (2, 0, 0), D3: (3, 0, 0)},
+        (
+            "non_degenerate", False, 1,
+            f"degenerate hyperplane on {_members(D1, D2, D3)}: spanning system of "
+            f"{_members(D1, D2, D3)} is singular; the simplex is degenerate",
+        ),
+    ),
+    "affinely dependent transversal with a pierced point": (
+        {D1: (1, 1, 1), D2: (2, 0, 0), D3: (3, -1, -1)},
+        (
+            "non_degenerate", False, 1,
+            f"pierced proper subset ((1, 1, 1),) of {_members(D1, D2, D3)}",
+        ),
+    ),
+    "ratio test drops another color": (
+        {A1: (1, 5), B1: (4, -4), B2: (0, 6)},
+        (
+            "pivot_agreement", False, 2,
+            f"{_members(A1, B1)} with {B2!r}: pivot of {_members(A1, B1)} with {B2!r}: "
+            f"the exit facet drops {A1!r} and lacks a color",
+        ),
+    ),
+    "diagonal misses the simplex": (
+        {A1: (5, -4), B1: (4, -1), B2: (2, -1)},
+        (
+            "pivot_agreement", False, 1,
+            f"{_members(A1, B1)} with {B2!r}: the diagonal misses the interior of "
+            f"{_members(A1, B1)}",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "points, want", HAND_BUILT_FAILURES.values(), ids=list(HAND_BUILT_FAILURES)
+)
+def test_hand_built_set_reaches_its_failure(points, want):
+    r = len(next(iter(points.values())))
+    report = verify_lemmas(r, 3, point_set=geometry.PointSet(r, 3, points))
+    (check,) = [c for c in report.checks if c.lemma == want[0]]
+    assert (check.lemma, check.passed, check.cases, check.counterexample) == want
+
+
+def parent_non_degenerate(ps):
+    """Oracle: the suite's former ``non_degenerate`` body, which ranked
+    ``[A | 1]`` apart and re-ran the Caratheodory test on every proper
+    subset of every transversal."""
+    r = ps.r
+    for S in geometry.transversals(ps):
+        coords = [ps.coords(p) for p in S.members]
+        proper = (sub for size in range(1, r) for sub in combinations(coords, size))
+        if len(geometry._eliminate([[*x, 1] for x in coords])[1]) != r:
+            yield f"affinely dependent transversal {S.members}"
+        elif sub := next((s for s in proper if geometry.is_pierced_subset(s, r)), None):
+            yield f"pierced proper subset {sub} of {S.members}"
+        else:
+            try:
+                ps.normal(S.members)
+            except DegeneracyError as exc:
+                yield f"degenerate hyperplane on {S.members}: {exc}"
+            else:
+                yield None
+
+
+def parent_pivot_agreement(ps) -> LemmaCheck:
+    """Oracle: the suite's former ``pivot_agreement``, which pivoted by the
+    color swap beside the ratio test and compared the two."""
+
+    def violations():
+        found, cases = [], 0
+        for S in geometry.transversals(ps):
+            for p in geometry.below_set(ps, S):
+                cases += 1
+                try:
+                    if p in S.members:
+                        raise ValueError(f"pivot point {p} is already a member")
+                    if geometry.side_of(ps, S, p) is not Side.BELOW:
+                        raise ValueError(f"pivot point {p} is not strictly below the simplex")
+                    swapped = S.replace(p)
+                    tested = geometry.pivot_generic(ps, S, p)
+                    problem = None if swapped == tested else (
+                        f"swap gives {swapped.members}, ratio test gives {tested.members}"
+                    )
+                except _FAULTS as exc:
+                    problem = str(exc)
+                if problem is not None and len(found) < 5:
+                    found.append(f"{S.members} with {p}: {problem}")
+        return found, cases
+
+    try:
+        found, cases = violations()
+    except _FAULTS as exc:
+        found, cases = [f"raised: {exc}"], 0
+    return LemmaCheck("pivot_agreement", not found, cases, found[0] if found else None)
+
+
+def test_lemma_suite_matches_its_former_bodies():
+    """On small random colored sets, ``verify_lemmas`` reports what the former
+    bodies of ``non_degenerate`` and ``pivot_agreement`` reported, except
+    that an affinely dependent transversal fails on a later check of the
+    same transversal, at the same case."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_colored_sets())
+    def check(ps):
+        checks = {c.lemma: c for c in verify_lemmas(ps.r, ps.m, point_set=ps).checks}
+        assert checks["pivot_agreement"] == parent_pivot_agreement(ps)
+        got, want = checks["non_degenerate"], _lemma("non_degenerate", parent_non_degenerate(ps))
+        dependent = "affinely dependent transversal "
+        if want.counterexample and want.counterexample.startswith(dependent):
+            members = want.counterexample[len(dependent):]
+            assert (got.passed, got.cases) == (want.passed, want.cases)
+            singular = (
+                f"degenerate hyperplane on {members}: spanning system of {members} is "
+                "singular; the simplex is degenerate"
+            )
+            assert got.counterexample == singular or (
+                got.counterexample.startswith("pierced proper subset ")
+                and got.counterexample.endswith(f" of {members}")
+            )
+            seen.add("dependent")
+        else:
+            assert got == want
+            seen.add("passed" if got.passed else "failed")
+
+    check()
+    assert {"passed", "failed"} <= seen, seen
 
 
 # ---------------------------------------------------------------------------

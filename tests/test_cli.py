@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from pivotlab import analysis, cli, grid_uso, process
+from pivotlab import analysis, chain, cli, grid_uso, process
 from pivotlab.analysis import LemmaCheck, LemmaReport
-from pivotlab.errors import DegeneracyError
+from pivotlab.errors import DegeneracyError, InstanceTooLargeError
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -387,6 +387,42 @@ def test_oversized_grid_is_refused_before_the_comb_is_built(monkeypatch, command
         f"error: instance too large for {purpose}: {m**r} vertices exceed the cap of 1000000\n"
         f"hint: {hint}\n",
     )
+
+
+@pytest.mark.parametrize(
+    "command, r, count, purpose, hint",
+    [
+        ("expect", 20000, "about 10^6020.6", "exact mode",
+         "use Monte Carlo mode, or raise PIVOTLAB_STATE_CAP"),
+        ("verify", 14000, "about 10^4214.4", "the acyclicity check", "raise PIVOTLAB_STATE_CAP"),
+    ],
+)
+def test_huge_count_is_written_as_a_power_of_ten(monkeypatch, command, r, count, purpose, hint):
+    """Past r = 14,284, ``2**r`` has more digits than Python writes in
+    decimal; at r = 14,000 the message held all 4,215 of them."""
+    monkeypatch.delenv("PIVOTLAB_STATE_CAP", raising=False)
+    code, out, err = run_cli(["uso", command, "--r", str(r), "--m", "2", "--seed", "1"])
+    assert (code, out, err) == (
+        1,
+        "",
+        f"error: instance too large for {purpose}: {count} vertices exceed the cap of 1000000\n"
+        f"hint: {hint}\n",
+    )
+
+
+def test_cap_message_writes_forty_digits_in_full(monkeypatch):
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", str(10**39))
+    with pytest.raises(InstanceTooLargeError, match=f": {10**40 - 1} vertices exceed"):
+        chain.check_state_count(10**40 - 1, "vertices", "exact mode")
+    with pytest.raises(InstanceTooLargeError, match=r": about 10\^40\.0 vertices exceed"):
+        chain.check_state_count(10**40, "vertices", "exact mode")
+
+
+def test_comb_deeper_than_the_recursion_limit_is_one_error_line():
+    code, out, err = run_cli(["uso", "build", "--r", "500", "--m", "1", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: (r, m) = (500, 1): maximum recursion depth exceeded")
 
 
 def test_cli_import_loads_no_scipy_or_numpy():

@@ -21,8 +21,6 @@ from pivotlab.geometry import (
     hyperplane_coefficients,
     is_pierced_subset,
     make_transversal,
-    matrix_rank,
-    pivot_color_swap,
     pivot_generic,
     project_deep,
     side_of,
@@ -140,12 +138,6 @@ def test_solve_exact_inconsistent_and_underdetermined():
     assert solve_exact([[1, 1]], [1])[0] == "underdetermined"
 
 
-def test_matrix_rank():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [0, 1]]) == 2
-    assert matrix_rank([]) == 0
-
-
 @settings(max_examples=50)
 @given(
     st.lists(
@@ -164,9 +156,9 @@ def test_solve_exact_solutions_satisfy_system(a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_solve_exact_and_rank_match_rref_on_fractions(data):
-    """Rational input is scaled to integer rows; the status, the solution
-    and the rank are those of the rational RREF."""
+def test_solve_exact_matches_rref_on_fractions(data):
+    """Rational input is scaled to integer rows; the status and the solution
+    are those of the rational RREF."""
     nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     entry = st.one_of(
         st.builds(Fraction, st.integers(-4, 4), st.integers(2, 6)), st.integers(-3, 3)
@@ -177,7 +169,6 @@ def test_solve_exact_and_rank_match_rref_on_fractions(data):
     got = solve_exact(a, b)
     assert got == rref_solve(a, b)
     assert got[1] is None or all(type(x) is Fraction for x in got[1])
-    assert matrix_rank(a) == len(_rref([[Fraction(x) for x in row] for row in a])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +696,7 @@ def test_integer_kernel_beyond_64_bits():
         assert d > 2**63 and max(n) > 2**63
         below = below_set(ps, S)
         for p in below[:: max(1, len(below) // 5)]:
-            assert pivot_generic(ps, S, p) == pivot_color_swap(ps, S, p)
+            assert pivot_generic(ps, S, p) == S.replace(p)
 
 
 # ---------------------------------------------------------------------------
@@ -771,14 +762,14 @@ def test_pivot_color_swap_examples():
         (PointId(1, 2, 1), (PointId(1, 2, 1), PointId(2, 2, 2))),
         (PointId(2, 2, 1), (PointId(1, 2, 2), PointId(2, 2, 1))),
     ]:
-        assert pivot_color_swap(ps, S, p).members == want
+        assert S.replace(p).members == want
         assert pivot_generic(ps, S, p).members == want
 
 
 def test_pivot_monotonicity_witness():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    after = pivot_color_swap(ps, S, PointId(2, 2, 1))
+    after = pivot_generic(ps, S, PointId(2, 2, 1))
     assert axis_intersections(ps, S) == (2, 2)
     assert axis_intersections(ps, after) == (2, 1)
 
@@ -786,11 +777,10 @@ def test_pivot_monotonicity_witness():
 def test_pivot_requires_strictly_below():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    for pivot_fn in (pivot_color_swap, pivot_generic):
-        with pytest.raises(ValueError, match="not strictly below"):
-            pivot_fn(ps, S, PointId(1, 1, 1))
-        with pytest.raises(ValueError, match="already a member"):
-            pivot_fn(ps, S, PointId(1, 2, 2))
+    with pytest.raises(ValueError, match="not strictly below"):
+        pivot_generic(ps, S, PointId(1, 1, 1))
+    with pytest.raises(ValueError, match="already a member"):
+        pivot_generic(ps, S, PointId(1, 2, 2))
 
 
 @pytest.mark.parametrize("r,m", [(2, 3), (3, 2)])
@@ -798,7 +788,7 @@ def test_pivot_generic_agrees_with_swap_exhaustive(r, m):
     ps = gen_point_set(r, m)
     for S in transversals(ps):
         for p in below_set(ps, S):
-            assert pivot_generic(ps, S, p) == pivot_color_swap(ps, S, p)
+            assert pivot_generic(ps, S, p) == S.replace(p)
 
 
 @st.composite
