@@ -3,8 +3,8 @@ pivoting, in two equivalent models.
 
 - :mod:`pivotlab.chain` holds the absorbing-chain rules both models share:
   the escape, value and draw rules (a draw names the escape ``None``), and
-  the state cap (``PIVOTLAB_STATE_CAP``) on exact solves and exhaustive
-  checks.
+  the state cap (``PIVOTLAB_STATE_CAP``) on exact solves, exhaustive
+  checks, random combs and comb JSON.
 - :mod:`pivotlab.grid_uso` builds recursive comb orientations of grid graphs
   (acyclic, unique sink in every subgrid), simulates the directed random walk
   and solves its expected duration exactly; a comb keeps its arcs as rows

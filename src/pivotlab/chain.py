@@ -186,8 +186,8 @@ def _coprime_base(numbers: set[int]) -> list[int]:
 
 
 def state_cap() -> int:
-    """Cap on the state counts of exact solves and exhaustive checks, from
-    ``PIVOTLAB_STATE_CAP`` (default 1000000)."""
+    """Cap on the state counts of exact solves, exhaustive checks, random
+    combs and comb JSON, from ``PIVOTLAB_STATE_CAP`` (default 1000000)."""
     raw = os.environ.get(STATE_CAP_ENV, "1000000")
     try:
         cap = int(raw)

@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Every randomized command takes ``--seed``; without one a fresh seed is
-generated and announced on stderr, and either way the seed is embedded in the
-output, so any report can be reproduced byte for byte.  Reports go to stdout
-(or ``--out``), logs to stderr.  Exit codes: 0 success, 2 verification
-failure, 1 usage or internal error.
+Every randomized command, and no other, takes ``--seed``; without one a
+fresh seed is generated and announced on stderr, and either way the seed is
+embedded in the output, so any report can be reproduced byte for byte.
+Reports go to stdout (or ``--out``), logs to stderr.  Exit codes: 0 success,
+2 verification failure, 1 usage or internal error.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import analysis, chain, geometry, grid_uso, process
+from . import analysis, geometry, grid_uso, process
 from .errors import DegeneracyError, GeneralPositionError, InstanceTooLargeError
 from .seeding import derive_rng, fresh_seed
 
 EPILOG = """environment overrides:
-  PIVOTLAB_STATE_CAP    cap on the state counts of exact solves and exhaustive
-                        checks (default 1000000)
+  PIVOTLAB_STATE_CAP    cap on the state counts of exact solves, exhaustive
+                        checks, random combs and comb JSON (default 1000000)
 """
 
 
@@ -96,12 +96,6 @@ def _seed_of(args) -> int:
     return args.seed
 
 
-def _check_vertex_cap(args, purpose: str) -> None:
-    """Refuse an ``m**r``-vertex grid over the state cap before building it."""
-    if args.r >= 0 and args.m >= 1:
-        chain.check_state_count(args.m**args.r, "vertices", purpose)
-
-
 def _comb_for(args, seed: int) -> grid_uso.CombOrientation:
     if getattr(args, "identity", False):
         return grid_uso.identity_comb(args.r, args.m)
@@ -164,7 +158,6 @@ def _cmd_uso_walk(args) -> int:
 
 def _cmd_uso_expect(args) -> int:
     seed = _seed_of(args)
-    _check_vertex_cap(args, "exact mode")
     comb = _comb_for(args, seed)
     start = tuple(_parse_ints(args.start)) if args.start else "uniform"
     value = grid_uso.expected_duration_exact(comb, _aug_cfg(args), start)
@@ -182,7 +175,6 @@ def _cmd_uso_expect(args) -> int:
 
 def _cmd_uso_verify(args) -> int:
     seed = _seed_of(args)
-    _check_vertex_cap(args, "the acyclicity check")
     comb = _comb_for(args, seed)
     # both checks read every vertex's arcs: cache them so each is built once
     out_fn = functools.cache(functools.partial(grid_uso.out_neighbors, comb))
@@ -327,11 +319,7 @@ def _bench_rows(args, seed: int) -> list[dict]:
     mode = "mc" if args.mc else "exact"
     for family in args.families.split(","):
         family = family.strip()
-        if family not in analysis.FAMILIES:
-            raise ValueError(f"unknown bound family {family!r}")
-        deltas = [0]
-        if family in analysis.DELTA_FAMILIES:
-            deltas = _parse_range(args.delta_list)
+        deltas = _parse_range(args.delta_list) if family in analysis.DELTA_FAMILIES else [0]
         for r in _parse_range(args.r_list):
             for m in _parse_range(args.m_list):
                 for delta in deltas:
@@ -350,7 +338,7 @@ def _bench_rows(args, seed: int) -> list[dict]:
                             trials=args.trials,
                             seed=seed,
                         )
-                    except (GeneralPositionError, DegeneracyError) as exc:
+                    except (GeneralPositionError, DegeneracyError, InstanceTooLargeError) as exc:
                         raise type(exc)(f"{family} at (r, m) = ({r}, {m}): {exc}") from exc
                     # the measured columns come from the report's own JSON
                     blob = report.to_dict()
@@ -388,10 +376,11 @@ def _cmd_bench_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, trials: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, seed: bool = True, trials: bool = False) -> None:
     p.add_argument("--r", type=int, required=True, help="dimension")
     p.add_argument("--m", type=int, required=True, help="per-factor size / phases")
-    p.add_argument("--seed", type=int, default=None, help="master seed (generated and printed if omitted)")
+    if seed:
+        p.add_argument("--seed", type=int, help="master seed (generated and printed if omitted)")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     if trials:
         p.add_argument("--trials", type=int, default=None,
@@ -443,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = points.add_parser("dump", help="dump the point set")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--alphas", default=None, help='adversary values "a1,a2,..."')
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_points_dump)
@@ -459,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_process_run)
 
     p = proc.add_parser("expect", help="exact expected step count")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--delta", type=int, default=None)
     adversary = p.add_mutually_exclusive_group()
     adversary.add_argument("--alphas", default=None)
@@ -510,8 +499,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except InstanceTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # the exact solves have a Monte Carlo counterpart; uso verify does not
-        alternative = "" if args.handler is _cmd_uso_verify else "use Monte Carlo mode, or "
+        # only an exact solve has a Monte Carlo counterpart: sampling draws the same comb
+        alternative = "use Monte Carlo mode, or " if "exact mode" in str(exc) else ""
         print(f"hint: {alternative}raise PIVOTLAB_STATE_CAP", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

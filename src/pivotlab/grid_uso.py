@@ -199,16 +199,21 @@ def build_comb(r: int, m: int, rng: Random) -> CombOrientation:
     independent recursive children below.
 
     The draw order is fixed (top permutation first, then children in value
-    order) so a seeded stream reproduces the structure bit for bit.
-    """
+    order) so a seeded stream reproduces the structure bit for bit.  A grid
+    over the state cap (:func:`chain.state_cap`) is refused before any draw."""
     if r < 0:
         raise ValueError("dimension must be >= 0")
     if m < 1:
         raise ValueError("factor size must be >= 1")
+    chain.check_state_count(m**r, "vertices", "a random comb")
+    return _random_comb(r, m, rng)
+
+
+def _random_comb(r: int, m: int, rng: Random) -> CombOrientation:
     if r == 0:
         return LEAF
     ranks = tuple(rng.sample(range(1, m + 1), m))
-    children = tuple(build_comb(r - 1, m, rng) for _ in range(m))
+    children = tuple(_random_comb(r - 1, m, rng) for _ in range(m))
     return CombOrientation(ranks, children)
 
 
@@ -656,9 +661,15 @@ def has_topological_order(spec: GridSpec, out_fn: OutFn) -> bool:
 
 
 def comb_to_dict(comb: CombOrientation) -> dict:
+    """The nested JSON form of ``comb``, as large as its grid, so capped."""
+    chain.check_state_count(math.prod(comb.sizes), "vertices", "the comb JSON")
+    return _comb_dict(comb)
+
+
+def _comb_dict(comb: CombOrientation) -> dict:
     return {
         "r": comb.dimension,
         "m": comb.m,
         "perm": list(comb.ranks),
-        "children": [comb_to_dict(c) for c in comb.children],
+        "children": [_comb_dict(c) for c in comb.children],
     }

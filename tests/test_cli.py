@@ -1,5 +1,6 @@
 """Tests for the command-line surface: formats, exit codes, reproducibility."""
 
+import argparse
 import csv
 import importlib
 import importlib.util
@@ -298,6 +299,40 @@ def test_usage_error_exit_code():
     assert code == 1
 
 
+SEEDED_COMMANDS = {
+    "uso build", "uso walk", "uso expect", "uso verify",
+    "process run", "verify lemmas", "bench bounds",
+}
+
+
+def _commands(parser, prefix=()):
+    """Every leaf command of ``parser`` by its words, with its parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _commands(sub, prefix + (name,))
+
+
+def test_seed_is_offered_only_where_a_seed_is_drawn_or_embedded():
+    commands = dict(_commands(cli.build_parser()))
+    assert {"points dump", "process expect"} < commands.keys()
+    seeded = {name for name, p in commands.items() if "--seed" in p._option_string_actions}
+    assert seeded == SEEDED_COMMANDS
+
+
+def test_points_dump_refuses_seed():
+    code, out, err = run_cli(["points", "dump", "--r", "2", "--m", "3", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert "error: unrecognized arguments: --seed 1" in err
+
+
+def test_unknown_bench_family_is_one_error_line():
+    code, out, err = run_cli(["bench", "bounds", "--families", "nope", "--seed", "1"])
+    assert (code, out, err) == (1, "", "error: unknown bound family 'nope'\n")
+
+
 def test_help_exits_zero():
     code, _, _ = run_cli(["--help"])
     assert code == 0
@@ -366,38 +401,28 @@ def test_uso_verify_cap_hint_offers_no_monte_carlo(monkeypatch):
     assert "Monte Carlo" not in err
 
 
-@pytest.mark.parametrize(
-    "command, purpose, hint",
-    [
-        ("expect", "exact mode", "use Monte Carlo mode, or raise PIVOTLAB_STATE_CAP"),
-        ("verify", "the acyclicity check", "raise PIVOTLAB_STATE_CAP"),
-    ],
-)
+@pytest.mark.parametrize("command", ["build", "walk", "expect", "verify"])
 @pytest.mark.parametrize("r, m", [(6, 12), (7, 9)])
-def test_oversized_grid_is_refused_before_the_comb_is_built(monkeypatch, command, purpose, hint, r, m):
-    def build_comb(*args):
-        raise AssertionError("the comb was built")
+def test_oversized_grid_is_refused_before_the_comb_is_built(monkeypatch, command, r, m):
+    def random_comb(*args):
+        raise AssertionError("the comb was drawn")
 
     monkeypatch.delenv("PIVOTLAB_STATE_CAP", raising=False)
-    monkeypatch.setattr(grid_uso, "build_comb", build_comb)
+    monkeypatch.setattr(grid_uso, "_random_comb", random_comb)
     code, out, err = run_cli(["uso", command, "--r", str(r), "--m", str(m), "--seed", "1"])
     assert (code, out, err) == (
         1,
         "",
-        f"error: instance too large for {purpose}: {m**r} vertices exceed the cap of 1000000\n"
-        f"hint: {hint}\n",
+        f"error: instance too large for a random comb: {m**r} vertices exceed the cap of 1000000\n"
+        "hint: raise PIVOTLAB_STATE_CAP\n",
     )
 
 
-@pytest.mark.parametrize(
-    "command, r, count, purpose, hint",
-    [
-        ("expect", 20000, "about 10^6020.6", "exact mode",
-         "use Monte Carlo mode, or raise PIVOTLAB_STATE_CAP"),
-        ("verify", 14000, "about 10^4214.4", "the acyclicity check", "raise PIVOTLAB_STATE_CAP"),
-    ],
-)
-def test_huge_count_is_written_as_a_power_of_ten(monkeypatch, command, r, count, purpose, hint):
+@pytest.mark.parametrize("command, r, count", [
+    ("expect", 20000, "about 10^6020.6"),
+    ("verify", 14000, "about 10^4214.4"),
+])
+def test_huge_count_is_written_as_a_power_of_ten(monkeypatch, command, r, count):
     """Past r = 14,284, ``2**r`` has more digits than Python writes in
     decimal; at r = 14,000 the message held all 4,215 of them."""
     monkeypatch.delenv("PIVOTLAB_STATE_CAP", raising=False)
@@ -405,9 +430,60 @@ def test_huge_count_is_written_as_a_power_of_ten(monkeypatch, command, r, count,
     assert (code, out, err) == (
         1,
         "",
-        f"error: instance too large for {purpose}: {count} vertices exceed the cap of 1000000\n"
-        f"hint: {hint}\n",
+        f"error: instance too large for a random comb: {count} vertices exceed the cap of 1000000\n"
+        "hint: raise PIVOTLAB_STATE_CAP\n",
     )
+
+
+_CAP_HINT = "hint: raise PIVOTLAB_STATE_CAP"
+_MC_HINT = "hint: use Monte Carlo mode, or raise PIVOTLAB_STATE_CAP"
+_TOO_LARGE = "instance too large for"
+
+
+REFUSALS = [
+    (["process", "expect"], f"{_TOO_LARGE} exact mode: 18 transversals", _MC_HINT),
+    (["uso", "expect"], f"{_TOO_LARGE} a random comb: 9 vertices", _CAP_HINT),
+    (["uso", "expect", "--identity"], f"{_TOO_LARGE} exact mode: 9 vertices", _MC_HINT),
+    (["uso", "verify"], f"{_TOO_LARGE} a random comb: 9 vertices", _CAP_HINT),
+    (["uso", "verify", "--identity"], f"{_TOO_LARGE} the acyclicity check: 9 vertices",
+     _CAP_HINT),
+    (["uso", "walk"], f"{_TOO_LARGE} a random comb: 9 vertices", _CAP_HINT),
+    (["uso", "build"], f"{_TOO_LARGE} a random comb: 9 vertices", _CAP_HINT),
+    (["uso", "build", "--identity"], f"{_TOO_LARGE} the comb JSON: 9 vertices", _CAP_HINT),
+    (["bench", "bounds", "--families", "uso_lemma"],
+     f"uso_lemma at (r, m) = (2, 3): {_TOO_LARGE} a random comb: 9 vertices", _CAP_HINT),
+    (["bench", "bounds", "--families", "uso_lemma", "--mc"],
+     f"uso_lemma at (r, m) = (2, 3): {_TOO_LARGE} a random comb: 9 vertices", _CAP_HINT),
+    (["bench", "bounds", "--families", "main_theorem"],
+     f"main_theorem at (r, m) = (2, 3): {_TOO_LARGE} exact mode: 18 transversals", _MC_HINT),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error, hint", REFUSALS, ids=[" ".join(argv) for argv, _, _ in REFUSALS]
+)
+def test_every_size_refusal_prints_its_error_and_hint(monkeypatch, argv, error, hint):
+    """One row per way a command can meet the state cap, at (r, m) = (2, 3)
+    under a cap of 8.  Only an exact solve has a Monte Carlo counterpart:
+    sampling draws the same comb that a comb refusal refuses."""
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "8")
+    shape = {
+        "bench": ["--r-list", "2", "--m-list", "3", "--seed", "1"],
+        "uso": ["--r", "2", "--m", "3", "--seed", "1"],
+        "process": ["--r", "2", "--m", "3"],
+    }
+    code, out, err = run_cli(argv + shape[argv[0]])
+    assert (code, out, err) == (1, "", f"error: {error} exceed the cap of 8\n{hint}\n")
+
+
+def test_identity_walk_needs_no_cap():
+    """An identity comb shares one child per level: walking a 2**60-vertex
+    grid builds 60 nodes and is never refused."""
+    code, out, err = run_cli(
+        ["uso", "walk", "--identity", "--r", "60", "--m", "2", "--seed", "1", "--trials", "1000"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 29.915
 
 
 def test_cap_message_writes_forty_digits_in_full(monkeypatch):

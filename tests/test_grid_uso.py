@@ -500,10 +500,39 @@ def test_leaf_with_delta_is_one_step():
 
 
 def test_exact_respects_state_cap(monkeypatch):
-    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "10")
+    # built under the default cap, so the refusal is the exact solve's own
     comb = build_comb(2, 4, Random(0))
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "10")
     with pytest.raises(InstanceTooLargeError, match="too large for exact mode"):
         expected_duration_exact(comb, None, "uniform")
+
+
+def test_refused_comb_draws_nothing(monkeypatch):
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "8")
+    rng = Random(3)
+    before = rng.getstate()
+    with pytest.raises(InstanceTooLargeError, match="a random comb: 9 vertices exceed the cap of 8"):
+        build_comb(2, 3, rng)
+    assert rng.getstate() == before
+
+
+def test_build_comb_checks_the_cap_once_per_comb(monkeypatch):
+    calls = []
+    check = chain.check_state_count
+    monkeypatch.setattr(chain, "check_state_count", lambda *a: calls.append(a) or check(*a))
+    build_comb(3, 8, Random(0))
+    assert calls == [(512, "vertices", "a random comb")]
+
+
+def test_comb_json_respects_state_cap(monkeypatch):
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "8")
+    comb = identity_comb(2, 3)
+    with pytest.raises(InstanceTooLargeError, match="the comb JSON: 9 vertices exceed the cap of 8"):
+        comb_to_dict(comb)
+    # an identity comb shares one child per level, so one of any size is
+    # cheap to build; only its JSON is as large as its grid
+    with pytest.raises(InstanceTooLargeError, match=f"the comb JSON: {2**60} vertices"):
+        comb_to_dict(identity_comb(60, 2))
 
 
 def test_exact_agrees_between_chain_fast_path_and_generic():
