@@ -281,28 +281,24 @@ def _cmd_process_expect(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    """The lemma suite, after the phase laws (if ``--phase-trials``) at each
+    delta: :func:`analysis.phase_law_report` refuses a bad trial count before
+    the suite runs, once the deltas have been checked as a list."""
     deltas = _parse_ints(args.phase_deltas)
-    if args.phase_trials < 0:
-        # the message phase_law_report would give, before the suite runs
-        raise ValueError(f"need at least 1 trace for the phase laws, got {args.phase_trials}")
     if any(delta < 0 for delta in deltas):
         raise ValueError("delta must be >= 0")
     if args.phase_trials and not deltas:
         raise ValueError("--phase-trials needs at least one delta in --phase-deltas")
-    report = analysis.verify_lemmas(args.r, args.m, deep_from=tuple(args.deep or ()))
-    payload = report.to_dict()
-    ok = report.all_passed
+    laws = []
     if args.phase_trials:
         seed = _seed_of(args)
-        laws = []
-        for delta in deltas:
-            law = analysis.phase_law_report(
-                args.r, args.m, delta, args.phase_trials, seed
-            )
-            laws.append(law.to_dict())
-            ok = ok and law.all_ok()
-        payload["phase_laws"] = laws
-        payload["seed"] = seed
+        laws = [analysis.phase_law_report(args.r, args.m, d, args.phase_trials, seed)
+                for d in deltas]
+    report = analysis.verify_lemmas(args.r, args.m, deep_from=tuple(args.deep or ()))
+    payload = report.to_dict()
+    if laws:
+        payload.update(phase_laws=[law.to_dict() for law in laws], seed=seed)
+    ok = report.all_passed and all(law.all_ok() for law in laws)
     payload["ok"] = ok
     _emit_json(payload, args.out)
     return 0 if ok else 2

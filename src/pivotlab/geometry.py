@@ -236,8 +236,6 @@ class PointSet:
         if len(chosen) != self.r:
             raise ValueError(f"need {self.r} alphas, got {len(chosen)}")
         for a in chosen:
-            if a < self.m:
-                raise ValueError(f"alpha {a} below the minimum {self.m}")
             if a == self.m:
                 raise ValueError(
                     f"alpha {a} coincides with the on-axis point of phase {self.m}; "
@@ -498,14 +496,13 @@ def hyperplane_coefficients(
     return tuple(Fraction(x, d) for x in n)
 
 
-def side_of(point_set: PointSet, simplex: Transversal, x: PointId | Coords) -> Side:
-    """Exact side of ``x`` relative to the simplex's spanning hyperplane,
-    oriented so the diagonal direction points to ``ABOVE``: the sign of
-    ``n . x - d`` for the integer pair of :meth:`PointSet.normal`, whose
-    ``d > 0`` fixes the orientation."""
-    coords = point_set.coords(x) if isinstance(x, PointId) else x
+def side_of(point_set: PointSet, simplex: Transversal, x: PointId) -> Side:
+    """Exact side of the point labelled ``x`` relative to the simplex's
+    spanning hyperplane, oriented so the diagonal direction points to
+    ``ABOVE``: the sign of ``n . x - d`` for the integer pair of
+    :meth:`PointSet.normal`, whose ``d > 0`` fixes the orientation."""
     n, d = point_set.normal(simplex.members)
-    value = sum(map(mul, n, coords)) - d
+    value = sum(map(mul, n, point_set.coords(x))) - d
     if value > 0:
         return _ABOVE
     if value < 0:

@@ -138,7 +138,7 @@ class CombOrientation:
 
     @property
     def dimension(self) -> int:
-        return 0 if not self.ranks else 1 + self.children[0].dimension
+        return len(self.sizes)
 
     @property
     def m(self) -> int:
@@ -199,12 +199,9 @@ def build_comb(r: int, m: int, rng: Random) -> CombOrientation:
     independent recursive children below.
 
     The draw order is fixed (top permutation first, then children in value
-    order) so a seeded stream reproduces the structure bit for bit.  A grid
-    over the state cap (:func:`chain.state_cap`) is refused before any draw."""
-    if r < 0:
-        raise ValueError("dimension must be >= 0")
-    if m < 1:
-        raise ValueError("factor size must be >= 1")
+    order) so a seeded stream reproduces the structure bit for bit.  A bad
+    shape or a grid over the cap (:func:`chain.state_cap`) is refused first."""
+    _check_shape(r, m)
     chain.check_state_count(m**r, "vertices", "a random comb")
     return _random_comb(r, m, rng)
 
@@ -217,8 +214,17 @@ def _random_comb(r: int, m: int, rng: Random) -> CombOrientation:
     return CombOrientation(ranks, children)
 
 
+def _check_shape(r: int, m: int) -> None:
+    if r < 0:
+        raise ValueError("dimension must be >= 0")
+    if m < 1:
+        raise ValueError("factor size must be >= 1")
+
+
 def identity_comb(r: int, m: int) -> CombOrientation:
-    """The deterministic comb whose every permutation is the identity."""
+    """The deterministic comb whose every permutation is the identity: shape
+    checked as in :func:`build_comb`, uncapped (its levels share one child)."""
+    _check_shape(r, m)
     return _identity_for((m,) * r)
 
 
@@ -241,8 +247,7 @@ def out_neighbors(comb: CombOrientation, v: Vertex) -> tuple[Vertex, ...]:
     Escape edges are not listed: :func:`chain.escape_weight` counts them.
     A vertex outside the grid raises ``ValueError``."""
     spec = grid_spec(comb)
-    if not spec.contains(v):
-        raise ValueError(f"vertex {v} not in grid {spec.factor_sizes}")
+    _vertex_id(spec, v)
     out = []
     node = comb
     d = len(v)
@@ -304,10 +309,14 @@ class WalkOutcome:
     visited: tuple[Vertex | None, ...] | None = None
 
 
-def _vertex_id(sizes: tuple[int, ...], v: Vertex) -> int:
-    """The mixed-radix number of ``v``, first coordinate fastest."""
+def _vertex_id(spec: GridSpec, v: Vertex) -> int:
+    """The mixed-radix number of ``v``, first coordinate fastest.  Every query
+    that takes a grid vertex reads it here, so a vertex outside the grid
+    (:meth:`GridSpec.contains`) raises ``ValueError`` here only."""
+    if not spec.contains(v):
+        raise ValueError(f"vertex {v} not in grid {spec.factor_sizes}")
     index = 0
-    for c, s in zip(reversed(v), reversed(sizes)):
+    for c, s in zip(reversed(v), reversed(spec.factor_sizes)):
         index = index * s + c - 1
     return index
 
@@ -360,10 +369,7 @@ def walk(
     if start == "uniform":
         v = rng.randrange(count)
     else:
-        spec = grid_spec(comb)
-        if not spec.contains(start):  # type: ignore[arg-type]
-            raise ValueError(f"start vertex {start} not in grid {spec.factor_sizes}")
-        v = _vertex_id(sizes, start)  # type: ignore[arg-type]
+        v = _vertex_id(grid_spec(comb), start)  # type: ignore[arg-type]
     delta = None if cfg is None else cfg.delta
     budget = count + 1
     known = comb._vertex_moves
@@ -460,15 +466,14 @@ def expected_duration_exact(
     """
     spec = grid_spec(comb)
     chain.check_state_count(spec.vertex_count, "vertices", "exact mode")
-    if start != "uniform" and not spec.contains(start):  # type: ignore[arg-type]
-        raise ValueError(f"start vertex {start} not in grid {spec.factor_sizes}")
+    index = None if start == "uniform" else _vertex_id(spec, start)  # type: ignore[arg-type]
     table = comb._vertex_table
     delta = None if cfg is None else cfg.delta
     weights = [n + chain.escape_weight(delta, n) for n in table.n_succ]
     scaled, d = chain.solve(weights, table.fibers, table.fibers, table.n_fibers)
-    if start == "uniform":
+    if index is None:
         return Fraction(sum(scaled), d * len(scaled))
-    return Fraction(scaled[table.row[_vertex_id(spec.factor_sizes, start)]], d)  # type: ignore[arg-type]
+    return Fraction(scaled[table.row[index]], d)
 
 
 # ---------------------------------------------------------------------------

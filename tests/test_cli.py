@@ -230,6 +230,29 @@ def test_non_integer_list_field_is_a_usage_error(argv, field, text):
     assert (code, out, err) == (1, "", f"error: not an integer {field!r} in the list {text!r}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["uso", "expect", "--r", "-1", "--m", "3"], "dimension must be >= 0"),
+        (["uso", "verify", "--r", "-1", "--m", "3"], "dimension must be >= 0"),
+        (["uso", "build", "--r", "2", "--m", "0"], "factor size must be >= 1"),
+        (["uso", "expect", "--r", "2", "--m", "0"], "factor size must be >= 1"),
+        (["uso", "walk", "--r", "2", "--m", "0", "--trials", "3"], "factor size must be >= 1"),
+    ],
+    ids=["expect-r", "verify-r", "build-m", "expect-m", "walk-m"],
+)
+def test_identity_comb_shape_is_a_usage_error(argv, message):
+    code, out, err = run_cli(argv + ["--identity", "--seed", "1"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_start_vertex_outside_the_grid_is_a_usage_error():
+    code, out, err = run_cli(
+        ["uso", "walk", "--r", "2", "--m", "3", "--start", "4,1", "--seed", "1"]
+    )
+    assert (code, out, err) == (1, "", "error: vertex (4, 1) not in grid (3, 3)\n")
+
+
 # the point family is not in general position at (5, 2): point (1,5,2) lies
 # on the hyperplane of (1,1,2) and on-axis points of the other colours
 GENERAL_POSITION_FAILURES = {

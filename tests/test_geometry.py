@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pivotlab.errors import DegeneracyError, GeneralPositionError
 from pivotlab.geometry import (
@@ -221,14 +221,14 @@ def test_point_id_equals_the_plain_tuple_of_its_fields():
     assert list(pid) == [1, 3, 2]
 
 
-def test_side_of_reads_a_plain_tuple_as_coordinates():
-    # (1, 3, 2) names the point at (2, 0, 0) but, as a plain tuple, is the
-    # coordinate vector (1, 3, 2): the two lie on opposite sides
+def test_side_of_reads_a_plain_tuple_as_a_point_id():
+    # (1, 3, 2) names the point at (2, 0, 0), below the simplex; the
+    # coordinate vector (1, 3, 2) would lie above it
     ps = gen_point_set(3, 4)
     S = make_transversal(ps, [PointId(i, 3, 3) for i in (1, 2, 3)])
     assert ps.coords(PointId(1, 3, 2)) == (2, 0, 0)
     assert side_of(ps, S, PointId(1, 3, 2)) is Side.BELOW
-    assert side_of(ps, S, (1, 3, 2)) is Side.ABOVE
+    assert side_of(ps, S, (1, 3, 2)) is side_of(ps, S, PointId(1, 3, 2))
 
 
 @settings(max_examples=120)
@@ -267,10 +267,13 @@ def test_augment_defaults_and_validation():
     assert aug.alphas == (3, 3)
     assert len(aug) == len(ps) + 2
     assert aug.coords(PointId(1, 2, 3)) == (3, 0)
-    with pytest.raises(ValueError, match="below the minimum"):
+    # gen_point refuses an alpha below m, after augmented has refused any at m
+    with pytest.raises(ValueError, match="^adversary alpha 1 below the minimum 2$"):
         ps.augmented([1, 3])
     with pytest.raises(ValueError, match="coincides"):
         ps.augmented([2, 3])
+    with pytest.raises(ValueError, match="^alpha 2 coincides"):
+        ps.augmented([1, 2])
     with pytest.raises(ValueError, match="already augmented"):
         aug.augmented()
 
@@ -396,20 +399,35 @@ def test_axis_intersections_match_barycentric_oracle(r, m):
 def test_side_of_examples():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    assert side_of(ps, S, (1, 0)) is Side.BELOW
-    assert side_of(ps, S, (2, 0)) is Side.ON
-    assert side_of(ps, S, (11, -8)) is Side.ABOVE
+    for pid, coords, side in [
+        (PointId(1, 2, 1), (1, 0), Side.BELOW),
+        (PointId(1, 2, 2), (2, 0), Side.ON),  # a member
+        (PointId(1, 1, 1), (11, -8), Side.ABOVE),
+    ]:
+        assert ps.coords(pid) == coords
+        assert side_of(ps, S, pid) is side
 
 
 def test_normal_is_sign_normalised():
     # the spanning matrix [[1, 3], [2, 1]] has determinant -5; c = (2/5, 1/5)
-    ps = PointSet(2, 1, {PointId(1, 2, 1): (1, 3), PointId(2, 2, 1): (2, 1)})
+    below, on, above = PointId(1, 1, 1), PointId(1, 1, 2), PointId(1, 1, 3)
+    ps = PointSet(
+        2,
+        1,
+        {
+            PointId(1, 2, 1): (1, 3),
+            PointId(2, 2, 1): (2, 1),
+            below: (1, 1),
+            on: (0, 5),
+            above: (3, 1),
+        },
+    )
     S = Transversal((PointId(1, 2, 1), PointId(2, 2, 1)))
     n, d = ps.normal(S.members)
     assert d > 0 and (Fraction(n[0], d), Fraction(n[1], d)) == (Fraction(2, 5), Fraction(1, 5))
-    assert side_of(ps, S, (1, 1)) is Side.BELOW
-    assert side_of(ps, S, (0, 5)) is Side.ON
-    assert side_of(ps, S, (3, 1)) is Side.ABOVE
+    assert side_of(ps, S, below) is Side.BELOW
+    assert side_of(ps, S, on) is Side.ON
+    assert side_of(ps, S, above) is Side.ABOVE
 
 
 def test_below_set_examples():
@@ -543,8 +561,7 @@ def assert_matches_reference(ps: PointSet, simplex: Transversal, points) -> bool
     n, d = ps.normal(simplex.members)
     assert d > 0 and all(type(x) is int for x in (*n, d))
     for x in points:
-        coords = ps.coords(x) if isinstance(x, PointId) else x
-        assert side_of(ps, simplex, x) is fraction_side_of(want, coords)
+        assert side_of(ps, simplex, x) is fraction_side_of(want, ps.coords(x))
     return True
 
 
@@ -648,9 +665,14 @@ def integer_point_sets(draw) -> PointSet:
 @settings(max_examples=200, deadline=None)
 @given(integer_point_sets(), st.data())
 def test_integer_kernel_matches_reference_on_random_sets(ps, data):
+    # one more small point, under a fresh id (phases run to 3), probes every
+    # transversal of the drawn set
     extra = data.draw(st.tuples(*[st.integers(-9, 9)] * ps.r))
+    points = {p: ps.coords(p) for p in ps.ids()}
+    assume(extra not in points.values())
+    probed = PointSet(ps.r, ps.m, {**points, PointId(1, ps.r, 4): extra})
     for S in transversals(ps):
-        assert_matches_reference(ps, S, list(ps.ids()) + [extra])
+        assert_matches_reference(probed, S, list(probed.ids()))
 
 
 @settings(max_examples=60, deadline=None)

@@ -79,6 +79,16 @@ def test_build_validates_inputs():
         build_comb(1, 0, Random(0))
 
 
+@pytest.mark.parametrize(
+    "r, m, message",
+    [(-1, 3, "dimension must be >= 0"), (2, 0, "factor size must be >= 1")],
+)
+def test_identity_comb_takes_the_comb_shape_check(r, m, message):
+    for make in (lambda: build_comb(r, m, Random(0)), lambda: identity_comb(r, m)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            make()
+
+
 def test_comb_rejects_malformed_ranks():
     with pytest.raises(ValueError):
         CombOrientation((1, 3), (identity_comb(0, 1), identity_comb(0, 1)))
@@ -275,7 +285,7 @@ def scalar_walk(comb, cfg, start, rng, record=True, targets_of=recursive_out_tar
     else:
         v = start
         if not spec.contains(v):
-            raise ValueError(f"start vertex {v} not in grid {spec.factor_sizes}")
+            raise ValueError(f"vertex {v} not in grid {spec.factor_sizes}")
     delta = None if cfg is None else cfg.delta
     budget = spec.vertex_count + 1
     visited = [v]
@@ -443,13 +453,18 @@ def test_walk_start_vertex_is_checked():
 
 @pytest.mark.parametrize("v", [(0, 1), (1,), (4, 1)])
 def test_out_queries_reject_vertices_outside_the_grid(v):
+    # one rule and one message for every query that takes a grid vertex
     comb = build_comb(2, 3, Random(1))
-    for out in (
+    for query in (
         lambda: out_neighbors(comb, v),
         lambda: flip_top_pair_out(comb, 1, 3)(v),
+        lambda: walk(comb, AugmentedConfig(1), v, Random(0)),
+        lambda: walk(comb, None, v, Random(0), record=False),
+        lambda: expected_duration_exact(comb, None, v),
+        lambda: expected_duration_exact(comb, AugmentedConfig(2), v),
     ):
-        with pytest.raises(ValueError, match=re.escape(f"vertex {v} not in grid (3, 3)")):
-            out()
+        with pytest.raises(ValueError, match="^" + re.escape(f"vertex {v} not in grid (3, 3)") + "$"):
+            query()
 
 
 def test_monte_carlo_within_four_se_of_exact():
