@@ -162,8 +162,9 @@ def mc_estimate(
 ) -> ExpectationReport:
     """Estimate an expectation by independent seeded trials.
 
-    ``sample`` receives one derived ``random.Random`` per trial, so the
-    estimate is reproducible from ``(sample, trials, seed)`` alone.
+    ``sample`` receives one derived :class:`~pivotlab.seeding.Stream` per
+    trial, so the estimate is reproducible from ``(sample, trials, seed)``
+    alone.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
@@ -680,7 +681,8 @@ def phase_law_report(
         raise ValueError(f"need at least 1 trace for the phase laws, got {trials}")
     ps = geometry.gen_point_set(r, m).augmented()
     cfg = ProcessConfig(ps, delta=delta)
-    transition_counts: dict[int, dict[int, int]] = {}
+    # jumps[src][dst] over the phases 0..m+1
+    jumps = [[0] * (m + 2) for _ in range(m + 2)]
     color_counts = [0] * r
     good_counts = [0] * (m + 1)  # index k
     consequence_ok = True
@@ -689,12 +691,11 @@ def phase_law_report(
         trace = process.run(cfg, derive_rng(seed, "trace", i))
         prev = trace.states[0].phase
         for sigma, phi in trace.phase_changes():
-            row = transition_counts.setdefault(prev, {})
-            row[phi] = row.get(phi, 0) + 1
+            jumps[prev][phi] += 1
             prev = phi
             if phi > 0:
                 pivot = trace.pivot(sigma - 1)
-                assert pivot is not None
+                assert pivot is not None  # a positive-phase change is a point pivot
                 color_counts[pivot.color - 1] += 1
         good = process.good_phases(cfg, trace)
         for k in good:
@@ -709,6 +710,11 @@ def phase_law_report(
         if color_total
         else 0.0
     )
+    transition_counts = {
+        src: {dst: n for dst, n in enumerate(row) if n}
+        for src, row in enumerate(jumps)
+        if any(row)
+    }
 
     rows = []
     for k in range(1, m):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 import os
-from random import Random
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import InstanceTooLargeError, InternalInvariantError
+from .seeding import Stream
 
 __all__ = [
+    "check_power_count",
     "check_state_count",
     "draw",
     "escape_weight",
@@ -40,7 +41,7 @@ def escape_weight(delta: int | None, n_succ: int) -> int:
     return 0 if n_succ else 1
 
 
-def draw(rng: Random, n_succ: int, escape: int) -> int | None:
+def draw(rng: Stream, n_succ: int, escape: int) -> int | None:
     """One uniform draw over ``n_succ + escape`` edges: an index below
     ``n_succ`` picks that successor, any other the terminal, returned as
     ``None``.  A state without successors gives ``None`` without a draw;
@@ -205,7 +206,23 @@ def check_state_count(count: int, states: str, purpose: str) -> None:
     cap = state_cap()
     if count > cap:
         shown = count if count < 10**40 else f"about 10^{math.log10(count):.1f}"
-        raise InstanceTooLargeError(
-            f"instance too large for {purpose}: {shown} {states} exceed the "
-            f"cap of {cap}"
-        )
+        _refuse(shown, states, purpose, cap)
+
+
+def check_power_count(base: int, exponent: int, states: str, purpose: str) -> None:
+    """:func:`check_state_count` for ``base ** exponent`` states, ``base >=
+    1``.  A power whose logarithm puts it past 40 digits and past the cap is
+    refused from that logarithm alone: at a million digits, computing the
+    power takes seconds."""
+    cap = state_cap()
+    digits = exponent * math.log10(base)
+    # one digit of margin covers the float error of the logarithm
+    if digits > max(40, len(str(cap))) + 1:
+        _refuse(f"about 10^{digits:.1f}", states, purpose, cap)
+    check_state_count(base**exponent, states, purpose)
+
+
+def _refuse(shown: int | str, states: str, purpose: str, cap: int) -> NoReturn:
+    raise InstanceTooLargeError(
+        f"instance too large for {purpose}: {shown} {states} exceed the cap of {cap}"
+    )

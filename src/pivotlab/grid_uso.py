@@ -36,11 +36,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import ne
-from random import Random
 from typing import Callable, Iterator
 
 from . import chain
 from .errors import InternalInvariantError
+from .seeding import Stream
 
 __all__ = [
     "AugmentedConfig",
@@ -194,7 +194,7 @@ def grid_spec(comb: CombOrientation) -> GridSpec:
     return GridSpec(comb.sizes)
 
 
-def build_comb(r: int, m: int, rng: Random) -> CombOrientation:
+def build_comb(r: int, m: int, rng: Stream) -> CombOrientation:
     """Build a random comb: uniform rank permutation at the top level,
     independent recursive children below.
 
@@ -202,11 +202,11 @@ def build_comb(r: int, m: int, rng: Random) -> CombOrientation:
     order) so a seeded stream reproduces the structure bit for bit.  A bad
     shape or a grid over the cap (:func:`chain.state_cap`) is refused first."""
     _check_shape(r, m)
-    chain.check_state_count(m**r, "vertices", "a random comb")
+    chain.check_power_count(m, r, "vertices", "a random comb")
     return _random_comb(r, m, rng)
 
 
-def _random_comb(r: int, m: int, rng: Random) -> CombOrientation:
+def _random_comb(r: int, m: int, rng: Stream) -> CombOrientation:
     if r == 0:
         return LEAF
     ranks = tuple(rng.sample(range(1, m + 1), m))
@@ -351,7 +351,7 @@ def walk(
     comb: CombOrientation,
     cfg: AugmentedConfig | None,
     start: Vertex | str,
-    rng: Random,
+    rng: Stream,
     record: bool = True,
 ) -> WalkOutcome:
     """Run one directed random walk.

@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from random import Random
 from typing import Iterable
 
 from . import chain, geometry
 from .errors import InternalInvariantError
 from .geometry import PointId, PointSet, Transversal
+from .seeding import Stream
 
 __all__ = [
     "ProcessConfig",
@@ -289,7 +289,7 @@ def trace_to_jsonl(trace: Trace) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run(cfg: ProcessConfig, rng: Random) -> Trace:
+def run(cfg: ProcessConfig, rng: Stream) -> Trace:
     """Run to the terminal position, keeping every visited state.
 
     Each pivot is drawn by :func:`chain.draw` over the below points and the

@@ -101,8 +101,8 @@ def test_mc_estimate_requires_two_trials():
 
 
 def test_mc_estimate_reproducible():
-    a = mc_estimate(lambda rng: rng.random(), 200, seed=9)
-    b = mc_estimate(lambda rng: rng.random(), 200, seed=9)
+    a = mc_estimate(lambda rng: rng.randrange(10**6), 200, seed=9)
+    b = mc_estimate(lambda rng: rng.randrange(10**6), 200, seed=9)
     assert a.value == b.value and a.se == b.se
 
 
@@ -205,9 +205,9 @@ def test_report_serialization_round_trips_types():
             5,
             {
                 "ensemble": "orientations",
-                "max": 1.99444444444,
-                "min": 1.88888888889,
-                "max_index": 3,
+                "max": 1.99027777778,
+                "min": 1.93518518519,
+                "max_index": 2,
             },
         ),
         (BoundParams("augmented_theorem", 2, 3, 2), 200, 0, {"worst_alphas": [4, 4]}),

@@ -506,7 +506,7 @@ def test_identity_walk_needs_no_cap():
         ["uso", "walk", "--identity", "--r", "60", "--m", "2", "--seed", "1", "--trials", "1000"]
     )
     assert (code, err) == (0, "")
-    assert json.loads(out)["value"] == 29.915
+    assert json.loads(out)["value"] == 30.126
 
 
 def test_cap_message_writes_forty_digits_in_full(monkeypatch):
@@ -515,6 +515,28 @@ def test_cap_message_writes_forty_digits_in_full(monkeypatch):
         chain.check_state_count(10**40 - 1, "vertices", "exact mode")
     with pytest.raises(InstanceTooLargeError, match=r": about 10\^40\.0 vertices exceed"):
         chain.check_state_count(10**40, "vertices", "exact mode")
+
+
+def test_absurd_comb_is_refused_from_the_logarithm_of_its_size(monkeypatch):
+    """``3**r`` at r = 10**9 has half a billion digits: computing it would
+    not finish, so the refusal must come from ``r * log10(m)``."""
+    monkeypatch.delenv("PIVOTLAB_STATE_CAP", raising=False)
+    code, out, err = run_cli(["uso", "build", "--r", "1000000000", "--m", "3", "--seed", "1"])
+    assert (code, out, err) == (
+        1,
+        "",
+        "error: instance too large for a random comb: about 10^477121254.7 vertices "
+        "exceed the cap of 1000000\nhint: raise PIVOTLAB_STATE_CAP\n",
+    )
+
+
+def test_power_count_is_exact_next_to_a_long_cap(monkeypatch):
+    """Within a digit of the cap's length the power is computed, so a cap of
+    48 digits still decides 3**100 and 3**101 exactly."""
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", str(3**100))
+    chain.check_power_count(3, 100, "vertices", "exact mode")
+    with pytest.raises(InstanceTooLargeError, match=r": about 10\^48\.2 vertices exceed"):
+        chain.check_power_count(3, 101, "vertices", "exact mode")
 
 
 def test_comb_deeper_than_the_recursion_limit_is_one_error_line():
