@@ -79,13 +79,13 @@ def solve(
     d = _denominator(weights, reads, writes, n_groups)
     sums = [0] * n_groups
     scaled = []
-    for i, (t, rd, wr) in enumerate(zip(weights, reads, writes)):
+    for t, rd, wr in zip(weights, reads, writes):
         if t:
-            q, rem = divmod(sum([sums[g] for g in rd]), t)
+            q, rem = divmod(sum(map(sums.__getitem__, rd)), t)
             if rem:
                 raise InternalInvariantError(
-                    f"the common denominator does not clear state {i} of weight "
-                    f"{t}; its exponent bound is wrong"
+                    f"the common denominator does not clear state {len(scaled)} of "
+                    f"weight {t}; its exponent bound is wrong"
                 )
             x = d + q
             for g in wr:
@@ -119,7 +119,10 @@ def _denominator(
     guard bit on top.  Along a path an exponent grows by less than
     ``weight.bit_length()`` per state, so a field wide enough for the state
     count times that never carries into its neighbour, and the guard bits
-    give a componentwise max in a few integer operations.
+    give a componentwise max in a few integer operations.  One loop takes
+    that max inline over the groups each state reads, and a running max
+    over every state it solves gives the result: a group's exponents are
+    some state's, so the groups need no pass of their own.
     """
     width = (len(weights) * max(weights, default=0).bit_length()).bit_length() + 1
     shift = width - 1
@@ -134,27 +137,25 @@ def _denominator(
                 packed += 1 << offset
         own[t] = packed
 
-    def pmax(exps: list[int]) -> int:
-        """The componentwise max of packed exponents."""
-        e = 0
-        for b in exps:
-            ge = ((e | guard) - b) & guard  # guard bits of the fields where e >= b
-            if ge != guard:
-                ge -= ge >> shift  # those fields' value bits
-                e = b ^ ((e ^ b) & ge)
-        return e
-
     groups = [0] * n_groups
-    unwritten = []  # the exponents of states that write no group
+    top = 0  # the componentwise max of every state's exponents so far
     for t, rd, wr in zip(weights, reads, writes):
         if not t:
             continue  # value 0, denominator 1
-        e = pmax([groups[g] for g in rd]) + own[t]
+        e = 0
+        for g in rd:  # e = the componentwise max of the groups read
+            x = groups[g]
+            ge = ((e | guard) - x) & guard  # guard bits of the fields where e >= x
+            if ge != guard:
+                ge -= ge >> shift  # those fields' value bits
+                e = x ^ ((e ^ x) & ge)
+        e += own[t]
         for g in wr:
             groups[g] = e
-        if not wr:
-            unwritten.append(e)
-    top = pmax(groups + unwritten)
+        ge = ((top | guard) - e) & guard
+        if ge != guard:
+            ge -= ge >> shift
+            top = e ^ ((top ^ e) & ge)
     d = 1
     for b, offset in field.items():
         d *= b ** ((top >> offset) & ((1 << shift) - 1))

@@ -13,10 +13,11 @@ Every predicate here is decided exactly, in Python ints: coordinates reach
 ``m**(2r-1)`` and determinants multiply ``r`` of them, so nothing is ever
 narrowed to a fixed width.  Every linear solve (the spanning hyperplane,
 the ratio-test pivot and the Caratheodory test) runs on one fraction-free
-elimination, :func:`_eliminate`, and the side test, the pivot and the
-Caratheodory test are integer sign tests on its result; ``Fraction``
-appears only in the values handed back (hyperplane coefficients and
-solutions).  Floats never participate in a geometric decision.
+elimination, :func:`_eliminate` (along a last-color sub-line the spanning
+hyperplanes follow from two of them, :meth:`PointSet.fill_normals`), and
+the side test, the pivot and the Caratheodory test are integer sign tests
+on its result; ``Fraction`` appears only in the values handed back
+(hyperplane coefficients and solutions).  Floats never participate in a geometric decision.
 """
 
 from __future__ import annotations
@@ -266,23 +267,22 @@ class PointSet:
         """Integer pair ``(n, d)`` of the hyperplane ``n . x == d`` spanned
         by ``members`` (one per color), with ``d > 0`` and every ``n_i > 0``.
 
-        One fraction-free elimination of ``[A | 1]`` per member tuple,
-        cached on the set: ``c = n / d``.  A singular system, a coefficient of zero,
-        or a nonpositive axis intersection all violate general position and
-        raise :class:`DegeneracyError`; on the standard families this
-        indicates a construction bug.
+        One fraction-free elimination of ``[A | 1]`` per member tuple, cached
+        on the set (unless :meth:`fill_normals` already cached it): ``c = n
+        / d``.  A singular system, a coefficient of zero, or a nonpositive
+        axis intersection all violate general position and raise
+        :class:`DegeneracyError`; on the standard families this indicates a
+        construction bug.
         """
         cached = self._normals.get(members)
         if cached is not None:
             return cached
-        d, pivots, a = _eliminate([[*self._points[p], 1] for p in members])
-        if pivots != list(range(len(members))):
+        span = self._span(members)
+        if span is None:
             raise DegeneracyError(
                 f"spanning system of {members} is singular; the simplex is degenerate"
             )
-        n = [row[-1] for row in a]
-        if d < 0:
-            d, n = -d, [-x for x in n]
+        n, d = span
         if 0 in n:
             raise DegeneracyError(f"hyperplane of {members} is parallel to a coordinate axis")
         if any(x < 0 for x in n):
@@ -292,6 +292,47 @@ class PointSet:
         pair = (tuple(n), d)
         self._normals[members] = pair
         return pair
+
+    def fill_normals(self, head: tuple[PointId, ...]) -> None:
+        """Cache the :meth:`normal` pair of every transversal ``(*head, p)``
+        whose last-color point ``p`` lies on the positive last axis.
+
+        With ``p = t * e_r`` and ``t > 0``, ``det A = t * det B`` for ``B``
+        the head's first ``r - 1`` coordinates, and by Cramer's rule ``d =
+        t * |det B|`` while each ``n_i`` is affine in ``t`` (``n_r = |det B|``
+        is constant).  Two eliminations therefore give the pair at every
+        other ``t`` of the sub-line in integer steps.  A pair that fails a
+        check of :meth:`normal` is left uncached, as is every ``p`` off that
+        axis: :meth:`normal` computes it, or raises, when it is asked for.
+        """
+        line = []
+        for p in self._colors[self.r]:
+            *rest, t = self._points[p]
+            members = (*head, p)
+            if t > 0 and not any(rest) and members not in self._normals:
+                line.append((t, members))
+        if len(line) < 2:
+            return
+        (t0, first), (t1, second) = line[0], line[1]
+        span0, span1 = self._span(first), self._span(second)
+        if span0 is None or span1 is None:
+            return  # det B == 0: the whole sub-line is singular
+        (n0, d0), (n1, _) = span0, span1
+        slope = [(y - x) // (t1 - t0) for x, y in zip(n0, n1)]
+        det = d0 // t0
+        for t, members in line:
+            n = tuple([x + (t - t0) * s for x, s in zip(n0, slope)])
+            if min(n) > 0:
+                self._normals[members] = (n, t * det)
+
+    def _span(self, members: tuple[PointId, ...]) -> tuple[list[int], int] | None:
+        """``(n, d)`` with ``d > 0`` from one fraction-free elimination of
+        ``[A | 1]``, unchecked; ``None`` when ``A`` is singular."""
+        d, pivots, a = _eliminate([[*self._points[p], 1] for p in members])
+        if pivots != list(range(len(members))):
+            return None
+        n = [row[-1] for row in a]
+        return (n, d) if d > 0 else ([-x for x in n], -d)
 
     def layer_members(self, j: int) -> tuple[PointId, ...]:
         return tuple(p for p in self.ids() if p.layer == j)

@@ -417,34 +417,42 @@ class _VertexTable:
 
 def _ranked(
     node: CombOrientation, strides: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """``(index, n_succ)`` of the vertices of ``node``'s grid in ascending
-    rank order: the values of the last factor by rank, each followed by
-    its hyperplane's vertices in their own order."""
+) -> tuple[list[int], list[int]]:
+    """The indices and out-arc counts of the vertices of ``node``'s grid in
+    ascending rank order: the values of the last factor by rank, each
+    followed by its hyperplane's vertices in their own order.  A line is
+    its values by rank, so the recursion makes no call per vertex."""
     if not node.ranks:
-        return [(0, 0)]
+        return [0], [0]
+    order = sorted(zip(node.ranks, range(node.m)))
+    if len(strides) == 1:
+        return [c for _, c in order], [q - 1 for q, _ in order]
     stride = strides[-1]
-    out = []
-    for q, c in sorted(zip(node.ranks, range(node.m))):
+    index: list[int] = []
+    n_succ: list[int] = []
+    for q, c in order:
+        sub_index, sub_n = _ranked(node.children[c], strides[:-1])
         base = c * stride
-        out.extend(
-            (base + i, q - 1 + n) for i, n in _ranked(node.children[c], strides[:-1])
-        )
-    return out
+        index += [base + i for i in sub_index]
+        n_succ += [q - 1 + n for n in sub_n]
+    return index, n_succ
 
 
 def _compile(comb: CombOrientation) -> _VertexTable:
     sizes = comb.sizes
     strides = tuple(math.prod(sizes[:d]) for d in range(len(sizes)))
     count = math.prod(sizes)
-    ranked = _ranked(comb, strides)
-    axes = [(d * count, st, s) for d, (st, s) in enumerate(zip(strides, sizes))]
-    # the fiber of axis d through a vertex: its index with coordinate d zeroed
-    fibers = [tuple(off + i - i // st % s * st for off, st, s in axes) for i, _ in ranked]
-    row = [0] * count
-    for k, (i, _) in enumerate(ranked):
-        row[i] = k
-    return _VertexTable([n for _, n in ranked], fibers, len(axes) * count, row)
+    index, n_succ = _ranked(comb, strides)
+    # the fiber of axis d through a vertex: its index with coordinate d
+    # zeroed, offset by d * count; one column of them per axis
+    columns = [
+        [d * count + i - i // st % s * st for i in index]
+        for d, (st, s) in enumerate(zip(strides, sizes))
+    ]
+    fibers = list(zip(*columns)) if columns else [()]  # r = 0: one vertex, no fiber
+    # row[i] = k exactly when index[k] = i
+    row = sorted(range(count), key=index.__getitem__)
+    return _VertexTable(n_succ, fibers, len(sizes) * count, row)
 
 
 def expected_duration_exact(

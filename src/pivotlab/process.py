@@ -115,6 +115,10 @@ class ProcessConfig:
         self._index = {p: k for cls in classes for k, p in enumerate(cls)}
         self._stride = [prod(map(len, classes[c + 1 :])) for c in range(len(classes))]
         self._states: dict[int, _State] = {}
+        # what every run of this config starts from: the step budget, and
+        # the start state, made by run on first use
+        self._budget = point_set.transversal_count() + 1
+        self._start_state: _State | None = None
         # the second-outermost layer, made by good_phases on first use
         self._layer_rm1: frozenset[PointId] | None = None
 
@@ -295,9 +299,11 @@ def run(cfg: ProcessConfig, rng: Stream) -> Trace:
     Each pivot is drawn by :func:`chain.draw` over the below points and the
     escape edges; with nothing below the escape is forced without consuming
     randomness."""
-    budget = cfg.point_set.transversal_count() + 1
+    budget = cfg._budget
     delta = cfg.delta
-    st = _state(cfg, cfg.start.members)
+    st = cfg._start_state
+    if st is None:
+        st = cfg._start_state = _state(cfg, cfg.start.members)
     states = [st]
     picks = []
     while True:
@@ -369,9 +375,11 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     """Exact expected step count from ``cfg.start``, per the config's
     counting convention.
 
-    Enumerates all transversals, the k-th as state id k, and orders them by
-    increasing axis-intersection sum: every edge lowers it (:func:`_edge`
-    checks this), so successors always come first.  :func:`chain.solve`
+    Enumerates all transversals, the k-th as state id k, filling the
+    hyperplane pairs of each last-color sub-line at once
+    (:meth:`PointSet.fill_normals`), and orders them by increasing
+    axis-intersection sum: every edge lowers it (:func:`_edge` checks
+    this), so successors always come first.  :func:`chain.solve`
     then back-substitutes over plain integers, each state reading its
     successors' ids and writing its own; the result is the one
     ``Fraction`` built.
@@ -379,13 +387,13 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     ps = cfg.point_set
     chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
     known = cfg._states
-    states = sorted(
-        (
-            known.get(sid) or _new_state(cfg, s.members, sid)
-            for sid, s in enumerate(geometry.transversals(ps))
-        ),
-        key=_solve_order,
-    )
+    line = len(ps.color_class(ps.r))
+    states = []
+    for sid, s in enumerate(geometry.transversals(ps)):
+        if sid % line == 0:  # the first of a last-color sub-line
+            ps.fill_normals(s.members[:-1])
+        states.append(known.get(sid) or _new_state(cfg, s.members, sid))
+    states.sort(key=_solve_order)
     weights, reads = [], []
     for st in states:
         n_below = len(_below(cfg, st))

@@ -105,6 +105,88 @@ def test_kernel_values_of_a_small_chain():
     assert chain.solve([0, 3], [[], [0]], [[0], [1]], 2) == ([0, 3], 3)
 
 
+def oracle_denominator(weights, reads, writes, n_groups):
+    """The exponent pass as it stood before it was inlined: a ``pmax``
+    closure over a list per state, states that write no group kept aside,
+    and one max over the groups and those at the end."""
+    width = (len(weights) * max(weights, default=0).bit_length()).bit_length() + 1
+    shift = width - 1
+    field = {b: k * width for k, b in enumerate(chain._coprime_base(set(weights)))}
+    guard = sum(1 << (offset + shift) for offset in field.values())
+    own = {}
+    for t in set(weights):
+        packed, rest = 0, t
+        for b, offset in field.items():
+            while rest and rest % b == 0:
+                rest //= b
+                packed += 1 << offset
+        own[t] = packed
+
+    def pmax(exps):
+        e = 0
+        for b in exps:
+            ge = ((e | guard) - b) & guard
+            if ge != guard:
+                ge -= ge >> shift
+                e = b ^ ((e ^ b) & ge)
+        return e
+
+    groups = [0] * n_groups
+    unwritten = []
+    for t, rd, wr in zip(weights, reads, writes):
+        if not t:
+            continue
+        e = pmax([groups[g] for g in rd]) + own[t]
+        for g in wr:
+            groups[g] = e
+        if not wr:
+            unwritten.append(e)
+    top = pmax(groups + unwritten)
+    d = 1
+    for b, offset in field.items():
+        d *= b ** ((top >> offset) & ((1 << shift) - 1))
+    return d
+
+
+# weights of 0, small prime powers, and two primes too large to factor
+DENOMINATOR_WEIGHTS = [0, 0, 1, 2, 3, 4, 8, 9, 12, 27, 2**61 - 1, 10**18 + 9]
+
+
+@st.composite
+def weighted_chains(draw):
+    """``(weights, reads, writes, n_groups)`` as :func:`chain.solve` takes
+    them: groups shared by several states, states of weight 0, states that
+    write no group, and huge prime weights."""
+    n_groups = draw(st.integers(1, 8))
+    written = set()
+    weights, reads, writes = [], [], []
+    for _ in range(draw(st.integers(1, 20))):
+        rd = draw(st.lists(st.integers(0, n_groups - 1), max_size=4))
+        writable = sorted(set(rd) | (set(range(n_groups)) - written))
+        wr = (
+            draw(st.lists(st.sampled_from(writable), max_size=3, unique=True))
+            if writable else []
+        )
+        written.update(wr)
+        weights.append(draw(st.sampled_from(DENOMINATOR_WEIGHTS)))
+        reads.append(rd)
+        writes.append(wr)
+    return weights, reads, writes, n_groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_=weighted_chains())
+def test_inlined_bound_pass_matches_its_oracle(chain_):
+    assert chain._denominator(*chain_) == oracle_denominator(*chain_)
+
+
+def test_bound_pass_counts_states_that_write_no_group():
+    # the last state writes nothing: only the running max holds its 3 * 3
+    weights, reads, writes = [3, 3, 2**61 - 1], [[], [0], [1]], [[0], [], [1]]
+    assert chain._denominator(weights, reads, writes, 2) == 9 * (2**61 - 1)
+    assert oracle_denominator(weights, reads, writes, 2) == 9 * (2**61 - 1)
+
+
 @given(st.sets(st.integers(0, 10**6), max_size=8))
 def test_coprime_base_factors_every_number(numbers):
     base = chain._coprime_base(numbers)

@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -719,6 +719,134 @@ def test_integer_kernel_beyond_64_bits():
         below = below_set(ps, S)
         for p in below[:: max(1, len(below) // 5)]:
             assert pivot_generic(ps, S, p) == S.replace(p)
+
+
+# ---------------------------------------------------------------------------
+# normals filled by sub-line against a fresh elimination
+# ---------------------------------------------------------------------------
+
+
+def normal_outcome(ps: PointSet, members: tuple[PointId, ...]):
+    try:
+        return ps.normal(members)
+    except DegeneracyError as exc:
+        return ("raises", str(exc))
+
+
+def on_positive_last_axis(ps: PointSet, p: PointId) -> bool:
+    *rest, t = ps.coords(p)
+    return t > 0 and not any(rest)
+
+
+def check_fill(ps: PointSet) -> int:
+    """Fill every last-color sub-line of ``ps``, then ask :meth:`normal` for
+    each of its transversals: each answer, pair or error, must be what a
+    fresh elimination on an unfilled copy gives.  Returns how many pairs
+    the fill cached; only positive-axis ones may be."""
+    fresh = PointSet(ps.r, ps.m, {p: ps.coords(p) for p in ps.ids()}, alphas=ps.alphas)
+    heads = product(*(ps.color_class(i) for i in range(1, ps.r)))
+    filled = 0
+    for head in heads:
+        ps.fill_normals(head)
+        for p in ps.color_class(ps.r):
+            members = (*head, p)
+            if members in ps._normals:
+                assert on_positive_last_axis(ps, p)
+                filled += 1
+            assert normal_outcome(ps, members) == normal_outcome(fresh, members)
+    return filled
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_point_set(1, 4),
+        lambda: gen_point_set(2, 3),
+        lambda: gen_point_set(2, 8).augmented(),
+        lambda: gen_point_set(3, 4),
+        lambda: gen_point_set(3, 4).augmented([5, 7, 6]),
+        lambda: gen_point_set(4, 3),
+        lambda: gen_point_set(4, 3).augmented(),
+        lambda: gen_point_set(3, 8),
+        lambda: gen_point_set(2, 40),
+        lambda: gen_point_set(5, 3),
+        lambda: project_deep(4, 3, 2),
+        lambda: project_deep(5, 3, 3),
+    ],
+    ids=[
+        "1-4", "2-3", "2-8-aug", "3-4", "3-4-aug", "4-3", "4-3-aug", "3-8", "2-40",
+        "5-3", "deep-4-3-2", "deep-5-3-3",
+    ],
+)
+def test_fill_normals_matches_fresh_elimination(make):
+    ps = make()
+    assert check_fill(ps) == ps.transversal_count()
+
+
+@pytest.mark.parametrize(
+    "pid, coord",
+    [(PointId(1, 1, 2), 1), (PointId(2, 2, 3), 2), (PointId(3, 3, 2), 2)],
+    ids=["inner", "inner-tail", "last-color"],
+)
+def test_fill_normals_on_flipped_sets(pid, coord):
+    ps = flip_tail_sign(gen_point_set(3, 3), pid, coord)
+    filled = check_fill(ps)
+    if pid.color == 3:
+        # -2 e_3 is off the positive axis: its sub-line members take the
+        # elimination path, and the other points of the class are filled
+        assert not on_positive_last_axis(ps, pid)
+        assert filled == ps.transversal_count() * 2 // 3
+    else:
+        assert 0 < filled < ps.transversal_count()
+
+
+def test_fill_normals_leaves_degenerate_siblings_to_raise():
+    # head (5, 2): with p = t e_2 the pair is ((t - 2, 5), 5 t), so t = 1
+    # meets the first axis on the negative side, t = 2 is parallel to it,
+    # and only t = 3 is cached; the head (0, 7) makes every p singular
+    good, flat = PointId(1, 2, 1), PointId(1, 2, 2)
+    line = [PointId(2, 2, k) for k in (1, 2, 3)]
+    ps = PointSet(2, 3, {good: (5, 2), flat: (0, 7), **{p: (0, p.phase) for p in line}})
+    ps.fill_normals((good,))
+    ps.fill_normals((flat,))
+    assert list(ps._normals) == [(good, line[2])]
+    assert ps.normal((good, line[2])) == ((1, 5), 15)
+    with pytest.raises(DegeneracyError, match="negative side"):
+        ps.normal((good, line[0]))
+    with pytest.raises(DegeneracyError, match="parallel"):
+        ps.normal((good, line[1]))
+    with pytest.raises(DegeneracyError, match="singular"):
+        ps.normal((flat, line[0]))
+    assert check_fill(ps) == 1
+
+
+@st.composite
+def axis_line_sets(draw) -> PointSet:
+    """Random heads, small or huge, beside a last color of points on the
+    last axis (either side) and a few off it."""
+    r = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([4, 10**6, 10**30]))
+    heads = draw(
+        st.lists(
+            st.tuples(*[st.integers(-bound, bound)] * r),
+            min_size=2 * (r - 1),
+            max_size=2 * (r - 1),
+            unique=True,
+        )
+    )
+    ts = draw(st.lists(st.integers(-bound, bound).filter(bool), min_size=1, max_size=5, unique=True))
+    line = [(0,) * (r - 1) + (t,) for t in ts]
+    line += draw(st.lists(st.tuples(*[st.integers(-4, 4)] * r), max_size=2))
+    assume(len(set(heads + line)) == len(heads) + len(line))
+    points = {PointId(i, r, k): heads[2 * (i - 1) + k - 1] for i in range(1, r) for k in (1, 2)}
+    points.update({PointId(r, r, k): x for k, x in enumerate(line, start=1)})
+    return PointSet(r, 3, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(axis_line_sets())
+def test_fill_normals_matches_fresh_elimination_on_random_lines(ps):
+    check_fill(ps)
 
 
 # ---------------------------------------------------------------------------

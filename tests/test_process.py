@@ -171,6 +171,20 @@ def test_run_seed_determinism_byte_for_byte():
     assert a == b
 
 
+def test_runs_of_one_config_share_its_setup(monkeypatch):
+    # the step budget and the start state are made once per config, not per trace
+    cfg = augmented_config(2, 4, delta=2)
+    counted = []
+    real = type(cfg.point_set).transversal_count
+    monkeypatch.setattr(
+        type(cfg.point_set), "transversal_count", lambda ps: counted.append(1) or real(ps)
+    )
+    traces = [run(cfg, Random(seed)) for seed in range(5)]
+    assert counted == []
+    assert all(t.states[0] is traces[0].states[0] for t in traces)
+    assert traces[0].states[0].members == cfg.start.members
+
+
 def hand_state(members, phase, below) -> process._State:
     """A state built outside any config's graph, for traces fed by hand."""
     return process._State(-1, members, 0, 1, phase, below)
