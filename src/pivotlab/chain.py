@@ -44,8 +44,9 @@ def escape_weight(delta: int | None, n_succ: int) -> int:
 def draw(rng: Stream, n_succ: int, escape: int) -> int | None:
     """One uniform draw over ``n_succ + escape`` edges: an index below
     ``n_succ`` picks that successor, any other the terminal, returned as
-    ``None``.  A state without successors gives ``None`` without a draw;
-    callers stop at a dead end first."""
+    ``None``.  A state without successors gives ``None`` without a draw,
+    so a dead end may be drawn at: ``process.run`` and an escaping walk
+    rely on that to end without consuming randomness."""
     if n_succ == 0:
         return None
     i = rng.randrange(n_succ + escape)

@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Every randomized command, and no other, takes ``--seed``; without one a
-fresh seed is generated and announced on stderr, and either way the seed is
-embedded in the output, so any report can be reproduced byte for byte.
-Reports go to stdout (or ``--out``), logs to stderr.  Exit codes: 0 success,
-2 verification failure, 1 usage or internal error.
+A command takes ``--seed`` only where it draws: an identity comb takes
+none (``"seed": null``) unless walked, and ``verify lemmas`` takes one only
+with ``--phase-trials``.  Without one a fresh seed is generated and
+announced on stderr, and either way the seed is embedded in the output, so
+any report can be reproduced byte for byte.  Reports go to stdout (or
+``--out``), logs to stderr.  Exit codes: 0 success, 2 verification
+failure, 1 usage or internal error.
 """
 
 from __future__ import annotations
@@ -73,21 +75,6 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
-def _trials(args) -> int:
-    """``--trials``, by default 1 for a jsonl trace dump and 100000 for a
-    json summary."""
-    if args.trials is not None:
-        return args.trials
-    return 1 if args.format == "jsonl" else 100_000
-
-
-def _dump_trials(trials: int) -> range:
-    """Trial indices of a jsonl trace dump, which needs at least one."""
-    if trials < 1:
-        raise ValueError(f"need at least 1 trial for a jsonl trace dump, got {trials}")
-    return range(trials)
-
-
 def _seed_of(args) -> int:
     if args.seed is None:
         seed = fresh_seed()
@@ -96,8 +83,8 @@ def _seed_of(args) -> int:
     return args.seed
 
 
-def _comb_for(args, seed: int) -> grid_uso.CombOrientation:
-    if getattr(args, "identity", False):
+def _comb_for(args, seed: int | None) -> grid_uso.CombOrientation:
+    if args.identity:
         return grid_uso.identity_comb(args.r, args.m)
     return grid_uso.build_comb(args.r, args.m, derive_rng(seed, "comb"))
 
@@ -114,13 +101,30 @@ def _exact_value(value: Fraction) -> dict:
     }
 
 
+def _sample(args, seed: int, stream: str, dump, steps, fields: dict) -> int:
+    """The sampling commands' output.  ``--format jsonl`` concatenates
+    ``dump(rng)`` of ``--trials`` runs (default 1) on the streams ``(seed,
+    stream, i)``; json summarises ``steps(rng)`` of ``--trials`` runs
+    (default 100000) by :func:`analysis.mc_estimate`, with ``fields``."""
+    if args.format == "jsonl":
+        trials = 1 if args.trials is None else args.trials
+        if trials < 1:
+            raise ValueError(f"need at least 1 trial for a jsonl trace dump, got {trials}")
+        _emit("".join(dump(derive_rng(seed, stream, i)) for i in range(trials)), args.out)
+    else:
+        trials = 100_000 if args.trials is None else args.trials
+        report = analysis.mc_estimate(steps, trials, seed)
+        _emit_json(report.to_dict() | fields | {"seed": seed}, args.out)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # uso commands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_uso_build(args) -> int:
-    seed = _seed_of(args)
+    seed = None if args.identity else _seed_of(args)
     comb = _comb_for(args, seed)
     payload = {"seed": seed, "comb": grid_uso.comb_to_dict(comb)}
     _emit_json(payload, args.out)
@@ -132,32 +136,21 @@ def _cmd_uso_walk(args) -> int:
     comb = _comb_for(args, seed)
     cfg = _aug_cfg(args)
     start = tuple(_parse_ints(args.start)) if args.start else "uniform"
-    if args.format == "jsonl":
-        # trace dump: one vertex tuple per line, terminal hops as "inf";
-        # consecutive trials are concatenated
-        lines = []
-        for i in _dump_trials(_trials(args)):
-            outcome = grid_uso.walk(comb, cfg, start, derive_rng(seed, "walk", i))
-            assert outcome.visited is not None
-            lines.extend(
-                json.dumps("inf" if v is None else list(v))
-                for v in outcome.visited
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    report = analysis.mc_estimate(
+
+    def dump(rng) -> str:
+        # one vertex tuple per line, the terminal hop as "inf"
+        visited = grid_uso.walk(comb, cfg, start, rng).visited
+        return "".join(json.dumps("inf" if v is None else list(v)) + "\n" for v in visited)
+
+    return _sample(
+        args, seed, "walk", dump,
         lambda rng: grid_uso.walk(comb, cfg, start, rng, record=False).steps,
-        _trials(args),
-        seed,
+        {"r": args.r, "m": args.m, "delta": args.delta},
     )
-    payload = report.to_dict()
-    payload.update({"r": args.r, "m": args.m, "delta": args.delta, "seed": seed})
-    _emit_json(payload, args.out)
-    return 0
 
 
 def _cmd_uso_expect(args) -> int:
-    seed = _seed_of(args)
+    seed = None if args.identity else _seed_of(args)
     comb = _comb_for(args, seed)
     start = tuple(_parse_ints(args.start)) if args.start else "uniform"
     value = grid_uso.expected_duration_exact(comb, _aug_cfg(args), start)
@@ -174,7 +167,7 @@ def _cmd_uso_expect(args) -> int:
 
 
 def _cmd_uso_verify(args) -> int:
-    seed = _seed_of(args)
+    seed = None if args.identity else _seed_of(args)
     comb = _comb_for(args, seed)
     # both checks read every vertex's arcs: cache them so each is built once
     out_fn = functools.cache(functools.partial(grid_uso.out_neighbors, comb))
@@ -221,31 +214,18 @@ def _cmd_process_run(args) -> int:
     seed = _seed_of(args)
     ps = _point_set_for(args)
     cfg = process.ProcessConfig(ps, delta=args.delta or 0)
-    if args.format == "jsonl":
-        chunks = []
-        for i in _dump_trials(_trials(args)):
-            trace = process.run(cfg, derive_rng(seed, "trace", i))
-            chunks.append(process.trace_to_jsonl(trace))
-        _emit("".join(chunks), args.out)
-        return 0
-    report = analysis.mc_estimate(
+    return _sample(
+        args, seed, "trace",
+        lambda rng: process.trace_to_jsonl(process.run(cfg, rng)),
         lambda rng: process.run(cfg, rng).steps(cfg.count_terminal_step),
-        _trials(args),
-        seed,
-    )
-    payload = report.to_dict()
-    payload.update(
         {
             "r": args.r,
             "m": args.m,
             "delta": cfg.delta,
             "alphas": list(ps.alphas) if ps.alphas else None,
             "count_terminal_step": cfg.count_terminal_step,
-            "seed": seed,
-        }
+        },
     )
-    _emit_json(payload, args.out)
-    return 0
 
 
 def _cmd_process_expect(args) -> int:
@@ -284,6 +264,8 @@ def _cmd_verify_lemmas(args) -> int:
     """The lemma suite, after the phase laws (if ``--phase-trials``) at each
     delta: :func:`analysis.phase_law_report` refuses a bad trial count before
     the suite runs, once the deltas have been checked as a list."""
+    if args.seed is not None and not args.phase_trials:
+        raise ValueError("--seed needs --phase-trials: the lemma suite draws nothing")
     deltas = _parse_ints(args.phase_deltas)
     if any(delta < 0 for delta in deltas):
         raise ValueError("delta must be >= 0")
@@ -372,11 +354,19 @@ def _cmd_bench_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool = True, trials: bool = False) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, *, seed: bool = True, identity: bool = False, trials: bool = False
+) -> None:
     p.add_argument("--r", type=int, required=True, help="dimension")
     p.add_argument("--m", type=int, required=True, help="per-factor size / phases")
+    # a comb command that samples no runs draws only its comb, so there an
+    # identity comb leaves nothing to seed
+    seeds = p.add_mutually_exclusive_group() if identity and not trials else p
     if seed:
-        p.add_argument("--seed", type=int, help="master seed (generated and printed if omitted)")
+        seeds.add_argument("--seed", type=int, help="master seed (generated and printed if omitted)")
+    if identity:
+        seeds.add_argument("--identity", action="store_true",
+                           help="the all-identity comb, built without a draw")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     if trials:
         p.add_argument("--trials", type=int, default=None,
@@ -400,28 +390,24 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = uso.add_parser("build", help="build a comb and print its JSON form")
-    _add_common(p)
-    p.add_argument("--identity", action="store_true", help="all-identity comb (deterministic)")
+    _add_common(p, identity=True)
     p.set_defaults(handler=_cmd_uso_build)
 
     p = uso.add_parser("walk", help="sample random walks")
-    _add_common(p, trials=True)
+    _add_common(p, identity=True, trials=True)
     p.add_argument("--delta", type=int, default=None, help="escape multiplicity (omit for the plain grid)")
-    p.add_argument("--identity", action="store_true")
     p.add_argument("--start", default=None, help='start vertex "c1,c2,..." (default uniform)')
     p.add_argument("--format", choices=("json", "jsonl"), default="json")
     p.set_defaults(handler=_cmd_uso_walk)
 
     p = uso.add_parser("expect", help="exact expected walk duration")
-    _add_common(p)
+    _add_common(p, identity=True)
     p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--identity", action="store_true")
     p.add_argument("--start", default=None)
     p.set_defaults(handler=_cmd_uso_expect)
 
     p = uso.add_parser("verify", help="acyclicity and unique-sink checks")
-    _add_common(p)
-    p.add_argument("--identity", action="store_true")
+    _add_common(p, identity=True)
     p.set_defaults(handler=_cmd_uso_verify)
 
     points = top.add_parser("points", help="point-set construction").add_subparsers(

@@ -385,6 +385,15 @@ class PointSet:
         return rows
 
 
+def _family_ids(r: int, m: int) -> Iterator[PointId]:
+    """The labels of the ``(r, m)`` family: color ``i <= j <= r`` (layer
+    ``j``) and phase ``k <= m``."""
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            for k in range(1, m + 1):
+                yield PointId(i, j, k)
+
+
 def gen_point_set(r: int, m: int) -> PointSet:
     """The standard ``(r, m)`` family: point ``(i, j, k)`` for every color
     ``i <= j <= r`` (layer ``j``) and phase ``k <= m``, at :func:`gen_point`.
@@ -394,13 +403,7 @@ def gen_point_set(r: int, m: int) -> PointSet:
     that of (1,1,1), (2,6,2), ..., (6,6,1).  A passing ``verify lemmas --r R
     --m M`` proves, exhaustively at that size, what :func:`below_set` enforces
     here: no point lies on the hyperplane of a transversal it is not in."""
-    points = {}
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            for k in range(1, m + 1):
-                pid = PointId(i, j, k)
-                points[pid] = gen_point(r, m, pid)
-    return PointSet(r, m, points)
+    return PointSet(r, m, {pid: gen_point(r, m, pid) for pid in _family_ids(r, m)})
 
 
 def project_deep(R: int, m: int, r: int) -> PointSet:
@@ -414,13 +417,7 @@ def project_deep(R: int, m: int, r: int) -> PointSet:
         raise ValueError("need R > r >= 1")
     if m < 3:
         raise ValueError("the projection argument needs m >= 3")
-    points = {}
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            for k in range(1, m + 1):
-                pid = PointId(i, j, k)
-                points[pid] = gen_point(R, m, pid)[:r]
-    return PointSet(r, m, points)
+    return PointSet(r, m, {pid: gen_point(R, m, pid)[:r] for pid in _family_ids(r, m)})
 
 
 def flip_tail_sign(point_set: PointSet, pid: PointId, coord_index: int) -> PointSet:

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -90,7 +91,7 @@ def test_process_expect_alpha_sweep_excludes_alphas():
 
 def test_uso_expect_identity():
     code, out, _ = run_cli(
-        ["uso", "expect", "--r", "1", "--m", "3", "--identity", "--seed", "0"]
+        ["uso", "expect", "--r", "1", "--m", "3", "--identity"]
     )
     assert code == 0
     assert json.loads(out)["value"] == "5/6"
@@ -237,12 +238,13 @@ def test_non_integer_list_field_is_a_usage_error(argv, field, text):
         (["uso", "verify", "--r", "-1", "--m", "3"], "dimension must be >= 0"),
         (["uso", "build", "--r", "2", "--m", "0"], "factor size must be >= 1"),
         (["uso", "expect", "--r", "2", "--m", "0"], "factor size must be >= 1"),
-        (["uso", "walk", "--r", "2", "--m", "0", "--trials", "3"], "factor size must be >= 1"),
+        (["uso", "walk", "--r", "2", "--m", "0", "--trials", "3", "--seed", "1"],
+         "factor size must be >= 1"),
     ],
     ids=["expect-r", "verify-r", "build-m", "expect-m", "walk-m"],
 )
 def test_identity_comb_shape_is_a_usage_error(argv, message):
-    code, out, err = run_cli(argv + ["--identity", "--seed", "1"])
+    code, out, err = run_cli(argv + ["--identity"])
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
@@ -345,6 +347,61 @@ def test_seed_is_offered_only_where_a_seed_is_drawn_or_embedded():
     assert seeded == SEEDED_COMMANDS
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uso", "build", "--r", "1", "--m", "3", "--identity", "--seed", "1"],
+        ["uso", "expect", "--r", "1", "--m", "3", "--seed", "1", "--identity"],
+        ["uso", "verify", "--r", "1", "--m", "3", "--identity", "--seed", "1"],
+    ],
+    ids=["build", "expect", "verify"],
+)
+def test_identity_comb_refuses_seed(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: pivotlab uso ")
+    assert "not allowed with argument" in err
+
+
+def test_verify_lemmas_refuses_seed_without_phase_trials(monkeypatch):
+    def suite(*args, **kwargs):
+        raise AssertionError("the lemma suite ran before the seed was checked")
+
+    monkeypatch.setattr(analysis, "verify_lemmas", suite)
+    code, out, err = run_cli(["verify", "lemmas", "--r", "2", "--m", "3", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: --seed needs --phase-trials: the lemma suite draws nothing\n"
+
+
+@pytest.mark.parametrize("command", ["build", "expect", "verify"])
+def test_identity_comb_announces_no_seed(command):
+    code, out, err = run_cli(["uso", command, "--r", "1", "--m", "3", "--identity"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uso", "build", "--r", "1", "--m", "3"],
+        ["uso", "expect", "--r", "1", "--m", "3"],
+        ["uso", "verify", "--r", "1", "--m", "3"],
+        ["uso", "walk", "--r", "1", "--m", "3", "--identity", "--trials", "3"],
+        ["process", "run", "--r", "1", "--m", "3", "--trials", "3", "--format", "json"],
+        ["verify", "lemmas", "--r", "2", "--m", "3", "--phase-trials", "50"],
+        ["bench", "bounds", "--families", "uso_lemma", "--r-list", "1", "--m-list", "3",
+         "--orientations", "2", "--format", "json"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_commands_that_draw_take_seed(argv):
+    code, out, err = run_cli(argv + ["--seed", "5"])
+    assert code in (0, 2) and err == ""
+    payload = json.loads(out)
+    seeds = {row["seed"] for row in payload} if isinstance(payload, list) else {payload["seed"]}
+    assert seeds == {5}
+
+
 def test_points_dump_refuses_seed():
     code, out, err = run_cli(["points", "dump", "--r", "2", "--m", "3", "--seed", "1"])
     assert (code, out) == (1, "")
@@ -359,6 +416,26 @@ def test_unknown_bench_family_is_one_error_line():
 def test_help_exits_zero():
     code, _, _ = run_cli(["--help"])
     assert code == 0
+
+
+def test_readme_commands_parse_and_every_help_exits_zero():
+    """Every ``pivotlab`` line of the README's CLI block parses, so the docs
+    show no refused combination, and each command renders its ``--help``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line.split("#", 1)[0].split(">", 1)[0])
+        if words[:1] == ["pivotlab"]:
+            commands.append(words[1:])
+    assert commands
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the README shows a refused command: pivotlab {shlex.join(argv)}")
+    for name, _ in _commands(cli.build_parser()):
+        assert run_cli(name.split() + ["--help"])[0] == 0, name
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +569,8 @@ def test_every_size_refusal_prints_its_error_and_hint(monkeypatch, argv, error, 
     monkeypatch.setenv("PIVOTLAB_STATE_CAP", "8")
     shape = {
         "bench": ["--r-list", "2", "--m-list", "3", "--seed", "1"],
-        "uso": ["--r", "2", "--m", "3", "--seed", "1"],
+        # an identity comb draws nothing, so it takes no seed
+        "uso": ["--r", "2", "--m", "3"] + ([] if "--identity" in argv else ["--seed", "1"]),
         "process": ["--r", "2", "--m", "3"],
     }
     code, out, err = run_cli(argv + shape[argv[0]])
@@ -600,12 +678,26 @@ def test_jsonl_dump_needs_a_trial(command, trials):
     assert err == f"error: need at least 1 trial for a jsonl trace dump, got {trials}\n"
 
 
-def test_uso_walk_jsonl_dumps_one_walk_by_default():
-    argv = ["uso", "walk", "--r", "2", "--m", "3", "--seed", "1", "--format", "jsonl"]
-    assert run_cli(argv) == run_cli(argv + ["--trials", "1"])
-    # json summaries keep their default
-    args = cli.build_parser().parse_args(["uso", "walk", "--r", "2", "--m", "3"])
-    assert cli._trials(args) == 100_000
+@pytest.mark.parametrize(
+    "command",
+    [["uso", "walk", "--r", "2", "--m", "3"], ["process", "run", "--r", "2", "--m", "3"]],
+    ids=["uso-walk", "process-run"],
+)
+def test_sampling_commands_default_their_trials(monkeypatch, command):
+    """A jsonl dump is one run by default; a json summary hands
+    :func:`analysis.mc_estimate` 100000 trials."""
+    dump = command + ["--seed", "1", "--format", "jsonl"]
+    assert run_cli(dump) == run_cli(dump + ["--trials", "1"])
+    counts = []
+    estimate = analysis.mc_estimate
+
+    def record(sample, trials, seed):
+        counts.append(trials)
+        return estimate(sample, 2, seed)
+
+    monkeypatch.setattr(analysis, "mc_estimate", record)
+    code, out, _ = run_cli(command + ["--seed", "1", "--format", "json"])
+    assert (code, counts, json.loads(out)["seed"]) == (0, [100_000], 1)
 
 
 def test_uso_walk_summary_json():
