@@ -2,7 +2,8 @@
 pivoting, in two equivalent models.
 
 - :mod:`pivotlab.chain` holds the absorbing-chain rules both models share:
-  the escape, value and draw rules (a draw names the escape ``None``), and
+  the escape and draw rules (a draw names the escape ``None``), the
+  compiled ``Chain`` both exact solves hand to one integer kernel, and
   the state cap (``PIVOTLAB_STATE_CAP``) on exact solves, exhaustive
   checks, random combs and comb JSON.
 - :mod:`pivotlab.grid_uso` builds recursive comb orientations of grid graphs

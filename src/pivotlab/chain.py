@@ -4,20 +4,23 @@ The directed walk on a comb-oriented grid and the pivoting process are the
 same object: a finite, acyclic chain whose states each have ``n_succ``
 successors, drawn uniformly, plus ``escape`` parallel edges toward one
 absorbing terminal state.  A draw names that escape ``None``, as both
-models' records do.  :func:`solve` gives both models their exact expected
-durations with plain integer arithmetic.
+models' records do.  Each model compiles itself into a :class:`Chain`
+under its own state numbers, and :func:`solve` gives the exact expected
+duration of every state by that number, with plain integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
 from .errors import InstanceTooLargeError, InternalInvariantError
 from .seeding import Stream
 
 __all__ = [
+    "Chain",
     "check_power_count",
     "check_state_count",
     "draw",
@@ -53,47 +56,55 @@ def draw(rng: Stream, n_succ: int, escape: int) -> int | None:
     return i if i < n_succ else None
 
 
-def solve(
-    weights: Sequence[int],
-    reads: Sequence[Sequence[int]],
-    writes: Sequence[Sequence[int]],
-    n_groups: int,
-) -> tuple[list[int], int]:
+@dataclass(frozen=True)
+class Chain:
+    """A model compiled for :func:`solve`, one entry per state in solve
+    order, successors first.  ``order[i]`` is the model's own number of the
+    state at position ``i``, and the numbers are ``0 .. len(order) - 1``.
+    That state has ``n_succ[i]`` successors, whose values sum to the sum of
+    the groups ``reads[i]``; once solved its own value joins the groups
+    ``writes[i]``: groups it reads, or groups no earlier state wrote.  There
+    are ``n_groups`` groups."""
+
+    order: Sequence[int]
+    n_succ: Sequence[int]
+    reads: Sequence[Sequence[int]]
+    writes: Sequence[Sequence[int]]
+    n_groups: int
+
+
+def solve(ch: Chain, delta: int | None) -> tuple[list[int], int]:
     """Expected steps to absorption of every state of an acyclic chain, as
     integers over one common denominator.
 
-    States come successors first.  State ``i`` has out-weight ``weights[i]
-    = n_succ + escape``; the values of its successors sum to the sum of the
-    groups ``reads[i]``, and once solved its own value joins the groups
-    ``writes[i]``: groups it reads, or groups no earlier state wrote.  Its
+    A state with ``n_succ`` successors has out-weight ``n_succ + escape``,
+    the escape counted by :func:`escape_weight` from ``delta``.  Its
     expected step count is 0 when the weight is 0, else ``1 + S /
-    weights[i]`` for that sum ``S`` (Kemeny and Snell, *Finite Markov
-    Chains*, ch. III).
+    weight`` for the sum ``S`` of its successors' values (Kemeny and Snell,
+    *Finite Markov Chains*, ch. III).
 
-    Returns ``(scaled, D)``: the value of state ``i`` is ``scaled[i] / D``,
-    where ``D`` from :func:`_denominator` is a multiple of every value's
-    denominator.  Each value is then ``D + S // weight`` over Python ints.
-    A division that leaves a remainder means ``D`` is not such a multiple
-    and raises :class:`InternalInvariantError`, so a wrong bound can never
-    yield a wrong value.
+    Returns ``(scaled, D)``: the value of the state numbered ``k`` is
+    ``scaled[k] / D``, where ``D`` from :func:`_denominator` is a multiple
+    of every value's denominator.  Each value is then ``D + S // weight``
+    over Python ints.  A division that leaves a remainder means ``D`` is not
+    such a multiple and raises :class:`InternalInvariantError`, so a wrong
+    bound can never yield a wrong value.
     """
-    d = _denominator(weights, reads, writes, n_groups)
-    sums = [0] * n_groups
-    scaled = []
-    for t, rd, wr in zip(weights, reads, writes):
+    weights = [n + escape_weight(delta, n) for n in ch.n_succ]
+    d = _denominator(weights, ch.reads, ch.writes, ch.n_groups)
+    sums = [0] * ch.n_groups
+    scaled = [0] * len(ch.order)  # a state of weight 0 has value 0
+    for k, t, rd, wr in zip(ch.order, weights, ch.reads, ch.writes):
         if t:
             q, rem = divmod(sum(map(sums.__getitem__, rd)), t)
             if rem:
                 raise InternalInvariantError(
-                    f"the common denominator does not clear state {len(scaled)} of "
+                    f"the common denominator does not clear state {k} of "
                     f"weight {t}; its exponent bound is wrong"
                 )
-            x = d + q
+            x = scaled[k] = d + q
             for g in wr:
                 sums[g] += x
-        else:
-            x = 0
-        scaled.append(x)
     return scaled, d
 
 

@@ -264,9 +264,10 @@ def _cmd_verify_lemmas(args) -> int:
     """The lemma suite, after the phase laws (if ``--phase-trials``) at each
     delta: :func:`analysis.phase_law_report` refuses a bad trial count before
     the suite runs, once the deltas have been checked as a list."""
-    if args.seed is not None and not args.phase_trials:
-        raise ValueError("--seed needs --phase-trials: the lemma suite draws nothing")
-    deltas = _parse_ints(args.phase_deltas)
+    for flag, value in (("--seed", args.seed), ("--phase-deltas", args.phase_deltas)):
+        if value is not None and not args.phase_trials:
+            raise ValueError(f"{flag} needs --phase-trials: the lemma suite draws nothing")
+    deltas = _parse_ints("0,2" if args.phase_deltas is None else args.phase_deltas)
     if any(delta < 0 for delta in deltas):
         raise ValueError("delta must be >= 0")
     if args.phase_trials and not deltas:
@@ -447,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also verify the projection from this ambient dimension (repeatable)")
     p.add_argument("--phase-trials", type=int, default=0, dest="phase_trials",
                    help="also run the statistical phase-law checks with this many traces")
-    p.add_argument("--phase-deltas", default="0,2", dest="phase_deltas")
+    p.add_argument("--phase-deltas", default=None, dest="phase_deltas",
+                   help="the deltas of the phase laws (default 0,2); needs --phase-trials")
     p.set_defaults(handler=_cmd_verify_lemmas)
 
     bench = top.add_parser("bench", help="bound sweeps").add_subparsers(

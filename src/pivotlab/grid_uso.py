@@ -23,9 +23,10 @@ asked for.  A vertex's out-arcs are one such row per axis, last axis first.
 :func:`walk` joins a vertex's rows on its first visit, keeps the join on the
 comb, and steps by adding the drawn change to the id; it decodes
 coordinates only to record them.  :func:`out_neighbors` decodes the same
-rows, in the same order, into target tuples for the structural checks.  So
-a walk draws exactly as it would over :func:`out_neighbors`, and a fresh
-comb per trial fills only what its one walk visits.
+join into target tuples for the structural checks.  So a walk draws exactly
+as it would over :func:`out_neighbors`, and a fresh comb per trial fills
+only what its one walk visits.  The exact solve compiles the comb once into
+a :class:`chain.Chain` over the same vertex ids.
 """
 
 from __future__ import annotations
@@ -162,13 +163,13 @@ class CombOrientation:
     @cached_property
     def _vertex_moves(self) -> dict[int, tuple[int, ...]]:
         # kept like _move_rows: the out-arc moves of each vertex a walk
-        # has visited, filled by _moves() on the first visit
+        # or out_neighbors has visited, filled by _moves()
         return {}
 
     @cached_property
-    def _vertex_table(self) -> _VertexTable:
+    def _chain(self) -> chain.Chain:
         # kept like _move_rows: the plain and escape solves of one comb
-        # share one compiled table
+        # share one compiled chain
         return _compile(self)
 
     def moves(self, c: int) -> tuple[int, ...]:
@@ -242,24 +243,13 @@ def _identity_for(sizes: tuple[int, ...]) -> CombOrientation:
 
 
 def out_neighbors(comb: CombOrientation, v: Vertex) -> tuple[Vertex, ...]:
-    """The targets of ``v``'s grid arcs: per axis, last axis first, the
-    :meth:`moves` row of ``v``'s value ``c`` decoded as ``c + move // stride``.
-    Escape edges are not listed: :func:`chain.escape_weight` counts them.
-    A vertex outside the grid raises ``ValueError``."""
-    spec = grid_spec(comb)
-    _vertex_id(spec, v)
-    out = []
-    node = comb
-    d = len(v)
-    stride = spec.vertex_count
-    while node.ranks:
-        d -= 1
-        c = v[d]
-        stride //= spec.factor_sizes[d]
-        head, tail = v[:d], v[d + 1 :]
-        out.extend(head + (c + move // stride,) + tail for move in node.moves(c))
-        node = node.children[c - 1]
-    return tuple(out)
+    """The targets of ``v``'s grid arcs, the id changes of :func:`_moves`
+    decoded in their order.  Escape edges are not listed:
+    :func:`chain.escape_weight` counts them.  A vertex outside the grid
+    raises ``ValueError``."""
+    index = _vertex_id(grid_spec(comb), v)
+    sizes = comb.sizes
+    return tuple([_vertex(sizes, index + move) for move in _moves(comb, index)])
 
 
 def flip_top_pair_out(
@@ -401,20 +391,6 @@ def walk(
     return WalkOutcome(steps, tuple(visited))
 
 
-@dataclass(frozen=True)
-class _VertexTable:
-    """A comb compiled for the exact solve, its vertices in ascending rank
-    order.  A vertex's index is its mixed-radix number, first coordinate
-    fastest; ``row[index]`` is its position in the rank order.  Position
-    ``i`` has ``n_succ[i]`` out-arcs into the grid and lies on the lines
-    ``fibers[i]``, one id per axis among ``n_fibers``."""
-
-    n_succ: list[int]
-    fibers: list[tuple[int, ...]]
-    n_fibers: int
-    row: list[int]
-
-
 def _ranked(
     node: CombOrientation, strides: tuple[int, ...]
 ) -> tuple[list[int], list[int]]:
@@ -438,7 +414,8 @@ def _ranked(
     return index, n_succ
 
 
-def _compile(comb: CombOrientation) -> _VertexTable:
+def _compile(comb: CombOrientation) -> chain.Chain:
+    """The comb as a chain over its vertex indices, in ascending rank order."""
     sizes = comb.sizes
     strides = tuple(math.prod(sizes[:d]) for d in range(len(sizes)))
     count = math.prod(sizes)
@@ -450,9 +427,7 @@ def _compile(comb: CombOrientation) -> _VertexTable:
         for d, (st, s) in enumerate(zip(strides, sizes))
     ]
     fibers = list(zip(*columns)) if columns else [()]  # r = 0: one vertex, no fiber
-    # row[i] = k exactly when index[k] = i
-    row = sorted(range(count), key=index.__getitem__)
-    return _VertexTable(n_succ, fibers, len(sizes) * count, row)
+    return chain.Chain(index, n_succ, fibers, fibers, len(sizes) * count)
 
 
 def expected_duration_exact(
@@ -468,20 +443,17 @@ def expected_duration_exact(
     vertices of its fiber (its line along that factor), which that order
     visits first; a running sum per fiber therefore holds their values, and
     :func:`chain.solve` reads and writes each vertex's fibers over plain
-    integers.  The comb is compiled once into a vertex table, kept on it,
-    so every solve of one comb shares it.  ``start == "uniform"``
+    integers.  The comb is compiled once into a :class:`chain.Chain`, kept
+    on it, so every solve of one comb shares it.  ``start == "uniform"``
     averages over all grid vertices.
     """
     spec = grid_spec(comb)
     chain.check_state_count(spec.vertex_count, "vertices", "exact mode")
     index = None if start == "uniform" else _vertex_id(spec, start)  # type: ignore[arg-type]
-    table = comb._vertex_table
-    delta = None if cfg is None else cfg.delta
-    weights = [n + chain.escape_weight(delta, n) for n in table.n_succ]
-    scaled, d = chain.solve(weights, table.fibers, table.fibers, table.n_fibers)
+    scaled, d = chain.solve(comb._chain, None if cfg is None else cfg.delta)
     if index is None:
         return Fraction(sum(scaled), d * len(scaled))
-    return Fraction(scaled[table.row[index]], d)
+    return Fraction(scaled[index], d)
 
 
 # ---------------------------------------------------------------------------

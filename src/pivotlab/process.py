@@ -379,10 +379,10 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     hyperplane pairs of each last-color sub-line at once
     (:meth:`PointSet.fill_normals`), and orders them by increasing
     axis-intersection sum: every edge lowers it (:func:`_edge` checks
-    this), so successors always come first.  :func:`chain.solve`
-    then back-substitutes over plain integers, each state reading its
-    successors' ids and writing its own; the result is the one
-    ``Fraction`` built.
+    this), so successors always come first.  That order, each state
+    reading its successors' ids and writing its own, is the
+    :class:`chain.Chain` that :func:`chain.solve` back-substitutes over
+    plain integers; the start's value is read by its id.
     """
     ps = cfg.point_set
     chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
@@ -394,13 +394,15 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
             ps.fill_normals(s.members[:-1])
         states.append(known.get(sid) or _new_state(cfg, s.members, sid))
     states.sort(key=_solve_order)
-    weights, reads = [], []
+    order = [st.sid for st in states]
+    n_succ, reads = [], []
     for st in states:
         n_below = len(_below(cfg, st))
-        weights.append(n_below + chain.escape_weight(cfg.delta, n_below))
+        n_succ.append(n_below)
         reads.append([_edge(cfg, st, i).sid for i in range(n_below)])
-    scaled, d = chain.solve(weights, reads, [(st.sid,) for st in states], len(states))
-    x = scaled[states.index(_state(cfg, cfg.start.members))]
+    ch = chain.Chain(order, n_succ, reads, [(k,) for k in order], len(order))
+    scaled, d = chain.solve(ch, cfg.delta)
+    x = scaled[_state(cfg, cfg.start.members).sid]
     return Fraction(x if cfg.count_terminal_step else x - d, d)
 
 

@@ -20,24 +20,30 @@ def expected_steps(succ_sum: Fraction, n_succ: int, escape: int) -> Fraction:
     return Fraction(0) if total == 0 else 1 + succ_sum / total
 
 
-def fraction_solve(states, n_groups):
+def fraction_solve(order, states, n_groups, delta):
     """Reference back-substitution over ``Fraction``s: ``states`` lists
-    ``(n_succ, escape, reads, writes)`` successors first."""
+    ``(n_succ, reads, writes)`` successors first, the state numbered
+    ``order[i]`` at position ``i``; returns the values by state number."""
     sums = [Fraction(0)] * n_groups
-    values = []
-    for n_succ, escape, reads, writes in states:
+    values = [None] * len(order)
+    for k, (n_succ, reads, writes) in zip(order, states):
+        escape = chain.escape_weight(delta, n_succ)
         x = expected_steps(sum((sums[g] for g in reads), Fraction(0)), n_succ, escape)
         for g in writes:
             sums[g] += x
-        values.append(x)
+        values[k] = x
     return values
 
 
-def kernel_solve(states, n_groups):
-    weights = [n + e for n, e, _, _ in states]
-    reads = [rd for _, _, rd, _ in states]
-    writes = [wr for _, _, _, wr in states]
-    scaled, d = chain.solve(weights, reads, writes, n_groups)
+def compile_chain(order, states, n_groups):
+    n_succ = [n for n, _, _ in states]
+    reads = [rd for _, rd, _ in states]
+    writes = [wr for _, _, wr in states]
+    return chain.Chain(order, n_succ, reads, writes, n_groups)
+
+
+def kernel_solve(order, states, n_groups, delta):
+    scaled, d = chain.solve(compile_chain(order, states, n_groups), delta)
     return [Fraction(x, d) for x in scaled]
 
 
@@ -47,15 +53,14 @@ SUCC_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 16, 27]
 
 @st.composite
 def shared_group_chains(draw):
-    """Random acyclic chains whose groups several states read and write;
-    dead ends read nothing and may or may not escape.  A state writes
-    groups it reads or groups no earlier state wrote, as :func:`chain.solve`
-    asks."""
+    """Random acyclic chains whose groups several states read and write,
+    their states numbered in a random order; dead ends read nothing, and
+    escape as ``delta`` says.  A state writes groups it reads or groups no
+    earlier state wrote, as :class:`chain.Chain` asks."""
     n_groups = draw(st.integers(1, 8))
     written = set()
     states = []
     for _ in range(draw(st.integers(1, 30))):
-        escape = draw(st.sampled_from([0, 0, 1, 2, 4]))
         if draw(st.booleans()):
             n_succ, reads = 0, []
         else:
@@ -67,42 +72,41 @@ def shared_group_chains(draw):
             if writable else []
         )
         written.update(writes)
-        states.append((n_succ, escape, reads, writes))
-    return states, n_groups
+        states.append((n_succ, reads, writes))
+    order = draw(st.permutations(range(len(states))))
+    return order, states, n_groups, draw(st.sampled_from([None, 0, 1, 2, 4]))
 
 
 @st.composite
 def long_paths(draw):
     """A path of up to 80 states, each reading the one before it, with
-    weights drawn from the prime powers 4, 8, 9, 16 and 27."""
+    weights drawn from the prime powers 4, 8, 9, 16 and 27 plus the escape."""
     length = draw(st.integers(1, 80))
-    states = [(0, draw(st.sampled_from([0, 1])), [], [0])]
+    states = [(0, [], [0])]
     for k in range(1, length):
         n_succ = draw(st.sampled_from([4, 8, 9, 16, 27]))
-        escape = draw(st.sampled_from([0, 0, 4, 9]))
-        states.append((n_succ, escape, [k - 1], [k]))
-    return states, length
+        states.append((n_succ, [k - 1], [k]))
+    return range(length), states, length, draw(st.sampled_from([None, 0, 4, 9]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(chain_=st.one_of(shared_group_chains(), long_paths()))
 def test_kernel_matches_fraction_back_substitution(chain_):
-    states, n_groups = chain_
-    assert kernel_solve(states, n_groups) == fraction_solve(states, n_groups)
+    assert kernel_solve(*chain_) == fraction_solve(*chain_)
 
 
 def test_kernel_values_of_a_small_chain():
     # a dead end that escapes, then two states of weight 2 above it:
     # 1, 1 + 1/2 = 3/2 and 1 + 3/4 = 7/4, over D = 4
-    states = [(0, 1, [], [0]), (1, 1, [0], [1]), (1, 1, [1], [2])]
-    weights = [1, 2, 2]
-    reads = [rd for _, _, rd, _ in states]
-    writes = [wr for _, _, _, wr in states]
-    assert chain.solve(weights, reads, writes, 3) == ([4, 6, 7], 4)
-    assert chain.solve([], [], [], 0) == ([], 1)
+    states = [(0, [], [0]), (1, [0], [1]), (1, [1], [2])]
+    assert chain.solve(compile_chain(range(3), states, 3), 1) == ([4, 6, 7], 4)
+    # the same chain, its states numbered 2, 0, 1: values by state number
+    assert chain.solve(compile_chain([2, 0, 1], states, 3), 1) == ([6, 7, 4], 4)
+    assert chain.solve(compile_chain([], [], 0), 1) == ([], 1)
     # a dead end without escape stays at 0 and adds nothing to its groups;
     # the bound still counts the 3 of the weight above it
-    assert chain.solve([0, 3], [[], [0]], [[0], [1]], 2) == ([0, 3], 3)
+    states = [(0, [], [0]), (3, [0], [1])]
+    assert chain.solve(compile_chain(range(2), states, 2), None) == ([0, 3], 3)
 
 
 def oracle_denominator(weights, reads, writes, n_groups):
@@ -200,10 +204,11 @@ def test_coprime_base_factors_every_number(numbers):
 
 
 def test_kernel_takes_huge_weights_without_factoring():
-    # weights without a factor below 10**5: trial division would not finish
+    # weights p, q and p * q without a factor below 10**5, p escape edges
+    # each: trial division would not finish
     p, q = 2**61 - 1, 10**18 + 9
-    states = [(0, p, [], [0]), (q, 0, [0], [1]), (1, p * q - 1, [0, 1], [2])]
-    assert kernel_solve(states, 3) == fraction_solve(states, 3)
+    states = [(0, [], [0]), (q - p, [0], [1]), (p * q - p, [0, 1], [2])]
+    assert kernel_solve(range(3), states, 3, p) == fraction_solve(range(3), states, 3, p)
 
 
 def _short_by_one(monkeypatch, pick_prime):
@@ -229,10 +234,10 @@ def _largest_prime_factor(d: int) -> int:
 
 
 def test_short_denominator_raises_instead_of_a_wrong_value(monkeypatch):
-    states = [(0, 1, [], [0]), (1, 1, [0], [1]), (1, 1, [1], [2])]
+    states = [(0, [], [0]), (1, [0], [1]), (1, [1], [2])]
     _short_by_one(monkeypatch, lambda d: 2)
     with pytest.raises(InternalInvariantError, match="does not clear"):
-        kernel_solve(states, 3)
+        kernel_solve(range(3), states, 3, 1)
 
 
 @pytest.mark.parametrize(

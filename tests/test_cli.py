@@ -203,7 +203,8 @@ def test_negative_phase_delta_is_rejected_before_the_suite_runs(monkeypatch):
         (["uso", "expect", "--r", "2", "--m", "3", "--seed", "1", "--start", "1,,2"], "1,,2"),
         (["uso", "walk", "--r", "2", "--m", "3", "--seed", "1", "--start", "1,2,"], "1,2,"),
         (["process", "expect", "--r", "2", "--m", "3", "--alphas", "4,,5"], "4,,5"),
-        (["verify", "lemmas", "--r", "2", "--m", "3", "--phase-deltas", ",2"], ",2"),
+        (["verify", "lemmas", "--r", "2", "--m", "3", "--phase-trials", "1",
+          "--phase-deltas", ",2"], ",2"),
         (["bench", "bounds", "--r-list", "1,,2", "--seed", "1"], "1,,2"),
         (["bench", "bounds", "--m-list", "2, ,3", "--seed", "1"], "2, ,3"),
         (["bench", "bounds", "--families", "uso_lemma", "--delta-list", "0,", "--seed", "1"], "0,"),
@@ -221,7 +222,8 @@ def test_empty_list_field_is_a_usage_error(argv, text):
         (["points", "dump", "--r", "2", "--m", "3", "--alphas", "4,x"], "x", "4,x"),
         (["process", "expect", "--r", "2", "--m", "3", "--alphas", "4,5.5"], "5.5", "4,5.5"),
         (["uso", "walk", "--r", "2", "--m", "3", "--seed", "1", "--start", "1,a"], "a", "1,a"),
-        (["verify", "lemmas", "--r", "2", "--m", "3", "--phase-deltas", "0,two"], "two", "0,two"),
+        (["verify", "lemmas", "--r", "2", "--m", "3", "--phase-trials", "1",
+          "--phase-deltas", "0,two"], "two", "0,two"),
         (["bench", "bounds", "--r-list", "1,b", "--seed", "1"], "b", "1,b"),
     ],
     ids=["alphas", "alphas-float", "start", "phase-deltas", "r-list"],
@@ -365,12 +367,14 @@ def test_identity_comb_refuses_seed(argv):
 
 def test_verify_lemmas_refuses_seed_without_phase_trials(monkeypatch):
     def suite(*args, **kwargs):
-        raise AssertionError("the lemma suite ran before the seed was checked")
+        raise AssertionError("the lemma suite ran before its flags were checked")
 
     monkeypatch.setattr(analysis, "verify_lemmas", suite)
-    code, out, err = run_cli(["verify", "lemmas", "--r", "2", "--m", "3", "--seed", "1"])
-    assert (code, out) == (1, "")
-    assert err == "error: --seed needs --phase-trials: the lemma suite draws nothing\n"
+    # --phase-deltas, like --seed, only serves the phase laws
+    for flag, value in [("--seed", "1"), ("--phase-deltas", "0,2"), ("--phase-deltas", "")]:
+        code, out, err = run_cli(["verify", "lemmas", "--r", "2", "--m", "3", flag, value])
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} needs --phase-trials: the lemma suite draws nothing\n"
 
 
 @pytest.mark.parametrize("command", ["build", "expect", "verify"])

@@ -493,11 +493,18 @@ def fraction_expected_steps(cfg):
 def test_exact_matches_fraction_oracle(r, m, delta):
     ps = gen_point_set(r, m)
     augmented = ps.augmented(tuple(range(m + 1, m + 1 + r)))
-    for cfg in (
+    configs = [
         ProcessConfig(ps, delta=delta),
         ProcessConfig(augmented, delta=delta),
         ProcessConfig(augmented, delta=delta, count_terminal_step=False),
-    ):
+    ]
+    if (r, m) in [(2, 2), (3, 2)]:  # every start, each value read by its state id
+        configs += [
+            ProcessConfig(point_set, start, delta)
+            for point_set in (ps, augmented)
+            for start in transversals(point_set)
+        ]
+    for cfg in configs:
         assert exact_expected_steps(cfg) == fraction_expected_steps(cfg)
 
 
