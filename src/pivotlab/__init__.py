@@ -8,8 +8,9 @@ pivoting, in two equivalent models.
   checks, random combs and comb JSON.
 - :mod:`pivotlab.grid_uso` builds recursive comb orientations of grid graphs
   (acyclic, unique sink in every subgrid), simulates the directed random walk
-  and solves its expected duration exactly; a comb keeps its arcs as rows
-  of vertex-id changes, which ``out_neighbors`` decodes into targets.
+  and solves its expected duration exactly; a comb keeps each visited
+  vertex's arcs as vertex-id changes, which ``out_neighbors`` decodes into
+  targets.
 - :mod:`pivotlab.geometry` constructs the exact-integer point families around
   the diagonal requirement line and decides every predicate exactly, the
   side test and pivot by integer signs from one fraction-free elimination.

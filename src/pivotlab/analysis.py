@@ -211,8 +211,8 @@ def compare_to_bound(
     params: BoundParams,
     mode: str = "exact",
     *,
-    orientations: int = 200,
-    trials: int = 100_000,
+    orientations: int | None = None,
+    trials: int | None = None,
     seed: int = 0,
 ) -> ExpectationReport:
     """Measure the construction behind ``params.family`` and compare it
@@ -230,14 +230,16 @@ def compare_to_bound(
     Exact process values are compared with no tolerance.  Comb ensembles
     are intrinsically statistical (the bound holds for the randomized
     construction in expectation), so even their "exact" mode reports the
-    mean over ``orientations`` (at least 2) exactly-solved combs with a 3-SE
-    verdict, alongside the min/max witnesses.  In ``"mc"`` mode every family
-    is sampled by ``trials`` seeded runs; the adversary's best is then the
-    alpha tuple with the least 3-SE margin, so the verdict holds only when
-    every adversary clears the bound.
+    mean over ``orientations`` (at least 2, default 200) exactly-solved combs
+    with a 3-SE verdict, alongside the min/max witnesses.  In ``"mc"`` mode
+    every family is sampled by ``trials`` seeded runs (default 100000); the
+    adversary's best is then the alpha tuple with the least 3-SE margin, so
+    the verdict holds only when every adversary clears the bound.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
+    orientations = 200 if orientations is None else orientations
+    trials = 100_000 if trials is None else trials
     b = bound(params)
     family, r, m, delta = params.family, params.r, params.m, params.delta
     if family == "augmented_theorem":
@@ -631,12 +633,11 @@ class PhaseLawReport:
         return asdict(self) | {"all_ok": self.all_ok()}
 
 
-def _jump_law_chi2(
-    counts: dict[int, dict[int, int]], r: int, delta: int
-) -> tuple[float, int]:
+def _jump_law_chi2(jumps: list[list[int]], r: int, delta: int) -> tuple[float, int]:
     """Pooled chi-square of the phase jump law and its degrees of freedom.
 
-    ``counts[src][dst]`` counts the jumps from phase ``src`` to ``dst``.
+    ``jumps[src][dst]`` counts the jumps from phase ``src`` to ``dst``, a
+    square matrix over the phases; a row with no jumps is skipped.
     From phase ``src >= 1`` the process jumps to each lower positive phase
     with weight ``r`` and to 0 with weight ``delta``; at total weight 0
     (phase 1 at ``delta == 0``) the only jump is the forced escape to 0.
@@ -646,7 +647,9 @@ def _jump_law_chi2(
     """
     stat = 0.0
     df = 0
-    for src, targets in sorted(counts.items()):
+    for src, row in enumerate(jumps):
+        if not any(row):
+            continue
         weight_total = r * (src - 1) + delta
         if src < 1:
             outcomes = []  # nothing leaves the terminal phase
@@ -654,14 +657,14 @@ def _jump_law_chi2(
             outcomes = [0]
         else:
             outcomes = list(range(1, src)) + ([0] if delta > 0 else [])
-        if set(targets) - set(outcomes):
+        if any(n for dst, n in enumerate(row) if dst not in outcomes):
             stat = math.inf
         if len(outcomes) < 2:
             continue
-        row_total = sum(targets.values())
+        row_total = sum(row)
         for x in outcomes:
             expected = row_total * ((r if x > 0 else delta) / weight_total)
-            stat += (targets.get(x, 0) - expected) ** 2 / expected
+            stat += (row[x] - expected) ** 2 / expected
         df += len(outcomes) - 1
     return stat, df
 
@@ -710,12 +713,6 @@ def phase_law_report(
         if color_total
         else 0.0
     )
-    transition_counts = {
-        src: {dst: n for dst, n in enumerate(row) if n}
-        for src, row in enumerate(jumps)
-        if any(row)
-    }
-
     rows = []
     for k in range(1, m):
         floor = 1 / (r * (delta + k * r))
@@ -729,7 +726,7 @@ def phase_law_report(
         delta=delta,
         trials=trials,
         seed=seed,
-        transition=_chi_square(*_jump_law_chi2(transition_counts, r, delta)),
+        transition=_chi_square(*_jump_law_chi2(jumps, r, delta)),
         pivot_color=_chi_square(color_stat, r - 1),
         good_phases=rows,
         entry_consequence_ok=consequence_ok,

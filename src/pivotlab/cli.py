@@ -336,6 +336,13 @@ def _bench_rows(args, seed: int) -> list[dict]:
 
 
 def _cmd_bench_bounds(args) -> int:
+    """The sweep, once a count its mode does not read has been refused:
+    exact mode solves ``--orientations`` combs per point, ``--mc`` samples
+    ``--trials`` runs."""
+    if args.mc and args.orientations is not None:
+        raise ValueError("--orientations needs exact mode: --mc draws a fresh comb per run")
+    if not args.mc and args.trials is not None:
+        raise ValueError("--trials needs --mc: exact mode samples no runs")
     seed = _seed_of(args)
     rows = _bench_rows(args, seed)
     if args.format == "json":
@@ -461,9 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", default="2..6", dest="m_list",
                    help="m values (grid size n for the corollary family)")
     p.add_argument("--delta-list", default="0", dest="delta_list")
-    p.add_argument("--orientations", type=int, default=200)
+    p.add_argument("--orientations", type=int, default=None,
+                   help="combs solved per point in exact mode (default 200)")
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=None,
+                   help="runs sampled per point; needs --mc (default 100000)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -15,18 +15,18 @@ expected absorption time this module computes exactly over the rationals.
 The escape edges are counted by :func:`chain.escape_weight`, never listed,
 and a walk records an escape as ``None``.
 
-Each comb node keeps one row per value ``c`` of its factor,
-:meth:`CombOrientation.moves`: the arcs that leave ``c`` along that factor,
-as changes of the vertex id (mixed radix, first coordinate fastest: the
-number a uniform start draws), built from the ranks the first time they are
-asked for.  A vertex's out-arcs are one such row per axis, last axis first.
-:func:`walk` joins a vertex's rows on its first visit, keeps the join on the
-comb, and steps by adding the drawn change to the id; it decodes
-coordinates only to record them.  :func:`out_neighbors` decodes the same
-join into target tuples for the structural checks.  So a walk draws exactly
-as it would over :func:`out_neighbors`, and a fresh comb per trial fills
-only what its one walk visits.  The exact solve compiles the comb once into
-a :class:`chain.Chain` over the same vertex ids.
+A vertex's out-arcs are changes of its id (mixed radix, first coordinate
+fastest: the number a uniform start draws).  Along each axis, last first,
+they are ``(w - c) * stride`` for each value ``w`` ranked below the vertex's
+coordinate ``c`` at its comb node, ascending, ``stride`` being the vertex
+count of one hyperplane of that node.  :func:`_moves` builds them from the
+ranks on a vertex's first visit and keeps them on the comb, its one arc
+cache.  :func:`walk` steps by adding the drawn change to the id and decodes
+coordinates only to record them; :func:`out_neighbors` decodes the same
+changes into target tuples for the structural checks.  So a walk draws
+exactly as it would over :func:`out_neighbors`, and a fresh comb per trial
+fills only what its one walk visits.  The exact solve compiles the comb
+once into a :class:`chain.Chain` over the same vertex ids.
 """
 
 from __future__ import annotations
@@ -148,44 +148,23 @@ class CombOrientation:
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
-        # cached outside the fields like _move_rows: every out-arc query
-        # checks its vertex against the grid shape
+        # cached in the instance dict, outside the fields, so eq, hash and
+        # repr ignore it: every out-arc query reads the grid shape
         if not self.ranks:
             return ()
         return self.children[0].sizes + (len(self.ranks),)
 
     @cached_property
-    def _move_rows(self) -> list[tuple[int, ...] | None]:
-        # kept in the instance dict, outside the fields, so eq, hash and
-        # repr ignore it; one slot per value, filled by moves()
-        return [None] * (len(self.ranks) + 1)
-
-    @cached_property
     def _vertex_moves(self) -> dict[int, tuple[int, ...]]:
-        # kept like _move_rows: the out-arc moves of each vertex a walk
-        # or out_neighbors has visited, filled by _moves()
+        # kept like sizes: the out-arc moves of each vertex a walk or
+        # out_neighbors has visited, filled by _moves()
         return {}
 
     @cached_property
     def _chain(self) -> chain.Chain:
-        # kept like _move_rows: the plain and escape solves of one comb
-        # share one compiled chain
+        # kept like sizes: the plain and escape solves of one comb share
+        # one compiled chain
         return _compile(self)
-
-    def moves(self, c: int) -> tuple[int, ...]:
-        """The arcs leaving value ``c`` along the last factor as changes of
-        the vertex id (:func:`_vertex_id`): ``(w - c) * stride`` for each
-        value ``w`` ranked below ``c``, ascending, ``stride`` being the vertex
-        count of one hyperplane.  A row is built on first use."""
-        rows = self._move_rows
-        row = rows[c]
-        if row is None:
-            rank = self.ranks[c - 1]
-            stride = math.prod(self.children[0].sizes)
-            row = rows[c] = tuple(
-                [(w - c) * stride for w, q in enumerate(self.ranks, 1) if q < rank]
-            )
-        return row
 
 
 LEAF = CombOrientation((), ())
@@ -321,20 +300,25 @@ def _vertex(sizes: tuple[int, ...], index: int) -> Vertex:
 
 
 def _moves(comb: CombOrientation, index: int) -> tuple[int, ...]:
-    """The out-arcs of vertex ``index`` as id changes, one :meth:`moves`
-    row per axis, last axis first, kept on the comb after the first
-    call."""
-    x = _vertex(comb.sizes, index)
+    """The out-arcs of vertex ``index`` as id changes, kept on the comb
+    after the first call: along each axis, last first, ``(w - c) * stride``
+    for each value ``w`` ranked below the vertex's coordinate ``c`` at its
+    node, ascending, ``stride`` being the vertex count of one hyperplane."""
+    sizes = comb.sizes
+    x = _vertex(sizes, index)
     d = len(x)
+    stride = math.prod(sizes)
     node = comb
-    out: tuple[int, ...] = ()
+    out: list[int] = []
     while node.ranks:
         d -= 1
         c = x[d]
-        out += node.moves(c)
+        stride //= node.m
+        rank = node.ranks[c - 1]
+        out += [(w - c) * stride for w, q in enumerate(node.ranks, 1) if q < rank]
         node = node.children[c - 1]
-    comb._vertex_moves[index] = out
-    return out
+    moves = comb._vertex_moves[index] = tuple(out)
+    return moves
 
 
 def walk(
@@ -530,19 +514,6 @@ def _pad(node: CombOrientation, sizes: tuple[int, ...]) -> CombOrientation:
 OutFn = Callable[[Vertex], tuple[Vertex, ...]]
 
 
-def _subgrid_choices(spec: GridSpec) -> list[list[tuple[int, ...]]]:
-    count = math.prod(2**s - 1 for s in spec.factor_sizes)
-    chain.check_state_count(count, "subgrids", "the exhaustive check")
-    choices = []
-    for s in spec.factor_sizes:
-        values = range(1, s + 1)
-        subsets = []
-        for mask in range(1, 2**s):
-            subsets.append(tuple(v for v in values if mask & (1 << (v - 1))))
-        choices.append(subsets)
-    return choices
-
-
 def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[int]:
     """One bitmask per axis of ``v``'s arcs: bit ``c-1`` of axis ``d`` is set
     when an arc changes coordinate ``d`` to ``c``.  An arc that does not join
@@ -559,27 +530,28 @@ def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[i
 
 
 def unique_sink_violations(
-    spec: GridSpec,
-    out_fn: OutFn,
-    max_report: int = 5,
+    spec: GridSpec, out_fn: OutFn
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Exhaustively check every subgrid for a unique sink; returns the
     offending subgrids (as tuples of per-factor value subsets, in
-    ``product`` order, at most ``max_report`` of them), empty if the
-    orientation is a unique sink orientation.
+    ``product`` order, at most five of them), empty if the orientation is a
+    unique sink orientation.
 
     ``out_fn(v)`` must list only grid neighbours of ``v`` (vertices of the
     grid that differ from ``v`` in exactly one coordinate); any other target
     raises ``ValueError``.  Each vertex's arcs are read once, as one bitmask
     per axis, and the vertices are numbered in ``spec.vertices()`` order.
-    For each axis ``d`` and value subset, one int bitset holds the vertices
-    whose coordinate ``d`` lies in the subset and that have no arc along
-    ``d`` into it.  The subgrids are then swept one axis at a time, and the
-    bitset of vertices in the subgrid on the axes fixed so far with no arc
-    into it along them is the ``&`` of those sets; after the last axis it
-    holds the subgrid's sinks, and a subgrid is good when it has one bit.
+    For each axis ``d`` and value subset (a bitmask, bit ``c-1`` for value
+    ``c``), one int bitset holds the vertices whose coordinate ``d`` lies in
+    the subset and that have no arc along ``d`` into it.  The subgrids are
+    then swept one axis at a time, and the bitset of vertices in the
+    subgrid on the axes fixed so far with no arc into it along them is the
+    ``&`` of those sets; after the last axis it holds the subgrid's sinks,
+    and a subgrid is good when it has one bit.  Only a reported subgrid's
+    masks are decoded into values.
     """
-    choices = _subgrid_choices(spec)
+    count = math.prod(2**s - 1 for s in spec.factor_sizes)
+    chain.check_state_count(count, "subgrids", "the exhaustive check")
     last = spec.dimension - 1
     # groups[d][(position bit, out-mask)]: bitset of the vertices with that
     # coordinate and those arcs along axis d
@@ -588,27 +560,30 @@ def unique_sink_violations(
         for group, c, out in zip(groups, v, _out_masks(spec, v, out_fn(v))):
             key = (1 << (c - 1), out)
             group[key] = group.get(key, 0) | 1 << i
-    # keep[d][i] for the value subset with bitmask i + 1 (choices[d][i]); the
-    # groups of one axis are disjoint, so their sum is their union
+    # keep[d][mask - 1] for each value subset mask of axis d; the groups of
+    # one axis are disjoint, so their sum is their union
     keep = [
         [
             sum(vs for (pos, out), vs in group.items() if pos & mask and not out & mask)
-            for mask in range(1, len(subsets) + 1)
+            for mask in range(1, 2**s)
         ]
-        for group, subsets in zip(groups, choices)
+        for group, s in zip(groups, spec.factor_sizes)
     ]
     bad: list[tuple[tuple[int, ...], ...]] = []
 
-    def sweep(d: int, prefix: tuple, alive: int) -> bool:
-        """Sweep axis ``d``; True once ``max_report`` violations are found."""
-        for values, kept in zip(choices[d], keep[d]):
+    def sweep(d: int, prefix: tuple[int, ...], alive: int) -> bool:
+        """Sweep axis ``d``; True once five violations are found."""
+        for mask, kept in enumerate(keep[d], 1):
             kept &= alive
             if d < last:
-                if sweep(d + 1, prefix + (values,), kept):
+                if sweep(d + 1, prefix + (mask,), kept):
                     return True
             elif not kept or kept & (kept - 1):
-                bad.append(prefix + (values,))
-                if len(bad) >= max_report:
+                bad.append(tuple(
+                    tuple(c for c in range(1, bits.bit_length() + 1) if bits >> (c - 1) & 1)
+                    for bits in prefix + (mask,)
+                ))
+                if len(bad) == 5:
                     return True
         return False
 

@@ -526,13 +526,14 @@ def test_phase_law_report_delta_zero_has_no_escape_cells():
 
 def test_jump_law_chi2_exact_counts_score_zero():
     # r = 2, delta = 1: from phase 3 the weights are 2, 2, 1 on 1, 2, 0
-    counts = {3: {1: 40, 2: 40, 0: 20}, 2: {1: 20, 0: 10}, 1: {0: 7}}
+    counts = [[0, 0, 0, 0], [7, 0, 0, 0], [10, 20, 0, 0], [20, 40, 40, 0]]
     assert _jump_law_chi2(counts, 2, 1) == (0.0, 3)
 
 
 def test_jump_law_chi2_sums_rows_in_phase_order():
     # r = 1, delta = 0: phase 3 jumps to 1 or 2 with equal weight
-    stat, df = _jump_law_chi2({3: {1: 30, 2: 10}, 2: {1: 5}, 1: {0: 9}}, 1, 0)
+    counts = [[0, 0, 0, 0], [9, 0, 0, 0], [0, 5, 0, 0], [0, 30, 10, 0]]
+    stat, df = _jump_law_chi2(counts, 1, 0)
     assert df == 1
     assert stat == pytest.approx((30 - 20) ** 2 / 20 + (10 - 20) ** 2 / 20)
 
@@ -540,11 +541,11 @@ def test_jump_law_chi2_sums_rows_in_phase_order():
 @pytest.mark.parametrize(
     "counts, delta",
     [
-        ({2: {0: 1, 1: 9}}, 0),  # phase 2 at delta 0: only 1 is allowed
-        ({1: {0: 5}, 3: {0: 1, 1: 4, 2: 4}}, 0),  # escape from phase 3
-        ({1: {0: 5, 2: 1}}, 1),  # a jump upward from phase 1
-        ({3: {1: 3, 2: 3, 3: 1, 0: 1}}, 1),  # a self-jump
-        ({0: {0: 1}}, 1),  # a jump out of the terminal phase
+        ([[0, 0, 0], [0, 0, 0], [1, 9, 0]], 0),  # phase 2 at delta 0: only 1 is allowed
+        ([[0, 0, 0, 0], [5, 0, 0, 0], [0, 0, 0, 0], [1, 4, 4, 0]], 0),  # escape from phase 3
+        ([[0, 0, 0], [5, 0, 1], [0, 0, 0]], 1),  # a jump upward from phase 1
+        ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 3, 3, 1]], 1),  # a self-jump
+        ([[1]], 1),  # a jump out of the terminal phase
     ],
 )
 def test_jump_law_chi2_unexpected_target_is_infinite(counts, delta):
@@ -555,9 +556,9 @@ def test_jump_law_chi2_unexpected_target_is_infinite(counts, delta):
 def test_jump_law_chi2_rows_with_one_outcome_add_no_df():
     # phase 1 at delta 0 (forced escape), phase 1 at delta 1 (escape only)
     # and phase 2 at delta 0 (only phase 1) carry no multinomial term
-    assert _jump_law_chi2({1: {0: 12}}, 2, 0) == (0.0, 0)
-    assert _jump_law_chi2({1: {0: 12}}, 2, 1) == (0.0, 0)
-    assert _jump_law_chi2({2: {1: 12}, 1: {0: 12}}, 3, 0) == (0.0, 0)
+    assert _jump_law_chi2([[0, 0], [12, 0]], 2, 0) == (0.0, 0)
+    assert _jump_law_chi2([[0, 0], [12, 0]], 2, 1) == (0.0, 0)
+    assert _jump_law_chi2([[0, 0, 0], [12, 0, 0], [0, 12, 0]], 3, 0) == (0.0, 0)
 
 
 # ---------------------------------------------------------------------------

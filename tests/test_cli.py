@@ -745,20 +745,41 @@ def test_bench_bounds_csv_sorted_and_satisfied():
     assert all(r["seed"] == "3" for r in rows)
 
 
-@pytest.mark.parametrize("mode", [[], ["--mc"]], ids=["exact", "mc"])
+@pytest.mark.parametrize(
+    "mode", [["--orientations", "5"], ["--mc", "--trials", "200"]], ids=["exact", "mc"]
+)
 @pytest.mark.parametrize("family", analysis.FAMILIES)
 def test_bench_bounds_measures_every_family_in_both_modes(family, mode):
     m = "5" if family == "corollary" else "3"  # the m column is n for corollary
     code, out, err = run_cli(
         [
             "bench", "bounds", "--families", family, "--r-list", "2", "--m-list", m,
-            "--delta-list", "1", "--orientations", "5", "--trials", "200",
-            "--seed", "4", *mode,
+            "--delta-list", "1", "--seed", "4", *mode,
         ]
     )
     assert code == 0, err
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(row["family"], row["r"], row["m"]) for row in rows] == [(family, "2", m)]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", "200"], "--trials needs --mc: exact mode samples no runs"),
+        (
+            ["--mc", "--orientations", "5"],
+            "--orientations needs exact mode: --mc draws a fresh comb per run",
+        ),
+    ],
+    ids=["trials-exact", "orientations-mc"],
+)
+def test_bench_bounds_refuses_a_count_its_mode_does_not_read(monkeypatch, flags, message):
+    def measure(*args, **kwargs):
+        raise AssertionError("the sweep ran before its flags were checked")
+
+    monkeypatch.setattr(analysis, "compare_to_bound", measure)
+    code, out, err = run_cli(["bench", "bounds", "--r-list", "1", "--m-list", "2", *flags])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("orientations", ["0", "1"])

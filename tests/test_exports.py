@@ -87,14 +87,19 @@ def _references(node: ast.AST) -> Counter:
     return names
 
 
+def _trees(src: Path) -> dict[str, ast.Module]:
+    """The parsed modules under ``src``, by dotted name."""
+    return {
+        ".".join(path.relative_to(src).with_suffix("").parts): ast.parse(path.read_text())
+        for path in sorted(src.rglob("*.py"))
+    }
+
+
 def unreferenced_definitions(src: Path) -> list[str]:
     """The qualified name of each non-dunder definition under ``src`` whose
     name appears nowhere in ``src`` outside the definitions of that name.
     The check is by name: one use keeps every definition sharing it."""
-    trees = {
-        ".".join(path.relative_to(src).with_suffix("").parts): ast.parse(path.read_text())
-        for path in sorted(src.rglob("*.py"))
-    }
+    trees = _trees(src)
     total: Counter = Counter()
     for tree in trees.values():
         total += _references(tree)
@@ -117,3 +122,97 @@ def test_no_definition_is_referenced_only_by_tests():
     assert not unexpected, f"defined in src/ but used only outside it: {unexpected}"
     stale = sorted(set(UNREFERENCED_ALLOWED) - found)
     assert not stale, f"allowlisted but now referenced in src/: {stale}"
+
+
+# ---------------------------------------------------------------------------
+# no default that only tests override
+# ---------------------------------------------------------------------------
+
+# defaulted parameters that no package call sets, as ``module.function(params)``
+# (a class stands for its ``__init__``), with why they stay
+UNSET_DEFAULTS_ALLOWED = {
+    "cli.dispatch(argv)": "the tests and the benchmark pass a command line; the console "
+    "script reads sys.argv",
+    "process.ProcessConfig(start, count_terminal_step)": "the benchmark's workloads set "
+    "them",
+    "analysis.verify_lemmas(point_set)": "fault injection for the checker-sensitivity "
+    "criterion",
+}
+
+
+def _defaulted(node: ast.AST, offset: int) -> dict[str, int | None]:
+    """The defaulted parameters of a function, each with its position in a
+    call (``None`` if keyword-only), ``offset`` counting the bound
+    ``self``."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = {a.arg: i - offset for i, a in enumerate(positional) if i >= first}
+    found.update(
+        (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    )
+    return found
+
+
+def _callables(tree: ast.AST, module: str) -> Iterator[tuple[str, str, dict]]:
+    """``(qualified name, called name, defaulted parameters)`` of every
+    function and method, a class standing for its ``__init__``."""
+    methods = {
+        id(sub) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for sub in cls.body
+    }
+    for qualname, node in _definitions(tree, module):
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                    yield qualname, node.name, _defaulted(sub, 1)
+        elif not node.name.startswith("__"):
+            bound = id(node) in methods and not any(
+                ast.unparse(d) == "staticmethod" for d in node.decorator_list
+            )
+            yield qualname, node.name, _defaulted(node, int(bound))
+
+
+def _set_by(call: ast.Call, params: dict[str, int | None]) -> set[str]:
+    """The parameters among ``params`` that ``call`` sets; a starred
+    argument may set any positional one, ``**`` any of them."""
+    keywords = {k.arg for k in call.keywords}
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return {
+        name
+        for name, position in params.items()
+        if name in keywords
+        or None in keywords
+        or position is not None and (starred or position < len(call.args))
+    }
+
+
+def unset_defaults(src: Path) -> list[str]:
+    """``module.function(params)`` for each definition under ``src`` with a
+    defaulted parameter that no call under ``src`` sets.  Calls are matched
+    by the called name, as in :func:`unreferenced_definitions`."""
+    trees = _trees(src)
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(sub)
+    unset = []
+    for module, tree in trees.items():
+        for qualname, name, params in _callables(tree, module):
+            left = set(params)
+            for call in calls.get(name, []):
+                left -= _set_by(call, params)
+            if left:
+                ordered = [p for p in params if p in left]
+                unset.append(f"{qualname}({', '.join(ordered)})")
+    return sorted(unset)
+
+
+def test_no_default_is_set_only_by_tests():
+    found = set(unset_defaults(SRC))
+    unexpected = sorted(found - set(UNSET_DEFAULTS_ALLOWED))
+    assert not unexpected, f"defaulted in src/ but set only outside it: {unexpected}"
+    stale = sorted(set(UNSET_DEFAULTS_ALLOWED) - found)
+    assert not stale, f"allowlisted but now set in src/: {stale}"

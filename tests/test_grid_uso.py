@@ -16,8 +16,8 @@ from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
 from pivotlab.grid_uso import (
     WalkOutcome,
     _identity_for,
+    _moves,
     _out_masks,
-    _subgrid_choices,
     LEAF,
     AugmentedConfig,
     CombOrientation,
@@ -413,21 +413,42 @@ def test_out_targets_match_recursive_oracle_on_drawn_combs(r, m, seed, data):
         assert out_neighbors(comb, v) == tuple(recursive_out_targets(comb, v))
 
 
-def test_lower_rows_list_the_lower_ranked_values():
+def rank_formula_moves(comb, v):
+    """Oracle: along each axis ``d``, last first, ``(w - c) * stride`` for
+    each value ``w`` ranked below ``c = v[d]`` at the node ``v`` lies in,
+    ascending, ``stride`` being the vertex count of the first ``d`` axes."""
+    sizes, node, out = comb.sizes, comb, []
+    for d in reversed(range(len(v))):
+        c, stride = v[d], math.prod(sizes[:d])
+        lower = [w for w in range(1, node.m + 1) if node.ranks[w - 1] < node.ranks[c - 1]]
+        out += [(w - c) * stride for w in lower]
+        node = node.children[c - 1]
+    return tuple(out)
+
+
+def test_moves_of_a_line_are_the_lower_ranked_values():
     # a hyperplane holds one vertex here, so each move is a value change
     comb = CombOrientation((3, 1, 4, 2), (LEAF,) * 4)
-    assert [comb.moves(c) for c in (1, 2, 3, 4)] == [(1, 3), (), (-2, -1, 1), (-2,)]
+    assert [_moves(comb, c - 1) for c in (1, 2, 3, 4)] == [(1, 3), (), (-2, -1, 1), (-2,)]
 
 
-@pytest.mark.parametrize("r, m", [(1, 5), (2, 4), (3, 3)])
-def test_moves_are_the_lower_rows_as_id_changes(r, m):
-    comb = build_comb(r, m, Random(f"moves{r}:{m}"))
-    node, stride = comb, m ** (r - 1)
-    while node.ranks:
-        for c in range(1, m + 1):
-            lower = [w for w in range(1, m + 1) if node.ranks[w - 1] < node.ranks[c - 1]]
-            assert node.moves(c) == tuple((w - c) * stride for w in lower)
-        node, stride = node.children[-1], stride // m
+@pytest.mark.parametrize(
+    "kind, r, m",
+    [(kind, r, m) for kind in ("random", "identity") for r, m in [(0, 3), (1, 5), (2, 4), (3, 3)]]
+    + [("padded", 2, 4), ("padded", 3, 3)],  # padding needs r >= 2
+)
+def test_moves_follow_the_rank_formula(kind, r, m):
+    if kind == "identity":
+        comb = identity_comb(r, m)
+    else:
+        comb = build_comb(r, m, Random(f"moves{r}:{m}"))
+    if kind == "padded":
+        comb = embed_padded(comb, r * m + r - 1)
+    sizes = comb.sizes
+    for v in grid_spec(comb).vertices():
+        index = sum((c - 1) * math.prod(sizes[:d]) for d, c in enumerate(v))
+        want = rank_formula_moves(comb, v)
+        assert _moves(comb, index) == want and comb._vertex_moves[index] == want, v
 
 
 def test_walking_leaves_equality_and_hash_unchanged():
@@ -779,20 +800,21 @@ def test_checks_read_each_vertex_once(check, sizes):
 # ---------------------------------------------------------------------------
 
 
+def value_subsets(spec):
+    """Per axis, its nonempty value subsets in bitmask order."""
+    return [
+        [tuple(c for c in range(1, s + 1) if mask & (1 << (c - 1))) for mask in range(1, 2**s)]
+        for s in spec.factor_sizes
+    ]
+
+
 def scalar_unique_sink_violations(spec, out_fn, max_report=5):
     """Oracle: walk every subgrid in ``product`` order, and test every vertex
     of it against all its arcs.  Arcs are a pure function of the vertex, so
     each vertex's are read once and cached."""
     out_fn = cache(out_fn)
-    choices = [
-        [
-            tuple(c for c in range(1, s + 1) if mask & (1 << (c - 1)))
-            for mask in range(1, 2**s)
-        ]
-        for s in spec.factor_sizes
-    ]
     bad = []
-    for subsets in product(*choices):
+    for subsets in product(*value_subsets(spec)):
         member = [set(s) for s in subsets]
         sinks = 0
         for v in product(*subsets):
@@ -829,10 +851,9 @@ def reverse_arc(out_fn, v, w):
     m=st.sampled_from(range(1, 5)),
     seed=st.integers(0, 10**6),
     fault=st.sampled_from(["none", "flip", "reverse"]),
-    max_report=st.sampled_from([1, 5, 10**6]),
     data=st.data(),
 )
-def test_unique_sink_violations_matches_scalar_oracle(r, m, seed, fault, max_report, data):
+def test_unique_sink_violations_matches_scalar_oracle(r, m, seed, fault, data):
     comb = build_comb(r, m, Random(seed))
     if r >= 2 and data.draw(st.booleans(), label="padded"):
         comb = embed_padded(comb, r * m + data.draw(st.integers(1, r - 1), label="extra"))
@@ -843,15 +864,13 @@ def test_unique_sink_violations_matches_scalar_oracle(r, m, seed, fault, max_rep
     arcs = [(v, w) for v in spec.vertices() for w in out_fn(v)]
     if fault == "reverse" and arcs:
         out_fn = reverse_arc(out_fn, *data.draw(st.sampled_from(arcs), label="arc"))
-    assert unique_sink_violations(spec, out_fn, max_report) == (
-        scalar_unique_sink_violations(spec, out_fn, max_report)
-    )
+    assert unique_sink_violations(spec, out_fn) == scalar_unique_sink_violations(spec, out_fn)
 
 
-def list_unique_sink_violations(spec, out_fn, max_report=5):
+def list_unique_sink_violations(spec, out_fn):
     """Oracle: the per-axis sweep that carries the surviving vertices as a
     list of ``(position bits, out-masks)`` entries."""
-    choices = _subgrid_choices(spec)
+    choices = value_subsets(spec)
     last = spec.dimension - 1
     entries = [
         ([1 << (c - 1) for c in v], _out_masks(spec, v, out_fn(v)))
@@ -867,7 +886,7 @@ def list_unique_sink_violations(spec, out_fn, max_report=5):
                     return True
             elif len(kept) != 1:
                 bad.append(prefix + (values,))
-                if len(bad) >= max_report:
+                if len(bad) >= 5:
                     return True
         return False
 
@@ -882,10 +901,9 @@ def list_unique_sink_violations(spec, out_fn, max_report=5):
     m=st.integers(1, 5),
     seed=st.integers(0, 10**6),
     fault=st.sampled_from(["none", "flip", "reverse"]),
-    max_report=st.sampled_from([1, 5, 10**6]),
     data=st.data(),
 )
-def test_unique_sink_violations_matches_list_sweep(r, m, seed, fault, max_report, data):
+def test_unique_sink_violations_matches_list_sweep(r, m, seed, fault, data):
     comb = build_comb(r, m, Random(seed))
     spec, out_fn = grid_spec(comb), partial(out_neighbors, comb)
     if fault == "flip" and r >= 1 and m >= 2:
@@ -894,9 +912,7 @@ def test_unique_sink_violations_matches_list_sweep(r, m, seed, fault, max_report
     arcs = [(v, w) for v in spec.vertices() for w in out_fn(v)]
     if fault == "reverse" and arcs:
         out_fn = reverse_arc(out_fn, *data.draw(st.sampled_from(arcs), label="arc"))
-    assert unique_sink_violations(spec, out_fn, max_report) == (
-        list_unique_sink_violations(spec, out_fn, max_report)
-    )
+    assert unique_sink_violations(spec, out_fn) == list_unique_sink_violations(spec, out_fn)
 
 
 def test_a_subgrid_with_two_sinks_is_a_violation():
@@ -915,10 +931,17 @@ def test_every_flipped_pair_matches_scalar_oracle(r, m):
     spec = grid_spec(comb)
     for a, b in combinations(range(1, m + 1), 2):
         out_fn = flip_top_pair_out(comb, a, b)
-        for max_report in (1, 5, 10**6):
-            assert unique_sink_violations(spec, out_fn, max_report) == (
-                scalar_unique_sink_violations(spec, out_fn, max_report)
-            ), (a, b, max_report)
+        assert unique_sink_violations(spec, out_fn) == (
+            scalar_unique_sink_violations(spec, out_fn)
+        ), (a, b)
+
+
+def test_only_the_first_five_violations_are_reported():
+    comb = build_comb(3, 3, Random("flip3:3"))
+    spec, out_fn = grid_spec(comb), flip_top_pair_out(comb, 1, 3)
+    every = scalar_unique_sink_violations(spec, out_fn, max_report=10**6)
+    assert len(every) == 49
+    assert unique_sink_violations(spec, out_fn) == every[:5]
 
 
 def test_zero_dimensional_grid_has_no_violation():
