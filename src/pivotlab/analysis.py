@@ -26,6 +26,7 @@ from .seeding import derive_rng
 
 __all__ = [
     "ALPHA_SWEEP",
+    "COMB_FAMILIES",
     "DELTA_FAMILIES",
     "FAMILIES",
     "BoundParams",
@@ -54,6 +55,9 @@ FAMILIES = (
 
 #: the families whose bound and construction depend on ``delta``
 DELTA_FAMILIES = ("uso_lemma", "augmented_theorem")
+
+#: the families measured on comb ensembles, whose exact mode reads ``orientations``
+COMB_FAMILIES = ("uso_lemma", "uso_theorem_eq1", "corollary")
 
 #: adversary sweep width: ``augmented_theorem`` takes the adversary's best
 #: over ``alpha_i in {m+1, ..., m+ALPHA_SWEEP}``
@@ -367,7 +371,13 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
     every case and keep the first counterexample; neither can raise on a
     ``PointSet``, whose points all have ``r`` coordinates.  Also returns the
     pierced subsets of fewer than ``r`` points (id tuples), which a sound
-    family has none of."""
+    family has none of.
+
+    By Caratheodory a subset ``S`` of at most ``r`` points is pierced when
+    some subset of it is a pierced simplex.  The subsets are met in size
+    order, so ``S`` is pierced when some ``S - p`` is among the pierced
+    subsets found so far, or else when ``S`` itself passes
+    :func:`geometry.is_pierced_simplex`: one elimination per subset."""
     r = ps.r
     ids = ps.ids()
     colors_bad = pierced_bad = None
@@ -377,9 +387,9 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
         for subset in combinations(ids, size):
             cases += 1
             full_color = sorted(p.color for p in subset) == list(range(1, r + 1))
-            pierced = geometry.is_pierced_subset(
-                [ps.coords(p) for p in subset], r
-            )
+            pierced = any(
+                sub in small_pierced for sub in combinations(subset, size - 1)
+            ) or geometry.is_pierced_simplex([ps.coords(p) for p in subset])
             if pierced and size < r:
                 small_pierced.add(subset)
             if pierced and not full_color and colors_bad is None:

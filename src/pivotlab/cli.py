@@ -169,8 +169,8 @@ def _cmd_uso_expect(args) -> int:
 def _cmd_uso_verify(args) -> int:
     seed = None if args.identity else _seed_of(args)
     comb = _comb_for(args, seed)
-    # both checks read every vertex's arcs: cache them so each is built once
-    out_fn = functools.cache(functools.partial(grid_uso.out_neighbors, comb))
+    # the first check reads and checks every vertex's arcs, the second reuses them
+    out_fn = grid_uso.CheckedArcs(functools.partial(grid_uso.out_neighbors, comb))
     spec = grid_uso.grid_spec(comb)
     acyclic = grid_uso.has_topological_order(spec, out_fn)
     violations = grid_uso.unique_sink_violations(spec, out_fn)
@@ -337,10 +337,13 @@ def _bench_rows(args, seed: int) -> list[dict]:
 
 def _cmd_bench_bounds(args) -> int:
     """The sweep, once a count its mode does not read has been refused:
-    exact mode solves ``--orientations`` combs per point, ``--mc`` samples
-    ``--trials`` runs."""
+    exact mode solves ``--orientations`` combs per point of a comb family,
+    ``--mc`` samples ``--trials`` runs."""
     if args.mc and args.orientations is not None:
         raise ValueError("--orientations needs exact mode: --mc draws a fresh comb per run")
+    families = {family.strip() for family in args.families.split(",")}
+    if args.orientations is not None and families.isdisjoint(analysis.COMB_FAMILIES):
+        raise ValueError("--orientations needs a comb family: a process family is solved once")
     if not args.mc and args.trials is not None:
         raise ValueError("--trials needs --mc: exact mode samples no runs")
     seed = _seed_of(args)
@@ -469,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="m values (grid size n for the corollary family)")
     p.add_argument("--delta-list", default="0", dest="delta_list")
     p.add_argument("--orientations", type=int, default=None,
-                   help="combs solved per point in exact mode (default 200)")
+                   help="combs solved per comb-family point in exact mode (default 200)")
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
     p.add_argument("--trials", type=int, default=None,
                    help="runs sampled per point; needs --mc (default 100000)")

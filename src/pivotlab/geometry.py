@@ -12,12 +12,15 @@ point per color is a *transversal* (a pierced simplex).
 Every predicate here is decided exactly, in Python ints: coordinates reach
 ``m**(2r-1)`` and determinants multiply ``r`` of them, so nothing is ever
 narrowed to a fixed width.  Every linear solve (the spanning hyperplane,
-the ratio-test pivot and the Caratheodory test) runs on one fraction-free
-elimination, :func:`_eliminate` (along a last-color sub-line the spanning
-hyperplanes follow from two of them, :meth:`PointSet.fill_normals`), and
-the side test, the pivot and the Caratheodory test are integer sign tests
-on its result; ``Fraction`` appears only in the values handed back
-(hyperplane coefficients and solutions).  Floats never participate in a geometric decision.
+the ratio-test pivot and the piercing test of one simplex) runs on one
+fraction-free elimination, :func:`_eliminate` (along a last-color sub-line
+the spanning hyperplanes follow from two of them,
+:meth:`PointSet.fill_normals`), and the side test, the pivot and the
+piercing test are integer sign tests on its result; the Caratheodory test
+of a subset is the piercing test on each of its subsets of at most ``r``
+points.  ``Fraction`` appears only in the values handed back (hyperplane
+coefficients and solutions).  Floats never participate in a geometric
+decision.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "gen_point",
     "gen_point_set",
     "hyperplane_coefficients",
+    "is_pierced_simplex",
     "is_pierced_subset",
     "make_transversal",
     "pivot_generic",
@@ -492,36 +496,33 @@ class Side(IntEnum):
 _BELOW, _ON, _ABOVE = Side.BELOW, Side.ON, Side.ABOVE
 
 
-def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:
-    """Exact test of whether the convex hull meets the diagonal line.
+def is_pierced_simplex(points: Sequence[Coords]) -> bool:
+    """Exact test of whether the diagonal line meets the hull of exactly
+    these points with unique, nonnegative barycentric weights.
 
-    Projects along the diagonal (consecutive coordinate differences) and asks
-    whether the origin lies in the hull of the projections.  By Caratheodory
-    it suffices to find one affinely independent subset of at most ``r``
-    projected points whose barycentric coordinates for the origin are all
-    nonnegative.  Each candidate is one fraction-free elimination
-    (:func:`_eliminate`) of its integer system ``[P | 0], [1 ... 1 | 1]``:
-    it has a unique solution when the pivots are exactly its ``size``
-    columns, and then the solution is ``a[i][size] / d``, whose signs are
-    those of ``a[i][size] * d``.
+    Projects along the diagonal (consecutive coordinate differences) and
+    runs one fraction-free elimination (:func:`_eliminate`) of the integer
+    system ``[P | 0], [1 ... 1 | 1]``: it has a unique solution when the
+    pivots are exactly its ``size`` columns, and then the solution is
+    ``a[i][size] / d``, whose signs are those of ``a[i][size] * d``.
     """
+    size = len(points)
+    cols = list(zip(*points))
+    d, pivots, a = _eliminate(
+        [*([s - t for s, t in zip(u, v)] + [0] for u, v in zip(cols, cols[1:])), [1] * (size + 1)]
+    )
+    return pivots == list(range(size)) and all(row[size] * d >= 0 for row in a[:size])
+
+
+def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:
+    """Exact test of whether the convex hull meets the diagonal line: by
+    Caratheodory, whether some subset of at most ``r`` points passes
+    :func:`is_pierced_simplex`, each candidate one elimination."""
     pts = list(points)
-    if not pts:
-        return False
     if any(len(x) != r for x in pts):
         raise ValueError(f"points must have {r} coordinates")
-    if r == 1:
-        return True  # the whole line is the requirement line
-    proj = [tuple(x[t] - x[t + 1] for t in range(r - 1)) for x in pts]
-    for size in range(1, min(len(proj), r) + 1):
-        columns = list(range(size))
-        for subset in combinations(proj, size):
-            d, pivots, a = _eliminate(
-                [*([*col, 0] for col in zip(*subset)), [1] * (size + 1)]
-            )
-            if pivots == columns and all(row[size] * d >= 0 for row in a[:size]):
-                return True
-    return False
+    sizes = range(1, min(len(pts), r) + 1)
+    return any(is_pierced_simplex(sub) for size in sizes for sub in combinations(pts, size))
 
 
 def hyperplane_coefficients(

@@ -32,6 +32,7 @@ once into a :class:`chain.Chain` over the same vertex ids.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +46,7 @@ from .seeding import Stream
 
 __all__ = [
     "AugmentedConfig",
+    "CheckedArcs",
     "CombOrientation",
     "GridSpec",
     "Vertex",
@@ -529,6 +531,35 @@ def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[i
     return masks
 
 
+#: every vertex's targets, in ``spec.vertices()`` order, and their masks
+_Arcs = tuple[dict[Vertex, tuple[Vertex, ...]], list[list[int]]]
+
+
+class CheckedArcs:
+    """An ``OutFn`` for running both structural checks on one orientation:
+    the first check reads every vertex's arcs through ``out_fn`` and checks
+    them (:func:`_read_arcs`), and the second reuses what it read."""
+
+    def __init__(self, out_fn: OutFn) -> None:
+        self.out_fn = out_fn
+        self.read: tuple[GridSpec, _Arcs] | None = None
+
+    def __call__(self, v: Vertex) -> tuple[Vertex, ...]:
+        return self.out_fn(v)
+
+
+def _read_arcs(spec: GridSpec, out_fn: OutFn) -> _Arcs:
+    """Every vertex's targets and :func:`_out_masks`, one ``out_fn`` call per
+    vertex; a :class:`CheckedArcs` keeps them for its next check of ``spec``."""
+    if isinstance(out_fn, CheckedArcs) and out_fn.read and out_fn.read[0] == spec:
+        return out_fn.read[1]
+    targets = {v: out_fn(v) for v in spec.vertices()}
+    arcs = targets, [_out_masks(spec, v, ws) for v, ws in targets.items()]
+    if isinstance(out_fn, CheckedArcs):
+        out_fn.read = spec, arcs
+    return arcs
+
+
 def unique_sink_violations(
     spec: GridSpec, out_fn: OutFn
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -539,8 +570,9 @@ def unique_sink_violations(
 
     ``out_fn(v)`` must list only grid neighbours of ``v`` (vertices of the
     grid that differ from ``v`` in exactly one coordinate); any other target
-    raises ``ValueError``.  Each vertex's arcs are read once, as one bitmask
-    per axis, and the vertices are numbered in ``spec.vertices()`` order.
+    raises ``ValueError``.  Each vertex's arcs are read once
+    (:func:`_read_arcs`), as one bitmask per axis, and the vertices are
+    numbered in ``spec.vertices()`` order.
     For each axis ``d`` and value subset (a bitmask, bit ``c-1`` for value
     ``c``), one int bitset holds the vertices whose coordinate ``d`` lies in
     the subset and that have no arc along ``d`` into it.  The subgrids are
@@ -556,8 +588,8 @@ def unique_sink_violations(
     # groups[d][(position bit, out-mask)]: bitset of the vertices with that
     # coordinate and those arcs along axis d
     groups: list[dict[tuple[int, int], int]] = [{} for _ in range(spec.dimension)]
-    for i, v in enumerate(spec.vertices()):
-        for group, c, out in zip(groups, v, _out_masks(spec, v, out_fn(v))):
+    for i, (v, masks) in enumerate(zip(*_read_arcs(spec, out_fn))):
+        for group, c, out in zip(groups, v, masks):
             key = (1 << (c - 1), out)
             group[key] = group.get(key, 0) | 1 << i
     # keep[d][mask - 1] for each value subset mask of axis d; the groups of
@@ -596,23 +628,16 @@ def has_topological_order(spec: GridSpec, out_fn: OutFn) -> bool:
     """Kahn's algorithm over the full edge set; an arc that does not join two
     grid neighbours raises ``ValueError``, as in the unique-sink check."""
     chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
-    indeg: dict[Vertex, int] = {v: 0 for v in spec.vertices()}
-    outs: dict[Vertex, tuple[Vertex, ...]] = {}
-    for v in spec.vertices():
-        outs[v] = out_fn(v)
-        _out_masks(spec, v, outs[v])
-        for w in outs[v]:
-            indeg[w] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+    outs, _ = _read_arcs(spec, out_fn)
+    indeg = Counter(w for ws in outs.values() for w in ws)
+    # the vertices with no arc left into them, in the order they are freed
+    order = [v for v in outs if not indeg[v]]
+    for v in order:
         for w in outs[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == spec.vertex_count
+            if not indeg[w]:
+                order.append(w)
+    return len(order) == spec.vertex_count
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,14 @@ from pivotlab.analysis import (
     phase_law_report,
     verify_lemmas,
 )
-from pivotlab.analysis import LemmaCheck, _FAULTS, _chi2_sf, _jump_law_chi2, _lemma
+from pivotlab.analysis import (
+    LemmaCheck,
+    _FAULTS,
+    _chi2_sf,
+    _colors_and_pierced,
+    _jump_law_chi2,
+    _lemma,
+)
 from pivotlab.errors import DegeneracyError
 from pivotlab.geometry import PointId, Side, flip_tail_sign, gen_point_set
 from test_geometry import small_colored_sets
@@ -424,6 +431,75 @@ def parent_pivot_agreement(ps) -> LemmaCheck:
     except _FAULTS as exc:
         found, cases = [f"raised: {exc}"], 0
     return LemmaCheck("pivot_agreement", not found, cases, found[0] if found else None)
+
+
+def parent_colors_and_pierced(ps):
+    """Oracle: the suite's former ``colors`` and ``pierced`` body, which ran
+    the whole Caratheodory search of ``is_pierced_subset`` on every subset
+    of at most ``r`` points."""
+    r = ps.r
+    colors_bad = pierced_bad = None
+    cases = 0
+    small_pierced = set()
+    for size in range(1, r + 1):
+        for subset in combinations(ps.ids(), size):
+            cases += 1
+            full_color = sorted(p.color for p in subset) == list(range(1, r + 1))
+            pierced = geometry.is_pierced_subset([ps.coords(p) for p in subset], r)
+            if pierced and size < r:
+                small_pierced.add(subset)
+            if pierced and not full_color and colors_bad is None:
+                colors_bad = f"pierced subset missing a color: {subset}"
+            if full_color and not pierced and pierced_bad is None:
+                pierced_bad = f"full-color subset not pierced: {subset}"
+    for S in geometry.transversals(ps):
+        try:
+            ps.normal(S.members)
+        except DegeneracyError as exc:
+            if pierced_bad is None:
+                pierced_bad = f"axis intersections failed on {S.members}: {exc}"
+    return [
+        LemmaCheck("colors", colors_bad is None, cases, colors_bad),
+        LemmaCheck("pierced", pierced_bad is None, cases + ps.transversal_count(), pierced_bad),
+    ], small_pierced
+
+
+def test_pierced_subsets_match_the_full_search_on_random_sets():
+    """On small random colored sets, whose subsets are often pierced only
+    through a pierced proper subset, the memoised ``colors`` and ``pierced``
+    checks report what a full Caratheodory search per subset reports, and
+    find the same pierced subsets of fewer than ``r`` points."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_colored_sets())
+    def check(ps):
+        got = _colors_and_pierced(ps, "")
+        assert got == parent_colors_and_pierced(ps)
+        checks, small_pierced = got
+        # with a pierced proper subset, its supersets are decided by lookup
+        seen.add("lookup" if small_pierced else "no lookup")
+        seen.update(c.lemma for c in checks if not c.passed)
+
+    check()
+    assert {"lookup", "no lookup", "colors", "pierced"} <= seen, seen
+
+
+@pytest.mark.parametrize("r, m, tails_only", [(2, 4, False), (3, 3, True)])
+def test_pierced_subsets_match_the_full_search_on_mutants(r, m, tails_only):
+    """Single-coordinate sign flips of the (2,4) family, and of the (3,3)
+    family's negative tail entries: the memoised checks report what the
+    full search per subset reports."""
+    base = gen_point_set(r, m)
+    failed = 0
+    for pid in base.ids():
+        for index, x in enumerate(base.coords(pid)):
+            if x < 0 if tails_only else x:
+                mutated = flip_tail_sign(base, pid, index)
+                got = _colors_and_pierced(mutated, "")
+                assert got == parent_colors_and_pierced(mutated), (pid, index)
+                failed += not all(c.passed for c in got[0])
+    assert failed
 
 
 def test_lemma_suite_matches_its_former_bodies():

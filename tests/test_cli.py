@@ -751,6 +751,8 @@ def test_bench_bounds_csv_sorted_and_satisfied():
 @pytest.mark.parametrize("family", analysis.FAMILIES)
 def test_bench_bounds_measures_every_family_in_both_modes(family, mode):
     m = "5" if family == "corollary" else "3"  # the m column is n for corollary
+    if family not in analysis.COMB_FAMILIES and "--mc" not in mode:
+        mode = []  # a process family is solved once: --orientations is refused
     code, out, err = run_cli(
         [
             "bench", "bounds", "--families", family, "--r-list", "2", "--m-list", m,
@@ -770,8 +772,16 @@ def test_bench_bounds_measures_every_family_in_both_modes(family, mode):
             ["--mc", "--orientations", "5"],
             "--orientations needs exact mode: --mc draws a fresh comb per run",
         ),
+        (
+            ["--families", "main_theorem", "--orientations", "5"],
+            "--orientations needs a comb family: a process family is solved once",
+        ),
+        (
+            ["--families", "augmented_theorem, main_theorem", "--orientations", "5"],
+            "--orientations needs a comb family: a process family is solved once",
+        ),
     ],
-    ids=["trials-exact", "orientations-mc"],
+    ids=["trials-exact", "orientations-mc", "orientations-process", "orientations-processes"],
 )
 def test_bench_bounds_refuses_a_count_its_mode_does_not_read(monkeypatch, flags, message):
     def measure(*args, **kwargs):
@@ -780,6 +790,22 @@ def test_bench_bounds_refuses_a_count_its_mode_does_not_read(monkeypatch, flags,
     monkeypatch.setattr(analysis, "compare_to_bound", measure)
     code, out, err = run_cli(["bench", "bounds", "--r-list", "1", "--m-list", "2", *flags])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_bench_bounds_mixed_families_keep_orientations():
+    """A list with one comb family keeps ``--orientations``: its comb rows
+    read it, and the process rows are solved exactly as without it."""
+    argv = ["bench", "bounds", "--r-list", "1", "--m-list", "3", "--seed", "1"]
+    mixed = ["--families", "main_theorem,uso_theorem_eq1"]
+    code, out, err = run_cli([*argv, *mixed, "--orientations", "3"])
+    assert (code, err) == (0, "")
+    rows = {row["family"]: row for row in csv.DictReader(io.StringIO(out))}
+    _, alone, _ = run_cli([*argv, "--families", "main_theorem"])
+    assert rows["main_theorem"] == next(csv.DictReader(io.StringIO(alone)))
+    _, default, _ = run_cli([*argv, *mixed])
+    assert rows["uso_theorem_eq1"] != {
+        row["family"]: row for row in csv.DictReader(io.StringIO(default))
+    }["uso_theorem_eq1"]
 
 
 @pytest.mark.parametrize("orientations", ["0", "1"])

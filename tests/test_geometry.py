@@ -19,6 +19,7 @@ from pivotlab.geometry import (
     gen_point,
     gen_point_set,
     hyperplane_coefficients,
+    is_pierced_simplex,
     is_pierced_subset,
     make_transversal,
     pivot_generic,
@@ -97,6 +98,18 @@ def rref_is_pierced_subset(points, r: int) -> bool:
             if status == "unique" and all(l >= 0 for l in lam):
                 return True
     return False
+
+
+def rref_is_pierced_simplex(points) -> bool:
+    """Reference for :func:`is_pierced_simplex`: the barycentric weights of
+    the origin in exactly these projected points, by one rational RREF
+    solve."""
+    dim = len(points[0]) - 1
+    proj = [tuple(x[t] - x[t + 1] for t in range(dim)) for x in points]
+    rows = [[Fraction(q[t]) for q in proj] for t in range(dim)]
+    rows.append([Fraction(1)] * len(proj))
+    status, lam = rref_solve(rows, [Fraction(0)] * dim + [Fraction(1)])
+    return status == "unique" and all(l >= 0 for l in lam)
 
 
 def barycentric_axis_values(ps: PointSet, simplex: Transversal) -> tuple:
@@ -353,6 +366,28 @@ def test_is_pierced_subset_matches_rational_body():
 
     check()
     assert negative, "no draw ended an elimination with d < 0"
+
+
+def test_is_pierced_simplex_matches_rational_solve():
+    """The one-elimination test of exactly the given points agrees with a
+    rational RREF solve, on small and on 20-digit coordinates, up to one
+    point more than the dimension."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        r = data.draw(st.integers(1, 4))
+        bound = data.draw(st.sampled_from([2, 10**20]))
+        points = data.draw(
+            st.lists(st.tuples(*[st.integers(-bound, bound)] * r), min_size=1, max_size=r + 1)
+        )
+        got = is_pierced_simplex(points)
+        assert got == rref_is_pierced_simplex(points)
+        seen.add(got)
+
+    check()
+    assert seen == {True, False}
 
 
 def test_pierced_rejects_wrong_arity():

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pivotlab import chain
+from pivotlab import chain, grid_uso
 from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
 from pivotlab.grid_uso import (
     WalkOutcome,
@@ -20,6 +20,7 @@ from pivotlab.grid_uso import (
     _out_masks,
     LEAF,
     AugmentedConfig,
+    CheckedArcs,
     CombOrientation,
     GridSpec,
     build_comb,
@@ -793,6 +794,50 @@ def test_checks_read_each_vertex_once(check, sizes):
 
     check(spec, counted)
     assert calls == Counter(spec.vertices())
+
+
+@pytest.mark.parametrize("sizes", [(), (1,), (4,), (3, 2), (2, 3, 2)])
+def test_both_checks_read_and_check_each_vertex_once_between_them(monkeypatch, sizes):
+    """Through one ``CheckedArcs``, as ``uso verify`` runs them, the two checks
+    call ``out_fn`` and ``_out_masks`` once per vertex between them."""
+    comb = _identity_for(sizes)
+    spec, out_fn = grid_spec(comb), partial(out_neighbors, comb)
+    calls, checked = Counter(), Counter()
+
+    def counted(v):
+        calls[v] += 1
+        return out_fn(v)
+
+    def counted_masks(spec, v, targets):
+        checked[v] += 1
+        return _out_masks(spec, v, targets)
+
+    monkeypatch.setattr(grid_uso, "_out_masks", counted_masks)
+    arcs = CheckedArcs(counted)
+    assert has_topological_order(spec, arcs)
+    assert unique_sink_violations(spec, arcs) == []
+    assert calls == checked == Counter(spec.vertices())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_checked_arcs_give_each_check_its_own_result(seed):
+    """On valid and flipped combs, either check order, ``CheckedArcs`` gives
+    what each check gives on the plain ``out_fn``; a grid of another shape
+    is read afresh."""
+    comb = build_comb(2, 4, Random(f"checked:{seed}"))
+    spec = grid_spec(comb)
+    for out_fn in [partial(out_neighbors, comb), flip_top_pair_out(comb, 1, 3)]:
+        want = (has_topological_order(spec, out_fn), unique_sink_violations(spec, out_fn))
+        arcs = CheckedArcs(out_fn)
+        assert (has_topological_order(spec, arcs), unique_sink_violations(spec, arcs)) == want
+        arcs = CheckedArcs(out_fn)
+        usv = unique_sink_violations(spec, arcs)
+        assert (has_topological_order(spec, arcs), usv) == want
+    line = _identity_for((4,))
+    arcs = CheckedArcs(partial(out_neighbors, line))
+    assert has_topological_order(grid_spec(line), arcs)
+    with pytest.raises(ValueError, match=re.escape("vertex (1, 1) not in grid (4,)")):
+        has_topological_order(spec, arcs)
 
 
 # ---------------------------------------------------------------------------
