@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from statistics import fmean
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -228,8 +228,8 @@ def compare_to_bound(
       to grid size ``n``;
     - ``main_theorem``: the plain process from the main start, counting
       pivots;
-    - ``augmented_theorem``: the adversary's best over the starts with
-      ``alpha_i in {m+1, ..., m+ALPHA_SWEEP}``, counting the escape hop.
+    - ``augmented_theorem``: the adversary's best over
+      ``process.adversaries(r, m, delta, ALPHA_SWEEP)``, counting the escape hop.
 
     Exact process values are compared with no tolerance.  Comb ensembles
     are intrinsically statistical (the bound holds for the randomized
@@ -247,16 +247,12 @@ def compare_to_bound(
     b = bound(params)
     family, r, m, delta = params.family, params.r, params.m, params.delta
     if family == "augmented_theorem":
-        options = range(m + 1, m + 1 + ALPHA_SWEEP)
         if mode == "exact":
-            value, worst = process.worst_case_expected_steps(r, m, delta, options)
+            value, worst = process.worst_case_expected_steps(r, m, delta, ALPHA_SWEEP)
             return _exact_report(value, b, seed, worst_alphas=list(worst))
-        base = geometry.gen_point_set(r, m)
         reports = {
-            alphas: _process_estimate(
-                ProcessConfig(base.augmented(alphas), delta=delta), trials, seed
-            )
-            for alphas in product(options, repeat=r)
+            alphas: _process_estimate(cfg, trials, seed)
+            for alphas, cfg in process.adversaries(r, m, delta, ALPHA_SWEEP)
         }
         worst = min(reports, key=lambda a: reports[a].value - 3 * reports[a].se)
         report = _apply_verdict(reports[worst], b)

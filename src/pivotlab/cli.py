@@ -83,10 +83,13 @@ def _seed_of(args) -> int:
     return args.seed
 
 
-def _comb_for(args, seed: int | None) -> grid_uso.CombOrientation:
+def _comb_for(args) -> tuple[int | None, grid_uso.CombOrientation]:
+    """A ``uso`` command's seed and comb: an identity comb draws nothing, so
+    its seed is ``None`` unless the command samples runs (has ``--trials``)."""
+    seed = None if args.identity and "trials" not in args else _seed_of(args)
     if args.identity:
-        return grid_uso.identity_comb(args.r, args.m)
-    return grid_uso.build_comb(args.r, args.m, derive_rng(seed, "comb"))
+        return seed, grid_uso.identity_comb(args.r, args.m)
+    return seed, grid_uso.build_comb(args.r, args.m, derive_rng(seed, "comb"))
 
 
 def _aug_cfg(args) -> grid_uso.AugmentedConfig | None:
@@ -124,16 +127,14 @@ def _sample(args, seed: int, stream: str, dump, steps, fields: dict) -> int:
 
 
 def _cmd_uso_build(args) -> int:
-    seed = None if args.identity else _seed_of(args)
-    comb = _comb_for(args, seed)
+    seed, comb = _comb_for(args)
     payload = {"seed": seed, "comb": grid_uso.comb_to_dict(comb)}
     _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_uso_walk(args) -> int:
-    seed = _seed_of(args)
-    comb = _comb_for(args, seed)
+    seed, comb = _comb_for(args)
     cfg = _aug_cfg(args)
     start = tuple(_parse_ints(args.start)) if args.start else "uniform"
 
@@ -150,8 +151,7 @@ def _cmd_uso_walk(args) -> int:
 
 
 def _cmd_uso_expect(args) -> int:
-    seed = None if args.identity else _seed_of(args)
-    comb = _comb_for(args, seed)
+    seed, comb = _comb_for(args)
     start = tuple(_parse_ints(args.start)) if args.start else "uniform"
     value = grid_uso.expected_duration_exact(comb, _aug_cfg(args), start)
     payload = {
@@ -167,8 +167,7 @@ def _cmd_uso_expect(args) -> int:
 
 
 def _cmd_uso_verify(args) -> int:
-    seed = None if args.identity else _seed_of(args)
-    comb = _comb_for(args, seed)
+    seed, comb = _comb_for(args)
     # the first check reads and checks every vertex's arcs, the second reuses them
     out_fn = grid_uso.CheckedArcs(functools.partial(grid_uso.out_neighbors, comb))
     spec = grid_uso.grid_spec(comb)
@@ -232,12 +231,7 @@ def _cmd_process_expect(args) -> int:
     delta = args.delta or 0
     payload = {"r": args.r, "m": args.m, "delta": delta}
     if args.alpha_sweep is not None:
-        value, alphas = process.worst_case_expected_steps(
-            args.r,
-            args.m,
-            delta,
-            range(args.m + 1, args.m + 1 + args.alpha_sweep),
-        )
+        value, alphas = process.worst_case_expected_steps(args.r, args.m, delta, args.alpha_sweep)
         payload.update(
             alpha_sweep=args.alpha_sweep,
             worst_alphas=list(alphas),
@@ -262,8 +256,8 @@ def _cmd_process_expect(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     """The lemma suite, after the phase laws (if ``--phase-trials``) at each
-    delta: :func:`analysis.phase_law_report` refuses a bad trial count before
-    the suite runs, once the deltas have been checked as a list."""
+    delta.  The deltas, as a list, and each ``--deep R``, by building its
+    projection, are checked before either runs."""
     for flag, value in (("--seed", args.seed), ("--phase-deltas", args.phase_deltas)):
         if value is not None and not args.phase_trials:
             raise ValueError(f"{flag} needs --phase-trials: the lemma suite draws nothing")
@@ -272,6 +266,11 @@ def _cmd_verify_lemmas(args) -> int:
         raise ValueError("delta must be >= 0")
     if args.phase_trials and not deltas:
         raise ValueError("--phase-trials needs at least one delta in --phase-deltas")
+    for R in args.deep or ():
+        try:
+            geometry.project_deep(R, args.m, args.r)
+        except ValueError as exc:
+            raise ValueError(f"--deep {R}: {exc}") from None
     laws = []
     if args.phase_trials:
         seed = _seed_of(args)
@@ -293,61 +292,59 @@ _BENCH_COLUMNS = [
 ]
 
 
-def _bench_rows(args, seed: int) -> list[dict]:
-    rows = []
-    mode = "mc" if args.mc else "exact"
-    for family in args.families.split(","):
-        family = family.strip()
-        deltas = _parse_range(args.delta_list) if family in analysis.DELTA_FAMILIES else [0]
-        for r in _parse_range(args.r_list):
-            for m in _parse_range(args.m_list):
-                for delta in deltas:
-                    if family != "corollary":
-                        params = analysis.BoundParams(family, r, m, delta)
-                    elif m <= r:
-                        continue
-                    else:
-                        # the m column carries the grid size n for this family
-                        params = analysis.BoundParams(family, r, n=m)
-                    try:
-                        report = analysis.compare_to_bound(
-                            params,
-                            mode,
-                            orientations=args.orientations,
-                            trials=args.trials,
-                            seed=seed,
-                        )
-                    except (GeneralPositionError, DegeneracyError, InstanceTooLargeError) as exc:
-                        raise type(exc)(f"{family} at (r, m) = ({r}, {m}): {exc}") from exc
-                    # the measured columns come from the report's own JSON
-                    blob = report.to_dict()
-                    row = {k: blob.get(k) for k in _BENCH_COLUMNS}
-                    row.update(family=family, r=r, m=m, delta=delta)
-                    row["satisfied"] = (
-                        "inconclusive"
-                        if report.inconclusive
-                        else ("true" if report.satisfied else "false")
-                    )
-                    rows.append(row)
-    if not rows:
-        raise ValueError("empty sweep: nothing to measure (the corollary family needs m > r)")
-    rows.sort(key=lambda row: (row["family"], row["r"], row["m"], row["delta"]))
-    return rows
+def _bench_row(args, params: analysis.BoundParams, seed: int) -> dict:
+    """One measured point of ``bench bounds`` as a row; the m column carries
+    the grid size n for the corollary family."""
+    m = params.m if params.n is None else params.n
+    try:
+        report = analysis.compare_to_bound(
+            params, "mc" if args.mc else "exact",
+            orientations=args.orientations, trials=args.trials, seed=seed,
+        )
+    except (GeneralPositionError, DegeneracyError, InstanceTooLargeError) as exc:
+        raise type(exc)(f"{params.family} at (r, m) = ({params.r}, {m}): {exc}") from exc
+    # the measured columns come from the report's own JSON
+    blob = report.to_dict()
+    row = {k: blob.get(k) for k in _BENCH_COLUMNS}
+    row.update(family=params.family, r=params.r, m=m, delta=params.delta)
+    row["satisfied"] = (
+        "inconclusive" if report.inconclusive else ("true" if report.satisfied else "false")
+    )
+    return row
 
 
 def _cmd_bench_bounds(args) -> int:
-    """The sweep, once a count its mode does not read has been refused:
-    exact mode solves ``--orientations`` combs per point of a comb family,
-    ``--mc`` samples ``--trials`` runs."""
+    """The sweep, read once into a list of points, each checked by
+    :func:`analysis.bound` before the seed is drawn; a count or list that no
+    listed family reads in this mode is refused first."""
+    families = [family.strip() for family in args.families.split(",")]
     if args.mc and args.orientations is not None:
         raise ValueError("--orientations needs exact mode: --mc draws a fresh comb per run")
-    families = {family.strip() for family in args.families.split(",")}
-    if args.orientations is not None and families.isdisjoint(analysis.COMB_FAMILIES):
+    if args.orientations is not None and set(families).isdisjoint(analysis.COMB_FAMILIES):
         raise ValueError("--orientations needs a comb family: a process family is solved once")
+    if args.delta_list is not None and set(families).isdisjoint(analysis.DELTA_FAMILIES):
+        raise ValueError("--delta-list needs a delta family: uso_lemma or augmented_theorem")
     if not args.mc and args.trials is not None:
         raise ValueError("--trials needs --mc: exact mode samples no runs")
+    rs, ms = _parse_range(args.r_list), _parse_range(args.m_list)
+    deltas = [0] if args.delta_list is None else _parse_range(args.delta_list)
+    points = [
+        analysis.BoundParams(family, r, n=m)
+        if family == "corollary"
+        else analysis.BoundParams(family, r, m, delta)
+        for family in families
+        for r in rs
+        for m in ms
+        if family != "corollary" or m > r
+        for delta in (deltas if family in analysis.DELTA_FAMILIES else [0])
+    ]
+    if not points:
+        raise ValueError("empty sweep: nothing to measure (the corollary family needs m > r)")
+    for params in points:
+        analysis.bound(params)
     seed = _seed_of(args)
-    rows = _bench_rows(args, seed)
+    rows = [_bench_row(args, params, seed) for params in points]
+    rows.sort(key=lambda row: (row["family"], row["r"], row["m"], row["delta"]))
     if args.format == "json":
         _emit_json(rows, args.out)
     else:
@@ -446,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     adversary = p.add_mutually_exclusive_group()
     adversary.add_argument("--alphas", default=None)
     adversary.add_argument("--alpha-sweep", type=int, default=None, dest="alpha_sweep",
-                           help="adversary sweep width: report the minimum over alpha_i in {m+1..m+W}")
+                           help="sweep width W >= 1: the minimum over alpha_i in {m+1..m+W}")
     p.set_defaults(handler=_cmd_process_expect)
 
     verify = top.add_parser("verify", help="verification suites").add_subparsers(
@@ -470,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-list", default="1,2", dest="r_list")
     p.add_argument("--m-list", default="2..6", dest="m_list",
                    help="m values (grid size n for the corollary family)")
-    p.add_argument("--delta-list", default="0", dest="delta_list")
+    p.add_argument("--delta-list", default=None, dest="delta_list",
+                   help="deltas of uso_lemma and augmented_theorem (default 0)")
     p.add_argument("--orientations", type=int, default=None,
                    help="combs solved per comb-family point in exact mode (default 200)")
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable
+from typing import Iterator
 
 from . import chain, geometry
 from .errors import InternalInvariantError
@@ -41,6 +41,7 @@ from .seeding import Stream
 __all__ = [
     "ProcessConfig",
     "Trace",
+    "adversaries",
     "adversary_start",
     "exact_expected_steps",
     "good_phases",
@@ -406,22 +407,25 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     return Fraction(x if cfg.count_terminal_step else x - d, d)
 
 
-def worst_case_expected_steps(
-    r: int,
-    m: int,
-    delta: int,
-    alpha_options: Iterable[int],
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Adversary sweep: exact expected duration, escape hop included,
-    minimized over all augmented starts with each ``alpha_i`` drawn from
-    ``alpha_options``; ties go to the first tuple in ``product`` order."""
-    base = geometry.gen_point_set(r, m)
-    options = sorted(set(alpha_options))
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for alphas in product(options, repeat=r):
-        value = exact_expected_steps(ProcessConfig(base.augmented(alphas), delta=delta))
-        if best is None or value < best[0]:
-            best = (value, alphas)
-    if best is None:
+def adversaries(
+    r: int, m: int, delta: int, width: int
+) -> Iterator[tuple[tuple[int, ...], ProcessConfig]]:
+    """The adversary's augmented starts of the ``(r, m)`` family, each
+    ``alpha_i`` in ``{m+1, ..., m+width}``: ``(alphas, config)`` in
+    ``product`` order, each config counting the escape hop."""
+    if width < 1:
         raise ValueError("no alpha choices supplied")
-    return best
+    base = geometry.gen_point_set(r, m)
+    for alphas in product(range(m + 1, m + 1 + width), repeat=r):
+        yield alphas, ProcessConfig(base.augmented(alphas), delta=delta)
+
+
+def worst_case_expected_steps(
+    r: int, m: int, delta: int, width: int
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Adversary sweep: the least exact expected duration, escape hop
+    included, over the :func:`adversaries` of sweep ``width``, with its
+    alphas; ties go to the first tuple in ``product`` order."""
+    sweep = adversaries(r, m, delta, width)
+    return min(((exact_expected_steps(cfg), alphas) for alphas, cfg in sweep),
+               key=lambda pair: pair[0])

@@ -175,9 +175,7 @@ def test_criterion_08_augmented_theorem_conformance():
     for r in (1, 2):
         for delta in (0, 1, 2):
             for m in range(2, 7):
-                worst, alphas = process.worst_case_expected_steps(
-                    r, m, delta, range(m + 1, m + 4)
-                )
+                worst, alphas = process.worst_case_expected_steps(r, m, delta, 3)
                 floor = bound(BoundParams("augmented_theorem", r, m, delta))
                 assert worst >= Fraction(floor), (r, m, delta, worst, floor, alphas)
                 checked += 1

@@ -422,9 +422,11 @@ def test_help_exits_zero():
     assert code == 0
 
 
-def test_readme_commands_parse_and_every_help_exits_zero():
+def test_readme_commands_parse_and_every_help_exits_zero(monkeypatch):
     """Every ``pivotlab`` line of the README's CLI block parses, so the docs
-    show no refused combination, and each command renders its ``--help``."""
+    show no refused combination, and each command renders its ``--help``.
+    The ``bench bounds`` and ``verify lemmas`` lines also pass their
+    handlers' own checks, with the measurements stubbed out."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
     commands = []
@@ -438,6 +440,18 @@ def test_readme_commands_parse_and_every_help_exits_zero():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"the README shows a refused command: pivotlab {shlex.join(argv)}")
+
+    def report(params, mode, **counts):
+        return analysis.ExpectationReport(1.0, mode, bound=0.0, satisfied=True)
+
+    monkeypatch.setattr(analysis, "compare_to_bound", report)
+    monkeypatch.setattr(analysis, "verify_lemmas", lambda r, m, **kw: LemmaReport(r, m, []))
+    handled = [argv for argv in commands if argv[:1] in (["bench"], ["verify"])]
+    assert len(handled) == 2
+    for argv in handled:
+        code, _, err = run_cli(argv)
+        refused = f"the README shows a refused command: pivotlab {shlex.join(argv)}"
+        assert (code, err) == (0, ""), refused
     for name, _ in _commands(cli.build_parser()):
         assert run_cli(name.split() + ["--help"])[0] == 0, name
 
@@ -753,10 +767,12 @@ def test_bench_bounds_measures_every_family_in_both_modes(family, mode):
     m = "5" if family == "corollary" else "3"  # the m column is n for corollary
     if family not in analysis.COMB_FAMILIES and "--mc" not in mode:
         mode = []  # a process family is solved once: --orientations is refused
+    if family in analysis.DELTA_FAMILIES:
+        mode = ["--delta-list", "1", *mode]  # the other families refuse it
     code, out, err = run_cli(
         [
             "bench", "bounds", "--families", family, "--r-list", "2", "--m-list", m,
-            "--delta-list", "1", "--seed", "4", *mode,
+            "--seed", "4", *mode,
         ]
     )
     assert code == 0, err
@@ -806,6 +822,33 @@ def test_bench_bounds_mixed_families_keep_orientations():
     assert rows["uso_theorem_eq1"] != {
         row["family"]: row for row in csv.DictReader(io.StringIO(default))
     }["uso_theorem_eq1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "bounds", "--families", "main_theorem,typo"],
+         "unknown bound family 'typo'"),
+        (["bench", "bounds", "--families", "main_theorem", "--delta-list", "1,2"],
+         "--delta-list needs a delta family: uso_lemma or augmented_theorem"),
+        (["bench", "bounds", "--families", "uso_lemma", "--r-list", "1,-1"],
+         "need r >= 0 and delta >= 0"),
+        (["verify", "lemmas", "--r", "2", "--m", "3", "--deep", "2", "--phase-trials", "10"],
+         "--deep 2: need R > r >= 1"),
+        (["verify", "lemmas", "--r", "2", "--m", "2", "--deep", "3", "--phase-trials", "10"],
+         "--deep 3: the projection argument needs m >= 3"),
+    ],
+    ids=["unknown-family", "delta-list-unread", "negative-r", "deep-not-above-r", "deep-small-m"],
+)
+def test_a_bad_point_is_refused_before_a_seed_is_drawn(monkeypatch, argv, message):
+    """Every point of a sweep, and every ``--deep`` projection, is checked
+    before anything is measured or a seed is announced."""
+    def measure(*args, **kwargs):
+        raise AssertionError("measured before every point was checked")
+
+    for name in ("compare_to_bound", "phase_law_report", "verify_lemmas"):
+        monkeypatch.setattr(analysis, name, measure)
+    assert run_cli(argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("orientations", ["0", "1"])

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -22,6 +22,7 @@ from pivotlab.geometry import (
 from pivotlab.process import (
     ProcessConfig,
     Trace,
+    adversaries,
     adversary_start,
     exact_expected_steps,
     good_phases,
@@ -593,6 +594,20 @@ def test_worst_case_alpha_sweep_is_minimum():
         for a2 in (4, 5):
             cfg = augmented_config(2, 3, delta=1, alphas=(a1, a2))
             values[(a1, a2)] = exact_expected_steps(cfg)
-    best, alphas = worst_case_expected_steps(2, 3, 1, [4, 5])
+    best, alphas = worst_case_expected_steps(2, 3, 1, 2)
     assert best == min(values.values())
     assert values[alphas] == best
+
+
+def test_adversaries_yield_every_alpha_tuple_in_product_order():
+    sweep = list(adversaries(2, 3, 1, 3))
+    assert [alphas for alphas, _ in sweep] == list(product((4, 5, 6), repeat=2))
+    for alphas, cfg in sweep:
+        assert cfg.point_set.alphas == alphas
+        assert cfg.start == adversary_start(cfg.point_set)
+        assert (cfg.delta, cfg.count_terminal_step) == (1, True)
+    assert exact_expected_steps(sweep[5][1]) == exact_expected_steps(
+        augmented_config(2, 3, delta=1, alphas=(5, 6))
+    )
+    with pytest.raises(ValueError, match="no alpha choices supplied"):
+        next(adversaries(2, 3, 1, 0))
