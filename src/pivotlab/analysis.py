@@ -104,6 +104,8 @@ def bound(params: BoundParams) -> float:
         return grid_uso.uso_lemma_bound(r, m, delta)
     if f == "uso_theorem_eq1":
         return grid_uso.uso_theorem_bound(r, m)
+    if r < 1:
+        raise ValueError(f"{f} needs r >= 1: the point family has no r = 0")
     # the two pivoting-process bounds share one formula; the main theorem is
     # the augmented one pinned at delta == 0
     if f == "main_theorem":
@@ -532,19 +534,17 @@ def verify_lemmas(
 
 
 def pivot_agreement_violations(ps: PointSet) -> tuple[list[str], int]:
-    """Run the ratio-test pivot on every (position, below-point) pair.  It
-    returns the process's color swap or raises, so every fault it raises
-    (the first five are kept) is a pair where the two disagree."""
+    """Run the ratio-test pivot on every (position, below-point) pair, one
+    elimination per position.  Every fault it names (the first five are
+    kept) is a pair where the ratio test and the process's color swap
+    disagree."""
     violations: list[str] = []
     cases = 0
     for S in geometry.transversals(ps):
-        for p in geometry.below_set(ps, S):
+        for p, fault in geometry.pivot_generic(ps, S):
             cases += 1
-            try:
-                geometry.pivot_generic(ps, S, p)
-            except _FAULTS as exc:
-                if len(violations) < 5:
-                    violations.append(f"{S.members} with {p}: {exc}")
+            if fault is not None and len(violations) < 5:
+                violations.append(f"{S.members} with {p}: {fault}")
     return violations, cases
 
 

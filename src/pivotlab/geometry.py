@@ -583,70 +583,69 @@ def below_set(point_set: PointSet, simplex: Transversal) -> tuple[PointId, ...]:
 
 
 def pivot_generic(
-    point_set: PointSet, simplex: Transversal, p: PointId
-) -> Transversal:
-    """Pivot by the ratio test of the extended simplex ``S + p``.
-
-    ``p`` must be strictly below ``S`` and not a member, else
-    :class:`ValueError`.  The process pivots by the color swap
-    ``S.replace(p)``; this returns exactly that or raises, so each return
-    checks the swap instead of assuming it.
+    point_set: PointSet, simplex: Transversal
+) -> list[tuple[PointId, str | None]]:
+    """Pivot by the ratio test of the extended simplex ``S + p`` for every
+    point ``p`` of :func:`below_set`, in its order.  Each ``p`` comes with
+    ``None`` when the exit is the process's color swap ``S.replace(p)``, or
+    else with the degeneracy that makes the two disagree.
 
     With the members ``q_1..q_r`` as columns of ``Q``, one fraction-free
-    elimination (:func:`_eliminate`) of ``[[Q, -1 | 0, p], [1 ... 1, 0 | 1,
-    1]]`` (the matrix ``[[Q, -1], [1 ... 1, 0]]`` beside the right-hand
-    sides ``(0, ..., 0, 1)`` and ``(p, 1)``) gives, as integer numerators
-    over one common denominator, ``lambda``, the weights of the point where
-    the diagonal crosses ``S``, and ``mu``, the weights of the point of
-    ``aff(S)`` on the diagonal through ``p``.  Signs are read off
-    the numerators, and ratios are compared by cross-multiplying them, so
-    the test builds no ``Fraction``.  Sliding the crossing
-    down the diagonal toward ``p`` moves the weights along ``-mu``, so the
-    member with the least ``lambda_j / mu_j`` over ``mu_j > 0`` (some
-    ``mu_j`` is, as they sum to one) reaches zero first and leaves.
+    elimination (:func:`_eliminate`) of ``[[Q, -1 | 0, p_1 ... p_k], [1 ...
+    1, 0 | 1, 1 ... 1]]`` (the matrix ``[[Q, -1], [1 ... 1, 0]]`` beside the
+    right-hand sides ``(0, ..., 0, 1)`` and each ``(p, 1)``) gives, as
+    integer numerators over one common denominator, ``lambda``, the weights
+    of the point where the diagonal crosses ``S``, and per ``p`` its ``mu``,
+    the weights of the point of ``aff(S)`` on the diagonal through ``p``.
+    Signs are read off the numerators, and ratios are compared by
+    cross-multiplying them, so the test builds no ``Fraction``.  Sliding the
+    crossing down the diagonal toward ``p`` moves the weights along
+    ``-mu``, so the member with the least ``lambda_j / mu_j`` over ``mu_j >
+    0`` (some ``mu_j`` is, as they sum to one) reaches zero first and
+    leaves.
 
-    A weight ``lambda_j <= 0`` (the line misses the open simplex), a tied
-    least ratio (it leaves through a lower face) or a leaving member of
-    another color than ``p`` (the ratio test disagrees with the swap) raises
-    :class:`DegeneracyError`.
+    A weight ``lambda_j <= 0`` (the line misses the open simplex, whatever
+    ``p``), a tied least ratio (it leaves through a lower face) or a
+    leaving member of another color than ``p`` (the ratio test disagrees
+    with the swap) is a degeneracy.
     """
-    if p in simplex.members:
-        raise ValueError(f"pivot point {p} is already a member")
-    if side_of(point_set, simplex, p) is not _BELOW:
-        raise ValueError(f"pivot point {p} is not strictly below the simplex")
+    below = below_set(point_set, simplex)
+    if not below:
+        return []
     # the side test found n.x == d with d > 0 and every n_i > 0: the members are
-    # linearly independent and not parallel to the diagonal, so the matrix is
-    # nonsingular and both solutions share the denominator d
+    # linearly independent and not parallel to the diagonal, so the left block
+    # is nonsingular, holds every pivot, and all solutions share the denominator d
     r = point_set.r
-    q = [point_set.coords(x) for x in simplex.members]
-    rows = [[*(x[t] for x in q), -1, 0, y] for t, y in enumerate(point_set.coords(p))]
-    rows.append([1] * r + [0, 1, 1])
+    cols = [point_set.coords(x) for x in (*simplex.members, *below)]
+    rows = [[*(x[t] for x in cols[:r]), -1, 0, *(x[t] for x in cols[r:])] for t in range(r)]
+    rows.append([1] * r + [0] + [1] * (len(below) + 1))
     d, _, a = _eliminate(rows)
-    lam, mu = [row[r + 1] for row in a], [row[r + 2] for row in a]
-    if d < 0:
-        lam, mu = [-x for x in lam], [-x for x in mu]
     # with d > 0, lambda_j and mu_j have the signs of their numerators, and
     # lambda_j / mu_j == lam[j] / mu[j]
-    if any(x <= 0 for x in lam[:r]):
-        raise DegeneracyError(f"the diagonal misses the interior of {simplex.members}")
-    # the least lam[j] / mu[j] over mu[j] > 0, compared by cross-multiplying
-    best, tied = None, False
-    for j in range(r):
-        if mu[j] > 0:
-            if best is None:
-                best = j
-                continue
-            diff = lam[j] * mu[best] - lam[best] * mu[j]
-            if diff < 0:
-                best, tied = j, False
-            elif diff == 0:
-                tied = True
-    if tied:
-        raise DegeneracyError(f"pivot of {simplex.members} with {p}: tied ratio test")
-    leaving = simplex.members[best]
-    if leaving.color != p.color:
-        raise DegeneracyError(
-            f"pivot of {simplex.members} with {p}: the exit facet drops {leaving} "
-            "and lacks a color"
-        )
-    return simplex.replace(p)
+    sign = 1 if d > 0 else -1
+    lam = [sign * row[r + 1] for row in a[:r]]
+    if any(x <= 0 for x in lam):
+        return [(p, f"the diagonal misses the interior of {simplex.members}") for p in below]
+    outcomes = []
+    for c, p in enumerate(below, start=r + 2):
+        mu = [sign * row[c] for row in a[:r]]
+        # the least lam[j] / mu[j] over mu[j] > 0, compared by cross-multiplying
+        best, tied = None, False
+        for j in range(r):
+            if mu[j] > 0:
+                if best is None:
+                    best = j
+                    continue
+                diff = lam[j] * mu[best] - lam[best] * mu[j]
+                if diff < 0:
+                    best, tied = j, False
+                elif diff == 0:
+                    tied = True
+        if tied:
+            fault = "tied ratio test"
+        elif simplex.members[best].color != p.color:
+            fault = f"the exit facet drops {simplex.members[best]} and lacks a color"
+        else:
+            fault = None
+        outcomes.append((p, fault and f"pivot of {simplex.members} with {p}: {fault}"))
+    return outcomes

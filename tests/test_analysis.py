@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pivotlab import geometry
+from pivotlab import geometry, grid_uso
 from pivotlab.analysis import (
     FAMILIES,
     BoundParams,
@@ -29,7 +29,7 @@ from pivotlab.analysis import (
 )
 from pivotlab.errors import DegeneracyError
 from pivotlab.geometry import PointId, Side, flip_tail_sign, gen_point_set
-from test_geometry import small_colored_sets
+from test_geometry import per_pair_pivot, small_colored_sets
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -88,6 +88,11 @@ def test_bound_validation():
         bound(BoundParams("corollary", 2, n=2))
     with pytest.raises(ValueError):
         bound(BoundParams("main_theorem", 1))
+    for family in ("main_theorem", "augmented_theorem"):
+        with pytest.raises(ValueError, match=f"^{family} needs r >= 1"):
+            bound(BoundParams(family, 0, 3))
+    # a comb family keeps its one-vertex grid at r = 0
+    assert bound(BoundParams("uso_theorem_eq1", 0, 3)) == grid_uso.uso_theorem_bound(0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +421,7 @@ def parent_pivot_agreement(ps) -> LemmaCheck:
                     if geometry.side_of(ps, S, p) is not Side.BELOW:
                         raise ValueError(f"pivot point {p} is not strictly below the simplex")
                     swapped = S.replace(p)
-                    tested = geometry.pivot_generic(ps, S, p)
+                    tested = per_pair_pivot(ps, S, p)
                     problem = None if swapped == tested else (
                         f"swap gives {swapped.members}, ratio test gives {tested.members}"
                     )

@@ -833,12 +833,20 @@ def test_bench_bounds_mixed_families_keep_orientations():
          "--delta-list needs a delta family: uso_lemma or augmented_theorem"),
         (["bench", "bounds", "--families", "uso_lemma", "--r-list", "1,-1"],
          "need r >= 0 and delta >= 0"),
+        (["bench", "bounds", "--families", "uso_lemma,main_theorem", "--r-list", "1,0",
+          "--m-list", "2", "--seed", "1"],
+         "main_theorem needs r >= 1: the point family has no r = 0"),
+        (["bench", "bounds", "--families", "augmented_theorem", "--r-list", "0"],
+         "augmented_theorem needs r >= 1: the point family has no r = 0"),
         (["verify", "lemmas", "--r", "2", "--m", "3", "--deep", "2", "--phase-trials", "10"],
          "--deep 2: need R > r >= 1"),
         (["verify", "lemmas", "--r", "2", "--m", "2", "--deep", "3", "--phase-trials", "10"],
          "--deep 3: the projection argument needs m >= 3"),
     ],
-    ids=["unknown-family", "delta-list-unread", "negative-r", "deep-not-above-r", "deep-small-m"],
+    ids=[
+        "unknown-family", "delta-list-unread", "negative-r", "process-r-zero",
+        "augmented-r-zero", "deep-not-above-r", "deep-small-m",
+    ],
 )
 def test_a_bad_point_is_refused_before_a_seed_is_drawn(monkeypatch, argv, message):
     """Every point of a sweep, and every ``--deep`` projection, is checked

@@ -752,8 +752,9 @@ def test_integer_kernel_beyond_64_bits():
         n, d = ps.normal(S.members)
         assert d > 2**63 and max(n) > 2**63
         below = below_set(ps, S)
+        assert pivot_generic(ps, S) == [(p, None) for p in below]
         for p in below[:: max(1, len(below) // 5)]:
-            assert pivot_generic(ps, S, p) == S.replace(p)
+            assert per_pair_pivot(ps, S, p) == S.replace(p)
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +890,130 @@ def test_fill_normals_matches_fresh_elimination_on_random_lines(ps):
 # ---------------------------------------------------------------------------
 
 
+def per_pair_pivot(point_set: PointSet, simplex: Transversal, p: PointId) -> Transversal:
+    """Oracle for :func:`pivot_generic`: its former body, one elimination of
+    ``[[Q, -1 | 0, p], [1 ... 1, 0 | 1, 1]]`` per below point, which returns
+    the color swap ``S.replace(p)`` or raises the degeneracy that the batched
+    kernel names."""
+    if p in simplex.members:
+        raise ValueError(f"pivot point {p} is already a member")
+    if side_of(point_set, simplex, p) is not Side.BELOW:
+        raise ValueError(f"pivot point {p} is not strictly below the simplex")
+    r = point_set.r
+    q = [point_set.coords(x) for x in simplex.members]
+    rows = [[*(x[t] for x in q), -1, 0, y] for t, y in enumerate(point_set.coords(p))]
+    rows.append([1] * r + [0, 1, 1])
+    d, _, a = _eliminate(rows)
+    lam, mu = [row[r + 1] for row in a], [row[r + 2] for row in a]
+    if d < 0:
+        lam, mu = [-x for x in lam], [-x for x in mu]
+    if any(x <= 0 for x in lam[:r]):
+        raise DegeneracyError(f"the diagonal misses the interior of {simplex.members}")
+    best, tied = None, False
+    for j in range(r):
+        if mu[j] > 0:
+            if best is None:
+                best = j
+                continue
+            diff = lam[j] * mu[best] - lam[best] * mu[j]
+            if diff < 0:
+                best, tied = j, False
+            elif diff == 0:
+                tied = True
+    if tied:
+        raise DegeneracyError(f"pivot of {simplex.members} with {p}: tied ratio test")
+    leaving = simplex.members[best]
+    if leaving.color != p.color:
+        raise DegeneracyError(
+            f"pivot of {simplex.members} with {p}: the exit facet drops {leaving} "
+            "and lacks a color"
+        )
+    return simplex.replace(p)
+
+
+def per_pair_outcomes(ps: PointSet, simplex: Transversal) -> list[tuple[PointId, str | None]]:
+    """What :func:`pivot_generic` returns, from :func:`per_pair_pivot` on each
+    point of the below set in turn."""
+    outcomes = []
+    for p in below_set(ps, simplex):
+        try:
+            assert per_pair_pivot(ps, simplex, p) == simplex.replace(p)
+        except DegeneracyError as exc:
+            outcomes.append((p, str(exc)))
+        else:
+            outcomes.append((p, None))
+    return outcomes
+
+
+def kernel_outcome(kernel, ps: PointSet, simplex: Transversal):
+    """``kernel(ps, simplex)``, or the error the below set raised."""
+    try:
+        return kernel(ps, simplex)
+    except (DegeneracyError, GeneralPositionError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+
+def fault_kind(fault: str | None) -> str:
+    if fault is None:
+        return "swap"
+    return next(k for k in ("misses", "tied", "lacks a color") if k in fault)
+
+
+def assert_batched_matches_per_pair(ps: PointSet) -> set[str]:
+    """The batched outcomes of every transversal equal the per-pair ones,
+    messages included; returns the outcome kinds met."""
+    kinds = set()
+    for S in transversals(ps):
+        want = kernel_outcome(per_pair_outcomes, ps, S)
+        assert kernel_outcome(pivot_generic, ps, S) == want, S.members
+        if want and want[0] == "raises":
+            kinds.add(want[1])
+        else:
+            kinds.update(fault_kind(fault) for _, fault in want)
+    return kinds
+
+
+@pytest.mark.parametrize("r,m", [(2, 4), (3, 2)])
+def test_batched_pivot_matches_per_pair_on_mutants(r, m):
+    """Every single-coordinate sign flip of the family: the same outcomes,
+    or the same error from the below set."""
+    base = gen_point_set(r, m)
+    kinds = set()
+    for pid in base.ids():
+        for index, x in enumerate(base.coords(pid)):
+            if x:
+                kinds |= assert_batched_matches_per_pair(flip_tail_sign(base, pid, index))
+    assert {"swap", "lacks a color"} <= kinds, kinds
+
+
+def test_batched_pivot_matches_per_pair_on_random_sets():
+    kinds = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_colored_sets())
+    def check(ps):
+        kinds.update(assert_batched_matches_per_pair(ps))
+
+    check()
+    assert {"swap", "misses", "lacks a color"} <= kinds, kinds
+
+
+def test_one_elimination_per_transversal_with_points_below(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "pivotlab.geometry._eliminate", lambda rows: calls.append(rows) or _eliminate(rows)
+    )
+    ps = gen_point_set(2, 4)
+    for S in transversals(ps):
+        ps.normal(S.members)  # the hyperplane's own elimination, cached first
+    for S in transversals(ps):
+        before = len(calls)
+        outcomes = pivot_generic(ps, S)
+        assert len(calls) - before == (1 if below_set(ps, S) else 0)
+        assert len(outcomes) == len(below_set(ps, S))
+    assert any(not below_set(ps, S) for S in transversals(ps))
+
+
 def facet_search_pivot(ps: PointSet, simplex: Transversal, p: PointId) -> Transversal:
     """Oracle for :func:`pivot_generic` with ``p`` strictly below the
     simplex: among the facets of the extended simplex that contain ``p``,
@@ -940,6 +1065,12 @@ def pivot_outcome(pivot, ps, simplex, p):
         return ("raises", str(exc))
 
 
+def swap_outcome(ps, simplex, p):
+    """The batched kernel's verdict on ``p`` in :func:`pivot_outcome`'s form."""
+    fault = dict(pivot_generic(ps, simplex))[p]
+    return simplex.replace(p) if fault is None else ("raises", fault)
+
+
 def test_pivot_color_swap_examples():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
@@ -948,32 +1079,49 @@ def test_pivot_color_swap_examples():
         (PointId(2, 2, 1), (PointId(1, 2, 2), PointId(2, 2, 1))),
     ]:
         assert S.replace(p).members == want
-        assert pivot_generic(ps, S, p).members == want
+        assert swap_outcome(ps, S, p).members == want
 
 
 def test_pivot_monotonicity_witness():
     ps = gen_point_set(2, 2)
     S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    after = pivot_generic(ps, S, PointId(2, 2, 1))
+    after = swap_outcome(ps, S, PointId(2, 2, 1))
     assert axis_intersections(ps, S) == (2, 2)
     assert axis_intersections(ps, after) == (2, 1)
 
 
-def test_pivot_requires_strictly_below():
-    ps = gen_point_set(2, 2)
-    S = make_transversal(ps, [PointId(1, 2, 2), PointId(2, 2, 2)])
-    with pytest.raises(ValueError, match="not strictly below"):
-        pivot_generic(ps, S, PointId(1, 1, 1))
-    with pytest.raises(ValueError, match="already a member"):
-        pivot_generic(ps, S, PointId(1, 2, 2))
-
-
-@pytest.mark.parametrize("r,m", [(2, 3), (3, 2)])
-def test_pivot_generic_agrees_with_swap_exhaustive(r, m):
-    ps = gen_point_set(r, m)
+def test_pivot_outcomes_list_the_below_set_in_order():
+    """The kernel takes no point: it answers for exactly the points strictly
+    below, in id order, and for no member or point above."""
+    ps = gen_point_set(2, 3)
     for S in transversals(ps):
-        for p in below_set(ps, S):
-            assert pivot_generic(ps, S, p) == S.replace(p)
+        below = below_set(ps, S)
+        assert [p for p, _ in pivot_generic(ps, S)] == list(below)
+        assert list(below) == sorted(below)
+        assert all(side_of(ps, S, p) is Side.BELOW for p in below)
+    # the inner layer sits above the outer simplex: members and points above
+    # are left out
+    S = make_transversal(ps, [PointId(1, 2, 3), PointId(2, 2, 3)])
+    assert [p for p, _ in pivot_generic(ps, S)] == [
+        PointId(1, 2, 1), PointId(1, 2, 2), PointId(2, 2, 1), PointId(2, 2, 2),
+    ]
+    sink = make_transversal(ps, [PointId(1, 2, 1), PointId(2, 2, 1)])
+    assert pivot_generic(ps, sink) == [] == list(below_set(ps, sink))
+
+
+@pytest.mark.parametrize(
+    "r,m,augment",
+    [
+        pytest.param(r, m, augment, id=f"{r}-{m}" + ("-augmented" if augment else ""))
+        for r, m in [(1, 4), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3)]
+        for augment in (False, True)
+    ],
+)
+def test_pivot_generic_agrees_with_swap_exhaustive(r, m, augment):
+    """On the family, plain and augmented, every pivot is the color swap, as
+    the batched kernel and the per-pair oracle both find."""
+    ps = gen_point_set(r, m)
+    assert assert_batched_matches_per_pair(ps.augmented() if augment else ps) == {"swap"}
 
 
 @st.composite
@@ -1001,7 +1149,7 @@ def small_colored_sets(draw) -> PointSet:
 def test_pivot_generic_matches_facet_search_oracle():
     """On every simplex with a valid hyperplane and no pierced proper
     subset, and every point below it, the ratio test and the facet search
-    return the same transversal or both raise DegeneracyError."""
+    return the same transversal or both find a degeneracy."""
     returned = []
 
     @settings(max_examples=300, deadline=None)
@@ -1019,16 +1167,17 @@ def test_pivot_generic_matches_facet_search_oracle():
                 for sub in combinations(coords, size)
             ):
                 continue
-            for p in ps.ids():
-                if p in S.members or side_of(ps, S, p) is not Side.BELOW:
-                    continue
+            try:
+                outcomes = pivot_generic(ps, S)
+            except GeneralPositionError:
+                continue
+            for p, fault in outcomes:
                 try:
                     want = facet_search_pivot(ps, S, p)
                 except DegeneracyError:
-                    with pytest.raises(DegeneracyError):
-                        pivot_generic(ps, S, p)
+                    assert fault is not None
                     continue
-                assert pivot_generic(ps, S, p) == want
+                assert fault is None and S.replace(p) == want
                 returned.append(want)
 
     check()
@@ -1038,7 +1187,7 @@ def test_pivot_generic_matches_facet_search_oracle():
 def test_pivot_generic_matches_fraction_ratio_test():
     """On every simplex with a valid hyperplane and every point below it,
     the cross-multiplied ratio test returns what the ``Fraction`` sort
-    returned, or raises the same message."""
+    returned, or names the same fault."""
     outcomes = set()
 
     @settings(max_examples=200, deadline=None)
@@ -1049,11 +1198,13 @@ def test_pivot_generic_matches_fraction_ratio_test():
                 hyperplane_coefficients(ps, S)
             except DegeneracyError:
                 continue
-            for p in ps.ids():
-                if p in S.members or side_of(ps, S, p) is not Side.BELOW:
-                    continue
+            try:
+                faults = pivot_generic(ps, S)
+            except GeneralPositionError:
+                continue
+            for p, fault in faults:
                 want = pivot_outcome(fraction_ratio_pivot, ps, S, p)
-                assert pivot_outcome(pivot_generic, ps, S, p) == want
+                assert (S.replace(p) if fault is None else ("raises", fault)) == want
                 outcomes.add(want[0] if isinstance(want, tuple) else "pivot")
 
     check()
@@ -1072,7 +1223,9 @@ def test_pivot_generic_tied_ratio_raises():
     S = make_transversal(ps, [PointId(1, 2, 1), PointId(2, 2, 1)])
     p = PointId(1, 2, 2)
     assert side_of(ps, S, p) is Side.BELOW
-    for pivot in (pivot_generic, fraction_ratio_pivot):
+    (outcome,) = pivot_generic(ps, S)
+    assert outcome == (p, f"pivot of {S.members} with {p}: tied ratio test")
+    for pivot in (per_pair_pivot, fraction_ratio_pivot):
         with pytest.raises(DegeneracyError, match="tied ratio test"):
             pivot(ps, S, p)
 
