@@ -40,6 +40,7 @@ __all__ = [
     "compare_to_bound",
     "format_number",
     "mc_estimate",
+    "need_two",
     "phase_law_report",
     "pivot_agreement_violations",
     "verify_lemmas",
@@ -161,6 +162,12 @@ class ExpectationReport:
         return out
 
 
+def need_two(count: int, what: str) -> None:
+    """Refuse a sample of fewer than 2 ``what``: a standard error needs 2."""
+    if count < 2:
+        raise ValueError(f"need at least 2 {what} for a standard error")
+
+
 def mc_estimate(
     sample: Callable[..., float],
     trials: int,
@@ -172,8 +179,7 @@ def mc_estimate(
     trial, so the estimate is reproducible from ``(sample, trials, seed)``
     alone.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
+    need_two(trials, "trials")
     values = [float(sample(derive_rng(seed, "trial", i))) for i in range(trials)]
     return _sample_report(values, seed)
 
@@ -279,8 +285,7 @@ def compare_to_bound(
             return grid_uso.walk(comb(rng), walk_cfg, "uniform", rng, record=False).steps
 
         return _apply_verdict(mc_estimate(sample, trials, seed), b)
-    if orientations < 2:
-        raise ValueError("need at least 2 orientations for a standard error")
+    need_two(orientations, "orientations")
     values = [
         float(
             grid_uso.expected_duration_exact(
@@ -372,28 +377,40 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
     family has none of.
 
     By Caratheodory a subset ``S`` of at most ``r`` points is pierced when
-    some subset of it is a pierced simplex.  The subsets are met in size
-    order, so ``S`` is pierced when some ``S - p`` is among the pierced
-    subsets found so far, or else when ``S`` itself passes
-    :func:`geometry.is_pierced_simplex`: one elimination per subset."""
+    some subset of it is a pierced simplex.  The subsets of each size are
+    met in ``combinations`` order, head by head, a head being all but the
+    last point and each later point a candidate: one
+    :func:`geometry.pierced_extensions` elimination per head decides
+    whether each ``head + (p,)`` is itself a pierced simplex, and ``S`` is
+    pierced when it is or when some ``S - p`` is among the pierced subsets
+    found so far."""
     r = ps.r
     ids = ps.ids()
+    coords = [ps.coords(p) for p in ids]
     colors_bad = pierced_bad = None
     cases = 0
     small_pierced = set()
     for size in range(1, r + 1):
-        for subset in combinations(ids, size):
-            cases += 1
-            full_color = sorted(p.color for p in subset) == list(range(1, r + 1))
-            pierced = any(
-                sub in small_pierced for sub in combinations(subset, size - 1)
-            ) or geometry.is_pierced_simplex([ps.coords(p) for p in subset])
-            if pierced and size < r:
-                small_pierced.add(subset)
-            if pierced and not full_color and colors_bad is None:
-                colors_bad = f"pierced subset missing a color: {subset}"
-            if full_color and not pierced and pierced_bad is None:
-                pierced_bad = f"full-color subset not pierced: {subset}"
+        for head in combinations(range(len(ids) - 1), size - 1):
+            start = head[-1] + 1 if head else 0
+            simplices = geometry.pierced_extensions([coords[i] for i in head], coords[start:])
+            head_ids = tuple(ids[i] for i in head)
+            colors = {p.color for p in head_ids}
+            # a full-color subset is a head of r - 1 colors and a point of the last
+            needed = r * (r + 1) // 2 - sum(colors) if size == r == len(colors) + 1 else None
+            for p, simplex in zip(ids[start:], simplices):
+                subset = head_ids + (p,)
+                cases += 1
+                full_color = p.color == needed
+                pierced = simplex or bool(small_pierced) and any(
+                    sub in small_pierced for sub in combinations(subset, size - 1)
+                )
+                if pierced and size < r:
+                    small_pierced.add(subset)
+                if pierced and not full_color and colors_bad is None:
+                    colors_bad = f"pierced subset missing a color: {subset}"
+                if full_color and not pierced and pierced_bad is None:
+                    pierced_bad = f"full-color subset not pierced: {subset}"
     for S in geometry.transversals(ps):
         try:
             ps.normal(S.members)

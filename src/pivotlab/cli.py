@@ -316,7 +316,8 @@ def _bench_row(args, params: analysis.BoundParams, seed: int) -> dict:
 def _cmd_bench_bounds(args) -> int:
     """The sweep, read once into a list of points, each checked by
     :func:`analysis.bound` before the seed is drawn; a count or list that no
-    listed family reads in this mode is refused first."""
+    listed family reads in this mode is refused first, and then a count too
+    small for a standard error (:func:`analysis.need_two`)."""
     families = [family.strip() for family in args.families.split(",")]
     if args.mc and args.orientations is not None:
         raise ValueError("--orientations needs exact mode: --mc draws a fresh comb per run")
@@ -326,6 +327,10 @@ def _cmd_bench_bounds(args) -> int:
         raise ValueError("--delta-list needs a delta family: uso_lemma or augmented_theorem")
     if not args.mc and args.trials is not None:
         raise ValueError("--trials needs --mc: exact mode samples no runs")
+    # what is left is read: --orientations by a comb family, --trials by every point
+    for count, what in [(args.orientations, "orientations"), (args.trials, "trials")]:
+        if count is not None:
+            analysis.need_two(count, what)
     rs, ms = _parse_range(args.r_list), _parse_range(args.m_list)
     deltas = [0] if args.delta_list is None else _parse_range(args.delta_list)
     points = [

@@ -50,6 +50,7 @@ __all__ = [
     "is_pierced_simplex",
     "is_pierced_subset",
     "make_transversal",
+    "pierced_extensions",
     "pivot_generic",
     "project_deep",
     "side_of",
@@ -65,22 +66,27 @@ Coords = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]]]:
+def _eliminate(
+    rows: Sequence[Sequence[int]], width: int | None = None
+) -> tuple[int, list[int], list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix of any
-    shape.
+    shape, pivoting in its first ``width`` columns (all of them if ``None``);
+    the columns right of them are carried along.
 
     Returns ``(d, pivots, a)``: ``a / d`` is the reduced row echelon form,
     ``pivots`` lists its pivot columns (a column without a pivot is skipped)
     and every pivot row has ``a[i][pivots[i]] == d``.  ``d`` is the last
-    pivot, so for a nonsingular square ``A`` it is ``det(A)`` up to sign (row
-    swaps flip it).  Every division is exact by Sylvester's identity
-    (Bareiss, Math. Comp. 22, 1968), so all entries stay Python ints bounded
-    by minors of the input.
+    pivot (1 if there is none), so for a nonsingular square ``A`` it is
+    ``det(A)`` up to sign (row swaps flip it).  Every division is exact by
+    Sylvester's identity (Bareiss, Math. Comp. 22, 1968), so all entries
+    stay Python ints bounded by minors of the input.
     """
     a = [list(row) for row in rows]
     d = 1
     pivots: list[int] = []
-    for c in range(len(a[0]) if a else 0):
+    if width is None:
+        width = len(a[0]) if a else 0
+    for c in range(width):
         k = len(pivots)
         pivot = next((i for i in range(k, len(a)) if a[i][c]), None)
         if pivot is None:
@@ -512,6 +518,50 @@ def is_pierced_simplex(points: Sequence[Coords]) -> bool:
         [*([s - t for s, t in zip(u, v)] + [0] for u, v in zip(cols, cols[1:])), [1] * (size + 1)]
     )
     return pivots == list(range(size)) and all(row[size] * d >= 0 for row in a[:size])
+
+
+def pierced_extensions(head: Sequence[Coords], candidates: Sequence[Coords]) -> list[bool]:
+    """:func:`is_pierced_simplex` of ``[*head, p]`` for each ``p`` in
+    ``candidates``, from one elimination of that test's matrix with the
+    head's columns, the right-hand side and every candidate's column, which
+    pivots in the head's columns only (:func:`_eliminate`).
+
+    A head with dependent columns pierces with no candidate.  Otherwise,
+    below the head's pivot rows, ``[*head, p]`` has a unique solution when
+    ``p``'s residual column ``g`` is nonzero and the right-hand side's
+    residual ``b`` is ``x`` times it, ``x = b_i / g_i`` being ``p``'s
+    weight; a head row with right-hand side ``y`` and ``p``'s entry ``c``
+    then gives the weight ``(g_i y - b_i c) / (g_i d)``.  So each candidate
+    takes ``O(r)`` integer steps.
+    """
+    if not candidates:
+        return []
+    k, n = len(head), len(head) + len(candidates)
+    rows = [
+        [u[t] - u[t + 1] for u in head] + [0] + [u[t] - u[t + 1] for u in candidates]
+        for t in range(len(candidates[0]) - 1)
+    ]
+    rows.append([1] * (n + 1))
+    d, pivots, a = _eliminate(rows, k)
+    if len(pivots) < k:
+        return [False] * len(candidates)
+    top, bottom = a[:k], a[k:]
+    rhs = [row[k] for row in bottom]
+    out = []
+    for c in range(k + 1, n + 1):
+        col = [row[c] for row in bottom]
+        i = next((i for i, g in enumerate(col) if g), None)
+        if i is None:
+            out.append(False)
+            continue
+        g, b = col[i], rhs[i]
+        gd = g * d
+        out.append(
+            b * g >= 0
+            and all(y * g == b * x for x, y in zip(col, rhs))
+            and all((g * row[k] - b * row[c]) * gd >= 0 for row in top)
+        )
+    return out
 
 
 def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:

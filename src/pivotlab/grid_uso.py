@@ -531,14 +531,33 @@ def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[i
     return masks
 
 
-#: every vertex's targets, in ``spec.vertices()`` order, and their masks
-_Arcs = tuple[dict[Vertex, tuple[Vertex, ...]], list[list[int]]]
+class _Arcs:
+    """Every vertex's targets, in ``spec.vertices()`` order, and their
+    :func:`_out_masks`.  ``acyclic`` runs Kahn's algorithm on them once."""
+
+    def __init__(self, targets: dict[Vertex, tuple[Vertex, ...]], masks: list[list[int]]) -> None:
+        self.targets = targets
+        self.masks = masks
+
+    @cached_property
+    def acyclic(self) -> bool:
+        outs = self.targets
+        indeg = Counter(w for ws in outs.values() for w in ws)
+        # the vertices with no arc left into them, in the order they are freed
+        order = [v for v in outs if not indeg[v]]
+        for v in order:
+            for w in outs[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+        return len(order) == len(outs)
 
 
 class CheckedArcs:
     """An ``OutFn`` for running both structural checks on one orientation:
     the first check reads every vertex's arcs through ``out_fn`` and checks
-    them (:func:`_read_arcs`), and the second reuses what it read."""
+    them (:func:`_read_arcs`), and the second reuses what it read, with the
+    result of Kahn's algorithm on it once either check has needed it."""
 
     def __init__(self, out_fn: OutFn) -> None:
         self.out_fn = out_fn
@@ -554,7 +573,7 @@ def _read_arcs(spec: GridSpec, out_fn: OutFn) -> _Arcs:
     if isinstance(out_fn, CheckedArcs) and out_fn.read and out_fn.read[0] == spec:
         return out_fn.read[1]
     targets = {v: out_fn(v) for v in spec.vertices()}
-    arcs = targets, [_out_masks(spec, v, ws) for v, ws in targets.items()]
+    arcs = _Arcs(targets, [_out_masks(spec, v, ws) for v, ws in targets.items()])
     if isinstance(out_fn, CheckedArcs):
         out_fn.read = spec, arcs
     return arcs
@@ -563,16 +582,39 @@ def _read_arcs(spec: GridSpec, out_fn: OutFn) -> _Arcs:
 def unique_sink_violations(
     spec: GridSpec, out_fn: OutFn
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """Exhaustively check every subgrid for a unique sink; returns the
-    offending subgrids (as tuples of per-factor value subsets, in
-    ``product`` order, at most five of them), empty if the orientation is a
-    unique sink orientation.
+    """Check every subgrid for a unique sink; returns the offending subgrids
+    (as tuples of per-factor value subsets, in ``product`` order, at most
+    five of them), empty if the orientation is a unique sink orientation.
 
     ``out_fn(v)`` must list only grid neighbours of ``v`` (vertices of the
     grid that differ from ``v`` in exactly one coordinate); any other target
     raises ``ValueError``.  Each vertex's arcs are read once
-    (:func:`_read_arcs`), as one bitmask per axis, and the vertices are
-    numbered in ``spec.vertices()`` order.
+    (:func:`_read_arcs`), as one bitmask per axis.  A subgrid (one value
+    subset per axis) has ``v`` as a sink when each subset holds ``v``'s
+    coordinate and none of the values its arcs along that axis lead to, so
+    ``v`` is the sink of ``prod_d 2**(s_d - 1 - |out_d(v)|)`` subgrids.
+    Every subgrid of an acyclic orientation has a sink, so when these counts
+    sum to the number of subgrids and Kahn's algorithm orders the arcs
+    (:attr:`_Arcs.acyclic`, run once per :class:`CheckedArcs`), every
+    subgrid has exactly one, and the answer is decided in time linear in
+    the vertex count.  Otherwise :func:`_sweep_violations` finds and names
+    the violations.
+    """
+    count = math.prod(2**s - 1 for s in spec.factor_sizes)
+    chain.check_state_count(count, "subgrids", "the exhaustive check")
+    arcs = _read_arcs(spec, out_fn)
+    free = sum(spec.factor_sizes) - spec.dimension
+    sinks = sum(1 << (free - sum(mask.bit_count() for mask in masks)) for masks in arcs.masks)
+    if sinks == count and arcs.acyclic:
+        return []
+    return _sweep_violations(spec, arcs)
+
+
+def _sweep_violations(spec: GridSpec, arcs: _Arcs) -> list[tuple[tuple[int, ...], ...]]:
+    """The first five subgrids without a unique sink, in ``product`` order,
+    by sweeping every subgrid; the vertices are numbered in
+    ``spec.vertices()`` order.
+
     For each axis ``d`` and value subset (a bitmask, bit ``c-1`` for value
     ``c``), one int bitset holds the vertices whose coordinate ``d`` lies in
     the subset and that have no arc along ``d`` into it.  The subgrids are
@@ -580,15 +622,14 @@ def unique_sink_violations(
     subgrid on the axes fixed so far with no arc into it along them is the
     ``&`` of those sets; after the last axis it holds the subgrid's sinks,
     and a subgrid is good when it has one bit.  Only a reported subgrid's
-    masks are decoded into values.
+    masks are decoded into values.  The one-vertex grid of dimension 0 has
+    no arc, so the count always decides it and it never comes here.
     """
-    count = math.prod(2**s - 1 for s in spec.factor_sizes)
-    chain.check_state_count(count, "subgrids", "the exhaustive check")
     last = spec.dimension - 1
     # groups[d][(position bit, out-mask)]: bitset of the vertices with that
     # coordinate and those arcs along axis d
     groups: list[dict[tuple[int, int], int]] = [{} for _ in range(spec.dimension)]
-    for i, (v, masks) in enumerate(zip(*_read_arcs(spec, out_fn))):
+    for i, (v, masks) in enumerate(zip(arcs.targets, arcs.masks)):
         for group, c, out in zip(groups, v, masks):
             key = (1 << (c - 1), out)
             group[key] = group.get(key, 0) | 1 << i
@@ -619,25 +660,16 @@ def unique_sink_violations(
                     return True
         return False
 
-    if last >= 0:
-        sweep(0, (), (1 << spec.vertex_count) - 1)
+    sweep(0, (), (1 << spec.vertex_count) - 1)
     return bad
 
 
 def has_topological_order(spec: GridSpec, out_fn: OutFn) -> bool:
-    """Kahn's algorithm over the full edge set; an arc that does not join two
-    grid neighbours raises ``ValueError``, as in the unique-sink check."""
+    """Kahn's algorithm over the full edge set (:attr:`_Arcs.acyclic`), run
+    once per :class:`CheckedArcs`; an arc that does not join two grid
+    neighbours raises ``ValueError``, as in the unique-sink check."""
     chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
-    outs, _ = _read_arcs(spec, out_fn)
-    indeg = Counter(w for ws in outs.values() for w in ws)
-    # the vertices with no arc left into them, in the order they are freed
-    order = [v for v in outs if not indeg[v]]
-    for v in order:
-        for w in outs[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                order.append(w)
-    return len(order) == spec.vertex_count
+    return _read_arcs(spec, out_fn).acyclic
 
 
 # ---------------------------------------------------------------------------

@@ -873,6 +873,27 @@ def test_bench_bounds_needs_two_orientations(orientations):
 
 
 @pytest.mark.parametrize(
+    "counts, message",
+    [
+        (["--orientations", "1"], "need at least 2 orientations for a standard error"),
+        (["--mc", "--trials", "1"], "need at least 2 trials for a standard error"),
+    ],
+    ids=["orientations", "mc-trials"],
+)
+def test_bench_bounds_refuses_a_count_below_two_up_front(monkeypatch, counts, message):
+    """A count too small for a standard error is refused before a seed is
+    generated and announced, and before the process family listed first is
+    measured."""
+    def measure(*args, **kwargs):
+        raise AssertionError("measured before the counts were checked")
+
+    monkeypatch.setattr(analysis, "compare_to_bound", measure)
+    argv = ["bench", "bounds", "--families", "main_theorem,uso_lemma",
+            "--r-list", "1", "--m-list", "2", *counts]
+    assert run_cli(argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "sweep, message",
     [
         (["--m-list", "5..2"], "error: empty range '5..2'\n"),

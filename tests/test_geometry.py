@@ -1,6 +1,7 @@
 """Tests for the exact point construction and its exact predicates."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,6 +23,7 @@ from pivotlab.geometry import (
     is_pierced_simplex,
     is_pierced_subset,
     make_transversal,
+    pierced_extensions,
     pivot_generic,
     project_deep,
     side_of,
@@ -388,6 +390,32 @@ def test_is_pierced_simplex_matches_rational_solve():
 
     check()
     assert seen == {True, False}
+
+
+def test_pierced_extensions_match_one_elimination_per_subset():
+    """The per-head test agrees with :func:`is_pierced_simplex` of every
+    ``head + [p]``, on small coordinates, so heads are often dependent and
+    residual columns zero."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def check(data):
+        r = data.draw(st.integers(1, 4))
+        points = data.draw(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * r), min_size=1, max_size=7)
+        )
+        k = data.draw(st.integers(0, min(r, len(points)) - 1))
+        head, candidates = points[:k], points[k:]
+        got = pierced_extensions(head, candidates)
+        assert got == [is_pierced_simplex([*head, p]) for p in candidates]
+        seen.update(got)
+        # the head's projected points, each with its weight's 1, as rows
+        lifted = [[*(u[t] - u[t + 1] for t in range(r - 1)), 1] for u in head]
+        seen["dependent head"] += k > 0 and len(_eliminate(lifted)[1]) < k
+
+    check()
+    assert seen[True] and seen[False] and seen["dependent head"]
 
 
 def test_pierced_rejects_wrong_arity():

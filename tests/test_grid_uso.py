@@ -4,7 +4,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, product
 from random import Random
 
@@ -781,42 +781,76 @@ def test_subgrid_check_cap(monkeypatch):
         unique_sink_violations(grid_spec(comb), never)
 
 
+def faults(comb):
+    """``out_neighbors`` of ``comb`` and, when it has arcs, two faulted
+    orientations: the top factor's values 1 and ``m`` flipped, and the arc
+    from the last vertex to value 1 along the first axis of 3 or more values
+    reversed, which closes a directed triangle."""
+    out_fn = partial(out_neighbors, comb)
+    sizes = comb.sizes
+    if math.prod(sizes) < 2:
+        return [out_fn]
+    d = next(d for d, s in enumerate(sizes) if s >= 3)
+    v = sizes
+    w = v[:d] + (1,) + v[d + 1 :]
+    return [out_fn, flip_top_pair_out(comb, 1, comb.m), reverse_arc(out_fn, v, w)]
+
+
 @pytest.mark.parametrize("check", [unique_sink_violations, has_topological_order])
 @pytest.mark.parametrize("sizes", [(), (1,), (4,), (3, 2), (2, 3, 2)])
 def test_checks_read_each_vertex_once(check, sizes):
+    """On the identity comb and its faults (:func:`faults`), whose
+    violations the sweep names."""
     comb = _identity_for(sizes)
-    spec, out_fn = grid_spec(comb), partial(out_neighbors, comb)
-    calls = Counter()
+    spec = grid_spec(comb)
+    for out_fn in faults(comb):
+        calls = Counter()
 
-    def counted(v):
-        calls[v] += 1
-        return out_fn(v)
+        def counted(v):
+            calls[v] += 1
+            return out_fn(v)
 
-    check(spec, counted)
-    assert calls == Counter(spec.vertices())
+        check(spec, counted)
+        assert calls == Counter(spec.vertices())
 
 
 @pytest.mark.parametrize("sizes", [(), (1,), (4,), (3, 2), (2, 3, 2)])
 def test_both_checks_read_and_check_each_vertex_once_between_them(monkeypatch, sizes):
     """Through one ``CheckedArcs``, as ``uso verify`` runs them, the two checks
-    call ``out_fn`` and ``_out_masks`` once per vertex between them."""
+    call ``out_fn`` and ``_out_masks`` once per vertex between them, and
+    Kahn's algorithm runs once, on the identity comb and on its faults."""
     comb = _identity_for(sizes)
-    spec, out_fn = grid_spec(comb), partial(out_neighbors, comb)
-    calls, checked = Counter(), Counter()
+    spec = grid_spec(comb)
+    plain = [(has_topological_order(spec, f), unique_sink_violations(spec, f)) for f in faults(comb)]
+    assert plain[0] == (True, [])
+    assert all(usv for _, usv in plain[2:])  # a reversed arc enters the sweep
+    kahn = Counter()
+    acyclic = grid_uso._Arcs.acyclic.func
 
-    def counted(v):
-        calls[v] += 1
-        return out_fn(v)
+    def counted_kahn(arcs):
+        kahn["runs"] += 1
+        return acyclic(arcs)
 
-    def counted_masks(spec, v, targets):
-        checked[v] += 1
-        return _out_masks(spec, v, targets)
+    counted_acyclic = cached_property(counted_kahn)
+    counted_acyclic.__set_name__(grid_uso._Arcs, "acyclic")
+    monkeypatch.setattr(grid_uso._Arcs, "acyclic", counted_acyclic)
+    for out_fn, want in zip(faults(comb), plain):
+        calls, checked = Counter(), Counter()
+        kahn.clear()
 
-    monkeypatch.setattr(grid_uso, "_out_masks", counted_masks)
-    arcs = CheckedArcs(counted)
-    assert has_topological_order(spec, arcs)
-    assert unique_sink_violations(spec, arcs) == []
-    assert calls == checked == Counter(spec.vertices())
+        def counted(v):
+            calls[v] += 1
+            return out_fn(v)
+
+        def counted_masks(spec, v, targets):
+            checked[v] += 1
+            return _out_masks(spec, v, targets)
+
+        monkeypatch.setattr(grid_uso, "_out_masks", counted_masks)
+        arcs = CheckedArcs(counted)
+        assert (has_topological_order(spec, arcs), unique_sink_violations(spec, arcs)) == want
+        assert calls == checked == Counter(spec.vertices())
+        assert kahn["runs"] == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -992,6 +1026,116 @@ def test_only_the_first_five_violations_are_reported():
 def test_zero_dimensional_grid_has_no_violation():
     assert unique_sink_violations(GridSpec(()), lambda v: ()) == []
     comb = build_comb(0, 3, Random(7))
+    assert unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb)) == []
+
+
+# ---------------------------------------------------------------------------
+# the sink count decides, and the sweep names
+# ---------------------------------------------------------------------------
+
+CUBE = GridSpec((2, 2, 2))
+
+
+def cube_orientations():
+    """Every orientation of the 12 edges of the 2x2x2 grid, as arc dicts."""
+    vertices = list(CUBE.vertices())
+    edges = [(v, v[:d] + (2,) + v[d + 1 :]) for v in vertices for d in range(3) if v[d] == 1]
+    for bits in range(2 ** len(edges)):
+        out = {v: () for v in vertices}
+        for i, (a, b) in enumerate(edges):
+            if bits >> i & 1:
+                a, b = b, a
+            out[a] += (b,)
+        yield out
+
+
+def sink_count(spec, arcs):
+    """How many (subgrid, sink) pairs the orientation has:
+    ``prod_d 2**(s_d - 1 - |out_d(v)|)`` summed over its vertices."""
+    return sum(
+        math.prod(
+            2 ** (s - 1 - sum(w[d] != v[d] for w in ws))
+            for d, s in enumerate(spec.factor_sizes)
+        )
+        for v, ws in arcs.items()
+    )
+
+
+# a directed 6-cycle through every vertex but (1, 1, 1) and (2, 2, 2), yet
+# every subgrid has exactly one sink
+CYCLIC_USO = {
+    (1, 1, 1): ((2, 1, 1), (1, 2, 1), (1, 1, 2)),
+    (1, 1, 2): ((1, 2, 2),),
+    (1, 2, 1): ((2, 2, 1),),
+    (1, 2, 2): ((1, 2, 1), (2, 2, 2)),
+    (2, 1, 1): ((2, 1, 2),),
+    (2, 1, 2): ((1, 1, 2), (2, 2, 2)),
+    (2, 2, 1): ((2, 1, 1), (2, 2, 2)),
+    (2, 2, 2): (),
+}
+# 27 sinks over the 27 subgrids, but the subgrid ((1,), (1, 2), (1, 2)) has
+# two and ((1, 2), (1,), (1, 2)) none
+COUNT_27 = {
+    (1, 1, 1): ((2, 1, 1),),
+    (1, 1, 2): ((1, 1, 1), (1, 2, 2)),
+    (1, 2, 1): ((1, 1, 1), (2, 2, 1), (1, 2, 2)),
+    (1, 2, 2): ((2, 2, 2),),
+    (2, 1, 1): ((2, 2, 1), (2, 1, 2)),
+    (2, 1, 2): ((1, 1, 2), (2, 2, 2)),
+    (2, 2, 1): ((2, 2, 2),),
+    (2, 2, 2): (),
+}
+
+
+def test_every_cube_orientation_matches_scalar_oracle():
+    """Over all 4,096 orientations of the 2x2x2 grid, 16 are cyclic with a
+    unique sink in every subgrid, and in 624 the sink count equals the 27
+    subgrids while some subgrid has none: the count decides only with
+    acyclicity."""
+    cyclic_usos = count_27_bad = 0
+    for arcs in cube_orientations():
+        want = scalar_unique_sink_violations(CUBE, arcs.get)
+        assert unique_sink_violations(CUBE, arcs.get) == want
+        cyclic_usos += not want and not has_topological_order(CUBE, arcs.get)
+        count_27_bad += bool(want) and sink_count(CUBE, arcs) == 27
+    assert (cyclic_usos, count_27_bad) == (16, 624)
+
+
+@pytest.mark.parametrize(
+    "arcs, want",
+    [(CYCLIC_USO, []), (COUNT_27, [((1,), (1, 2), (1, 2)), ((1, 2), (1,), (1, 2))])],
+    ids=["cyclic-uso", "count-27-violations"],
+)
+def test_the_sweep_decides_a_cyclic_orientation(monkeypatch, arcs, want):
+    """Both cube orientations are cyclic and count 27 sinks over the 27
+    subgrids, the first with one sink in every subgrid and the second with
+    two in one and none in another: the sweep decides them, with the
+    oracle's answer."""
+    assert scalar_unique_sink_violations(CUBE, arcs.get) == want
+    assert not has_topological_order(CUBE, arcs.get)
+    assert sink_count(CUBE, arcs) == 27
+    sweeps = Counter()
+    sweep = grid_uso._sweep_violations
+
+    def counted(spec, read):
+        sweeps["runs"] += 1
+        return sweep(spec, read)
+
+    monkeypatch.setattr(grid_uso, "_sweep_violations", counted)
+    assert unique_sink_violations(CUBE, arcs.get) == want
+    assert sweeps["runs"] == 1
+
+
+@pytest.mark.parametrize("r, m", [(0, 3), (1, 5), (2, 4), (3, 3), (2, 6)])
+def test_a_valid_comb_never_enters_the_sweep(monkeypatch, r, m):
+    def never(spec, arcs):
+        raise AssertionError("a valid comb entered the sweep")
+
+    monkeypatch.setattr(grid_uso, "_sweep_violations", never)
+    for seed in range(3):
+        comb = build_comb(r, m, Random(f"count{seed}"))
+        assert unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb)) == []
+    comb = embed_padded(build_comb(2, 3, Random(1)), 7) if r == 2 else identity_comb(r, m)
     assert unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb)) == []
 
 
