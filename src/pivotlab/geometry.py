@@ -47,7 +47,6 @@ __all__ = [
     "gen_point",
     "gen_point_set",
     "hyperplane_coefficients",
-    "is_pierced_simplex",
     "is_pierced_subset",
     "make_transversal",
     "pierced_extensions",
@@ -239,19 +238,15 @@ class PointSet:
 
         Defaults to ``alpha_i = m + 1`` everywhere: values below ``m`` are
         invalid, and ``alpha_i == m`` would coincide with the on-axis point of
-        phase ``m``, so the smallest usable value is ``m + 1``.
+        phase ``m``, so every ``alpha_i`` must be at least ``m + 1``.
         """
         if self.alphas is not None:
             raise ValueError("point set is already augmented")
         chosen = tuple(alphas) if alphas is not None else (self.m + 1,) * self.r
         if len(chosen) != self.r:
             raise ValueError(f"need {self.r} alphas, got {len(chosen)}")
-        for a in chosen:
-            if a == self.m:
-                raise ValueError(
-                    f"alpha {a} coincides with the on-axis point of phase {self.m}; "
-                    f"use alpha >= {self.m + 1}"
-                )
+        if (low := min(chosen)) <= self.m:
+            raise ValueError(f"adversary alpha {low} below the minimum {self.m + 1}")
         points = dict(self._points)
         for i in range(1, self.r + 1):
             pid = PointId(i, self.r, self.m + 1)
@@ -502,29 +497,15 @@ class Side(IntEnum):
 _BELOW, _ON, _ABOVE = Side.BELOW, Side.ON, Side.ABOVE
 
 
-def is_pierced_simplex(points: Sequence[Coords]) -> bool:
-    """Exact test of whether the diagonal line meets the hull of exactly
-    these points with unique, nonnegative barycentric weights.
-
-    Projects along the diagonal (consecutive coordinate differences) and
-    runs one fraction-free elimination (:func:`_eliminate`) of the integer
-    system ``[P | 0], [1 ... 1 | 1]``: it has a unique solution when the
-    pivots are exactly its ``size`` columns, and then the solution is
-    ``a[i][size] / d``, whose signs are those of ``a[i][size] * d``.
-    """
-    size = len(points)
-    cols = list(zip(*points))
-    d, pivots, a = _eliminate(
-        [*([s - t for s, t in zip(u, v)] + [0] for u, v in zip(cols, cols[1:])), [1] * (size + 1)]
-    )
-    return pivots == list(range(size)) and all(row[size] * d >= 0 for row in a[:size])
-
-
 def pierced_extensions(head: Sequence[Coords], candidates: Sequence[Coords]) -> list[bool]:
-    """:func:`is_pierced_simplex` of ``[*head, p]`` for each ``p`` in
-    ``candidates``, from one elimination of that test's matrix with the
-    head's columns, the right-hand side and every candidate's column, which
-    pivots in the head's columns only (:func:`_eliminate`).
+    """For each ``p`` in ``candidates``, whether the diagonal line meets the
+    hull of exactly the points ``[*head, p]`` with unique, nonnegative
+    barycentric weights: whether the integer system ``[P | 0], [1 ... 1 |
+    1]`` in those points projected along the diagonal (consecutive
+    coordinate differences) has a unique, nonnegative solution.  One
+    fraction-free elimination (:func:`_eliminate`) of the head's columns,
+    the right-hand side and every candidate's column, pivoting in the
+    head's columns only, decides every candidate.
 
     A head with dependent columns pierces with no candidate.  Otherwise,
     below the head's pivot rows, ``[*head, p]`` has a unique solution when
@@ -566,13 +547,18 @@ def pierced_extensions(head: Sequence[Coords], candidates: Sequence[Coords]) -> 
 
 def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:
     """Exact test of whether the convex hull meets the diagonal line: by
-    Caratheodory, whether some subset of at most ``r`` points passes
-    :func:`is_pierced_simplex`, each candidate one elimination."""
+    Caratheodory, whether some subset of at most ``r`` points is a pierced
+    simplex.  The subsets of each size are met head by head, a head being
+    all but the last point, with one :func:`pierced_extensions` elimination
+    per head."""
     pts = list(points)
     if any(len(x) != r for x in pts):
         raise ValueError(f"points must have {r} coordinates")
-    sizes = range(1, min(len(pts), r) + 1)
-    return any(is_pierced_simplex(sub) for size in sizes for sub in combinations(pts, size))
+    return any(
+        any(pierced_extensions([pts[i] for i in head], pts[head[-1] + 1 if head else 0 :]))
+        for size in range(1, min(len(pts), r) + 1)
+        for head in combinations(range(len(pts) - 1), size - 1)
+    )
 
 
 def hyperplane_coefficients(

@@ -23,7 +23,8 @@ count of one hyperplane of that node.  :func:`_moves` builds them from the
 ranks on a vertex's first visit and keeps them on the comb, its one arc
 cache.  :func:`walk` steps by adding the drawn change to the id and decodes
 coordinates only to record them; :func:`out_neighbors` decodes the same
-changes into target tuples for the structural checks.  So a walk draws
+changes into target tuples for the structural checks, which read them
+once per vertex through one :class:`CheckedArcs`.  So a walk draws
 exactly as it would over :func:`out_neighbors`, and a fresh comb per trial
 fills only what its one walk visits.  The exact solve compiles the comb
 once into a :class:`chain.Chain` over the same vertex ids.
@@ -35,9 +36,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from operator import ne
+from operator import and_, ne
 from typing import Callable, Iterator
 
 from . import chain
@@ -531,52 +532,53 @@ def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[i
     return masks
 
 
-class _Arcs:
-    """Every vertex's targets, in ``spec.vertices()`` order, and their
-    :func:`_out_masks`.  ``acyclic`` runs Kahn's algorithm on them once."""
-
-    def __init__(self, targets: dict[Vertex, tuple[Vertex, ...]], masks: list[list[int]]) -> None:
-        self.targets = targets
-        self.masks = masks
-
-    @cached_property
-    def acyclic(self) -> bool:
-        outs = self.targets
-        indeg = Counter(w for ws in outs.values() for w in ws)
-        # the vertices with no arc left into them, in the order they are freed
-        order = [v for v in outs if not indeg[v]]
-        for v in order:
-            for w in outs[v]:
-                indeg[w] -= 1
-                if not indeg[w]:
-                    order.append(w)
-        return len(order) == len(outs)
-
-
 class CheckedArcs:
-    """An ``OutFn`` for running both structural checks on one orientation:
-    the first check reads every vertex's arcs through ``out_fn`` and checks
-    them (:func:`_read_arcs`), and the second reuses what it read, with the
-    result of Kahn's algorithm on it once either check has needed it."""
+    """An ``OutFn`` over the grid ``spec`` that keeps what the structural
+    checks read of ``out_fn``.  On first use (:attr:`arcs`) it reads every
+    vertex's targets, one ``out_fn`` call each, and checks them into their
+    :func:`_out_masks`; :attr:`acyclic` runs Kahn's algorithm on them once.
+    ``uso verify`` passes one to both checks; a check given any other
+    ``OutFn``, or a ``CheckedArcs`` of another grid, wraps it in a fresh
+    one."""
 
-    def __init__(self, out_fn: OutFn) -> None:
+    def __init__(self, spec: GridSpec, out_fn: OutFn) -> None:
+        self.spec = spec
         self.out_fn = out_fn
-        self.read: tuple[GridSpec, _Arcs] | None = None
 
     def __call__(self, v: Vertex) -> tuple[Vertex, ...]:
         return self.out_fn(v)
 
+    @cached_property
+    def arcs(self) -> dict[Vertex, tuple[tuple[Vertex, ...], list[int]]]:
+        """Each vertex's targets and their :func:`_out_masks`, in
+        ``spec.vertices()`` order.  The grid's vertex count, and then its
+        edge count ``V * sum_d (s_d - 1) / 2``, are checked against the cap
+        before the first ``out_fn`` call."""
+        spec = self.spec
+        chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
+        edges = spec.vertex_count * sum(s - 1 for s in spec.factor_sizes) // 2
+        chain.check_state_count(edges, "grid edges", "the acyclicity check")
+        targets = {v: self.out_fn(v) for v in spec.vertices()}
+        return {v: (ws, _out_masks(spec, v, ws)) for v, ws in targets.items()}
 
-def _read_arcs(spec: GridSpec, out_fn: OutFn) -> _Arcs:
-    """Every vertex's targets and :func:`_out_masks`, one ``out_fn`` call per
-    vertex; a :class:`CheckedArcs` keeps them for its next check of ``spec``."""
-    if isinstance(out_fn, CheckedArcs) and out_fn.read and out_fn.read[0] == spec:
-        return out_fn.read[1]
-    targets = {v: out_fn(v) for v in spec.vertices()}
-    arcs = _Arcs(targets, [_out_masks(spec, v, ws) for v, ws in targets.items()])
-    if isinstance(out_fn, CheckedArcs):
-        out_fn.read = spec, arcs
-    return arcs
+    @cached_property
+    def acyclic(self) -> bool:
+        arcs = self.arcs
+        indeg = Counter(w for ws, _ in arcs.values() for w in ws)
+        # the vertices with no arc left into them, in the order they are freed
+        order = [v for v in arcs if not indeg[v]]
+        for v in order:
+            for w in arcs[v][0]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+        return len(order) == len(arcs)
+
+
+def _checked(spec: GridSpec, out_fn: OutFn) -> CheckedArcs:
+    if isinstance(out_fn, CheckedArcs) and out_fn.spec == spec:
+        return out_fn
+    return CheckedArcs(spec, out_fn)
 
 
 def unique_sink_violations(
@@ -588,48 +590,45 @@ def unique_sink_violations(
 
     ``out_fn(v)`` must list only grid neighbours of ``v`` (vertices of the
     grid that differ from ``v`` in exactly one coordinate); any other target
-    raises ``ValueError``.  Each vertex's arcs are read once
-    (:func:`_read_arcs`), as one bitmask per axis.  A subgrid (one value
-    subset per axis) has ``v`` as a sink when each subset holds ``v``'s
-    coordinate and none of the values its arcs along that axis lead to, so
-    ``v`` is the sink of ``prod_d 2**(s_d - 1 - |out_d(v)|)`` subgrids.
-    Every subgrid of an acyclic orientation has a sink, so when these counts
-    sum to the number of subgrids and Kahn's algorithm orders the arcs
-    (:attr:`_Arcs.acyclic`, run once per :class:`CheckedArcs`), every
-    subgrid has exactly one, and the answer is decided in time linear in
-    the vertex count.  Otherwise :func:`_sweep_violations` finds and names
-    the violations.
+    raises ``ValueError``.  Each vertex's arcs are read once, as one bitmask
+    per axis (:attr:`CheckedArcs.arcs`).  A subgrid (one value subset per
+    axis) has ``v`` as a sink when each subset holds ``v``'s coordinate and
+    none of the values its arcs along that axis lead to, so ``v`` is the
+    sink of ``prod_d 2**(s_d - 1 - |out_d(v)|)`` subgrids.  Every subgrid
+    of an acyclic orientation has a sink, so when these counts sum to the
+    number of subgrids and Kahn's algorithm orders the arcs
+    (:attr:`CheckedArcs.acyclic`), every subgrid has exactly one, and the
+    answer is decided in time linear in the vertex count.  Otherwise
+    :func:`_sweep_violations` finds and names the violations, once the
+    subgrid count is within the cap.
     """
+    checked = _checked(spec, out_fn)
     count = math.prod(2**s - 1 for s in spec.factor_sizes)
-    chain.check_state_count(count, "subgrids", "the exhaustive check")
-    arcs = _read_arcs(spec, out_fn)
     free = sum(spec.factor_sizes) - spec.dimension
-    sinks = sum(1 << (free - sum(mask.bit_count() for mask in masks)) for masks in arcs.masks)
-    if sinks == count and arcs.acyclic:
+    sinks = sum(1 << (free - sum(map(int.bit_count, masks))) for _, masks in checked.arcs.values())
+    if sinks == count and checked.acyclic:
         return []
-    return _sweep_violations(spec, arcs)
+    chain.check_state_count(count, "subgrids", "the exhaustive check")
+    return _sweep_violations(spec, checked)
 
 
-def _sweep_violations(spec: GridSpec, arcs: _Arcs) -> list[tuple[tuple[int, ...], ...]]:
+def _sweep_violations(spec: GridSpec, checked: CheckedArcs) -> list[tuple[tuple[int, ...], ...]]:
     """The first five subgrids without a unique sink, in ``product`` order,
     by sweeping every subgrid; the vertices are numbered in
     ``spec.vertices()`` order.
 
     For each axis ``d`` and value subset (a bitmask, bit ``c-1`` for value
     ``c``), one int bitset holds the vertices whose coordinate ``d`` lies in
-    the subset and that have no arc along ``d`` into it.  The subgrids are
-    then swept one axis at a time, and the bitset of vertices in the
-    subgrid on the axes fixed so far with no arc into it along them is the
-    ``&`` of those sets; after the last axis it holds the subgrid's sinks,
-    and a subgrid is good when it has one bit.  Only a reported subgrid's
-    masks are decoded into values.  The one-vertex grid of dimension 0 has
-    no arc, so the count always decides it and it never comes here.
+    the subset and that have no arc along ``d`` into it.  The ``&`` of one
+    such set per axis holds a subgrid's sinks, and a subgrid is good when it
+    has one bit.  Only a reported subgrid's masks are decoded into values.
+    The one-vertex grid of dimension 0 has no arc, so the count always
+    decides it and it never comes here.
     """
-    last = spec.dimension - 1
     # groups[d][(position bit, out-mask)]: bitset of the vertices with that
     # coordinate and those arcs along axis d
     groups: list[dict[tuple[int, int], int]] = [{} for _ in range(spec.dimension)]
-    for i, (v, masks) in enumerate(zip(arcs.targets, arcs.masks)):
+    for i, (v, (_, masks)) in enumerate(checked.arcs.items()):
         for group, c, out in zip(groups, v, masks):
             key = (1 << (c - 1), out)
             group[key] = group.get(key, 0) | 1 << i
@@ -643,33 +642,23 @@ def _sweep_violations(spec: GridSpec, arcs: _Arcs) -> list[tuple[tuple[int, ...]
         for group, s in zip(groups, spec.factor_sizes)
     ]
     bad: list[tuple[tuple[int, ...], ...]] = []
-
-    def sweep(d: int, prefix: tuple[int, ...], alive: int) -> bool:
-        """Sweep axis ``d``; True once five violations are found."""
-        for mask, kept in enumerate(keep[d], 1):
-            kept &= alive
-            if d < last:
-                if sweep(d + 1, prefix + (mask,), kept):
-                    return True
-            elif not kept or kept & (kept - 1):
-                bad.append(tuple(
-                    tuple(c for c in range(1, bits.bit_length() + 1) if bits >> (c - 1) & 1)
-                    for bits in prefix + (mask,)
-                ))
-                if len(bad) == 5:
-                    return True
-        return False
-
-    sweep(0, (), (1 << spec.vertex_count) - 1)
+    for subgrid in product(*(range(1, 2**s) for s in spec.factor_sizes)):
+        kept = reduce(and_, (sets[mask - 1] for sets, mask in zip(keep, subgrid)))
+        if not kept or kept & (kept - 1):
+            bad.append(tuple(
+                tuple(c for c in range(1, bits.bit_length() + 1) if bits >> (c - 1) & 1)
+                for bits in subgrid
+            ))
+            if len(bad) == 5:
+                break
     return bad
 
 
 def has_topological_order(spec: GridSpec, out_fn: OutFn) -> bool:
-    """Kahn's algorithm over the full edge set (:attr:`_Arcs.acyclic`), run
-    once per :class:`CheckedArcs`; an arc that does not join two grid
-    neighbours raises ``ValueError``, as in the unique-sink check."""
-    chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
-    return _read_arcs(spec, out_fn).acyclic
+    """Kahn's algorithm over the full edge set (:attr:`CheckedArcs.acyclic`);
+    an arc that does not join two grid neighbours raises ``ValueError``, as
+    in the unique-sink check."""
+    return _checked(spec, out_fn).acyclic
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,40 @@ def test_uso_verify_reads_each_vertex_once(monkeypatch):
     assert len(reads) == 9 and set(reads.values()) == {1}
 
 
+def test_uso_verify_decides_a_grid_of_more_subgrids_than_the_cap(monkeypatch):
+    """(2,12) has 144 vertices and (2**12 - 1)**2 subgrids, over the default
+    cap: the count decides it, and the subgrid cap guards only the sweep."""
+    monkeypatch.delenv("PIVOTLAB_STATE_CAP", raising=False)
+    code, out, err = run_cli(["uso", "verify", "--r", "2", "--m", "12", "--seed", "1"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["acyclic"] and payload["unique_sinks"]
+
+
+def test_uso_verify_caps_the_grid_edges_before_reading_an_arc(monkeypatch):
+    """The identity (2,10) grid has 100 vertices and 100 * 18 / 2 = 900
+    edges: under a cap of 100 it is refused on its edges, with no arc read."""
+
+    def never(comb, v):
+        raise AssertionError(f"out_neighbors({v}) called before the edge cap")
+
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "100")
+    monkeypatch.setattr(grid_uso, "out_neighbors", never)
+    code, out, err = run_cli(["uso", "verify", "--identity", "--r", "2", "--m", "10"])
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "error: instance too large for the acyclicity check: "
+        "900 grid edges exceed the cap of 100\n"
+    )
+
+
+def test_points_dump_names_the_least_usable_alpha():
+    for alphas in ["2,5", "3,5"]:
+        code, out, err = run_cli(["points", "dump", "--r", "2", "--m", "3", "--alphas", alphas])
+        low = alphas.split(",")[0]
+        assert (code, out, err) == (1, "", f"error: adversary alpha {low} below the minimum 4\n")
+
+
 def test_uso_verify_zero_dimensional_grid():
     code, out, _ = run_cli(["uso", "verify", "--r", "0", "--m", "3", "--seed", "7"])
     assert code == 0

@@ -20,7 +20,6 @@ from pivotlab.geometry import (
     gen_point,
     gen_point_set,
     hyperplane_coefficients,
-    is_pierced_simplex,
     is_pierced_subset,
     make_transversal,
     pierced_extensions,
@@ -103,9 +102,9 @@ def rref_is_pierced_subset(points, r: int) -> bool:
 
 
 def rref_is_pierced_simplex(points) -> bool:
-    """Reference for :func:`is_pierced_simplex`: the barycentric weights of
-    the origin in exactly these projected points, by one rational RREF
-    solve."""
+    """Reference for the piercing test of :func:`pierced_extensions`: the
+    barycentric weights of the origin in exactly these projected points, by
+    one rational RREF solve."""
     dim = len(points[0]) - 1
     proj = [tuple(x[t] - x[t + 1] for t in range(dim)) for x in points]
     rows = [[Fraction(q[t]) for q in proj] for t in range(dim)]
@@ -282,13 +281,14 @@ def test_augment_defaults_and_validation():
     assert aug.alphas == (3, 3)
     assert len(aug) == len(ps) + 2
     assert aug.coords(PointId(1, 2, 3)) == (3, 0)
-    # gen_point refuses an alpha below m, after augmented has refused any at m
+    # one rule: every alpha at most m is refused, naming the least usable m + 1
+    for alphas, low in [([1, 3], 1), ([2, 3], 2), ([1, 2], 1), ([3, 2], 2)]:
+        with pytest.raises(ValueError, match=f"^adversary alpha {low} below the minimum 3$"):
+            ps.augmented(alphas)
+    assert ps.augmented([4, 3]).alphas == (4, 3)
+    # gen_point keeps its own check for direct callers
     with pytest.raises(ValueError, match="^adversary alpha 1 below the minimum 2$"):
-        ps.augmented([1, 3])
-    with pytest.raises(ValueError, match="coincides"):
-        ps.augmented([2, 3])
-    with pytest.raises(ValueError, match="^alpha 2 coincides"):
-        ps.augmented([1, 2])
+        gen_point(2, 2, PointId(1, 2, 3), alpha=1)
     with pytest.raises(ValueError, match="already augmented"):
         aug.augmented()
 
@@ -371,7 +371,8 @@ def test_is_pierced_subset_matches_rational_body():
 
 
 def test_is_pierced_simplex_matches_rational_solve():
-    """The one-elimination test of exactly the given points agrees with a
+    """The one-elimination test of exactly the given points, all but the
+    last as the head and the last as the one candidate, agrees with a
     rational RREF solve, on small and on 20-digit coordinates, up to one
     point more than the dimension."""
     seen = set()
@@ -384,7 +385,7 @@ def test_is_pierced_simplex_matches_rational_solve():
         points = data.draw(
             st.lists(st.tuples(*[st.integers(-bound, bound)] * r), min_size=1, max_size=r + 1)
         )
-        got = is_pierced_simplex(points)
+        (got,) = pierced_extensions(points[:-1], points[-1:])
         assert got == rref_is_pierced_simplex(points)
         seen.add(got)
 
@@ -393,7 +394,7 @@ def test_is_pierced_simplex_matches_rational_solve():
 
 
 def test_pierced_extensions_match_one_elimination_per_subset():
-    """The per-head test agrees with :func:`is_pierced_simplex` of every
+    """The per-head test agrees with the rational RREF solve of every
     ``head + [p]``, on small coordinates, so heads are often dependent and
     residual columns zero."""
     seen = Counter()
@@ -408,7 +409,7 @@ def test_pierced_extensions_match_one_elimination_per_subset():
         k = data.draw(st.integers(0, min(r, len(points)) - 1))
         head, candidates = points[:k], points[k:]
         got = pierced_extensions(head, candidates)
-        assert got == [is_pierced_simplex([*head, p]) for p in candidates]
+        assert got == [rref_is_pierced_simplex([*head, p]) for p in candidates]
         seen.update(got)
         # the head's projected points, each with its weight's 1, as rows
         lifted = [[*(u[t] - u[t + 1] for t in range(r - 1)), 1] for u in head]

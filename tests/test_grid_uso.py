@@ -781,6 +781,26 @@ def test_subgrid_check_cap(monkeypatch):
         unique_sink_violations(grid_spec(comb), never)
 
 
+def test_subgrid_cap_guards_only_the_sweep(monkeypatch):
+    """(2,4) has 16 vertices, 48 edges and 225 subgrids: under a cap of 100
+    a valid comb is decided by the count, reading each vertex once, and a
+    flipped one, which needs the sweep, is refused on its subgrids."""
+    monkeypatch.setenv("PIVOTLAB_STATE_CAP", "100")
+    comb = build_comb(2, 4, Random(33))
+    spec = grid_spec(comb)
+    calls = Counter()
+
+    def counted(v):
+        calls[v] += 1
+        return out_neighbors(comb, v)
+
+    assert unique_sink_violations(spec, counted) == []
+    assert calls == Counter(spec.vertices())
+    flipped = flip_top_pair_out(comb, comb.ranks.index(1) + 1, comb.ranks.index(4) + 1)
+    with pytest.raises(InstanceTooLargeError, match="225 subgrids exceed the cap of 100"):
+        unique_sink_violations(spec, flipped)
+
+
 def faults(comb):
     """``out_neighbors`` of ``comb`` and, when it has arcs, two faulted
     orientations: the top factor's values 1 and ``m`` flipped, and the arc
@@ -825,15 +845,15 @@ def test_both_checks_read_and_check_each_vertex_once_between_them(monkeypatch, s
     assert plain[0] == (True, [])
     assert all(usv for _, usv in plain[2:])  # a reversed arc enters the sweep
     kahn = Counter()
-    acyclic = grid_uso._Arcs.acyclic.func
+    acyclic = grid_uso.CheckedArcs.acyclic.func
 
     def counted_kahn(arcs):
         kahn["runs"] += 1
         return acyclic(arcs)
 
     counted_acyclic = cached_property(counted_kahn)
-    counted_acyclic.__set_name__(grid_uso._Arcs, "acyclic")
-    monkeypatch.setattr(grid_uso._Arcs, "acyclic", counted_acyclic)
+    counted_acyclic.__set_name__(grid_uso.CheckedArcs, "acyclic")
+    monkeypatch.setattr(grid_uso.CheckedArcs, "acyclic", counted_acyclic)
     for out_fn, want in zip(faults(comb), plain):
         calls, checked = Counter(), Counter()
         kahn.clear()
@@ -847,7 +867,7 @@ def test_both_checks_read_and_check_each_vertex_once_between_them(monkeypatch, s
             return _out_masks(spec, v, targets)
 
         monkeypatch.setattr(grid_uso, "_out_masks", counted_masks)
-        arcs = CheckedArcs(counted)
+        arcs = CheckedArcs(spec, counted)
         assert (has_topological_order(spec, arcs), unique_sink_violations(spec, arcs)) == want
         assert calls == checked == Counter(spec.vertices())
         assert kahn["runs"] == 1
@@ -862,13 +882,13 @@ def test_checked_arcs_give_each_check_its_own_result(seed):
     spec = grid_spec(comb)
     for out_fn in [partial(out_neighbors, comb), flip_top_pair_out(comb, 1, 3)]:
         want = (has_topological_order(spec, out_fn), unique_sink_violations(spec, out_fn))
-        arcs = CheckedArcs(out_fn)
+        arcs = CheckedArcs(spec, out_fn)
         assert (has_topological_order(spec, arcs), unique_sink_violations(spec, arcs)) == want
-        arcs = CheckedArcs(out_fn)
+        arcs = CheckedArcs(spec, out_fn)
         usv = unique_sink_violations(spec, arcs)
         assert (has_topological_order(spec, arcs), usv) == want
     line = _identity_for((4,))
-    arcs = CheckedArcs(partial(out_neighbors, line))
+    arcs = CheckedArcs(grid_spec(line), partial(out_neighbors, line))
     assert has_topological_order(grid_spec(line), arcs)
     with pytest.raises(ValueError, match=re.escape("vertex (1, 1) not in grid (4,)")):
         has_topological_order(spec, arcs)
