@@ -11,10 +11,11 @@ duration of every state by that number, with plain integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import InstanceTooLargeError, InternalInvariantError
 from .seeding import Stream
@@ -90,7 +91,9 @@ def solve(ch: Chain, delta: int | None) -> tuple[list[int], int]:
     such a multiple and raises :class:`InternalInvariantError`, so a wrong
     bound can never yield a wrong value.
     """
-    weights = [n + escape_weight(delta, n) for n in ch.n_succ]
+    # the escape count depends only on whether a state has successors
+    dead, live = escape_weight(delta, 0), escape_weight(delta, 1)
+    weights = [n + live if n else dead for n in ch.n_succ]
     d = _denominator(weights, ch.reads, ch.writes, ch.n_groups)
     sums = [0] * ch.n_groups
     scaled = [0] * len(ch.order)  # a state of weight 0 has value 0
@@ -122,59 +125,85 @@ def _denominator(
     that write to it, which is the last writer's: it reads the group, so
     its own ``e_p`` is at least as large, unless the group was empty.  A
     state of weight 0 has value 0.  The result is the product of ``p **
-    e_p`` over the largest ``e_p`` of any state.
+    e_p`` over the largest ``e_p`` of any state, which is the largest over
+    the final groups and the states that write no group.
 
     The exponents are kept per element ``b`` of :func:`_coprime_base` rather
     than per prime: for a prime ``p`` dividing ``b``, ``e_p = v_p(b) * e_b``
     at every state, so the product of ``b ** e_b`` is the same number.  The
     exponents of all elements travel packed in one int, a field each with a
-    guard bit on top.  Along a path an exponent grows by less than
-    ``weight.bit_length()`` per state, so a field wide enough for the state
-    count times that never carries into its neighbour, and the guard bits
-    give a componentwise max in a few integer operations.  One loop takes
-    that max inline over the groups each state reads, and a running max
-    over every state it solves gives the result: a group's exponents are
-    some state's, so the groups need no pass of their own.
+    guard bit on top, laid out by :func:`_packing`.  Along a path an
+    exponent grows by less than ``weight.bit_length()`` per state, so a
+    field wide enough for the state count times that never carries into its
+    neighbour, and the guard bits give a componentwise max in a few integer
+    operations.  One loop takes that max inline over the groups each state
+    reads, starting from the first nonzero one and skipping a group that is
+    0 or equal to the max so far: neither can change it.
     """
     width = (len(weights) * max(weights, default=0).bit_length()).bit_length() + 1
     shift = width - 1
-    field = {b: k * width for k, b in enumerate(_coprime_base(set(weights)))}
-    guard = sum(1 << (offset + shift) for offset in field.values())
-    own = {}  # weight -> its packed exponents v_b(weight)
-    for t in set(weights):
-        packed, rest = 0, t
-        for b, offset in field.items():
-            while rest and rest % b == 0:
-                rest //= b
-                packed += 1 << offset
-        own[t] = packed
+    field, guard, own = _packing(frozenset(weights), width)
 
     groups = [0] * n_groups
-    top = 0  # the componentwise max of every state's exponents so far
+    loose = []  # the exponents of states that write no group
     for t, rd, wr in zip(weights, reads, writes):
         if not t:
             continue  # value 0, denominator 1
         e = 0
         for g in rd:  # e = the componentwise max of the groups read
             x = groups[g]
+            if x == e or not x:
+                continue
+            if not e:
+                e = x
+                continue
             ge = ((e | guard) - x) & guard  # guard bits of the fields where e >= x
             if ge != guard:
                 ge -= ge >> shift  # those fields' value bits
                 e = x ^ ((e ^ x) & ge)
         e += own[t]
-        for g in wr:
-            groups[g] = e
-        ge = ((top | guard) - e) & guard
+        if wr:
+            for g in wr:
+                groups[g] = e
+        else:
+            loose.append(e)
+    top = 0  # the componentwise max of every final group and loose state
+    for x in set(groups).union(loose):
+        ge = ((top | guard) - x) & guard
         if ge != guard:
             ge -= ge >> shift
-            top = e ^ ((top ^ e) & ge)
+            top = x ^ ((top ^ x) & ge)
     d = 1
-    for b, offset in field.items():
+    for b, offset in field:
         d *= b ** ((top >> offset) & ((1 << shift) - 1))
     return d
 
 
-def _coprime_base(numbers: set[int]) -> list[int]:
+@functools.lru_cache(maxsize=32)
+def _packing(
+    weights: frozenset[int], width: int
+) -> tuple[tuple[tuple[int, int], ...], int, dict[int, int]]:
+    """The field layout of :func:`_denominator` for a set of weights and a
+    field width: each :func:`_coprime_base` element with its field's offset,
+    the mask of every field's guard bit, and each weight's packed exponents
+    ``v_b(weight)``, shared by every caller and so read only.  Every comb
+    of one shape and one ``delta`` has the same weights, so a run of them
+    packs once."""
+    shift = width - 1
+    field = tuple((b, k * width) for k, b in enumerate(_coprime_base(weights)))
+    guard = sum(1 << (offset + shift) for _, offset in field)
+    own = {}
+    for t in weights:
+        packed, rest = 0, t
+        for b, offset in field:
+            while rest and rest % b == 0:
+                rest //= b
+                packed += 1 << offset
+        own[t] = packed
+    return field, guard, own
+
+
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
     """Pairwise coprime integers above 1 such that every positive number in
     ``numbers`` is a product of their powers: a prime factorization's role,
     found with gcds alone, so any weight size stays cheap."""

@@ -386,6 +386,11 @@ def _add_common(
                        help="default: 1 for jsonl trace dumps, 100000 for json summaries")
 
 
+USO_DELTA_HELP = "escape multiplicity (omit for the plain grid)"
+PROCESS_DELTA_HELP = "escape multiplicity (omit for 0: a trace ends only where no point is below)"
+ALPHAS_HELP = 'adversary values "a1,a2,..." (omit for the plain point set)'
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``pivotlab`` parser, built on the first call and shared by every
@@ -408,15 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = uso.add_parser("walk", help="sample random walks")
     _add_common(p, identity=True, trials=True)
-    p.add_argument("--delta", type=int, default=None, help="escape multiplicity (omit for the plain grid)")
+    p.add_argument("--delta", type=int, default=None, help=USO_DELTA_HELP)
     p.add_argument("--start", default=None, help='start vertex "c1,c2,..." (default uniform)')
-    p.add_argument("--format", choices=("json", "jsonl"), default="json")
+    p.add_argument("--format", choices=("json", "jsonl"), default="json",
+                   help="json: a Monte Carlo summary (default); jsonl: each walk's vertices")
     p.set_defaults(handler=_cmd_uso_walk)
 
     p = uso.add_parser("expect", help="exact expected walk duration")
     _add_common(p, identity=True)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--start", default=None)
+    p.add_argument("--delta", type=int, default=None, help=USO_DELTA_HELP)
+    p.add_argument("--start", default=None,
+                   help='start vertex "c1,c2,..." (default: the mean over a uniform start)')
     p.set_defaults(handler=_cmd_uso_expect)
 
     p = uso.add_parser("verify", help="acyclicity and unique-sink checks")
@@ -428,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = points.add_parser("dump", help="dump the point set")
     _add_common(p, seed=False)
-    p.add_argument("--alphas", default=None, help='adversary values "a1,a2,..."')
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--alphas", default=None, help=ALPHAS_HELP)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="output format (default json)")
     p.set_defaults(handler=_cmd_points_dump)
 
     proc = top.add_parser("process", help="the pivoting process").add_subparsers(
@@ -437,16 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = proc.add_parser("run", help="sample traces")
     _add_common(p, trials=True)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--alphas", default=None)
-    p.add_argument("--format", choices=("json", "jsonl"), default="jsonl")
+    p.add_argument("--delta", type=int, default=None, help=PROCESS_DELTA_HELP)
+    p.add_argument("--alphas", default=None, help=ALPHAS_HELP)
+    p.add_argument("--format", choices=("json", "jsonl"), default="jsonl",
+                   help="jsonl: each trace's pivots (default); json: a Monte Carlo summary")
     p.set_defaults(handler=_cmd_process_run)
 
     p = proc.add_parser("expect", help="exact expected step count")
     _add_common(p, seed=False)
-    p.add_argument("--delta", type=int, default=None)
+    p.add_argument("--delta", type=int, default=None, help=PROCESS_DELTA_HELP)
     adversary = p.add_mutually_exclusive_group()
-    adversary.add_argument("--alphas", default=None)
+    adversary.add_argument("--alphas", default=None, help=ALPHAS_HELP)
     adversary.add_argument("--alpha-sweep", type=int, default=None, dest="alpha_sweep",
                            help="sweep width W >= 1: the minimum over alpha_i in {m+1..m+W}")
     p.set_defaults(handler=_cmd_process_expect)
@@ -468,10 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = bench.add_parser("bounds", help="sweep measured values against bounds")
-    p.add_argument("--families", default=",".join(analysis.FAMILIES))
-    p.add_argument("--r-list", default="1,2", dest="r_list")
+    p.add_argument("--families", default=",".join(analysis.FAMILIES),
+                   help="comma-separated families to sweep (default: every family)")
+    p.add_argument("--r-list", default="1,2", dest="r_list",
+                   help='r values, "LO..HI" or "a,b,..." (default %(default)s)')
     p.add_argument("--m-list", default="2..6", dest="m_list",
-                   help="m values (grid size n for the corollary family)")
+                   help="m values, as --r-list; grid size n for the corollary family "
+                   "(default %(default)s)")
     p.add_argument("--delta-list", default=None, dest="delta_list",
                    help="deltas of uso_lemma and augmented_theorem (default 0)")
     p.add_argument("--orientations", type=int, default=None,
@@ -479,9 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
     p.add_argument("--trials", type=int, default=None,
                    help="runs sampled per point; needs --mc (default 100000)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed (generated and printed if omitted)")
+    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
     p.set_defaults(handler=_cmd_bench_bounds)
 
     return parser

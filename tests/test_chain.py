@@ -191,6 +191,133 @@ def test_bound_pass_counts_states_that_write_no_group():
     assert oracle_denominator(weights, reads, writes, 2) == 9 * (2**61 - 1)
 
 
+@st.composite
+def rereading_chains(draw):
+    """``(weights, reads, writes, n_groups)`` over at most three groups,
+    each state reading one group several times, with weights 0, 1, 2, 3 and
+    4: so a read equal to the max so far, a read of an unwritten or
+    all-zero group and a first nonzero read all occur, and many states
+    share their exponents."""
+    n_groups = draw(st.integers(1, 3))
+    groups = st.integers(0, n_groups - 1)
+    written = set()
+    weights, reads, writes = [], [], []
+    for _ in range(draw(st.integers(1, 25))):
+        rd = [draw(groups)] * draw(st.integers(1, 3)) + draw(st.lists(groups, max_size=2))
+        writable = sorted(set(rd) | (set(range(n_groups)) - written))
+        wr = draw(st.lists(st.sampled_from(writable), max_size=2, unique=True))
+        written.update(wr)
+        weights.append(draw(st.sampled_from([0, 1, 1, 2, 2, 3, 4])))
+        reads.append(draw(st.permutations(rd)))
+        writes.append(wr)
+    return weights, reads, writes, n_groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_=rereading_chains())
+def test_bound_pass_skips_reads_that_cannot_change_the_max(chain_):
+    assert chain._denominator(*chain_) == oracle_denominator(*chain_)
+
+
+def _solved_chains(monkeypatch, solve):
+    """``(weights, reads, writes, n_groups)`` of every chain that ``solve()``
+    hands to :func:`chain.solve`, each weight from :func:`chain.escape_weight`
+    state by state."""
+    seen = []
+    real = chain.solve
+
+    def spy(ch, delta):
+        weights = [n + chain.escape_weight(delta, n) for n in ch.n_succ]
+        seen.append((weights, ch.reads, ch.writes, ch.n_groups))
+        return real(ch, delta)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(chain, "solve", spy)
+        solve()
+    return seen
+
+
+def _comb_solves(r, m, seed, deltas):
+    comb = grid_uso.build_comb(r, m, Random(seed))
+    for delta in deltas:
+        grid_uso.expected_duration_exact(
+            comb, None if delta is None else grid_uso.AugmentedConfig(delta)
+        )
+
+
+@pytest.mark.parametrize(
+    "solve, count",
+    [
+        *(
+            (lambda r=r, m=m, seed=seed: _comb_solves(r, m, seed, [None, 0, 1, 2]), 4)
+            for r, m in [(2, 20), (3, 8)]
+            for seed in (1, 2)
+        ),
+        (
+            lambda: process.exact_expected_steps(
+                process.ProcessConfig(geometry.gen_point_set(2, 5).augmented(), delta=1)
+            ),
+            1,
+        ),
+        (
+            lambda: process.exact_expected_steps(
+                process.ProcessConfig(geometry.gen_point_set(3, 4))
+            ),
+            1,
+        ),
+    ],
+    ids=[
+        "comb-2-20-s1", "comb-2-20-s2", "comb-3-8-s1", "comb-3-8-s2",
+        "process-2-5-augmented-delta1", "process-3-4",
+    ],
+)
+def test_bound_pass_matches_its_oracle_on_model_chains(monkeypatch, solve, count):
+    solved = _solved_chains(monkeypatch, solve)
+    assert len(solved) == count
+    for chain_ in solved:
+        assert chain._denominator(*chain_) == oracle_denominator(*chain_)
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+def test_bound_pass_matches_its_oracle_on_one_vertex_combs(monkeypatch, delta):
+    # the r = 0 vertex escapes and writes no group, so only the states kept
+    # aside carry its exponents; the m = 1 vertex alone reads and writes two
+    # fibers
+    (no_fiber,) = _solved_chains(monkeypatch, lambda: _comb_solves(0, 3, 1, [delta]))
+    assert (no_fiber[0], list(no_fiber[2])) == ([delta], [()])
+    (two_fibers,) = _solved_chains(monkeypatch, lambda: _comb_solves(2, 1, 1, [delta]))
+    assert (two_fibers[0], list(two_fibers[1]), list(two_fibers[2])) == (
+        [delta], [(0, 1)], [(0, 1)]
+    )
+    for chain_ in (no_fiber, two_fibers):
+        assert chain._denominator(*chain_) == oracle_denominator(*chain_) == delta
+
+
+def test_cold_and_warm_packing_give_one_solve():
+    comb = grid_uso.build_comb(2, 20, Random(5))
+    chain._packing.cache_clear()
+    cold = chain.solve(comb._chain, 1)
+    hits = chain._packing.cache_info().hits
+    warm = chain.solve(comb._chain, 1)
+    assert chain._packing.cache_info().hits == hits + 1
+    assert cold == warm
+
+
+def test_one_weight_set_at_two_widths_packs_twice():
+    # weights {4, 9} on paths of 2 and 80 states: the long path's exponent
+    # of 2 reaches 158, past the 4 value bits of the short path's fields
+    def path(weights):
+        n = len(weights)
+        return weights, [[]] + [[k - 1] for k in range(1, n)], [[k] for k in range(n)], n
+
+    short, long_ = path([4, 9]), path([4] * 79 + [9])
+    chain._packing.cache_clear()
+    for chain_ in (short, long_, short):
+        assert chain._denominator(*chain_) == oracle_denominator(*chain_)
+    assert chain._denominator(*long_) == 2**158 * 9
+    assert chain._packing.cache_info().currsize == 2
+
+
 @given(st.sets(st.integers(0, 10**6), max_size=8))
 def test_coprime_base_factors_every_number(numbers):
     base = chain._coprime_base(numbers)

@@ -490,6 +490,16 @@ def test_readme_commands_parse_and_every_help_exits_zero(monkeypatch):
         assert run_cli(name.split() + ["--help"])[0] == 0, name
 
 
+def test_every_option_of_every_command_has_help():
+    undocumented = [
+        f"{name} {action.option_strings[-1]}"
+        for name, p in _commands(cli.build_parser())
+        for action in p._actions
+        if action.option_strings and not (action.help or "").strip()
+    ]
+    assert not undocumented
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 # ---------------------------------------------------------------------------
