@@ -170,9 +170,9 @@ def _cmd_uso_verify(args) -> int:
     seed, comb = _comb_for(args)
     spec = grid_uso.grid_spec(comb)
     # the first check reads and checks every vertex's arcs, the second reuses them
-    out_fn = grid_uso.CheckedArcs(spec, functools.partial(grid_uso.out_neighbors, comb))
-    acyclic = grid_uso.has_topological_order(spec, out_fn)
-    violations = grid_uso.unique_sink_violations(spec, out_fn)
+    arcs = grid_uso.CheckedArcs(spec, comb)
+    acyclic = grid_uso.has_topological_order(spec, arcs)
+    violations = grid_uso.unique_sink_violations(spec, arcs)
     payload = {
         "r": args.r,
         "m": args.m,

@@ -23,8 +23,9 @@ count of one hyperplane of that node.  :func:`_moves` builds them from the
 ranks on a vertex's first visit and keeps them on the comb, its one arc
 cache.  :func:`walk` steps by adding the drawn change to the id and decodes
 coordinates only to record them; :func:`out_neighbors` decodes the same
-changes into target tuples for the structural checks, which read them
-once per vertex through one :class:`CheckedArcs`.  So a walk draws
+changes into target tuples.  The structural checks read a comb's changes
+themselves, once per vertex, into the integer arc table of one
+:class:`CheckedArcs`, and check each change in integers.  So a walk draws
 exactly as it would over :func:`out_neighbors`, and a fresh comb per trial
 fills only what its one walk visits.  The exact solve compiles the comb
 once into a :class:`chain.Chain` over the same vertex ids.
@@ -33,7 +34,6 @@ once into a :class:`chain.Chain` over the same vertex ids.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -307,19 +307,17 @@ def _moves(comb: CombOrientation, index: int) -> tuple[int, ...]:
     after the first call: along each axis, last first, ``(w - c) * stride``
     for each value ``w`` ranked below the vertex's coordinate ``c`` at its
     node, ascending, ``stride`` being the vertex count of one hyperplane."""
-    sizes = comb.sizes
-    x = _vertex(sizes, index)
-    d = len(x)
-    stride = math.prod(sizes)
+    stride = math.prod(comb.sizes)
     node = comb
+    rest = index
     out: list[int] = []
-    while node.ranks:
-        d -= 1
-        c = x[d]
-        stride //= node.m
-        rank = node.ranks[c - 1]
-        out += [(w - c) * stride for w, q in enumerate(node.ranks, 1) if q < rank]
-        node = node.children[c - 1]
+    while ranks := node.ranks:
+        # the vertex's coordinate at this node, less one, is its digit here
+        stride //= len(ranks)
+        c, rest = divmod(rest, stride)
+        rank = ranks[c]
+        out += [(w - c) * stride for w, q in enumerate(ranks) if q < rank]
+        node = node.children[c]
     moves = comb._vertex_moves[index] = tuple(out)
     return moves
 
@@ -401,10 +399,15 @@ def _ranked(
     return index, n_succ
 
 
+def _strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """How much a vertex id changes per unit of each coordinate."""
+    return tuple(math.prod(sizes[:d]) for d in range(len(sizes)))
+
+
 def _compile(comb: CombOrientation) -> chain.Chain:
     """The comb as a chain over its vertex indices, in ascending rank order."""
     sizes = comb.sizes
-    strides = tuple(math.prod(sizes[:d]) for d in range(len(sizes)))
+    strides = _strides(sizes)
     count = math.prod(sizes)
     index, n_succ = _ranked(comb, strides)
     # the fiber of axis d through a vertex: its index with coordinate d
@@ -517,6 +520,10 @@ def _pad(node: CombOrientation, sizes: tuple[int, ...]) -> CombOrientation:
 OutFn = Callable[[Vertex], tuple[Vertex, ...]]
 
 
+def _not_neighbours(v: Vertex, w: Vertex) -> ValueError:
+    return ValueError(f"arc {v} -> {w} does not join two grid neighbours")
+
+
 def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[int]:
     """One bitmask per axis of ``v``'s arcs: bit ``c-1`` of axis ``d`` is set
     when an arc changes coordinate ``d`` to ``c``.  An arc that does not join
@@ -527,48 +534,105 @@ def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[i
         # v is in the grid: so is w if it differs from v in one coordinate, in range
         d = changed.index(True) if len(w) == len(v) and changed.count(True) == 1 else -1
         if d < 0 or not 1 <= w[d] <= spec.factor_sizes[d]:
-            raise ValueError(f"arc {v} -> {w} does not join two grid neighbours")
+            raise _not_neighbours(v, w)
         masks[d] |= 1 << (w[d] - 1)
     return masks
 
 
+def _numbered(spec: GridSpec) -> Iterator[tuple[Vertex, int]]:
+    """The grid's vertices in ``spec.vertices()`` order, each with its id."""
+    steps = (range(0, s * st, st) for s, st in zip(spec.factor_sizes, _strides(spec.factor_sizes)))
+    return zip(spec.vertices(), map(sum, product(*steps)))
+
+
+def _unwrapped(sizes: tuple[int, ...], index: int) -> Vertex:
+    """The vertex numbered ``index`` as :func:`_vertex` decodes it, but with
+    an unbounded last coordinate, so an id outside the grid names the value
+    that leaves it."""
+    head = sizes[:-1]
+    return _vertex(head, index) + (index // math.prod(head) + 1,)
+
+
 class CheckedArcs:
     """An ``OutFn`` over the grid ``spec`` that keeps what the structural
-    checks read of ``out_fn``.  On first use (:attr:`arcs`) it reads every
-    vertex's targets, one ``out_fn`` call each, and checks them into their
-    :func:`_out_masks`; :attr:`acyclic` runs Kahn's algorithm on them once.
-    ``uso verify`` passes one to both checks; a check given any other
-    ``OutFn``, or a ``CheckedArcs`` of another grid, wraps it in a fresh
-    one."""
+    checks read of ``source``, a comb of that grid or any other ``OutFn``,
+    as one arc table indexed by vertex id (:func:`_vertex_id`).  On first
+    use (:attr:`arcs`) it reads every vertex once, in ``spec.vertices()``
+    order; :attr:`acyclic` runs Kahn's algorithm on the table once.
+    ``uso verify`` passes one, made from its comb, to both checks; a check
+    given any other ``OutFn``, or a ``CheckedArcs`` of another grid, wraps
+    it in a fresh one.  Called as an ``OutFn``, one made from a comb
+    answers with :func:`out_neighbors`."""
 
-    def __init__(self, spec: GridSpec, out_fn: OutFn) -> None:
+    def __init__(self, spec: GridSpec, source: CombOrientation | OutFn) -> None:
+        if isinstance(source, CombOrientation) and source.sizes != spec.factor_sizes:
+            raise ValueError(f"a comb of grid {source.sizes} read as grid {spec.factor_sizes}")
         self.spec = spec
-        self.out_fn = out_fn
+        self.source = source
 
     def __call__(self, v: Vertex) -> tuple[Vertex, ...]:
-        return self.out_fn(v)
+        if isinstance(self.source, CombOrientation):
+            return out_neighbors(self.source, v)
+        return self.source(v)
 
     @cached_property
-    def arcs(self) -> dict[Vertex, tuple[tuple[Vertex, ...], list[int]]]:
-        """Each vertex's targets and their :func:`_out_masks`, in
-        ``spec.vertices()`` order.  The grid's vertex count, and then its
-        edge count ``V * sum_d (s_d - 1) / 2``, are checked against the cap
-        before the first ``out_fn`` call."""
+    def arcs(self) -> list[tuple[tuple[int, ...], list[int]]]:
+        """Each vertex id's target ids and out-masks: one bitmask per axis,
+        bit ``c-1`` of axis ``d`` set when an arc changes coordinate ``d`` to
+        ``c``.  A comb's arcs are its id changes (:func:`_moves`): each must
+        be a nonzero multiple ``k * stride_d`` with ``|k| < s_d``, taking the
+        vertex's coordinate ``c`` to ``c + k`` in ``1..s_d``, which by the
+        uniqueness of the mixed-radix form is exactly a step to a grid
+        neighbour.  Any other ``OutFn`` is called once per vertex and its
+        targets checked by :func:`_out_masks`.  Either way an arc that does
+        not join two grid neighbours raises ``ValueError``.  The grid's
+        vertex count, and then its edge count ``V * sum_d (s_d - 1) / 2``,
+        are checked against the cap before the first read."""
         spec = self.spec
         chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
         edges = spec.vertex_count * sum(s - 1 for s in spec.factor_sizes) // 2
         chain.check_state_count(edges, "grid edges", "the acyclicity check")
-        targets = {v: self.out_fn(v) for v in spec.vertices()}
-        return {v: (ws, _out_masks(spec, v, ws)) for v, ws in targets.items()}
+        table: list = [None] * spec.vertex_count
+        source = self.source
+        if not isinstance(source, CombOrientation):
+            for v, i in _numbered(spec):
+                targets = source(v)
+                masks = _out_masks(spec, v, targets)
+                table[i] = (tuple([_vertex_id(spec, w) for w in targets]), masks)
+            return table
+        sizes = source.sizes
+        # (axis, k) of each id change k * stride that stays on one axis
+        axis_of = {
+            k * st: (d, k)
+            for d, (st, s) in enumerate(zip(_strides(sizes), sizes))
+            for k in range(1 - s, s)
+            if k
+        }
+        known = source._vertex_moves
+        for v, i in _numbered(spec):
+            moves = known.get(i)
+            if moves is None:
+                moves = _moves(source, i)
+            masks = [0] * len(sizes)
+            for move in moves:
+                d, k = axis_of.get(move, (-1, 0))
+                if d < 0 or not 1 <= v[d] + k <= sizes[d]:
+                    raise _not_neighbours(v, _unwrapped(sizes, i + move))
+                masks[d] |= 1 << (v[d] + k - 1)
+            table[i] = (tuple([i + move for move in moves]), masks)
+        return table
 
     @cached_property
     def acyclic(self) -> bool:
         arcs = self.arcs
-        indeg = Counter(w for ws, _ in arcs.values() for w in ws)
+        indeg = [0] * len(arcs)
+        for targets, _ in arcs:
+            for w in targets:
+                indeg[w] += 1
         # the vertices with no arc left into them, in the order they are freed
-        order = [v for v in arcs if not indeg[v]]
-        for v in order:
-            for w in arcs[v][0]:
+        order = [i for i, n in enumerate(indeg) if not n]
+        for i in order:
+            for w in arcs[i][0]:
                 indeg[w] -= 1
                 if not indeg[w]:
                     order.append(w)
@@ -590,22 +654,23 @@ def unique_sink_violations(
 
     ``out_fn(v)`` must list only grid neighbours of ``v`` (vertices of the
     grid that differ from ``v`` in exactly one coordinate); any other target
-    raises ``ValueError``.  Each vertex's arcs are read once, as one bitmask
-    per axis (:attr:`CheckedArcs.arcs`).  A subgrid (one value subset per
-    axis) has ``v`` as a sink when each subset holds ``v``'s coordinate and
-    none of the values its arcs along that axis lead to, so ``v`` is the
-    sink of ``prod_d 2**(s_d - 1 - |out_d(v)|)`` subgrids.  Every subgrid
-    of an acyclic orientation has a sink, so when these counts sum to the
-    number of subgrids and Kahn's algorithm orders the arcs
-    (:attr:`CheckedArcs.acyclic`), every subgrid has exactly one, and the
-    answer is decided in time linear in the vertex count.  Otherwise
+    raises ``ValueError``.  Each vertex's arcs are read once, into the
+    integer arc table of a :class:`CheckedArcs` (one made from a comb reads
+    its id changes, not :func:`out_neighbors`), as one bitmask per axis.  A
+    subgrid (one value subset per axis) has ``v`` as a sink when each subset
+    holds ``v``'s coordinate and none of the values its arcs along that axis
+    lead to, so ``v`` is the sink of ``prod_d 2**(s_d - 1 - |out_d(v)|)``
+    subgrids.  Every subgrid of an acyclic orientation has a sink, so when
+    these counts sum to the number of subgrids and Kahn's algorithm orders
+    the arcs (:attr:`CheckedArcs.acyclic`), every subgrid has exactly one,
+    and the answer is decided in time linear in the vertex count.  Otherwise
     :func:`_sweep_violations` finds and names the violations, once the
     subgrid count is within the cap.
     """
     checked = _checked(spec, out_fn)
     count = math.prod(2**s - 1 for s in spec.factor_sizes)
     free = sum(spec.factor_sizes) - spec.dimension
-    sinks = sum(1 << (free - sum(map(int.bit_count, masks))) for _, masks in checked.arcs.values())
+    sinks = sum(1 << (free - sum(map(int.bit_count, masks))) for _, masks in checked.arcs)
     if sinks == count and checked.acyclic:
         return []
     chain.check_state_count(count, "subgrids", "the exhaustive check")
@@ -614,8 +679,7 @@ def unique_sink_violations(
 
 def _sweep_violations(spec: GridSpec, checked: CheckedArcs) -> list[tuple[tuple[int, ...], ...]]:
     """The first five subgrids without a unique sink, in ``product`` order,
-    by sweeping every subgrid; the vertices are numbered in
-    ``spec.vertices()`` order.
+    by sweeping every subgrid; the bit of a vertex is its id.
 
     For each axis ``d`` and value subset (a bitmask, bit ``c-1`` for value
     ``c``), one int bitset holds the vertices whose coordinate ``d`` lies in
@@ -628,8 +692,9 @@ def _sweep_violations(spec: GridSpec, checked: CheckedArcs) -> list[tuple[tuple[
     # groups[d][(position bit, out-mask)]: bitset of the vertices with that
     # coordinate and those arcs along axis d
     groups: list[dict[tuple[int, int], int]] = [{} for _ in range(spec.dimension)]
-    for i, (v, (_, masks)) in enumerate(checked.arcs.items()):
-        for group, c, out in zip(groups, v, masks):
+    arcs = checked.arcs
+    for v, i in _numbered(spec):
+        for group, c, out in zip(groups, v, arcs[i][1]):
             key = (1 << (c - 1), out)
             group[key] = group.get(key, 0) | 1 << i
     # keep[d][mask - 1] for each value subset mask of axis d; the groups of

@@ -105,17 +105,23 @@ def test_uso_verify_passes_on_real_comb():
 
 
 def test_uso_verify_reads_each_vertex_once(monkeypatch):
+    """Both checks share one read of the comb's id changes, one
+    ``_moves`` call per vertex, and never decode targets into tuples."""
     reads = Counter()
-    targets = grid_uso.out_neighbors
+    moves = grid_uso._moves
 
-    def counted(comb, v):
-        reads[v] += 1
-        return targets(comb, v)
+    def counted(comb, index):
+        reads[index] += 1
+        return moves(comb, index)
 
-    monkeypatch.setattr(grid_uso, "out_neighbors", counted)
+    def never(comb, v):
+        raise AssertionError(f"out_neighbors({v}) called by uso verify")
+
+    monkeypatch.setattr(grid_uso, "_moves", counted)
+    monkeypatch.setattr(grid_uso, "out_neighbors", never)
     code, _, _ = run_cli(["uso", "verify", "--r", "2", "--m", "3", "--seed", "1"])
     assert code == 0
-    assert len(reads) == 9 and set(reads.values()) == {1}
+    assert reads == Counter(range(9))
 
 
 def test_uso_verify_decides_a_grid_of_more_subgrids_than_the_cap(monkeypatch):
@@ -132,11 +138,11 @@ def test_uso_verify_caps_the_grid_edges_before_reading_an_arc(monkeypatch):
     """The identity (2,10) grid has 100 vertices and 100 * 18 / 2 = 900
     edges: under a cap of 100 it is refused on its edges, with no arc read."""
 
-    def never(comb, v):
-        raise AssertionError(f"out_neighbors({v}) called before the edge cap")
+    def never(comb, index):
+        raise AssertionError(f"the moves of vertex {index} read before the edge cap")
 
     monkeypatch.setenv("PIVOTLAB_STATE_CAP", "100")
-    monkeypatch.setattr(grid_uso, "out_neighbors", never)
+    monkeypatch.setattr(grid_uso, "_moves", never)
     code, out, err = run_cli(["uso", "verify", "--identity", "--r", "2", "--m", "10"])
     assert (code, out) == (1, "")
     assert err.startswith(

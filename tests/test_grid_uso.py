@@ -4,6 +4,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from functools import cache, cached_property, partial
 from itertools import combinations, product
 from random import Random
@@ -1187,3 +1188,139 @@ def test_non_neighbour_target_is_rejected(check, v, w):
         ValueError, match=re.escape(f"arc {v} -> {w} does not join two grid neighbours")
     ):
         check(grid_spec(comb), bad)
+
+
+# ---------------------------------------------------------------------------
+# the arc table read from a comb's id changes
+# ---------------------------------------------------------------------------
+
+
+def topological_oracle(spec, out_fn):
+    """Oracle: whether the standard library's sorter orders the arcs."""
+    try:
+        tuple(TopologicalSorter({v: out_fn(v) for v in spec.vertices()}).static_order())
+    except CycleError:
+        return False
+    return True
+
+
+def with_reversed_arc(comb, v, w):
+    """A copy of ``comb`` whose kept id changes turn the arc ``v -> w`` into
+    ``w -> v``, in the order :func:`reverse_arc` gives the decoded targets."""
+    copy = CombOrientation(comb.ranks, comb.children)
+    spec = grid_spec(comb)
+    i, j = grid_uso._vertex_id(spec, v), grid_uso._vertex_id(spec, w)
+    for k in range(spec.vertex_count):
+        _moves(copy, k)
+    moves = copy._vertex_moves
+    moves[i] = tuple(move for move in moves[i] if move != j - i)
+    moves[j] += (i - j,)
+    return copy
+
+
+def assert_comb_read_matches_decoded_read(comb, arc=None):
+    """A table read from ``comb``'s id changes equals one read from its
+    decoded targets (target ids and masks), and both checks answer alike on
+    the two.  With ``arc``, the arc is reversed on both reads first, and
+    where the subgrids are few the answers match the oracles."""
+    spec = grid_spec(comb)
+    decoded = partial(out_neighbors, comb)
+    if arc is not None:
+        comb, decoded = with_reversed_arc(comb, *arc), reverse_arc(decoded, *arc)
+    read, decoded_read = CheckedArcs(spec, comb), CheckedArcs(spec, decoded)
+    assert read.arcs == decoded_read.arcs
+    answers = (has_topological_order(spec, read), unique_sink_violations(spec, read))
+    assert answers == (
+        has_topological_order(spec, decoded_read),
+        unique_sink_violations(spec, decoded_read),
+    )
+    if arc is None:
+        assert answers == (True, [])
+    elif math.prod(2**s - 1 for s in spec.factor_sizes) <= 5000:
+        assert answers == (topological_oracle(spec, decoded), list_unique_sink_violations(spec, decoded))
+
+
+def table_combs(r, m, seed):
+    """A seeded comb, the identity comb and, for r >= 2, a seeded comb padded
+    by one value on its first axis, so that its factor sizes, and so its
+    strides, differ."""
+    combs = [build_comb(r, m, Random(f"table:{seed}")), identity_comb(r, m)]
+    if r >= 2:
+        combs.append(embed_padded(build_comb(r, m, Random(f"padded:{seed}")), r * m + 1))
+    return combs
+
+
+def first_arc(comb):
+    spec = grid_spec(comb)
+    return next(((v, ws[0]) for v in spec.vertices() if (ws := out_neighbors(comb, v))), None)
+
+
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_comb_read_table_matches_decoded_read(r, m):
+    """On seeded, identity and padded combs, and on each with one arc
+    reversed; flipped top pairs give the oracles' answers."""
+    for comb in table_combs(r, m, f"{r}:{m}"):
+        assert_comb_read_matches_decoded_read(comb)
+        if (arc := first_arc(comb)) is not None:
+            assert_comb_read_matches_decoded_read(comb, arc)
+        spec = grid_spec(comb)
+        if comb.m >= 2 and math.prod(2**s - 1 for s in spec.factor_sizes) <= 5000:
+            flipped = flip_top_pair_out(comb, comb.ranks.index(1) + 1, comb.ranks.index(comb.m) + 1)
+            assert has_topological_order(spec, flipped) == topological_oracle(spec, flipped)
+            assert unique_sink_violations(spec, flipped) == list_unique_sink_violations(spec, flipped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(0, 3),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["seeded", "identity", "padded"]),
+    data=st.data(),
+)
+def test_comb_read_table_matches_decoded_read_on_drawn_combs(r, m, seed, kind, data):
+    comb = identity_comb(r, m) if kind == "identity" else build_comb(r, m, Random(seed))
+    if kind == "padded" and r >= 2:
+        comb = embed_padded(comb, r * m + data.draw(st.integers(1, r - 1), label="extra"))
+    assert_comb_read_matches_decoded_read(comb)
+    spec = grid_spec(comb)
+    arcs = [(v, w) for v in spec.vertices() for w in out_neighbors(comb, v)]
+    # a reversed arc may need the sweep, which both reads refuse beyond the
+    # cap: padded (3,6) grids of shape (7, 7, 6) have 1,016,127 subgrids
+    if arcs and math.prod(2**s - 1 for s in spec.factor_sizes) <= chain.state_cap():
+        assert_comb_read_matches_decoded_read(comb, data.draw(st.sampled_from(arcs), label="arc"))
+
+
+@pytest.mark.parametrize("check", [unique_sink_violations, has_topological_order])
+@pytest.mark.parametrize(
+    "move, w",
+    [
+        (-8, (1, 1)),  # two coordinates change
+        (3, (3, 4)),  # the last coordinate leaves the grid
+        (1, (1, 4)),  # the first coordinate leaves the grid, carrying into the last
+        (0, (3, 3)),  # no change
+    ],
+)
+def test_a_bad_id_change_kept_on_the_comb_is_rejected(check, move, w):
+    """The comb's read checks each kept id change in integers: one planted
+    on the top vertex of the identity 3x3 comb raises before any answer."""
+    comb = identity_comb(2, 3)
+    spec = grid_spec(comb)
+    comb._vertex_moves[8] = _moves(comb, 8) + (move,)
+    with pytest.raises(
+        ValueError, match=re.escape(f"arc (3, 3) -> {w} does not join two grid neighbours")
+    ):
+        check(spec, CheckedArcs(spec, comb))
+
+
+def test_a_comb_read_answers_as_out_neighbors_on_its_own_grid_only():
+    comb = build_comb(2, 3, Random(34))
+    arcs = CheckedArcs(grid_spec(comb), comb)
+    assert [arcs(v) for v in grid_spec(comb).vertices()] == [
+        out_neighbors(comb, v) for v in grid_spec(comb).vertices()
+    ]
+    with pytest.raises(ValueError, match=re.escape("vertex (1,) not in grid (3, 3)")):
+        has_topological_order(GridSpec((3,)), arcs)
+    with pytest.raises(ValueError, match=re.escape("a comb of grid (3, 3) read as grid (3,)")):
+        CheckedArcs(GridSpec((3,)), comb)
