@@ -379,11 +379,12 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
     By Caratheodory a subset ``S`` of at most ``r`` points is pierced when
     some subset of it is a pierced simplex.  The subsets of each size are
     met in ``combinations`` order, head by head, a head being all but the
-    last point and each later point a candidate: one
-    :func:`geometry.pierced_extensions` elimination per head decides
+    last point and each later point a candidate: :func:`geometry.pierced_heads`
+    carries one elimination from each head to its extensions and decides
     whether each ``head + (p,)`` is itself a pierced simplex, and ``S`` is
     pierced when it is or when some ``S - p`` is among the pierced subsets
-    found so far."""
+    found so far.  The hyperplane pass fills each last-color sub-line at
+    once (:meth:`PointSet.fill_normals`), as the exact process solve does."""
     r = ps.r
     ids = ps.ids()
     coords = [ps.coords(p) for p in ids]
@@ -391,9 +392,8 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
     cases = 0
     small_pierced = set()
     for size in range(1, r + 1):
-        for head in combinations(range(len(ids) - 1), size - 1):
+        for head, simplices in geometry.pierced_heads(coords, size):
             start = head[-1] + 1 if head else 0
-            simplices = geometry.pierced_extensions([coords[i] for i in head], coords[start:])
             head_ids = tuple(ids[i] for i in head)
             colors = {p.color for p in head_ids}
             # a full-color subset is a head of r - 1 colors and a point of the last
@@ -411,7 +411,10 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
                     colors_bad = f"pierced subset missing a color: {subset}"
                 if full_color and not pierced and pierced_bad is None:
                     pierced_bad = f"full-color subset not pierced: {subset}"
-    for S in geometry.transversals(ps):
+    line = len(ps.color_class(r))
+    for sid, S in enumerate(geometry.transversals(ps)):
+        if sid % line == 0:  # the first of a last-color sub-line
+            ps.fill_normals(S.members[:-1])
         try:
             ps.normal(S.members)
         except DegeneracyError as exc:

@@ -11,12 +11,15 @@ point per color is a *transversal* (a pierced simplex).
 
 Every predicate here is decided exactly, in Python ints: coordinates reach
 ``m**(2r-1)`` and determinants multiply ``r`` of them, so nothing is ever
-narrowed to a fixed width.  Every linear solve (the spanning hyperplane,
-the ratio-test pivot and the piercing test of one simplex) runs on one
-fraction-free elimination, :func:`_eliminate` (along a last-color sub-line
-the spanning hyperplanes follow from two of them,
-:meth:`PointSet.fill_normals`), and the side test, the pivot and the
-piercing test are integer sign tests on its result; the Caratheodory test
+narrowed to a fixed width.  Every linear solve runs on the fraction-free
+elimination :func:`_eliminate`: a transversal's spanning hyperplane is one
+elimination (along a last-color sub-line they follow from two of them,
+:meth:`PointSet.fill_normals`), its ratio-test pivot one more, of its
+members beside the identity, for every point below it, and the piercing
+tests carry one elimination from each head to its extensions, one pivot
+step per head (:func:`pierced_heads`).  The side test, the pivot and the
+piercing test are integer sign tests on those results, and a point set
+caches each transversal's hyperplane and below set.  The Caratheodory test
 of a subset is the piercing test on each of its subsets of at most ``r``
 points.  ``Fraction`` appears only in the values handed back (hyperplane
 coefficients and solutions).  Floats never participate in a geometric
@@ -49,7 +52,7 @@ __all__ = [
     "hyperplane_coefficients",
     "is_pierced_subset",
     "make_transversal",
-    "pierced_extensions",
+    "pierced_heads",
     "pivot_generic",
     "project_deep",
     "side_of",
@@ -65,12 +68,9 @@ Coords = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(
-    rows: Sequence[Sequence[int]], width: int | None = None
-) -> tuple[int, list[int], list[list[int]]]:
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix of any
-    shape, pivoting in its first ``width`` columns (all of them if ``None``);
-    the columns right of them are carried along.
+    shape.
 
     Returns ``(d, pivots, a)``: ``a / d`` is the reduced row echelon form,
     ``pivots`` lists its pivot columns (a column without a pivot is skipped)
@@ -83,9 +83,7 @@ def _eliminate(
     a = [list(row) for row in rows]
     d = 1
     pivots: list[int] = []
-    if width is None:
-        width = len(a[0]) if a else 0
-    for c in range(width):
+    for c in range(len(a[0]) if a else 0):
         k = len(pivots)
         pivot = next((i for i in range(k, len(a)) if a[i][c]), None)
         if pivot is None:
@@ -230,6 +228,7 @@ class PointSet:
             i: tuple(p for p in self._ids if p.color == i) for i in range(1, r + 1)
         }
         self._normals: dict[tuple[PointId, ...], tuple[Coords, int]] = {}
+        self._below: dict[tuple[PointId, ...], tuple[PointId, ...]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -497,50 +496,82 @@ class Side(IntEnum):
 _BELOW, _ON, _ABOVE = Side.BELOW, Side.ON, Side.ABOVE
 
 
-def pierced_extensions(head: Sequence[Coords], candidates: Sequence[Coords]) -> list[bool]:
-    """For each ``p`` in ``candidates``, whether the diagonal line meets the
-    hull of exactly the points ``[*head, p]`` with unique, nonnegative
-    barycentric weights: whether the integer system ``[P | 0], [1 ... 1 |
-    1]`` in those points projected along the diagonal (consecutive
-    coordinate differences) has a unique, nonnegative solution.  One
-    fraction-free elimination (:func:`_eliminate`) of the head's columns,
-    the right-hand side and every candidate's column, pivoting in the
-    head's columns only, decides every candidate.
+def pierced_heads(
+    points: Sequence[Coords], size: int
+) -> Iterator[tuple[tuple[int, ...], list[bool]]]:
+    """For every head of ``size - 1`` indices into ``points``, in
+    ``combinations(range(len(points) - 1), size - 1)`` order, the head and,
+    for each later point ``p``, whether the diagonal line meets the hull of
+    exactly the points ``[*head, p]`` with unique, nonnegative barycentric
+    weights: whether the integer system ``[P | 0], [1 ... 1 | 1]`` in those
+    points projected along the diagonal (consecutive coordinate
+    differences) has a unique, nonnegative solution.
 
-    A head with dependent columns pierces with no candidate.  Otherwise,
-    below the head's pivot rows, ``[*head, p]`` has a unique solution when
-    ``p``'s residual column ``g`` is nonzero and the right-hand side's
-    residual ``b`` is ``x`` times it, ``x = b_i / g_i`` being ``p``'s
-    weight; a head row with right-hand side ``y`` and ``p``'s entry ``c``
-    then gives the weight ``(g_i y - b_i c) / (g_i d)``.  So each candidate
-    takes ``O(r)`` integer steps.
+    The heads are walked depth first, and the fraction-free elimination of
+    a head (the steps of :func:`_eliminate`, pivoting in the head's columns
+    in order) is its parent's with one more pivot step, kept only on the
+    right-hand side and the later points' columns: each step is exact by
+    Sylvester's identity, so every kept entry is the one a fresh
+    elimination of the head would give.  A head whose new column has no
+    pivot is dependent, and so is every head extending it: they pierce
+    with no candidate.  Otherwise, below the head's pivot rows, ``[*head,
+    p]`` has a unique solution when ``p``'s residual column ``g`` is
+    nonzero and the right-hand side's residual ``b`` is ``x`` times it, ``x
+    = b_i / g_i`` being ``p``'s weight; a head row with right-hand side
+    ``y`` and ``p``'s entry ``c`` then gives the weight ``(g_i y - b_i c) /
+    (g_i d)``.  So each candidate takes ``O(r)`` integer steps.
     """
-    if not candidates:
-        return []
-    k, n = len(head), len(head) + len(candidates)
-    rows = [
-        [u[t] - u[t + 1] for u in head] + [0] + [u[t] - u[t + 1] for u in candidates]
-        for t in range(len(candidates[0]) - 1)
-    ]
+    k, n = size - 1, len(points)
+
+    def walk(a: list[list[int]], d: int, head: tuple[int, ...]):
+        # a holds the right-hand side, then the points from `first` on
+        depth, first = len(head), head[-1] + 1 if head else 0
+        if depth == k:
+            yield head, _simplex_flags(a, d, k)
+            return
+        for i in range(first, n - k + depth):
+            c = i - first + 1
+            col = [row[c] for row in a]
+            pivot = next((j for j in range(depth, len(a)) if col[j]), None)
+            if pivot is None:
+                for rest in combinations(range(i + 1, n - 1), k - depth - 1):
+                    full = (*head, i, *rest)
+                    yield full, [False] * (n - 1 - full[-1])
+                continue
+            kept = [[row[0], *row[c + 1 :]] for row in a]
+            kept[depth], kept[pivot] = kept[pivot], kept[depth]
+            col[depth], col[pivot] = col[pivot], col[depth]
+            top, p = kept[depth], col[depth]
+            for j, f in enumerate(col):
+                if j != depth:
+                    kept[j] = [(p * x - f * y) // d for x, y in zip(kept[j], top)]
+            yield from walk(kept, p, (*head, i))
+
+    dim = len(points[0]) - 1 if points else 0
+    rows = [[0, *(u[t] - u[t + 1] for u in points)] for t in range(dim)]
     rows.append([1] * (n + 1))
-    d, pivots, a = _eliminate(rows, k)
-    if len(pivots) < k:
-        return [False] * len(candidates)
-    top, bottom = a[:k], a[k:]
-    rhs = [row[k] for row in bottom]
+    yield from walk(rows, 1, ())
+
+
+def _simplex_flags(a: list[list[int]], d: int, k: int) -> list[bool]:
+    """The candidates' verdicts of :func:`pierced_heads` from a head's
+    reduced matrix ``a`` (``k`` pivot rows, last pivot ``d``), whose first
+    column is the right-hand side and each later one a candidate's."""
+    rhs, *cols = zip(*a)
+    top_rhs, rhs = rhs[:k], rhs[k:]
     out = []
-    for c in range(k + 1, n + 1):
-        col = [row[c] for row in bottom]
-        i = next((i for i, g in enumerate(col) if g), None)
+    for col in cols:
+        bottom = col[k:]
+        i = next((i for i, g in enumerate(bottom) if g), None)
         if i is None:
             out.append(False)
             continue
-        g, b = col[i], rhs[i]
+        g, b = bottom[i], rhs[i]
         gd = g * d
         out.append(
             b * g >= 0
-            and all(y * g == b * x for x, y in zip(col, rhs))
-            and all((g * row[k] - b * row[c]) * gd >= 0 for row in top)
+            and all(y * g == b * x for x, y in zip(bottom, rhs))
+            and all((g * y - b * x) * gd >= 0 for y, x in zip(top_rhs, col))
         )
     return out
 
@@ -549,15 +580,15 @@ def is_pierced_subset(points: Iterable[Coords], r: int) -> bool:
     """Exact test of whether the convex hull meets the diagonal line: by
     Caratheodory, whether some subset of at most ``r`` points is a pierced
     simplex.  The subsets of each size are met head by head, a head being
-    all but the last point, with one :func:`pierced_extensions` elimination
-    per head."""
+    all but the last point, through the carried eliminations of
+    :func:`pierced_heads`."""
     pts = list(points)
     if any(len(x) != r for x in pts):
         raise ValueError(f"points must have {r} coordinates")
     return any(
-        any(pierced_extensions([pts[i] for i in head], pts[head[-1] + 1 if head else 0 :]))
+        any(flags)
         for size in range(1, min(len(pts), r) + 1)
-        for head in combinations(range(len(pts) - 1), size - 1)
+        for _, flags in pierced_heads(pts, size)
     )
 
 
@@ -587,7 +618,8 @@ def side_of(point_set: PointSet, simplex: Transversal, x: PointId) -> Side:
 
 def below_set(point_set: PointSet, simplex: Transversal) -> tuple[PointId, ...]:
     """All points strictly below the simplex, in id order; members are never
-    included.
+    included.  Cached on the set, so each transversal's side tests run
+    once; a raise is not cached, and is raised again on the next call.
 
     On an unaugmented set a non-member lying exactly on the hyperplane
     raises: on the standard families that cannot happen, so it signals a
@@ -597,6 +629,9 @@ def below_set(point_set: PointSet, simplex: Transversal) -> tuple[PointId, ...]:
     which phase-1 inner points hit); they are simply not below, which is all
     the pivot draw ever asks.
     """
+    cached = point_set._below.get(simplex.members)
+    if cached is not None:
+        return cached
     members = set(simplex.members)
     strict = not point_set.is_augmented
     below = []
@@ -610,7 +645,8 @@ def below_set(point_set: PointSet, simplex: Transversal) -> tuple[PointId, ...]:
             raise GeneralPositionError(
                 f"{pid} lies on the hyperplane of {simplex.members}"
             )
-    return tuple(below)
+    point_set._below[simplex.members] = result = tuple(below)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -626,19 +662,19 @@ def pivot_generic(
     ``None`` when the exit is the process's color swap ``S.replace(p)``, or
     else with the degeneracy that makes the two disagree.
 
-    With the members ``q_1..q_r`` as columns of ``Q``, one fraction-free
-    elimination (:func:`_eliminate`) of ``[[Q, -1 | 0, p_1 ... p_k], [1 ...
-    1, 0 | 1, 1 ... 1]]`` (the matrix ``[[Q, -1], [1 ... 1, 0]]`` beside the
-    right-hand sides ``(0, ..., 0, 1)`` and each ``(p, 1)``) gives, as
-    integer numerators over one common denominator, ``lambda``, the weights
-    of the point where the diagonal crosses ``S``, and per ``p`` its ``mu``,
-    the weights of the point of ``aff(S)`` on the diagonal through ``p``.
-    Signs are read off the numerators, and ratios are compared by
-    cross-multiplying them, so the test builds no ``Fraction``.  Sliding the
-    crossing down the diagonal toward ``p`` moves the weights along
-    ``-mu``, so the member with the least ``lambda_j / mu_j`` over ``mu_j >
-    0`` (some ``mu_j`` is, as they sum to one) reaches zero first and
-    leaves.
+    ``lambda`` are the weights of the point where the diagonal crosses
+    ``S``, and ``mu`` those of the point of ``aff(S)`` on the diagonal
+    through ``p``.  With the members ``q_1..q_r`` as columns of ``Q``, one
+    fraction-free elimination (:func:`_eliminate`) of ``[Q | I]`` gives
+    ``adj(Q)`` up to sign; with the hyperplane ``n . x == d`` that
+    :func:`below_set` read, ``u = adj(Q) 1``, ``N = sum(n)`` and ``M = N
+    adj(Q) - u n^T``, ``lambda`` is ``d u`` and ``mu`` is ``M p + d u``, as
+    integer numerators over one positive denominator ``N |det(Q)|``.  Signs are
+    read off the numerators, and ratios are compared by cross-multiplying
+    them, so the test builds no ``Fraction``.  Sliding the crossing down
+    the diagonal toward ``p`` moves the weights along ``-mu``, so the
+    member with the least ``lambda_j / mu_j`` over ``mu_j > 0`` (some
+    ``mu_j`` is, as they sum to one) reaches zero first and leaves.
 
     A weight ``lambda_j <= 0`` (the line misses the open simplex, whatever
     ``p``), a tied least ratio (it leaves through a lower face) or a
@@ -649,22 +685,25 @@ def pivot_generic(
     if not below:
         return []
     # the side test found n.x == d with d > 0 and every n_i > 0: the members are
-    # linearly independent and not parallel to the diagonal, so the left block
-    # is nonsingular, holds every pivot, and all solutions share the denominator d
+    # linearly independent, so [Q | I] reduces to [e I | e Q^-1] with e = +-det Q
     r = point_set.r
-    cols = [point_set.coords(x) for x in (*simplex.members, *below)]
-    rows = [[*(x[t] for x in cols[:r]), -1, 0, *(x[t] for x in cols[r:])] for t in range(r)]
-    rows.append([1] * r + [0] + [1] * (len(below) + 1))
-    d, _, a = _eliminate(rows)
-    # with d > 0, lambda_j and mu_j have the signs of their numerators, and
-    # lambda_j / mu_j == lam[j] / mu[j]
-    sign = 1 if d > 0 else -1
-    lam = [sign * row[r + 1] for row in a[:r]]
+    n, d = point_set.normal(simplex.members)
+    q = [point_set.coords(x) for x in simplex.members]
+    rows = [[*(x[t] for x in q), *(int(t == s) for s in range(r))] for t in range(r)]
+    e, _, a = _eliminate(rows)
+    # scaled by sign(e), the numerators keep the signs of lambda_j and mu_j,
+    # and lambda_j / mu_j == lam[j] / mu[j]
+    sign = 1 if e > 0 else -1
+    u = [sum(row[r:]) for row in a]
+    lam = [sign * d * x for x in u]
     if any(x <= 0 for x in lam):
         return [(p, f"the diagonal misses the interior of {simplex.members}") for p in below]
+    total = sum(n)
+    slope = [[sign * (total * w - x * c) for w, c in zip(row[r:], n)] for row, x in zip(a, u)]
     outcomes = []
-    for c, p in enumerate(below, start=r + 2):
-        mu = [sign * row[c] for row in a[:r]]
+    for p in below:
+        y = point_set.coords(p)
+        mu = [sum(map(mul, row, y)) + x for row, x in zip(slope, lam)]
         # the least lam[j] / mu[j] over mu[j] > 0, compared by cross-multiplying
         best, tied = None, False
         for j in range(r):

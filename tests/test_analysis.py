@@ -507,6 +507,25 @@ def test_pierced_subsets_match_the_full_search_on_mutants(r, m, tails_only):
     assert failed
 
 
+def test_hyperplane_pass_fills_each_sub_line_from_two_eliminations(monkeypatch):
+    """The ``pierced`` check asks for every transversal's hyperplane, and
+    on the family, whose last color lies on the last axis, eliminates
+    twice per last-color sub-line."""
+    ps = gen_point_set(3, 3)
+    spans = []
+    span = geometry.PointSet._span
+
+    def counting(self, members):
+        spans.append(members)
+        return span(self, members)
+
+    monkeypatch.setattr(geometry.PointSet, "_span", counting)
+    checks, _ = _colors_and_pierced(ps, "")
+    assert all(c.passed for c in checks)
+    assert len(ps._normals) == ps.transversal_count()
+    assert len(spans) == 2 * ps.transversal_count() // len(ps.color_class(ps.r))
+
+
 def test_lemma_suite_matches_its_former_bodies():
     """On small random colored sets, ``verify_lemmas`` reports what the former
     bodies of ``non_degenerate`` and ``pivot_agreement`` reported, except

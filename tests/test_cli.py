@@ -1024,6 +1024,8 @@ RERUN_CASES = {
         "--m-list", "2..4", "--seed", "11",
     ],
     "verify-lemmas": ["verify", "lemmas", "--r", "2", "--m", "3"],
+    # heads of three points: the piercing kernel's pivot steps past the first
+    "verify-lemmas-r4-m3": ["verify", "lemmas", "--r", "4", "--m", "3"],
     # the sink's forced escape is the last draw of each walk
     "uso-walk-delta0-jsonl": [
         "uso", "walk", "--r", "2", "--m", "3", "--seed", "7", "--trials", "4",
