@@ -26,6 +26,7 @@ __all__ = [
     "check_state_count",
     "draw",
     "escape_weight",
+    "fiber_groups",
     "solve",
     "state_cap",
 ]
@@ -65,13 +66,36 @@ class Chain:
     That state has ``n_succ[i]`` successors, whose values sum to the sum of
     the groups ``reads[i]``; once solved its own value joins the groups
     ``writes[i]``: groups it reads, or groups no earlier state wrote.  There
-    are ``n_groups`` groups."""
+    are ``n_groups`` groups.
+
+    Both models number their states as the vertices of a grid and read
+    through its fibers (:func:`fiber_groups`): a state's successors along
+    one axis are the states of its fiber solved before it, so one running
+    sum per fiber holds their values.  A process state whose successors
+    along an axis are not all of those reads them one by one instead, each
+    from a group of that successor's own."""
 
     order: Sequence[int]
     n_succ: Sequence[int]
     reads: Sequence[Sequence[int]]
     writes: Sequence[Sequence[int]]
     n_groups: int
+
+
+def fiber_groups(order: Sequence[int], sizes: Sequence[int]) -> list[list[int]]:
+    """The fiber group of every state, one column per axis: ``columns[d][i]``
+    numbers the fiber of axis ``d`` through the state ``order[i]``, a vertex
+    id of the grid of these ``sizes`` (mixed radix, first coordinate
+    fastest).  It is the id with coordinate ``d`` zeroed, offset by ``d``
+    times the vertex count, so the groups of all axes are distinct and
+    below ``len(sizes)`` times that count."""
+    count = math.prod(sizes)
+    columns = []
+    stride = 1
+    for d, s in enumerate(sizes):
+        columns.append([d * count + i - i // stride % s * stride for i in order])
+        stride *= s
+    return columns
 
 
 def solve(ch: Chain, delta: int | None) -> tuple[list[int], int]:

@@ -607,8 +607,9 @@ def side_of(point_set: PointSet, simplex: Transversal, x: PointId) -> Side:
     spanning hyperplane, oriented so the diagonal direction points to
     ``ABOVE``: the sign of ``n . x - d`` for the integer pair of
     :meth:`PointSet.normal`, whose ``d > 0`` fixes the orientation."""
-    n, d = point_set.normal(simplex.members)
-    value = sum(map(mul, n, point_set.coords(x))) - d
+    members = simplex.members
+    n, d = point_set._normals.get(members) or point_set.normal(members)
+    value = sum(map(mul, n, point_set._points[x])) - d
     if value > 0:
         return _ABOVE
     if value < 0:

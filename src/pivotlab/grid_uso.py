@@ -407,17 +407,10 @@ def _strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
 def _compile(comb: CombOrientation) -> chain.Chain:
     """The comb as a chain over its vertex indices, in ascending rank order."""
     sizes = comb.sizes
-    strides = _strides(sizes)
-    count = math.prod(sizes)
-    index, n_succ = _ranked(comb, strides)
-    # the fiber of axis d through a vertex: its index with coordinate d
-    # zeroed, offset by d * count; one column of them per axis
-    columns = [
-        [d * count + i - i // st % s * st for i in index]
-        for d, (st, s) in enumerate(zip(strides, sizes))
-    ]
+    index, n_succ = _ranked(comb, _strides(sizes))
+    columns = chain.fiber_groups(index, sizes)
     fibers = list(zip(*columns)) if columns else [()]  # r = 0: one vertex, no fiber
-    return chain.Chain(index, n_succ, fibers, fibers, len(sizes) * count)
+    return chain.Chain(index, n_succ, fibers, fibers, len(sizes) * len(index))
 
 
 def expected_duration_exact(

@@ -16,17 +16,22 @@ of its members' places in their color classes, so ids run in the order of
 :func:`geometry.transversals`), whose successors are direct references to
 other states, each edge made when first taken.  A pivot changes one digit
 of the id, so an edge finds its successor by arithmetic and builds a member
-tuple only for a state not seen before.  Every edge is checked against the
-axis-sum order once, when it is made, on the sum held as an exact integer
-pair; :func:`run`, :func:`good_phases` and :func:`exact_expected_steps` all
-read the same graph.  A :class:`Trace` is the states a run visited and the
-index drawn at each, so a step allocates nothing beyond two list slots; its
-pivots, its phase changes and its jsonl dump are read off those states.
+tuple only for a state not seen before.  Each edge :func:`run` takes is
+checked against the axis-sum order once, when it is made, on the sum held
+as an exact integer pair.  :func:`exact_expected_steps` makes no edge: the
+ids are the vertices of the grid of the color classes, and it reads each
+state's swaps of one color as that grid's fiber through it, checking every
+swap against the order by its rank.  :func:`run`, :func:`good_phases` and
+:func:`exact_expected_steps` all read the same states.  A :class:`Trace` is
+the states a run visited and the index drawn at each, so a step allocates
+nothing beyond two list slots; its pivots, its phase changes and its jsonl
+dump are read off those states.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -198,12 +203,16 @@ def _edge(cfg: ProcessConfig, st: _State, i: int) -> _State:
             members[c] = p
             nxt = _new_state(cfg, tuple(members), sid)
         if nxt.t_num * st.t_den >= st.t_num * nxt.t_den:
-            raise InternalInvariantError(
-                f"pivot from {st.members} to {nxt.members} does not lower "
-                "the axis-intersection sum; monotonicity is broken"
-            )
+            raise _not_lower(st, nxt)
         st.succ[i] = nxt
     return nxt
+
+
+def _not_lower(st: _State, nxt: _State) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"pivot from {st.members} to {nxt.members} does not lower "
+        "the axis-intersection sum; monotonicity is broken"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +385,38 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     """Exact expected step count from ``cfg.start``, per the config's
     counting convention.
 
+    Every transversal is a state of the :func:`_compile` chain.  A state
+    reads each color's swaps as one running sum, that of its grid fiber,
+    where the guard holds, and one by one where it fails, so a plain set
+    costs ``r`` reads per state.  :func:`chain.solve` back-substitutes the
+    chain over plain integers; the start's value is read by its id."""
+    chain.check_state_count(cfg.point_set.transversal_count(), "transversals", "exact mode")
+    scaled, d = chain.solve(_compile(cfg), cfg.delta)
+    x = scaled[_state(cfg, cfg.start.members).sid]
+    return Fraction(x if cfg.count_terminal_step else x - d, d)
+
+
+def _compile(cfg: ProcessConfig) -> chain.Chain:
+    """Every transversal as a state of one fiber :class:`chain.Chain`.
+
     Enumerates all transversals, the k-th as state id k, filling the
     hyperplane pairs of each last-color sub-line at once
     (:meth:`PointSet.fill_normals`), and orders them by increasing
-    axis-intersection sum: every edge lowers it (:func:`_edge` checks
-    this), so successors always come first.  That order, each state
-    reading its successors' ids and writing its own, is the
-    :class:`chain.Chain` that :func:`chain.solve` back-substitutes over
-    plain integers; the start's value is read by its id.
+    axis-intersection sum.  The ids number the vertices of the grid of the
+    color classes, so a state's color-c swaps lie on its fiber of that axis
+    (:func:`chain.fiber_groups`).  Each swap's state must have a smaller
+    rank, the position of the first state of its sum, or monotonicity is
+    broken; so it is solved first.  Per color, the guard: when the swaps
+    number as many as the fiber's states solved so far, they are those
+    states, and the state reads and writes the fiber's running sum.  Else
+    it reads them one by one, and the fiber is read and written no more:
+    every later state on it reads that color one by one.  A state read one
+    by one writes a group of its own.
     """
     ps = cfg.point_set
-    chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
+    r = ps.r
     known = cfg._states
-    line = len(ps.color_class(ps.r))
+    line = len(ps.color_class(r))
     states = []
     for sid, s in enumerate(geometry.transversals(ps)):
         if sid % line == 0:  # the first of a last-color sub-line
@@ -396,15 +424,61 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
         states.append(known.get(sid) or _new_state(cfg, s.members, sid))
     states.sort(key=_solve_order)
     order = [st.sid for st in states]
-    n_succ, reads = [], []
-    for st in states:
-        n_below = len(_below(cfg, st))
-        n_succ.append(n_below)
-        reads.append([_edge(cfg, st, i).sid for i in range(n_below)])
-    ch = chain.Chain(order, n_succ, reads, [(k,) for k in order], len(order))
-    scaled, d = chain.solve(ch, cfg.delta)
-    x = scaled[_state(cfg, cfg.start.members).sid]
-    return Fraction(x if cfg.count_terminal_step else x - d, d)
+    count = len(order)
+    rank = [0] * count
+    first, prev = 0, states[0]
+    for i, st in enumerate(states):
+        if prev < st:
+            first = i
+        rank[st.sid] = first
+        prev = st
+    # ids run last color fastest, so color c is the grid's axis r - 1 - c
+    sizes = [len(ps.color_class(c)) for c in range(r, 0, -1)]
+    fibers = list(zip(*chain.fiber_groups(order, sizes)[::-1]))
+    offset = {p: k * cfg._stride[p.color - 1] for p, k in cfg._index.items()}
+    ends = [(c + 2,) for c in range(r)]  # sorts between colors c + 1 and c + 2
+    written = [0] * (r * count)  # states on each fiber; -1 once it failed
+    single = bytearray(count)  # the states some state reads one by one
+    n_succ, reads, writes = [], [], []
+    for i, st in enumerate(states):
+        # from the set's cache, not kept on the state: a run keeps below
+        # sets beside their edges only for the states it visits
+        below = geometry.below_set(ps, Transversal(st.members))
+        sid, rk = st.sid, rank[st.sid]
+        # the state of each swap: a color-c pivot changes digit c of the id
+        base = [0] + [sid - offset[q] for q in st.members]
+        succ = [base[p[0]] + offset[p] for p in below]
+        if succ and max(map(rank.__getitem__, succ)) >= rk:
+            raise _not_lower(st, known[next(k for k in succ if rank[k] >= rk)])
+        groups = fibers[i]
+        failed, loose, lo = False, [], 0
+        for g, end in zip(groups, ends):
+            hi = bisect_left(below, end, lo)
+            if written[g] == hi - lo:  # the guard
+                written[g] += 1
+            else:
+                written[g] = -1
+                failed = True
+                loose += succ[lo:hi]
+            lo = hi
+        if failed:  # keep the fibers that passed
+            groups = tuple(g for g in groups if written[g] > 0)
+        for k in loose:
+            single[k] = 1
+        n_succ.append(len(below))
+        # a successor read one by one is kept as ~id until its group exists
+        reads.append(groups + tuple(~k for k in loose) if loose else groups)
+        writes.append(groups)
+    n_groups = r * count
+    if any(single):
+        own = {}
+        for i, k in enumerate(order):
+            if single[k]:
+                own[k] = n_groups
+                writes[i] += (n_groups,)
+                n_groups += 1
+        reads = [[g if g >= 0 else own[~g] for g in rd] for rd in reads]
+    return chain.Chain(order, n_succ, reads, writes, n_groups)
 
 
 def adversaries(

@@ -42,6 +42,27 @@ def compile_chain(order, states, n_groups):
     return chain.Chain(order, n_succ, reads, writes, n_groups)
 
 
+def writes_rule_breaker(ch):
+    """The first state, by number, that writes a group it does not read
+    after an earlier state wrote that group, breaking the rule
+    :class:`chain.Chain` states and ``_denominator`` relies on; ``None``
+    when every state keeps it."""
+    written = set()
+    for k, rd, wr in zip(ch.order, ch.reads, ch.writes):
+        if any(g in written and g not in rd for g in wr):
+            return k
+        written.update(wr)
+    return None
+
+
+def test_writes_rule_breaker_names_the_first_breaking_state():
+    # state 1 writes group 0 after state 2 wrote it without reading it
+    ch = chain.Chain([2, 1, 0], [0, 1, 1], [(), (), (0,)], [(0,), (0,), (0,)], 1)
+    assert writes_rule_breaker(ch) == 1
+    ch = chain.Chain([2, 1, 0], [0, 1, 1], [(), (0,), (0,)], [(0,), (0,), (0,)], 1)
+    assert writes_rule_breaker(ch) is None
+
+
 def kernel_solve(order, states, n_groups, delta):
     scaled, d = chain.solve(compile_chain(order, states, n_groups), delta)
     return [Fraction(x, d) for x in scaled]
@@ -245,36 +266,47 @@ def _comb_solves(r, m, seed, deltas):
         )
 
 
+def _process_solve(point_set, delta=0):
+    process.exact_expected_steps(process.ProcessConfig(point_set, delta=delta))
+
+
 @pytest.mark.parametrize(
-    "solve, count",
+    "solve, count, r, own",
     [
         *(
-            (lambda r=r, m=m, seed=seed: _comb_solves(r, m, seed, [None, 0, 1, 2]), 4)
+            (lambda r=r, m=m, seed=seed: _comb_solves(r, m, seed, [None, 0, 1, 2]), 4, r, 0)
             for r, m in [(2, 20), (3, 8)]
             for seed in (1, 2)
         ),
+        (lambda: _process_solve(geometry.gen_point_set(2, 5).augmented(), 1), 1, 2, 10),
+        (lambda: _process_solve(geometry.gen_point_set(3, 4)), 1, 3, 0),
+        # fibers that fail the guard: their states read swaps one by one
+        (lambda: _process_solve(geometry.gen_point_set(3, 3).augmented(), 2), 1, 3, 69),
         (
-            lambda: process.exact_expected_steps(
-                process.ProcessConfig(geometry.gen_point_set(2, 5).augmented(), delta=1)
+            lambda: _process_solve(
+                geometry.flip_tail_sign(
+                    geometry.gen_point_set(4, 2).augmented(), geometry.PointId(1, 1, 1), 3
+                ),
+                1,
             ),
             1,
-        ),
-        (
-            lambda: process.exact_expected_steps(
-                process.ProcessConfig(geometry.gen_point_set(3, 4))
-            ),
-            1,
+            4,
+            314,
         ),
     ],
     ids=[
         "comb-2-20-s1", "comb-2-20-s2", "comb-3-8-s1", "comb-3-8-s2",
         "process-2-5-augmented-delta1", "process-3-4",
+        "process-3-3-augmented-delta2", "process-4-2-augmented-mutant-delta1",
     ],
 )
-def test_bound_pass_matches_its_oracle_on_model_chains(monkeypatch, solve, count):
+def test_bound_pass_matches_its_oracle_on_model_chains(monkeypatch, solve, count, r, own):
+    """``own`` counts the groups past the ``r`` fibers per state: the
+    process states that some state reads one by one."""
     solved = _solved_chains(monkeypatch, solve)
     assert len(solved) == count
     for chain_ in solved:
+        assert chain_[3] - r * len(chain_[0]) == own
         assert chain._denominator(*chain_) == oracle_denominator(*chain_)
 
 

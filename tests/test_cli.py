@@ -1059,6 +1059,9 @@ RERUN_CASES = {
     "process-expect-alphas-delta1": [
         "process", "expect", "--r", "2", "--m", "3", "--alphas", "5,6", "--delta", "1",
     ],
+    # the fiber compile where D has about 9,600 bits, and at r = 4
+    "process-expect-r2-m40": ["process", "expect", "--r", "2", "--m", "40"],
+    "process-expect-r4-m3": ["process", "expect", "--r", "4", "--m", "3"],
     # phase_law_report: transition and pivot-color tests, good phases
     "verify-lemmas-phase-laws": [
         "verify", "lemmas", "--r", "2", "--m", "6", "--phase-trials", "2000", "--seed", "7",

@@ -4,12 +4,13 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pivotlab import chain, process
-from pivotlab.errors import InstanceTooLargeError, InternalInvariantError
+from pivotlab.errors import DegeneracyError, InstanceTooLargeError, InternalInvariantError
 from pivotlab.geometry import (
     PointId,
     Transversal,
@@ -33,7 +34,7 @@ from pivotlab.process import (
     worst_case_expected_steps,
 )
 from pivotlab.seeding import derive_rng
-from test_chain import expected_steps
+from test_chain import expected_steps, writes_rule_breaker
 from test_geometry import axis_intersections
 
 
@@ -509,6 +510,184 @@ def test_exact_matches_fraction_oracle(r, m, delta):
         assert exact_expected_steps(cfg) == fraction_expected_steps(cfg)
 
 
+def edge_expected_steps(cfg):
+    """The edge-by-edge compile that the fiber compile replaced: every edge
+    built by ``_edge``, which checks that it lowers the axis-intersection
+    sum, each state reading its successors one by one and writing a group
+    of its own."""
+    ps = cfg.point_set
+    chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
+    known = cfg._states
+    line = len(ps.color_class(ps.r))
+    states = []
+    for sid, s in enumerate(transversals(ps)):
+        if sid % line == 0:
+            ps.fill_normals(s.members[:-1])
+        states.append(known.get(sid) or process._new_state(cfg, s.members, sid))
+    states.sort(key=process._solve_order)
+    order = [st.sid for st in states]
+    n_succ, reads = [], []
+    for st in states:
+        n_below = len(process._below(cfg, st))
+        n_succ.append(n_below)
+        reads.append([process._edge(cfg, st, i).sid for i in range(n_below)])
+    ch = chain.Chain(order, n_succ, reads, [(k,) for k in order], len(order))
+    scaled, d = chain.solve(ch, cfg.delta)
+    x = scaled[process._state(cfg, cfg.start.members).sid]
+    return Fraction(x if cfg.count_terminal_step else x - d, d)
+
+
+def check_fiber_chain(ch, r):
+    """The rules of a compiled process chain: each state writes only groups
+    it reads or groups no earlier state wrote; the groups past the ``r``
+    fibers per state are each one state's own, written by it alone and read
+    by some later state."""
+    assert writes_rule_breaker(ch) is None
+    fibers = r * len(ch.order)
+    own = [g for wr in ch.writes for g in wr if g >= fibers]
+    assert sorted(own) == list(range(fibers, ch.n_groups))
+    later = set()
+    for rd, wr in zip(reversed(ch.reads), reversed(ch.writes)):
+        assert all(g in later for g in wr if g >= fibers)
+        later.update(rd)
+
+
+@st.composite
+def small_cases(draw):
+    """Plain and augmented sets, and ``flip_tail_sign`` mutants of either,
+    with ``r <= 4``, ``m <= 4`` and ``delta`` in 0..2, as
+    ``(r, m, alphas, flip, delta)``."""
+    r = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["plain", "augmented", "mutant"]))
+    alphas = None
+    if kind == "augmented" or kind == "mutant" and draw(st.booleans()):
+        alphas = tuple(draw(st.lists(st.integers(m + 1, m + 3), min_size=r, max_size=r)))
+    flip = None
+    if kind == "mutant":
+        flip = draw(st.sampled_from(tail_flips(case_set(r, m, alphas, None))))
+    return r, m, alphas, flip, draw(st.integers(0, 2))
+
+
+def case_set(r, m, alphas, flip):
+    ps = gen_point_set(r, m)
+    if alphas is not None:
+        ps = ps.augmented(alphas)
+    return ps if flip is None else flip_tail_sign(ps, *flip)
+
+
+def tail_flips(ps):
+    """Every ``(point, coordinate)`` whose sign ``flip_tail_sign`` can flip."""
+    return [(p, i) for p in ps.ids() for i, x in enumerate(ps.coords(p)) if x]
+
+
+def outcome(solve, make_set, delta):
+    """``solve`` on a config of a fresh ``make_set()``: its value, or the
+    type and message of what it raised."""
+    try:
+        value = solve(ProcessConfig(make_set(), delta=delta))
+    except Exception as exc:  # every raise must match the oracle's
+        return type(exc), str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+def fiber_matches_edge(make_set, delta, r):
+    """The fiber compile's outcome, after checking that it equals the edge
+    compile's and that the chain it solved keeps the fiber rules."""
+    with mock.patch.object(chain, "solve", wraps=chain.solve) as spy:
+        got = outcome(exact_expected_steps, make_set, delta)
+    assert got == outcome(edge_expected_steps, make_set, delta)
+    if spy.called:
+        check_fiber_chain(spy.call_args.args[0], r)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=small_cases())
+def test_fiber_compile_matches_the_edge_compile(case):
+    r, m, alphas, flip, delta = case
+    fiber_matches_edge(lambda: case_set(r, m, alphas, flip), delta, r)
+
+
+def test_every_small_mutant_matches_the_edge_compile():
+    # most mutants stop on a degenerate hyperplane, and all of them do at
+    # r <= 2; from r = 3 on some solve and some break monotonicity
+    kinds = set()
+    for r, m in [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]:
+        for alphas in (None, tuple(range(m + 1, m + 1 + r))):
+            for flip in tail_flips(case_set(r, m, alphas, None)):
+                got = fiber_matches_edge(lambda: case_set(r, m, alphas, flip), 1, r)
+                kinds.add(got[0] if type(got) is tuple else Fraction)
+    assert kinds == {Fraction, DegeneracyError, InternalInvariantError}
+
+
+@pytest.mark.parametrize("r,m", [(2, 20), (3, 6), (4, 3)])
+def test_plain_solve_reads_only_fiber_sums(r, m):
+    ch = process._compile(plain_config(r, m))
+    assert ch.n_groups == r * len(ch.order)
+    assert all(len(rd) == r and rd == wr for rd, wr in zip(ch.reads, ch.writes))
+
+
+def guard_failures(cfg, order):
+    """States whose swaps of some color are not all the states of that
+    color's fiber (its transversals that differ from it in that color alone)
+    solved before it, counted from the below sets alone."""
+    r = cfg.point_set.r
+    solved = {}
+    failures = 0
+    for sid in order:
+        st = cfg._states[sid]
+        counts = [0] * r
+        for p in below_set(cfg.point_set, Transversal(st.members)):
+            counts[p.color - 1] += 1
+        fibers = [(c, st.members[:c] + st.members[c + 1 :]) for c in range(r)]
+        failures += any(solved.get(f, 0) != n for f, n in zip(fibers, counts))
+        for f in fibers:
+            solved[f] = solved.get(f, 0) + 1
+    return failures
+
+
+@pytest.mark.parametrize(
+    "r,m,failing,one_by_one", [(2, 5, 1, 5), (3, 3, 16, 45), (4, 3, 262, 675)]
+)
+def test_guard_failures_on_augmented_sets(r, m, failing, one_by_one):
+    # a state that fails the guard leaves every later state of that fiber
+    # reading the color one by one
+    cfg = ProcessConfig(gen_point_set(r, m).augmented())
+    ch = process._compile(cfg)
+    check_fiber_chain(ch, r)
+    assert guard_failures(cfg, ch.order) == failing
+    fibers = r * len(ch.order)
+    assert sum(any(g >= fibers for g in rd) for rd in ch.reads) == one_by_one
+    fresh = ProcessConfig(gen_point_set(r, m).augmented())
+    assert exact_expected_steps(cfg) == edge_expected_steps(fresh)
+
+
+def test_a_fiber_that_failed_its_guard_is_read_no_more():
+    # on one color-1 fiber a < b < c in solve order: b loses its color-1
+    # swaps and fails the guard, and c's color-1 swaps become b alone; their
+    # count equals the states the fiber's sum holds, a alone, so only the
+    # fiber's retirement makes c read b one by one
+    cfg = plain_config(2, 3)
+    fibers = {}
+    for sid in process._compile(cfg).order:
+        st = cfg._states[sid]
+        fibers.setdefault(st.members[1:], []).append(st)
+    a, b, c = next(f for f in fibers.values() if len(f) >= 3)[:3]
+    cached = cfg.point_set._below  # the below sets both compiles read
+    assert {a.members[0], b.members[0]} <= set(cached[c.members])
+    cached[b.members] = tuple(p for p in cached[b.members] if p.color != 1)
+    cached[c.members] = tuple(
+        p for p in cached[c.members] if p.color != 1 or p == b.members[0]
+    )
+    ch = process._compile(cfg)
+    check_fiber_chain(ch, 2)
+    fiber_groups = 2 * len(ch.order)
+    assert [g for g in ch.reads[ch.order.index(c.sid)] if g >= fiber_groups]
+    assert exact_expected_steps(cfg) == edge_expected_steps(cfg)
+
+
 def test_solve_order_is_exact_on_a_float_tie():
     # all three sums round to the float 1.0 but differ exactly
     e = 10**17
@@ -580,6 +759,34 @@ def test_broken_monotonicity_is_an_internal_error():
     ps = flip_tail_sign(gen_point_set(3, 2), PointId(1, 1, 1), 2)
     with pytest.raises(InternalInvariantError, match="monotonicity is broken"):
         exact_expected_steps(ProcessConfig(ps))
+
+
+def test_a_swap_of_equal_axis_sum_breaks_monotonicity():
+    # tie a state's sum to that of its highest swap, whose id is lower, so
+    # the stable sort puts the swap first: only the swap's rank, the
+    # position of the first state of the shared sum, still refuses it
+    cfg = plain_config(2, 3)
+    process._compile(cfg)  # builds every state
+    for st in sorted(cfg._states.values(), key=lambda s: s.sid):
+        position = Transversal(st.members)
+        swaps = [
+            process._state(cfg, position.replace(p).members)
+            for p in below_set(cfg.point_set, position)
+        ]
+        top = max(swaps, key=lambda s: Fraction(s.t_num, s.t_den), default=None)
+        if top is not None and top.sid < st.sid:
+            break
+    else:
+        pytest.fail("no state has a highest swap of lower id")
+    st.t_num, st.t_den = top.t_num, top.t_den
+    message = (
+        f"pivot from {st.members} to {top.members} does not lower the "
+        "axis-intersection sum; monotonicity is broken"
+    )
+    for solve in (exact_expected_steps, edge_expected_steps):
+        with pytest.raises(InternalInvariantError) as raised:
+            solve(cfg)
+        assert str(raised.value) == message
 
 
 def test_exact_respects_cap(monkeypatch):
