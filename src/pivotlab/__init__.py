@@ -10,8 +10,8 @@ pivoting, in two equivalent models.
   (acyclic, unique sink in every subgrid), simulates the directed random walk
   and solves its expected duration exactly; a comb keeps each visited
   vertex's arcs as vertex-id changes, which ``out_neighbors`` decodes into
-  targets and the structural checks read as ids into one ``CheckedArcs``
-  table.
+  targets, and beside its compiled chain the checked arc table that both
+  structural checks read.
 - :mod:`pivotlab.geometry` constructs the exact-integer point families around
   the diagonal requirement line and decides every predicate exactly, the
   side test and pivot by integer signs from one fraction-free elimination.

@@ -169,10 +169,8 @@ def _cmd_uso_expect(args) -> int:
 def _cmd_uso_verify(args) -> int:
     seed, comb = _comb_for(args)
     spec = grid_uso.grid_spec(comb)
-    # the first check reads and checks every vertex's arcs, the second reuses them
-    arcs = grid_uso.CheckedArcs(spec, comb)
-    acyclic = grid_uso.has_topological_order(spec, arcs)
-    violations = grid_uso.unique_sink_violations(spec, arcs)
+    acyclic = grid_uso.has_topological_order(spec, comb)
+    violations = grid_uso.unique_sink_violations(spec, comb)
     payload = {
         "r": args.r,
         "m": args.m,

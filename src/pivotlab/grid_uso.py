@@ -23,12 +23,15 @@ count of one hyperplane of that node.  :func:`_moves` builds them from the
 ranks on a vertex's first visit and keeps them on the comb, its one arc
 cache.  :func:`walk` steps by adding the drawn change to the id and decodes
 coordinates only to record them; :func:`out_neighbors` decodes the same
-changes into target tuples.  The structural checks read a comb's changes
-themselves, once per vertex, into the integer arc table of one
-:class:`CheckedArcs`, and check each change in integers.  So a walk draws
-exactly as it would over :func:`out_neighbors`, and a fresh comb per trial
-fills only what its one walk visits.  The exact solve compiles the comb
-once into a :class:`chain.Chain` over the same vertex ids.
+changes into target tuples.  So a walk draws exactly as it would over
+:func:`out_neighbors`, and a fresh comb per trial fills only what its one
+walk visits.  The exact solve compiles the comb once into a
+:class:`chain.Chain` over the same vertex ids, kept on the comb.  Beside it
+the comb keeps the arc table both structural checks read
+(:func:`_read_arcs`): every vertex's changes, checked in integers, with one
+out-mask per axis, and whether Kahn's algorithm orders them.  Any other
+orientation, given as a function from a vertex to its targets, is read
+into the same table, its targets turned into id changes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
-from operator import and_, ne
+from operator import and_
 from typing import Callable, Iterator
 
 from . import chain
@@ -47,7 +50,6 @@ from .seeding import Stream
 
 __all__ = [
     "AugmentedConfig",
-    "CheckedArcs",
     "CombOrientation",
     "GridSpec",
     "Vertex",
@@ -168,6 +170,12 @@ class CombOrientation:
         # kept like sizes: the plain and escape solves of one comb share
         # one compiled chain
         return _compile(self)
+
+    @cached_property
+    def _arcs(self) -> tuple[ArcTable, bool]:
+        # kept like sizes: both structural checks of one comb share one
+        # read of its arcs and one run of Kahn's algorithm
+        return _read_arcs(GridSpec(self.sizes), self)
 
 
 LEAF = CombOrientation((), ())
@@ -511,25 +519,12 @@ def _pad(node: CombOrientation, sizes: tuple[int, ...]) -> CombOrientation:
 # ---------------------------------------------------------------------------
 
 OutFn = Callable[[Vertex], tuple[Vertex, ...]]
+# indexed by vertex id: each vertex's arcs as id changes, and its out-masks
+ArcTable = list[tuple[tuple[int, ...], list[int]]]
 
 
 def _not_neighbours(v: Vertex, w: Vertex) -> ValueError:
     return ValueError(f"arc {v} -> {w} does not join two grid neighbours")
-
-
-def _out_masks(spec: GridSpec, v: Vertex, targets: tuple[Vertex, ...]) -> list[int]:
-    """One bitmask per axis of ``v``'s arcs: bit ``c-1`` of axis ``d`` is set
-    when an arc changes coordinate ``d`` to ``c``.  An arc that does not join
-    the grid vertex ``v`` to a grid neighbour raises ``ValueError``."""
-    masks = [0] * spec.dimension
-    for w in targets:
-        changed = list(map(ne, v, w))
-        # v is in the grid: so is w if it differs from v in one coordinate, in range
-        d = changed.index(True) if len(w) == len(v) and changed.count(True) == 1 else -1
-        if d < 0 or not 1 <= w[d] <= spec.factor_sizes[d]:
-            raise _not_neighbours(v, w)
-        masks[d] |= 1 << (w[d] - 1)
-    return masks
 
 
 def _numbered(spec: GridSpec) -> Iterator[tuple[Vertex, int]]:
@@ -546,131 +541,108 @@ def _unwrapped(sizes: tuple[int, ...], index: int) -> Vertex:
     return _vertex(head, index) + (index // math.prod(head) + 1,)
 
 
-class CheckedArcs:
-    """An ``OutFn`` over the grid ``spec`` that keeps what the structural
-    checks read of ``source``, a comb of that grid or any other ``OutFn``,
-    as one arc table indexed by vertex id (:func:`_vertex_id`).  On first
-    use (:attr:`arcs`) it reads every vertex once, in ``spec.vertices()``
-    order; :attr:`acyclic` runs Kahn's algorithm on the table once.
-    ``uso verify`` passes one, made from its comb, to both checks; a check
-    given any other ``OutFn``, or a ``CheckedArcs`` of another grid, wraps
-    it in a fresh one.  Called as an ``OutFn``, one made from a comb
-    answers with :func:`out_neighbors`."""
+def _read_arcs(spec: GridSpec, source: CombOrientation | OutFn) -> tuple[ArcTable, bool]:
+    """The arc table of ``source``, a comb of the grid ``spec`` or any
+    ``OutFn``, and whether Kahn's algorithm orders its arcs.
 
-    def __init__(self, spec: GridSpec, source: CombOrientation | OutFn) -> None:
-        if isinstance(source, CombOrientation) and source.sizes != spec.factor_sizes:
-            raise ValueError(f"a comb of grid {source.sizes} read as grid {spec.factor_sizes}")
-        self.spec = spec
-        self.source = source
-
-    def __call__(self, v: Vertex) -> tuple[Vertex, ...]:
-        if isinstance(self.source, CombOrientation):
-            return out_neighbors(self.source, v)
-        return self.source(v)
-
-    @cached_property
-    def arcs(self) -> list[tuple[tuple[int, ...], list[int]]]:
-        """Each vertex id's target ids and out-masks: one bitmask per axis,
-        bit ``c-1`` of axis ``d`` set when an arc changes coordinate ``d`` to
-        ``c``.  A comb's arcs are its id changes (:func:`_moves`): each must
-        be a nonzero multiple ``k * stride_d`` with ``|k| < s_d``, taking the
-        vertex's coordinate ``c`` to ``c + k`` in ``1..s_d``, which by the
-        uniqueness of the mixed-radix form is exactly a step to a grid
-        neighbour.  Any other ``OutFn`` is called once per vertex and its
-        targets checked by :func:`_out_masks`.  Either way an arc that does
-        not join two grid neighbours raises ``ValueError``.  The grid's
-        vertex count, and then its edge count ``V * sum_d (s_d - 1) / 2``,
-        are checked against the cap before the first read."""
-        spec = self.spec
-        chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
-        edges = spec.vertex_count * sum(s - 1 for s in spec.factor_sizes) // 2
-        chain.check_state_count(edges, "grid edges", "the acyclicity check")
-        table: list = [None] * spec.vertex_count
-        source = self.source
-        if not isinstance(source, CombOrientation):
-            for v, i in _numbered(spec):
-                targets = source(v)
-                masks = _out_masks(spec, v, targets)
-                table[i] = (tuple([_vertex_id(spec, w) for w in targets]), masks)
-            return table
-        sizes = source.sizes
-        # (axis, k) of each id change k * stride that stays on one axis
-        axis_of = {
-            k * st: (d, k)
-            for d, (st, s) in enumerate(zip(_strides(sizes), sizes))
-            for k in range(1 - s, s)
-            if k
-        }
-        known = source._vertex_moves
-        for v, i in _numbered(spec):
-            moves = known.get(i)
-            if moves is None:
-                moves = _moves(source, i)
-            masks = [0] * len(sizes)
-            for move in moves:
-                d, k = axis_of.get(move, (-1, 0))
-                if d < 0 or not 1 <= v[d] + k <= sizes[d]:
-                    raise _not_neighbours(v, _unwrapped(sizes, i + move))
-                masks[d] |= 1 << (v[d] + k - 1)
-            table[i] = (tuple([i + move for move in moves]), masks)
-        return table
-
-    @cached_property
-    def acyclic(self) -> bool:
-        arcs = self.arcs
-        indeg = [0] * len(arcs)
-        for targets, _ in arcs:
-            for w in targets:
-                indeg[w] += 1
-        # the vertices with no arc left into them, in the order they are freed
-        order = [i for i, n in enumerate(indeg) if not n]
-        for i in order:
-            for w in arcs[i][0]:
-                indeg[w] -= 1
-                if not indeg[w]:
-                    order.append(w)
-        return len(order) == len(arcs)
+    Each vertex is read once, in ``spec.vertices()`` order: a comb gives its
+    id changes (:func:`_moves`), the very tuples it keeps, and an ``OutFn``'s
+    targets are turned into id changes here.  Each change must be a nonzero
+    multiple ``k * stride_d`` with ``|k| < s_d`` taking the vertex's
+    coordinate ``c`` to ``c + k`` in ``1..s_d``, which by the uniqueness of
+    the mixed-radix form is exactly a step to a grid neighbour; any other
+    arc raises ``ValueError``.  Beside its changes the table keeps each
+    vertex's out-masks: one bitmask per axis, bit ``c-1`` of axis ``d`` set
+    when an arc changes coordinate ``d`` to ``c``.  The grid's vertex count,
+    and then its edge count ``V * sum_d (s_d - 1) / 2``, are checked against
+    the cap before the first read."""
+    sizes = spec.factor_sizes
+    chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
+    edges = spec.vertex_count * sum(s - 1 for s in sizes) // 2
+    chain.check_state_count(edges, "grid edges", "the acyclicity check")
+    # (axis, k) of each id change k * stride that stays on one axis
+    axis_of = {
+        k * st: (d, k)
+        for d, (st, s) in enumerate(zip(_strides(sizes), sizes))
+        for k in range(1 - s, s)
+        if k
+    }
+    comb = source if isinstance(source, CombOrientation) else None
+    known = comb._vertex_moves if comb is not None else {}
+    table: list = [None] * spec.vertex_count
+    for v, i in _numbered(spec):
+        if comb is None:
+            targets = source(v)  # type: ignore[operator]
+            # a target outside the grid becomes the change 0, refused below
+            moves = tuple([_vertex_id(spec, w) - i if spec.contains(w) else 0 for w in targets])
+        elif (moves := known.get(i)) is None:
+            moves = _moves(comb, i)
+        masks = [0] * len(sizes)
+        for move in moves:
+            d, k = axis_of.get(move, (-1, 0))
+            if d < 0 or not 1 <= v[d] + k <= sizes[d]:
+                # an OutFn's first refused change names its target as given
+                w = targets[moves.index(move)] if comb is None else _unwrapped(sizes, i + move)
+                raise _not_neighbours(v, w)
+            masks[d] |= 1 << (v[d] + k - 1)
+        table[i] = (moves, masks)
+    indeg = [0] * len(table)
+    for i, (moves, _) in enumerate(table):
+        for move in moves:
+            indeg[i + move] += 1
+    # the vertices with no arc left into them, in the order they are freed
+    order = [i for i, n in enumerate(indeg) if not n]
+    for i in order:
+        for move in table[i][0]:
+            indeg[i + move] -= 1
+            if not indeg[i + move]:
+                order.append(i + move)
+    return table, len(order) == len(table)
 
 
-def _checked(spec: GridSpec, out_fn: OutFn) -> CheckedArcs:
-    if isinstance(out_fn, CheckedArcs) and out_fn.spec == spec:
-        return out_fn
-    return CheckedArcs(spec, out_fn)
+def _checked(spec: GridSpec, source: CombOrientation | OutFn) -> tuple[ArcTable, bool]:
+    """:func:`_read_arcs` of ``source``: kept on a comb, read afresh from
+    any other ``OutFn``.  A comb of another grid raises ``ValueError``."""
+    if not isinstance(source, CombOrientation):
+        return _read_arcs(spec, source)
+    if source.sizes != spec.factor_sizes:
+        raise ValueError(f"a comb of grid {source.sizes} read as grid {spec.factor_sizes}")
+    return source._arcs
 
 
 def unique_sink_violations(
-    spec: GridSpec, out_fn: OutFn
+    spec: GridSpec, source: CombOrientation | OutFn
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Check every subgrid for a unique sink; returns the offending subgrids
     (as tuples of per-factor value subsets, in ``product`` order, at most
     five of them), empty if the orientation is a unique sink orientation.
 
-    ``out_fn(v)`` must list only grid neighbours of ``v`` (vertices of the
-    grid that differ from ``v`` in exactly one coordinate); any other target
-    raises ``ValueError``.  Each vertex's arcs are read once, into the
-    integer arc table of a :class:`CheckedArcs` (one made from a comb reads
-    its id changes, not :func:`out_neighbors`), as one bitmask per axis.  A
-    subgrid (one value subset per axis) has ``v`` as a sink when each subset
-    holds ``v``'s coordinate and none of the values its arcs along that axis
-    lead to, so ``v`` is the sink of ``prod_d 2**(s_d - 1 - |out_d(v)|)``
-    subgrids.  Every subgrid of an acyclic orientation has a sink, so when
-    these counts sum to the number of subgrids and Kahn's algorithm orders
-    the arcs (:attr:`CheckedArcs.acyclic`), every subgrid has exactly one,
-    and the answer is decided in time linear in the vertex count.  Otherwise
-    :func:`_sweep_violations` finds and names the violations, once the
-    subgrid count is within the cap.
+    ``source`` is a comb of the grid ``spec`` or an ``OutFn``, which must
+    list only grid neighbours of ``v`` (vertices of the grid that differ
+    from ``v`` in exactly one coordinate); any other target raises
+    ``ValueError``.  Its arcs are read once into the arc table of
+    :func:`_read_arcs`, which a comb keeps, so both checks of one comb
+    share one read.  A subgrid (one value subset per axis) has ``v`` as a
+    sink when each subset holds ``v``'s coordinate and none of the values
+    its arcs along that axis lead to, so ``v`` is the sink of ``prod_d
+    2**(s_d - 1 - |out_d(v)|)`` subgrids, counted from its out-masks.  Every
+    subgrid of an acyclic orientation has a sink, so when these counts sum
+    to the number of subgrids and Kahn's algorithm orders the arcs, every
+    subgrid has exactly one, and the answer is decided in time linear in
+    the vertex count.  Otherwise :func:`_sweep_violations` finds and names
+    the violations, once the subgrid count is within the cap.
     """
-    checked = _checked(spec, out_fn)
+    table, acyclic = _checked(spec, source)
     count = math.prod(2**s - 1 for s in spec.factor_sizes)
     free = sum(spec.factor_sizes) - spec.dimension
-    sinks = sum(1 << (free - sum(map(int.bit_count, masks))) for _, masks in checked.arcs)
-    if sinks == count and checked.acyclic:
+    sinks = sum(1 << (free - sum(map(int.bit_count, masks))) for _, masks in table)
+    if sinks == count and acyclic:
         return []
     chain.check_state_count(count, "subgrids", "the exhaustive check")
-    return _sweep_violations(spec, checked)
+    return _sweep_violations(spec, table)
 
 
-def _sweep_violations(spec: GridSpec, checked: CheckedArcs) -> list[tuple[tuple[int, ...], ...]]:
+def _sweep_violations(spec: GridSpec, table: ArcTable) -> list[tuple[tuple[int, ...], ...]]:
     """The first five subgrids without a unique sink, in ``product`` order,
     by sweeping every subgrid; the bit of a vertex is its id.
 
@@ -685,9 +657,8 @@ def _sweep_violations(spec: GridSpec, checked: CheckedArcs) -> list[tuple[tuple[
     # groups[d][(position bit, out-mask)]: bitset of the vertices with that
     # coordinate and those arcs along axis d
     groups: list[dict[tuple[int, int], int]] = [{} for _ in range(spec.dimension)]
-    arcs = checked.arcs
     for v, i in _numbered(spec):
-        for group, c, out in zip(groups, v, arcs[i][1]):
+        for group, c, out in zip(groups, v, table[i][1]):
             key = (1 << (c - 1), out)
             group[key] = group.get(key, 0) | 1 << i
     # keep[d][mask - 1] for each value subset mask of axis d; the groups of
@@ -712,11 +683,12 @@ def _sweep_violations(spec: GridSpec, checked: CheckedArcs) -> list[tuple[tuple[
     return bad
 
 
-def has_topological_order(spec: GridSpec, out_fn: OutFn) -> bool:
-    """Kahn's algorithm over the full edge set (:attr:`CheckedArcs.acyclic`);
-    an arc that does not join two grid neighbours raises ``ValueError``, as
-    in the unique-sink check."""
-    return _checked(spec, out_fn).acyclic
+def has_topological_order(spec: GridSpec, source: CombOrientation | OutFn) -> bool:
+    """Kahn's algorithm over the full edge set of ``source``, a comb of the
+    grid ``spec`` or an ``OutFn``, run once by :func:`_read_arcs`; an arc
+    that does not join two grid neighbours raises ``ValueError``, as in the
+    unique-sink check."""
+    return _checked(spec, source)[1]
 
 
 # ---------------------------------------------------------------------------

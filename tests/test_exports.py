@@ -1,7 +1,8 @@
 """Tooling guards: every module's ``__all__`` names what it defines, no more
 and no less, so removing a function or class cannot leave a stale export;
-and every definition in the package is used by the package, so code kept
-only for the tests cannot stay unnoticed."""
+every definition in the package is used by the package, so code kept only
+for the tests cannot stay unnoticed; and every module-level import is read,
+so a removal cannot leave its import behind."""
 
 import ast
 import importlib
@@ -217,3 +218,48 @@ def test_no_default_is_set_only_by_tests():
     assert not unexpected, f"defaulted in src/ but set only outside it: {unexpected}"
     stale = sorted(set(UNSET_DEFAULTS_ALLOWED) - found)
     assert not stale, f"allowlisted but now set in src/: {stale}"
+
+
+# ---------------------------------------------------------------------------
+# no unread import
+# ---------------------------------------------------------------------------
+
+
+def unread_imports(src: Path) -> list[str]:
+    """``module.name`` for each name a module-level import under ``src``
+    binds that its module never reads.  A name listed in the module's
+    ``__all__`` counts as read: that is how a package re-exports."""
+    unread = []
+    for module, tree in _trees(src).items():
+        read = {
+            sub.id
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unread += [f"{module}.{name}" for name in names if name not in read]
+    return sorted(unread)
+
+
+def test_no_import_is_left_unread():
+    assert unread_imports(SRC) == []
+
+
+def test_an_unread_import_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from operator import and_, ne\n"
+        "from .errors import Kept\n"
+        "__all__ = ['Kept']\n"
+        "def f(x):\n"
+        "    return and_(x, math.pi)\n"
+    )
+    assert unread_imports(tmp_path) == ["mod.ne", "mod.os"]

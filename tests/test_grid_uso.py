@@ -5,8 +5,9 @@ import re
 from collections import Counter
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import combinations, product
+from operator import ne
 from random import Random
 
 import pytest
@@ -18,10 +19,9 @@ from pivotlab.grid_uso import (
     WalkOutcome,
     _identity_for,
     _moves,
-    _out_masks,
+    _vertex_id,
     LEAF,
     AugmentedConfig,
-    CheckedArcs,
     CombOrientation,
     GridSpec,
     build_comb,
@@ -835,64 +835,80 @@ def test_checks_read_each_vertex_once(check, sizes):
         assert calls == Counter(spec.vertices())
 
 
+def planted(comb, out_fn):
+    """A copy of ``comb`` whose kept id changes are ``out_fn``'s targets, in
+    their order: a fault that a comb's read meets as it meets its own arcs."""
+    copy = CombOrientation(comb.ranks, comb.children)
+    spec = grid_spec(comb)
+    for v in spec.vertices():
+        i = _vertex_id(spec, v)
+        copy._vertex_moves[i] = tuple(_vertex_id(spec, w) - i for w in out_fn(v))
+    return copy
+
+
+class CountedMoves(dict):
+    """A comb's kept id changes that count how often each vertex's are read."""
+
+    def __init__(self, moves):
+        super().__init__(moves)
+        self.reads = Counter()
+
+    def get(self, i, default=None):
+        self.reads[i] += 1
+        return super().get(i, default)
+
+
 @pytest.mark.parametrize("sizes", [(), (1,), (4,), (3, 2), (2, 3, 2)])
 def test_both_checks_read_and_check_each_vertex_once_between_them(monkeypatch, sizes):
-    """Through one ``CheckedArcs``, as ``uso verify`` runs them, the two checks
-    call ``out_fn`` and ``_out_masks`` once per vertex between them, and
-    Kahn's algorithm runs once, on the identity comb and on its faults."""
+    """On one comb, as ``uso verify`` runs them, the two checks read each
+    vertex's id changes once between them, and Kahn's algorithm runs once:
+    on the identity comb, whose changes the read makes, and on its faults
+    planted as kept changes."""
     comb = _identity_for(sizes)
     spec = grid_spec(comb)
     plain = [(has_topological_order(spec, f), unique_sink_violations(spec, f)) for f in faults(comb)]
     assert plain[0] == (True, [])
     assert all(usv for _, usv in plain[2:])  # a reversed arc enters the sweep
     kahn = Counter()
-    acyclic = grid_uso.CheckedArcs.acyclic.func
+    read_arcs = grid_uso._read_arcs
 
-    def counted_kahn(arcs):
+    def counted_read(spec, source):
         kahn["runs"] += 1
-        return acyclic(arcs)
+        return read_arcs(spec, source)
 
-    counted_acyclic = cached_property(counted_kahn)
-    counted_acyclic.__set_name__(grid_uso.CheckedArcs, "acyclic")
-    monkeypatch.setattr(grid_uso.CheckedArcs, "acyclic", counted_acyclic)
-    for out_fn, want in zip(faults(comb), plain):
-        calls, checked = Counter(), Counter()
+    monkeypatch.setattr(grid_uso, "_read_arcs", counted_read)
+    # a fresh copy: LEAF is one shared comb, which keeps its table once read
+    sources = [CombOrientation(comb.ranks, comb.children)]
+    sources += [planted(comb, f) for f in faults(comb)[1:]]
+    for source, want in zip(sources, plain):
+        moves = source.__dict__["_vertex_moves"] = CountedMoves(source._vertex_moves)
         kahn.clear()
-
-        def counted(v):
-            calls[v] += 1
-            return out_fn(v)
-
-        def counted_masks(spec, v, targets):
-            checked[v] += 1
-            return _out_masks(spec, v, targets)
-
-        monkeypatch.setattr(grid_uso, "_out_masks", counted_masks)
-        arcs = CheckedArcs(spec, counted)
-        assert (has_topological_order(spec, arcs), unique_sink_violations(spec, arcs)) == want
-        assert calls == checked == Counter(spec.vertices())
+        assert (has_topological_order(spec, source), unique_sink_violations(spec, source)) == want
+        assert moves.reads == Counter(range(spec.vertex_count))
         assert kahn["runs"] == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_checked_arcs_give_each_check_its_own_result(seed):
-    """On valid and flipped combs, either check order, ``CheckedArcs`` gives
-    what each check gives on the plain ``out_fn``; a grid of another shape
-    is read afresh."""
+    """On valid and flipped combs, either check order, the table a comb
+    keeps gives what each check gives on its decoded targets; a comb of
+    another grid is refused."""
     comb = build_comb(2, 4, Random(f"checked:{seed}"))
     spec = grid_spec(comb)
     for out_fn in [partial(out_neighbors, comb), flip_top_pair_out(comb, 1, 3)]:
         want = (has_topological_order(spec, out_fn), unique_sink_violations(spec, out_fn))
-        arcs = CheckedArcs(spec, out_fn)
-        assert (has_topological_order(spec, arcs), unique_sink_violations(spec, arcs)) == want
-        arcs = CheckedArcs(spec, out_fn)
-        usv = unique_sink_violations(spec, arcs)
-        assert (has_topological_order(spec, arcs), usv) == want
+        source = planted(comb, out_fn)
+        assert (has_topological_order(spec, source), unique_sink_violations(spec, source)) == want
+        source = planted(comb, out_fn)
+        usv = unique_sink_violations(spec, source)
+        assert (has_topological_order(spec, source), usv) == want
     line = _identity_for((4,))
-    arcs = CheckedArcs(grid_spec(line), partial(out_neighbors, line))
-    assert has_topological_order(grid_spec(line), arcs)
-    with pytest.raises(ValueError, match=re.escape("vertex (1, 1) not in grid (4,)")):
-        has_topological_order(spec, arcs)
+    assert has_topological_order(grid_spec(line), line)
+    for check in [unique_sink_violations, has_topological_order]:
+        with pytest.raises(ValueError, match=re.escape("a comb of grid (4,) read as grid (4, 4)")):
+            check(spec, line)
+        with pytest.raises(ValueError, match=re.escape("a comb of grid (4, 4) read as grid (4,)")):
+            check(GridSpec((4,)), comb)
 
 
 # ---------------------------------------------------------------------------
@@ -967,13 +983,29 @@ def test_unique_sink_violations_matches_scalar_oracle(r, m, seed, fault, data):
     assert unique_sink_violations(spec, out_fn) == scalar_unique_sink_violations(spec, out_fn)
 
 
+def out_masks(spec, v, targets):
+    """Oracle: one bitmask per axis of ``v``'s arcs, read target by target:
+    bit ``c-1`` of axis ``d`` is set when an arc changes coordinate ``d`` to
+    ``c``.  An arc that does not join the grid vertex ``v`` to a grid
+    neighbour raises ``ValueError``."""
+    masks = [0] * spec.dimension
+    for w in targets:
+        changed = list(map(ne, v, w))
+        # v is in the grid: so is w if it differs from v in one coordinate, in range
+        d = changed.index(True) if len(w) == len(v) and changed.count(True) == 1 else -1
+        if d < 0 or not 1 <= w[d] <= spec.factor_sizes[d]:
+            raise ValueError(f"arc {v} -> {w} does not join two grid neighbours")
+        masks[d] |= 1 << (w[d] - 1)
+    return masks
+
+
 def list_unique_sink_violations(spec, out_fn):
     """Oracle: the per-axis sweep that carries the surviving vertices as a
     list of ``(position bits, out-masks)`` entries."""
     choices = value_subsets(spec)
     last = spec.dimension - 1
     entries = [
-        ([1 << (c - 1) for c in v], _out_masks(spec, v, out_fn(v)))
+        ([1 << (c - 1) for c in v], out_masks(spec, v, out_fn(v)))
         for v in spec.vertices()
     ]
     bad = []
@@ -1204,37 +1236,43 @@ def topological_oracle(spec, out_fn):
     return True
 
 
-def with_reversed_arc(comb, v, w):
-    """A copy of ``comb`` whose kept id changes turn the arc ``v -> w`` into
-    ``w -> v``, in the order :func:`reverse_arc` gives the decoded targets."""
-    copy = CombOrientation(comb.ranks, comb.children)
-    spec = grid_spec(comb)
-    i, j = grid_uso._vertex_id(spec, v), grid_uso._vertex_id(spec, w)
-    for k in range(spec.vertex_count):
-        _moves(copy, k)
-    moves = copy._vertex_moves
-    moves[i] = tuple(move for move in moves[i] if move != j - i)
-    moves[j] += (i - j,)
-    return copy
+def read_oracle(spec, out_fn):
+    """Oracle: by vertex id, each vertex's target ids and :func:`out_masks`,
+    read vertex by vertex in ``spec.vertices()`` order, and whether the
+    standard library's sorter orders the arcs."""
+    table = [None] * spec.vertex_count
+    for v in spec.vertices():
+        targets = out_fn(v)
+        masks = out_masks(spec, v, targets)
+        table[_vertex_id(spec, v)] = (tuple(_vertex_id(spec, w) for w in targets), masks)
+    return table, topological_oracle(spec, out_fn)
 
 
-def assert_comb_read_matches_decoded_read(comb, arc=None):
-    """A table read from ``comb``'s id changes equals one read from its
-    decoded targets (target ids and masks), and both checks answer alike on
-    the two.  With ``arc``, the arc is reversed on both reads first, and
-    where the subgrids are few the answers match the oracles."""
+def target_ids(table):
+    """An arc table's id changes as target ids, beside the out-masks."""
+    return [(tuple(i + move for move in moves), masks) for i, (moves, masks) in enumerate(table)]
+
+
+def assert_comb_read_matches_decoded_read(comb, fault=None):
+    """The table a comb keeps equals one read from its decoded targets, ids
+    and masks, and holds the very change tuples the comb keeps; both checks
+    answer alike on the two.  ``fault``, an ``OutFn`` of a faulted
+    orientation, is planted on a copy of ``comb`` as its id changes first,
+    and where the subgrids are few the answers then match the oracles."""
     spec = grid_spec(comb)
     decoded = partial(out_neighbors, comb)
-    if arc is not None:
-        comb, decoded = with_reversed_arc(comb, *arc), reverse_arc(decoded, *arc)
-    read, decoded_read = CheckedArcs(spec, comb), CheckedArcs(spec, decoded)
-    assert read.arcs == decoded_read.arcs
-    answers = (has_topological_order(spec, read), unique_sink_violations(spec, read))
+    if fault is not None:
+        comb, decoded = planted(comb, fault), fault
+    table, acyclic = grid_uso._checked(spec, comb)
+    # before the decoded read: out_neighbors makes its changes afresh and keeps them
+    assert all(moves is comb._vertex_moves[i] for i, (moves, _) in enumerate(table))
+    assert (table, acyclic) == grid_uso._read_arcs(spec, decoded)
+    answers = (has_topological_order(spec, comb), unique_sink_violations(spec, comb))
     assert answers == (
-        has_topological_order(spec, decoded_read),
-        unique_sink_violations(spec, decoded_read),
+        has_topological_order(spec, decoded),
+        unique_sink_violations(spec, decoded),
     )
-    if arc is None:
+    if fault is None:
         assert answers == (True, [])
     elif math.prod(2**s - 1 for s in spec.factor_sizes) <= 5000:
         assert answers == (topological_oracle(spec, decoded), list_unique_sink_violations(spec, decoded))
@@ -1263,12 +1301,11 @@ def test_comb_read_table_matches_decoded_read(r, m):
     for comb in table_combs(r, m, f"{r}:{m}"):
         assert_comb_read_matches_decoded_read(comb)
         if (arc := first_arc(comb)) is not None:
-            assert_comb_read_matches_decoded_read(comb, arc)
+            assert_comb_read_matches_decoded_read(comb, reverse_arc(partial(out_neighbors, comb), *arc))
         spec = grid_spec(comb)
         if comb.m >= 2 and math.prod(2**s - 1 for s in spec.factor_sizes) <= 5000:
-            flipped = flip_top_pair_out(comb, comb.ranks.index(1) + 1, comb.ranks.index(comb.m) + 1)
-            assert has_topological_order(spec, flipped) == topological_oracle(spec, flipped)
-            assert unique_sink_violations(spec, flipped) == list_unique_sink_violations(spec, flipped)
+            pair = comb.ranks.index(1) + 1, comb.ranks.index(comb.m) + 1
+            assert_comb_read_matches_decoded_read(comb, flip_top_pair_out(comb, *pair))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1289,7 +1326,8 @@ def test_comb_read_table_matches_decoded_read_on_drawn_combs(r, m, seed, kind, d
     # a reversed arc may need the sweep, which both reads refuse beyond the
     # cap: padded (3,6) grids of shape (7, 7, 6) have 1,016,127 subgrids
     if arcs and math.prod(2**s - 1 for s in spec.factor_sizes) <= chain.state_cap():
-        assert_comb_read_matches_decoded_read(comb, data.draw(st.sampled_from(arcs), label="arc"))
+        arc = data.draw(st.sampled_from(arcs), label="arc")
+        assert_comb_read_matches_decoded_read(comb, reverse_arc(partial(out_neighbors, comb), *arc))
 
 
 @pytest.mark.parametrize("check", [unique_sink_violations, has_topological_order])
@@ -1311,16 +1349,60 @@ def test_a_bad_id_change_kept_on_the_comb_is_rejected(check, move, w):
     with pytest.raises(
         ValueError, match=re.escape(f"arc (3, 3) -> {w} does not join two grid neighbours")
     ):
-        check(spec, CheckedArcs(spec, comb))
+        check(spec, comb)
 
 
-def test_a_comb_read_answers_as_out_neighbors_on_its_own_grid_only():
-    comb = build_comb(2, 3, Random(34))
-    arcs = CheckedArcs(grid_spec(comb), comb)
-    assert [arcs(v) for v in grid_spec(comb).vertices()] == [
-        out_neighbors(comb, v) for v in grid_spec(comb).vertices()
+def bad_targets(v, sizes):
+    """Targets that do not join ``v`` to a grid neighbour: a self-loop,
+    tuples of the wrong length, values out of range and changes of two
+    coordinates."""
+    bad = [v, v + (1,), v[:-1]]
+    bad += [v[:d] + (c,) + v[d + 1 :] for d, s in enumerate(sizes) for c in (0, s + 1, -3)]
+    bad += [
+        tuple(c % s + 1 if i in (d, e) else c for i, (c, s) in enumerate(zip(v, sizes)))
+        for d, e in combinations(range(len(sizes)), 2)
+        if sizes[d] >= 2 and sizes[e] >= 2
     ]
-    with pytest.raises(ValueError, match=re.escape("vertex (1,) not in grid (3, 3)")):
-        has_topological_order(GridSpec((3,)), arcs)
-    with pytest.raises(ValueError, match=re.escape("a comb of grid (3, 3) read as grid (3,)")):
-        CheckedArcs(GridSpec((3,)), comb)
+    return bad
+
+
+@st.composite
+def target_lists(draw):
+    """A grid of 0-3 axes and each vertex's arc targets: random lists of
+    its grid neighbours, with up to three bad targets put in."""
+    spec = GridSpec(tuple(draw(st.lists(st.integers(1, 4), max_size=3), label="sizes")))
+    arcs = {}
+    for v in spec.vertices():
+        neighbours = [
+            v[:d] + (c,) + v[d + 1 :]
+            for d, s in enumerate(spec.factor_sizes)
+            for c in range(1, s + 1)
+            if c != v[d]
+        ]
+        arcs[v] = draw(st.lists(st.sampled_from(neighbours), max_size=4)) if neighbours else []
+    vertices = list(arcs)
+    for _ in range(draw(st.integers(0, 3), label="bad targets")):
+        v = draw(st.sampled_from(vertices))
+        w = draw(st.sampled_from(bad_targets(v, spec.factor_sizes)))
+        arcs[v].insert(draw(st.integers(0, len(arcs[v]))), w)
+    return spec, arcs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=target_lists())
+def test_arc_read_matches_its_oracle(case):
+    """Target ids and masks equal the oracle's, and so does the answer of
+    Kahn's algorithm; a refused arc raises the oracle's ``ValueError``,
+    naming the first bad target in the oracle's order as it was given: a
+    self-loop on the grid of 0 axes names ``()``, which no id change
+    decodes to."""
+    spec, arcs = case
+    try:
+        want = read_oracle(spec, arcs.get)
+    except ValueError as error:
+        with pytest.raises(ValueError) as refused:
+            grid_uso._read_arcs(spec, arcs.get)
+        assert str(refused.value) == str(error)
+        return
+    table, acyclic = grid_uso._read_arcs(spec, arcs.get)
+    assert (target_ids(table), acyclic) == want
