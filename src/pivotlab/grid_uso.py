@@ -21,17 +21,16 @@ they are ``(w - c) * stride`` for each value ``w`` ranked below the vertex's
 coordinate ``c`` at its comb node, ascending, ``stride`` being the vertex
 count of one hyperplane of that node.  :func:`_moves` builds them from the
 ranks on a vertex's first visit and keeps them on the comb, its one arc
-cache.  :func:`walk` steps by adding the drawn change to the id and decodes
-coordinates only to record them; :func:`out_neighbors` decodes the same
-changes into target tuples.  So a walk draws exactly as it would over
-:func:`out_neighbors`, and a fresh comb per trial fills only what its one
-walk visits.  The exact solve compiles the comb once into a
-:class:`chain.Chain` over the same vertex ids, kept on the comb.  Beside it
-the comb keeps the arc table both structural checks read
-(:func:`_read_arcs`): every vertex's changes, checked in integers, with one
-out-mask per axis, and whether Kahn's algorithm orders them.  Any other
-orientation, given as a function from a vertex to its targets, is read
-into the same table, its targets turned into id changes.
+cache; every later read returns the kept tuple.  :func:`walk` steps by
+adding the drawn change to the id and decodes coordinates only to record
+them; :func:`out_neighbors` decodes the same changes into target tuples.
+So a walk draws exactly as it would over :func:`out_neighbors`, and a fresh
+comb per trial fills only what its one walk visits.  The exact solve
+compiles the comb once into a :class:`chain.Chain` over the same vertex
+ids, kept on the comb.  Beside it the comb keeps the arc table both
+structural checks read (:func:`_read_arcs`): every vertex's kept changes,
+checked in integers, with one out-mask per axis, and whether Kahn's
+algorithm orders them.  Both checks take a comb and nothing else.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
 from operator import and_
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import chain
 from .errors import InternalInvariantError
@@ -58,7 +57,6 @@ __all__ = [
     "comb_to_dict",
     "embed_padded",
     "expected_duration_exact",
-    "flip_top_pair_out",
     "grid_spec",
     "has_topological_order",
     "identity_comb",
@@ -161,8 +159,8 @@ class CombOrientation:
 
     @cached_property
     def _vertex_moves(self) -> dict[int, tuple[int, ...]]:
-        # kept like sizes: the out-arc moves of each vertex a walk or
-        # out_neighbors has visited, filled by _moves()
+        # kept like sizes: the out-arc moves of each vertex read so far,
+        # filled by _moves()
         return {}
 
     @cached_property
@@ -175,7 +173,7 @@ class CombOrientation:
     def _arcs(self) -> tuple[ArcTable, bool]:
         # kept like sizes: both structural checks of one comb share one
         # read of its arcs and one run of Kahn's algorithm
-        return _read_arcs(GridSpec(self.sizes), self)
+        return _read_arcs(self)
 
 
 LEAF = CombOrientation((), ())
@@ -242,38 +240,6 @@ def out_neighbors(comb: CombOrientation, v: Vertex) -> tuple[Vertex, ...]:
     return tuple([_vertex(sizes, index + move) for move in _moves(comb, index)])
 
 
-def flip_top_pair_out(
-    comb: CombOrientation, a: int, b: int
-) -> Callable[[Vertex], tuple[Vertex, ...]]:
-    """Adjacency with the rank rule reversed for the single top-factor value
-    pair ``{a, b}``.  Fault injection for the checker-sensitivity tests: when
-    some third value's rank lies between the ranks of ``a`` and ``b``, this
-    creates a directed triangle, so some subgrid loses its sink.  A pair of
-    adjacent ranks only swaps them, which leaves a valid comb.  ``a`` and
-    ``b`` must be distinct values in ``1..m``; any other pair would inject
-    no fault, so it raises ``ValueError``.
-    """
-    if a == b or not (1 <= a <= comb.m and 1 <= b <= comb.m):
-        raise ValueError(
-            f"need two distinct values of the top factor 1..{comb.m}, got {a} and {b}"
-        )
-    last = comb.dimension - 1
-    pair = {a, b}
-
-    def out(v: Vertex) -> tuple[Vertex, ...]:
-        arcs = set(out_neighbors(comb, v))
-        if v[last] in pair:
-            (other,) = pair - {v[last]}
-            w = v[:last] + (other,) + v[last + 1 :]
-            if w in arcs:
-                arcs.discard(w)
-            else:
-                arcs.add(w)
-        return tuple(sorted(arcs))
-
-    return out
-
-
 # ---------------------------------------------------------------------------
 # walks and exact expectations
 # ---------------------------------------------------------------------------
@@ -311,10 +277,12 @@ def _vertex(sizes: tuple[int, ...], index: int) -> Vertex:
 
 
 def _moves(comb: CombOrientation, index: int) -> tuple[int, ...]:
-    """The out-arcs of vertex ``index`` as id changes, kept on the comb
-    after the first call: along each axis, last first, ``(w - c) * stride``
-    for each value ``w`` ranked below the vertex's coordinate ``c`` at its
-    node, ascending, ``stride`` being the vertex count of one hyperplane."""
+    """The out-arcs of vertex ``index`` as id changes, the tuple the comb
+    keeps from the first call on: along each axis, last first, ``(w - c) *
+    stride`` for each value ``w`` ranked below the vertex's coordinate ``c``
+    at its node, ascending, ``stride`` being the vertex count of one hyperplane."""
+    if (moves := comb._vertex_moves.get(index)) is not None:
+        return moves
     stride = math.prod(comb.sizes)
     node = comb
     rest = index
@@ -518,13 +486,8 @@ def _pad(node: CombOrientation, sizes: tuple[int, ...]) -> CombOrientation:
 # structural checks (acyclicity, unique sinks per subgrid)
 # ---------------------------------------------------------------------------
 
-OutFn = Callable[[Vertex], tuple[Vertex, ...]]
 # indexed by vertex id: each vertex's arcs as id changes, and its out-masks
 ArcTable = list[tuple[tuple[int, ...], list[int]]]
-
-
-def _not_neighbours(v: Vertex, w: Vertex) -> ValueError:
-    return ValueError(f"arc {v} -> {w} does not join two grid neighbours")
 
 
 def _numbered(spec: GridSpec) -> Iterator[tuple[Vertex, int]]:
@@ -541,21 +504,21 @@ def _unwrapped(sizes: tuple[int, ...], index: int) -> Vertex:
     return _vertex(head, index) + (index // math.prod(head) + 1,)
 
 
-def _read_arcs(spec: GridSpec, source: CombOrientation | OutFn) -> tuple[ArcTable, bool]:
-    """The arc table of ``source``, a comb of the grid ``spec`` or any
-    ``OutFn``, and whether Kahn's algorithm orders its arcs.
+def _read_arcs(comb: CombOrientation) -> tuple[ArcTable, bool]:
+    """The arc table of ``comb`` and whether Kahn's algorithm orders its arcs.
 
-    Each vertex is read once, in ``spec.vertices()`` order: a comb gives its
-    id changes (:func:`_moves`), the very tuples it keeps, and an ``OutFn``'s
-    targets are turned into id changes here.  Each change must be a nonzero
-    multiple ``k * stride_d`` with ``|k| < s_d`` taking the vertex's
-    coordinate ``c`` to ``c + k`` in ``1..s_d``, which by the uniqueness of
-    the mixed-radix form is exactly a step to a grid neighbour; any other
-    arc raises ``ValueError``.  Beside its changes the table keeps each
+    Each vertex is read once, in ``spec.vertices()`` order, through
+    :func:`_moves`: its id changes, the very tuple the comb keeps.  Each
+    change must be a nonzero multiple ``k * stride_d`` with ``|k| < s_d``
+    taking the vertex's coordinate ``c`` to ``c + k`` in ``1..s_d``, which
+    by the uniqueness of the mixed-radix form is exactly a step to a grid
+    neighbour; any other change raises ``ValueError`` naming its target as
+    :func:`_unwrapped` decodes it.  Beside its changes the table keeps each
     vertex's out-masks: one bitmask per axis, bit ``c-1`` of axis ``d`` set
     when an arc changes coordinate ``d`` to ``c``.  The grid's vertex count,
     and then its edge count ``V * sum_d (s_d - 1) / 2``, are checked against
     the cap before the first read."""
+    spec = grid_spec(comb)
     sizes = spec.factor_sizes
     chain.check_state_count(spec.vertex_count, "vertices", "the acyclicity check")
     edges = spec.vertex_count * sum(s - 1 for s in sizes) // 2
@@ -567,23 +530,15 @@ def _read_arcs(spec: GridSpec, source: CombOrientation | OutFn) -> tuple[ArcTabl
         for k in range(1 - s, s)
         if k
     }
-    comb = source if isinstance(source, CombOrientation) else None
-    known = comb._vertex_moves if comb is not None else {}
     table: list = [None] * spec.vertex_count
     for v, i in _numbered(spec):
-        if comb is None:
-            targets = source(v)  # type: ignore[operator]
-            # a target outside the grid becomes the change 0, refused below
-            moves = tuple([_vertex_id(spec, w) - i if spec.contains(w) else 0 for w in targets])
-        elif (moves := known.get(i)) is None:
-            moves = _moves(comb, i)
+        moves = _moves(comb, i)
         masks = [0] * len(sizes)
         for move in moves:
             d, k = axis_of.get(move, (-1, 0))
             if d < 0 or not 1 <= v[d] + k <= sizes[d]:
-                # an OutFn's first refused change names its target as given
-                w = targets[moves.index(move)] if comb is None else _unwrapped(sizes, i + move)
-                raise _not_neighbours(v, w)
+                w = _unwrapped(sizes, i + move)
+                raise ValueError(f"arc {v} -> {w} does not join two grid neighbours")
             masks[d] |= 1 << (v[d] + k - 1)
         table[i] = (moves, masks)
     indeg = [0] * len(table)
@@ -600,39 +555,36 @@ def _read_arcs(spec: GridSpec, source: CombOrientation | OutFn) -> tuple[ArcTabl
     return table, len(order) == len(table)
 
 
-def _checked(spec: GridSpec, source: CombOrientation | OutFn) -> tuple[ArcTable, bool]:
-    """:func:`_read_arcs` of ``source``: kept on a comb, read afresh from
-    any other ``OutFn``.  A comb of another grid raises ``ValueError``."""
-    if not isinstance(source, CombOrientation):
-        return _read_arcs(spec, source)
-    if source.sizes != spec.factor_sizes:
-        raise ValueError(f"a comb of grid {source.sizes} read as grid {spec.factor_sizes}")
-    return source._arcs
+def _checked(spec: GridSpec, comb: CombOrientation) -> tuple[ArcTable, bool]:
+    """The arc table ``comb`` keeps (:func:`_read_arcs`).  A comb of a grid
+    other than ``spec`` raises ``ValueError``."""
+    if comb.sizes != spec.factor_sizes:
+        raise ValueError(f"a comb of grid {comb.sizes} read as grid {spec.factor_sizes}")
+    return comb._arcs
 
 
 def unique_sink_violations(
-    spec: GridSpec, source: CombOrientation | OutFn
+    spec: GridSpec, comb: CombOrientation
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Check every subgrid for a unique sink; returns the offending subgrids
     (as tuples of per-factor value subsets, in ``product`` order, at most
     five of them), empty if the orientation is a unique sink orientation.
 
-    ``source`` is a comb of the grid ``spec`` or an ``OutFn``, which must
-    list only grid neighbours of ``v`` (vertices of the grid that differ
-    from ``v`` in exactly one coordinate); any other target raises
-    ``ValueError``.  Its arcs are read once into the arc table of
-    :func:`_read_arcs`, which a comb keeps, so both checks of one comb
-    share one read.  A subgrid (one value subset per axis) has ``v`` as a
-    sink when each subset holds ``v``'s coordinate and none of the values
-    its arcs along that axis lead to, so ``v`` is the sink of ``prod_d
-    2**(s_d - 1 - |out_d(v)|)`` subgrids, counted from its out-masks.  Every
-    subgrid of an acyclic orientation has a sink, so when these counts sum
-    to the number of subgrids and Kahn's algorithm orders the arcs, every
-    subgrid has exactly one, and the answer is decided in time linear in
-    the vertex count.  Otherwise :func:`_sweep_violations` finds and names
-    the violations, once the subgrid count is within the cap.
+    ``comb`` orients the grid ``spec``; an arc of it that does not join two
+    grid neighbours raises ``ValueError``.  Its arcs are read once into the
+    arc table of :func:`_read_arcs`, which the comb keeps, so both checks of
+    one comb share one read.  A subgrid (one value subset per axis) has ``v``
+    as a sink when each subset holds ``v``'s coordinate and none of the
+    values its arcs along that axis lead to, so ``v`` is the sink of
+    ``prod_d 2**(s_d - 1 - |out_d(v)|)`` subgrids, counted from its
+    out-masks.  Every subgrid of an acyclic orientation has a sink, so when
+    these counts sum to the number of subgrids and Kahn's algorithm orders
+    the arcs, every subgrid has exactly one, and the answer is decided in
+    time linear in the vertex count.  Otherwise :func:`_sweep_violations`
+    finds and names the violations, once the subgrid count is within the
+    cap.
     """
-    table, acyclic = _checked(spec, source)
+    table, acyclic = _checked(spec, comb)
     count = math.prod(2**s - 1 for s in spec.factor_sizes)
     free = sum(spec.factor_sizes) - spec.dimension
     sinks = sum(1 << (free - sum(map(int.bit_count, masks))) for _, masks in table)
@@ -683,12 +635,12 @@ def _sweep_violations(spec: GridSpec, table: ArcTable) -> list[tuple[tuple[int, 
     return bad
 
 
-def has_topological_order(spec: GridSpec, source: CombOrientation | OutFn) -> bool:
-    """Kahn's algorithm over the full edge set of ``source``, a comb of the
-    grid ``spec`` or an ``OutFn``, run once by :func:`_read_arcs`; an arc
-    that does not join two grid neighbours raises ``ValueError``, as in the
-    unique-sink check."""
-    return _checked(spec, source)[1]
+def has_topological_order(spec: GridSpec, comb: CombOrientation) -> bool:
+    """Kahn's algorithm over the full edge set of ``comb``, a comb of the
+    grid ``spec``, run once by :func:`_read_arcs`; an arc that does not
+    join two grid neighbours raises ``ValueError``, as in the unique-sink
+    check."""
+    return _checked(spec, comb)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 
 ``goldens/<name>.txt`` holds the stdout of ``pivotlab <argv>`` for every
 ``RERUN_CASES`` entry of ``test_cli.py``; ``goldens/sim-mc-shapes.json``
-holds ``test_analysis.sim_mc_shapes_json()``.  Regenerate only when a change
+holds ``test_analysis.sim_mc_shapes_json()`` and
+``goldens/verify-lemmas-mutations.json`` holds
+``test_analysis.verify_lemmas_mutations_json()``.  Regenerate only when a change
 is meant to move seeded outputs, such as a change of the random streams, and
 say so: no exact value may move with them.
 """
@@ -29,6 +31,8 @@ def main() -> None:
         (test_cli.GOLDENS / f"{name}.txt").write_bytes(out.encode())
     shapes = test_analysis.sim_mc_shapes_json()
     (test_cli.GOLDENS / "sim-mc-shapes.json").write_bytes(shapes.encode())
+    mutations = test_analysis.verify_lemmas_mutations_json()
+    (test_cli.GOLDENS / "verify-lemmas-mutations.json").write_bytes(mutations.encode())
 
 
 if __name__ == "__main__":

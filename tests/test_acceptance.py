@@ -11,17 +11,15 @@ import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from functools import partial
 
-from pivotlab import analysis, cli, geometry, grid_uso, process
+from pivotlab import analysis, cli, process
 from pivotlab.analysis import BoundParams, bound, phase_law_report, verify_lemmas
-from pivotlab.geometry import PointId, flip_tail_sign, gen_point_set
+from pivotlab.geometry import PointId, gen_point_set
 from pivotlab.grid_uso import (
     AugmentedConfig,
     build_comb,
     embed_padded,
     expected_duration_exact,
-    flip_top_pair_out,
     grid_spec,
     has_topological_order,
     identity_comb,
@@ -30,6 +28,8 @@ from pivotlab.grid_uso import (
 )
 from pivotlab.process import ProcessConfig, exact_expected_steps, main_start
 from pivotlab.seeding import derive_rng
+from test_geometry import flip_tail_sign
+from test_grid_uso import flip_top_pair_out, planted
 
 SEED = 20260810
 
@@ -121,9 +121,9 @@ def test_criterion_04_corollary_embedding():
             assert expected_duration_exact(
                 padded, None, "uniform"
             ) >= expected_duration_exact(comb, None, "uniform"), (n, i)
-            spec, out_fn = grid_spec(padded), partial(grid_uso.out_neighbors, padded)
-            assert not unique_sink_violations(spec, out_fn), (n, i)
-            assert has_topological_order(spec, out_fn)
+            spec = grid_spec(padded)
+            assert not unique_sink_violations(spec, padded), (n, i)
+            assert has_topological_order(spec, padded)
     report(4, "padded grids dominate their originals and stay unique-sink", t0, 60.0,
            "r=2, n in {5,7}, 50 combs each, exhaustive subgrid checks")
 
@@ -236,7 +236,7 @@ def test_criterion_11_sensitivity():
     comb = build_comb(2, 3, derive_rng(SEED, "mutant"))
     lowest = comb.ranks.index(1) + 1
     highest = comb.ranks.index(3) + 1
-    broken = flip_top_pair_out(comb, lowest, highest)
+    broken = planted(comb, flip_top_pair_out(comb, lowest, highest))
     violations = unique_sink_violations(grid_spec(comb), broken)
     assert violations
     assert not has_topological_order(grid_spec(comb), broken)

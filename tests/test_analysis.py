@@ -28,8 +28,8 @@ from pivotlab.analysis import (
     _lemma,
 )
 from pivotlab.errors import DegeneracyError
-from pivotlab.geometry import PointId, Side, flip_tail_sign, gen_point_set
-from test_geometry import per_pair_pivot, small_colored_sets
+from pivotlab.geometry import PointId, Side, gen_point_set
+from test_geometry import flip_tail_sign, per_pair_pivot, small_colored_sets
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -313,14 +313,20 @@ def _inner_mutations():
                     yield key, r, m, flip_tail_sign(base, pid, index)
 
 
-def test_failing_lemma_reports_match_their_golden():
-    golden = json.loads((GOLDENS / "verify-lemmas-mutations.json").read_text())
+def verify_lemmas_mutations_json() -> str:
+    """The lemma reports of every :func:`_inner_mutations` set, as
+    ``goldens/verify-lemmas-mutations.json`` holds them."""
     reports = {
         key: verify_lemmas(r, m, point_set=mutated).to_dict()
         for key, r, m, mutated in _inner_mutations()
     }
     assert len(reports) == 38
-    assert reports == golden
+    return json.dumps(reports, indent=1, sort_keys=True) + "\n"
+
+
+def test_failing_lemma_reports_match_their_golden():
+    golden = (GOLDENS / "verify-lemmas-mutations.json").read_bytes()
+    assert verify_lemmas_mutations_json().encode() == golden
 
 
 def _members(*pids) -> str:

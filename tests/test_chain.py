@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pivotlab import chain, geometry, grid_uso, process
 from pivotlab.errors import InternalInvariantError
+from test_geometry import flip_tail_sign
 
 
 def expected_steps(succ_sum: Fraction, n_succ: int, escape: int) -> Fraction:
@@ -284,7 +285,7 @@ def _process_solve(point_set, delta=0):
         (lambda: _process_solve(geometry.gen_point_set(3, 3).augmented(), 2), 1, 3, 69),
         (
             lambda: _process_solve(
-                geometry.flip_tail_sign(
+                flip_tail_sign(
                     geometry.gen_point_set(4, 2).augmented(), geometry.PointId(1, 1, 1), 3
                 ),
                 1,

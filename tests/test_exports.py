@@ -1,11 +1,13 @@
 """Tooling guards: every module's ``__all__`` names what it defines, no more
 and no less, so removing a function or class cannot leave a stale export;
 every definition in the package is used by the package, so code kept only
-for the tests cannot stay unnoticed; and every module-level import is read,
+for the tests cannot stay unnoticed, unless the benchmark's tracer wraps it
+by name; and every module-level import is read,
 so a removal cannot leave its import behind."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from collections import Counter
@@ -59,8 +61,7 @@ SRC = Path(pivotlab.__file__).parent
 UNREFERENCED_ALLOWED = {
     "geometry.solve_exact": "the benchmark tracer wraps it by name",
     "geometry.is_pierced_subset": "the benchmark tracer wraps it by name",
-    "geometry.flip_tail_sign": "fault injection for the checker-sensitivity criterion",
-    "grid_uso.flip_top_pair_out": "fault injection for the checker-sensitivity criterion",
+    "grid_uso.out_neighbors": "the benchmark tracer wraps it by name",
 }
 
 
@@ -124,6 +125,19 @@ def test_no_definition_is_referenced_only_by_tests():
     assert not unexpected, f"defined in src/ but used only outside it: {unexpected}"
     stale = sorted(set(UNREFERENCED_ALLOWED) - found)
     assert not stale, f"allowlisted but now referenced in src/: {stale}"
+
+
+def test_every_allowlisted_name_is_traced():
+    """A name stays unreferenced in the package only while the benchmark's
+    tracer wraps it, so code the tests alone call cannot come back under
+    another reason."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {f"{mod}.{fn}" for mod, fns in tracer.TRACED.items() for fn in fns}
+    untraced = sorted(set(UNREFERENCED_ALLOWED) - traced)
+    assert not untraced, f"allowlisted but not wrapped by the tracer: {untraced}"
 
 
 # ---------------------------------------------------------------------------

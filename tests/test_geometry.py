@@ -16,7 +16,6 @@ from pivotlab.geometry import (
     Side,
     Transversal,
     below_set,
-    flip_tail_sign,
     gen_point,
     gen_point_set,
     hyperplane_coefficients,
@@ -1449,6 +1448,24 @@ def test_project_deep_validation():
         project_deep(2, 3, 2)
     with pytest.raises(ValueError):
         project_deep(3, 2, 2)
+
+
+def flip_tail_sign(point_set: PointSet, pid: PointId, coord_index: int) -> PointSet:
+    """Copy of the set with one coordinate's sign flipped on one point.
+
+    Deliberate fault injection: used to confirm the verification suite
+    actually rejects broken sets.
+    """
+    coords = point_set.coords(pid)
+    if not 0 <= coord_index < len(coords):
+        raise ValueError("coordinate index out of range")
+    if coords[coord_index] == 0:
+        raise ValueError("flipping a zero coordinate changes nothing")
+    mutated = list(coords)
+    mutated[coord_index] = -mutated[coord_index]
+    points = {q: point_set.coords(q) for q in point_set.ids()}
+    points[pid] = tuple(mutated)
+    return PointSet(point_set.r, point_set.m, points, alphas=point_set.alphas)
 
 
 def test_flip_tail_sign():

@@ -28,7 +28,6 @@ from pivotlab.grid_uso import (
     comb_to_dict,
     embed_padded,
     expected_duration_exact,
-    flip_top_pair_out,
     grid_spec,
     has_topological_order,
     identity_comb,
@@ -61,7 +60,7 @@ def test_leaf_comb():
 def test_one_level_comb_is_acyclic_tournament():
     comb = build_comb(1, 3, Random(2))
     assert sorted(comb.ranks) == [1, 2, 3]
-    assert has_topological_order(grid_spec(comb), partial(out_neighbors, comb))
+    assert has_topological_order(grid_spec(comb), comb)
     # exactly one sink and one source in the K_3 tournament
     degs = [len(out_neighbors(comb, (v,))) for v in (1, 2, 3)]
     assert sorted(degs) == [0, 1, 2]
@@ -267,6 +266,12 @@ def recursive_out_targets(comb, v):
     return out
 
 
+def unchecked_id(sizes, v):
+    """Oracle: the mixed-radix number of ``v``, first coordinate fastest,
+    with no range check."""
+    return sum((c - 1) * math.prod(sizes[:d]) for d, c in enumerate(v))
+
+
 def uniform_vertex(spec, rng):
     """One uniform draw over the grid's vertices, numbered first coordinate
     fastest."""
@@ -384,7 +389,7 @@ def test_walk_fills_moves_only_for_visited_vertices():
         visited.update(walk(comb, AugmentedConfig(1), "uniform", Random(i)).visited)
     visited.discard(None)
     sizes = comb.sizes
-    ids = {sum((c - 1) * math.prod(sizes[:d]) for d, c in enumerate(v)) for v in visited}
+    ids = {unchecked_id(sizes, v) for v in visited}
     assert set(comb._vertex_moves) == ids and len(ids) < math.prod(sizes)
 
 
@@ -448,7 +453,7 @@ def test_moves_follow_the_rank_formula(kind, r, m):
         comb = embed_padded(comb, r * m + r - 1)
     sizes = comb.sizes
     for v in grid_spec(comb).vertices():
-        index = sum((c - 1) * math.prod(sizes[:d]) for d, c in enumerate(v))
+        index = unchecked_id(sizes, v)
         want = rank_formula_moves(comb, v)
         assert _moves(comb, index) == want and comb._vertex_moves[index] == want, v
 
@@ -480,7 +485,6 @@ def test_out_queries_reject_vertices_outside_the_grid(v):
     comb = build_comb(2, 3, Random(1))
     for query in (
         lambda: out_neighbors(comb, v),
-        lambda: flip_top_pair_out(comb, 1, 3)(v),
         lambda: walk(comb, AugmentedConfig(1), v, Random(0)),
         lambda: walk(comb, None, v, Random(0), record=False),
         lambda: expected_duration_exact(comb, None, v),
@@ -696,9 +700,9 @@ def test_embed_padded_preserves_uso_and_acyclicity():
     for n in (5, 7):
         comb = build_comb(2, n // 2, Random(n))
         padded = embed_padded(comb, n)
-        spec, out_fn = grid_spec(padded), partial(out_neighbors, padded)
-        assert has_topological_order(spec, out_fn)
-        assert not unique_sink_violations(spec, out_fn)
+        spec = grid_spec(padded)
+        assert has_topological_order(spec, padded)
+        assert not unique_sink_violations(spec, padded)
 
 
 def test_embed_padded_duration_dominates_original():
@@ -727,14 +731,14 @@ def test_embed_padded_rejects_bad_sizes():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_random_combs_are_acyclic(r, m):
     comb = build_comb(r, m, Random(f"{r}:{m}"))
-    assert has_topological_order(grid_spec(comb), partial(out_neighbors, comb))
+    assert has_topological_order(grid_spec(comb), comb)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_random_combs_have_unique_subgrid_sinks(r, m):
     comb = build_comb(r, m, Random(f"u{r}:{m}"))
-    assert not unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb))
+    assert not unique_sink_violations(grid_spec(comb), comb)
 
 
 def test_identity_comb_duration_is_reported_without_bound_claim():
@@ -746,11 +750,68 @@ def test_identity_comb_duration_is_reported_without_bound_claim():
         print(f"identity comb (r={r}, m={m}): E = {value} ~ {float(value):.4f}")
 
 
+def flip_top_pair_out(comb, a, b):
+    """Adjacency with the rank rule reversed for the single top-factor value
+    pair ``{a, b}``.  Fault injection for the checker-sensitivity tests: when
+    some third value's rank lies between the ranks of ``a`` and ``b``, this
+    creates a directed triangle, so some subgrid loses its sink.  A pair of
+    adjacent ranks only swaps them, which leaves a valid comb.  ``a`` and
+    ``b`` must be distinct values in ``1..m``; any other pair would inject
+    no fault, so it raises ``ValueError``.
+    """
+    if a == b or not (1 <= a <= comb.m and 1 <= b <= comb.m):
+        raise ValueError(
+            f"need two distinct values of the top factor 1..{comb.m}, got {a} and {b}"
+        )
+    last = comb.dimension - 1
+    pair = {a, b}
+
+    def out(v):
+        arcs = set(out_neighbors(comb, v))
+        if v[last] in pair:
+            (other,) = pair - {v[last]}
+            w = v[:last] + (other,) + v[last + 1 :]
+            if w in arcs:
+                arcs.discard(w)
+            else:
+                arcs.add(w)
+        return tuple(sorted(arcs))
+
+    return out
+
+
+def with_changes(comb, changes):
+    """A copy of ``comb`` that keeps ``changes[v]`` as the id changes of
+    each vertex ``v``, as a comb keeps what :func:`_moves` built."""
+    copy = CombOrientation(comb.ranks, comb.children)
+    for v, moves in changes.items():
+        copy._vertex_moves[unchecked_id(comb.sizes, v)] = tuple(moves)
+    return copy
+
+
+def planted(comb, out_fn):
+    """A copy of ``comb`` whose kept id changes are ``out_fn``'s targets, in
+    their order: a fault that a comb's read meets as it meets its own arcs.
+    A target's id is its :func:`unchecked_id`, so a target outside the grid
+    plants a change that leaves it."""
+    sizes = comb.sizes
+    return with_changes(comb, {
+        v: [unchecked_id(sizes, w) - unchecked_id(sizes, v) for w in out_fn(v)]
+        for v in grid_spec(comb).vertices()
+    })
+
+
+def oriented(spec, out_fn):
+    """``out_fn``'s orientation of the grid ``spec``, planted on its
+    identity comb."""
+    return planted(_identity_for(spec.factor_sizes), out_fn)
+
+
 def test_flipped_pair_breaks_unique_sinks():
     comb = build_comb(2, 3, Random(31))
     lowest = comb.ranks.index(1) + 1
     highest = comb.ranks.index(3) + 1
-    mutated = flip_top_pair_out(comb, lowest, highest)
+    mutated = planted(comb, flip_top_pair_out(comb, lowest, highest))
     spec = grid_spec(comb)
     assert unique_sink_violations(spec, mutated)
     assert not has_topological_order(spec, mutated)
@@ -771,15 +832,16 @@ def test_flip_rejects_the_zero_dimensional_comb():
 def test_subgrid_check_cap(monkeypatch):
     monkeypatch.setenv("PIVOTLAB_STATE_CAP", "3")
     comb = identity_comb(2, 4)
-    with pytest.raises(InstanceTooLargeError):
-        unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb))
 
-    def never(v):
-        raise AssertionError(f"out_fn({v}) called before the state cap")
+    def never(comb, index):
+        raise AssertionError(f"vertex {index} read before the state cap")
 
     # the cap trips before any arc is read
-    with pytest.raises(InstanceTooLargeError):
-        unique_sink_violations(grid_spec(comb), never)
+    monkeypatch.setattr(grid_uso, "_moves", never)
+    for check in (unique_sink_violations, has_topological_order):
+        with pytest.raises(InstanceTooLargeError):
+            check(grid_spec(comb), comb)
+    assert not comb._vertex_moves
 
 
 def test_subgrid_cap_guards_only_the_sweep(monkeypatch):
@@ -789,32 +851,47 @@ def test_subgrid_cap_guards_only_the_sweep(monkeypatch):
     monkeypatch.setenv("PIVOTLAB_STATE_CAP", "100")
     comb = build_comb(2, 4, Random(33))
     spec = grid_spec(comb)
-    calls = Counter()
-
-    def counted(v):
-        calls[v] += 1
-        return out_neighbors(comb, v)
-
-    assert unique_sink_violations(spec, counted) == []
-    assert calls == Counter(spec.vertices())
-    flipped = flip_top_pair_out(comb, comb.ranks.index(1) + 1, comb.ranks.index(4) + 1)
+    moves = comb.__dict__["_vertex_moves"] = CountedMoves()
+    assert unique_sink_violations(spec, comb) == []
+    assert moves.reads == Counter(range(spec.vertex_count))
+    pair = comb.ranks.index(1) + 1, comb.ranks.index(4) + 1
+    flipped = planted(comb, flip_top_pair_out(comb, *pair))
     with pytest.raises(InstanceTooLargeError, match="225 subgrids exceed the cap of 100"):
         unique_sink_violations(spec, flipped)
 
 
 def faults(comb):
-    """``out_neighbors`` of ``comb`` and, when it has arcs, two faulted
-    orientations: the top factor's values 1 and ``m`` flipped, and the arc
-    from the last vertex to value 1 along the first axis of 3 or more values
-    reversed, which closes a directed triangle."""
-    out_fn = partial(out_neighbors, comb)
+    """A fresh copy of ``comb`` and, when it has arcs, two faulted
+    orientations planted on copies: the top factor's values 1 and ``m``
+    flipped, and the arc from the last vertex to value 1 along the first
+    axis of 3 or more values reversed, which closes a directed triangle."""
+    fresh = CombOrientation(comb.ranks, comb.children)
     sizes = comb.sizes
     if math.prod(sizes) < 2:
-        return [out_fn]
+        return [fresh]
     d = next(d for d, s in enumerate(sizes) if s >= 3)
     v = sizes
     w = v[:d] + (1,) + v[d + 1 :]
-    return [out_fn, flip_top_pair_out(comb, 1, comb.m), reverse_arc(out_fn, v, w)]
+    reversed_arc = reverse_arc(partial(out_neighbors, comb), v, w)
+    return [fresh, planted(comb, flip_top_pair_out(comb, 1, comb.m)), planted(comb, reversed_arc)]
+
+
+class CountedMoves(dict):
+    """A comb's kept id changes that count how often each vertex's are read
+    and written."""
+
+    def __init__(self, moves=()):
+        super().__init__(moves)
+        self.reads = Counter()
+        self.writes = Counter()
+
+    def get(self, i, default=None):
+        self.reads[i] += 1
+        return super().get(i, default)
+
+    def __setitem__(self, i, moves):
+        self.writes[i] += 1
+        super().__setitem__(i, moves)
 
 
 @pytest.mark.parametrize("check", [unique_sink_violations, has_topological_order])
@@ -824,38 +901,27 @@ def test_checks_read_each_vertex_once(check, sizes):
     violations the sweep names."""
     comb = _identity_for(sizes)
     spec = grid_spec(comb)
-    for out_fn in faults(comb):
-        calls = Counter()
-
-        def counted(v):
-            calls[v] += 1
-            return out_fn(v)
-
-        check(spec, counted)
-        assert calls == Counter(spec.vertices())
+    for source in faults(comb):
+        moves = source.__dict__["_vertex_moves"] = CountedMoves(source._vertex_moves)
+        check(spec, source)
+        assert moves.reads == Counter(range(spec.vertex_count))
 
 
-def planted(comb, out_fn):
-    """A copy of ``comb`` whose kept id changes are ``out_fn``'s targets, in
-    their order: a fault that a comb's read meets as it meets its own arcs."""
-    copy = CombOrientation(comb.ranks, comb.children)
+def test_every_reader_shares_the_changes_built_once():
+    """A walk, :func:`out_neighbors` and both checks read one tuple per
+    vertex, which :func:`_moves` builds once and the comb keeps: the arc
+    table holds the very tuples the comb keeps after every later read."""
+    comb = build_comb(3, 4, Random(12))
     spec = grid_spec(comb)
+    moves = comb.__dict__["_vertex_moves"] = CountedMoves()
+    for i in range(10):
+        walk(comb, AugmentedConfig(1), "uniform", Random(i))
+    table, acyclic = grid_uso._checked(spec, comb)
     for v in spec.vertices():
-        i = _vertex_id(spec, v)
-        copy._vertex_moves[i] = tuple(_vertex_id(spec, w) - i for w in out_fn(v))
-    return copy
-
-
-class CountedMoves(dict):
-    """A comb's kept id changes that count how often each vertex's are read."""
-
-    def __init__(self, moves):
-        super().__init__(moves)
-        self.reads = Counter()
-
-    def get(self, i, default=None):
-        self.reads[i] += 1
-        return super().get(i, default)
+        assert out_neighbors(comb, v) == tuple(recursive_out_targets(comb, v))
+    assert acyclic and not unique_sink_violations(spec, comb)
+    assert moves.writes == Counter(range(spec.vertex_count))
+    assert all(kept is moves[i] for i, (kept, _) in enumerate(table))
 
 
 @pytest.mark.parametrize("sizes", [(), (1,), (4,), (3, 2), (2, 3, 2)])
@@ -872,15 +938,13 @@ def test_both_checks_read_and_check_each_vertex_once_between_them(monkeypatch, s
     kahn = Counter()
     read_arcs = grid_uso._read_arcs
 
-    def counted_read(spec, source):
+    def counted_read(source):
         kahn["runs"] += 1
-        return read_arcs(spec, source)
+        return read_arcs(source)
 
     monkeypatch.setattr(grid_uso, "_read_arcs", counted_read)
-    # a fresh copy: LEAF is one shared comb, which keeps its table once read
-    sources = [CombOrientation(comb.ranks, comb.children)]
-    sources += [planted(comb, f) for f in faults(comb)[1:]]
-    for source, want in zip(sources, plain):
+    # fresh copies: LEAF is one shared comb, which keeps its table once read
+    for source, want in zip(faults(comb), plain):
         moves = source.__dict__["_vertex_moves"] = CountedMoves(source._vertex_moves)
         kahn.clear()
         assert (has_topological_order(spec, source), unique_sink_violations(spec, source)) == want
@@ -891,12 +955,12 @@ def test_both_checks_read_and_check_each_vertex_once_between_them(monkeypatch, s
 @pytest.mark.parametrize("seed", range(4))
 def test_checked_arcs_give_each_check_its_own_result(seed):
     """On valid and flipped combs, either check order, the table a comb
-    keeps gives what each check gives on its decoded targets; a comb of
-    another grid is refused."""
+    keeps gives what the oracles give on its targets; a comb of another
+    grid is refused."""
     comb = build_comb(2, 4, Random(f"checked:{seed}"))
     spec = grid_spec(comb)
     for out_fn in [partial(out_neighbors, comb), flip_top_pair_out(comb, 1, 3)]:
-        want = (has_topological_order(spec, out_fn), unique_sink_violations(spec, out_fn))
+        want = (topological_oracle(spec, out_fn), list_unique_sink_violations(spec, out_fn))
         source = planted(comb, out_fn)
         assert (has_topological_order(spec, source), unique_sink_violations(spec, source)) == want
         source = planted(comb, out_fn)
@@ -980,7 +1044,8 @@ def test_unique_sink_violations_matches_scalar_oracle(r, m, seed, fault, data):
     arcs = [(v, w) for v in spec.vertices() for w in out_fn(v)]
     if fault == "reverse" and arcs:
         out_fn = reverse_arc(out_fn, *data.draw(st.sampled_from(arcs), label="arc"))
-    assert unique_sink_violations(spec, out_fn) == scalar_unique_sink_violations(spec, out_fn)
+    want = scalar_unique_sink_violations(spec, out_fn)
+    assert unique_sink_violations(spec, planted(comb, out_fn)) == want
 
 
 def out_masks(spec, v, targets):
@@ -1044,7 +1109,8 @@ def test_unique_sink_violations_matches_list_sweep(r, m, seed, fault, data):
     arcs = [(v, w) for v in spec.vertices() for w in out_fn(v)]
     if fault == "reverse" and arcs:
         out_fn = reverse_arc(out_fn, *data.draw(st.sampled_from(arcs), label="arc"))
-    assert unique_sink_violations(spec, out_fn) == list_unique_sink_violations(spec, out_fn)
+    want = list_unique_sink_violations(spec, out_fn)
+    assert unique_sink_violations(spec, planted(comb, out_fn)) == want
 
 
 def test_a_subgrid_with_two_sinks_is_a_violation():
@@ -1054,7 +1120,7 @@ def test_a_subgrid_with_two_sinks_is_a_violation():
     spec = GridSpec((2, 2))
     want = [((1, 2), (1, 2))]
     assert scalar_unique_sink_violations(spec, arcs.get) == want
-    assert unique_sink_violations(spec, arcs.get) == want
+    assert unique_sink_violations(spec, oriented(spec, arcs.get)) == want
 
 
 @pytest.mark.parametrize("r, m", [(1, 4), (2, 4), (3, 3)])
@@ -1063,7 +1129,7 @@ def test_every_flipped_pair_matches_scalar_oracle(r, m):
     spec = grid_spec(comb)
     for a, b in combinations(range(1, m + 1), 2):
         out_fn = flip_top_pair_out(comb, a, b)
-        assert unique_sink_violations(spec, out_fn) == (
+        assert unique_sink_violations(spec, planted(comb, out_fn)) == (
             scalar_unique_sink_violations(spec, out_fn)
         ), (a, b)
 
@@ -1073,13 +1139,13 @@ def test_only_the_first_five_violations_are_reported():
     spec, out_fn = grid_spec(comb), flip_top_pair_out(comb, 1, 3)
     every = scalar_unique_sink_violations(spec, out_fn, max_report=10**6)
     assert len(every) == 49
-    assert unique_sink_violations(spec, out_fn) == every[:5]
+    assert unique_sink_violations(spec, planted(comb, out_fn)) == every[:5]
 
 
 def test_zero_dimensional_grid_has_no_violation():
-    assert unique_sink_violations(GridSpec(()), lambda v: ()) == []
+    assert unique_sink_violations(GridSpec(()), oriented(GridSpec(()), lambda v: ())) == []
     comb = build_comb(0, 3, Random(7))
-    assert unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb)) == []
+    assert unique_sink_violations(grid_spec(comb), comb) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1148,8 +1214,9 @@ def test_every_cube_orientation_matches_scalar_oracle():
     cyclic_usos = count_27_bad = 0
     for arcs in cube_orientations():
         want = scalar_unique_sink_violations(CUBE, arcs.get)
-        assert unique_sink_violations(CUBE, arcs.get) == want
-        cyclic_usos += not want and not has_topological_order(CUBE, arcs.get)
+        comb = oriented(CUBE, arcs.get)
+        assert unique_sink_violations(CUBE, comb) == want
+        cyclic_usos += not want and not has_topological_order(CUBE, comb)
         count_27_bad += bool(want) and sink_count(CUBE, arcs) == 27
     assert (cyclic_usos, count_27_bad) == (16, 624)
 
@@ -1164,8 +1231,9 @@ def test_the_sweep_decides_a_cyclic_orientation(monkeypatch, arcs, want):
     subgrids, the first with one sink in every subgrid and the second with
     two in one and none in another: the sweep decides them, with the
     oracle's answer."""
+    comb = oriented(CUBE, arcs.get)
     assert scalar_unique_sink_violations(CUBE, arcs.get) == want
-    assert not has_topological_order(CUBE, arcs.get)
+    assert not has_topological_order(CUBE, comb)
     assert sink_count(CUBE, arcs) == 27
     sweeps = Counter()
     sweep = grid_uso._sweep_violations
@@ -1175,7 +1243,7 @@ def test_the_sweep_decides_a_cyclic_orientation(monkeypatch, arcs, want):
         return sweep(spec, read)
 
     monkeypatch.setattr(grid_uso, "_sweep_violations", counted)
-    assert unique_sink_violations(CUBE, arcs.get) == want
+    assert unique_sink_violations(CUBE, comb) == want
     assert sweeps["runs"] == 1
 
 
@@ -1187,16 +1255,16 @@ def test_a_valid_comb_never_enters_the_sweep(monkeypatch, r, m):
     monkeypatch.setattr(grid_uso, "_sweep_violations", never)
     for seed in range(3):
         comb = build_comb(r, m, Random(f"count{seed}"))
-        assert unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb)) == []
+        assert unique_sink_violations(grid_spec(comb), comb) == []
     comb = embed_padded(build_comb(2, 3, Random(1)), 7) if r == 2 else identity_comb(r, m)
-    assert unique_sink_violations(grid_spec(comb), partial(out_neighbors, comb)) == []
+    assert unique_sink_violations(grid_spec(comb), comb) == []
 
 
 BAD_ARCS = [
     ((2, 1), (2, 1)),  # self-loop
     ((2, 1), (1, 2)),  # two coordinates change
     ((2, 1), (2, 4)),  # target outside the grid
-    ((2, 1), (2,)),  # target of the wrong dimension
+    ((2, 1), (2, 0)),  # target outside the grid, below it
 ]
 
 
@@ -1219,7 +1287,7 @@ def test_non_neighbour_target_is_rejected(check, v, w):
     with pytest.raises(
         ValueError, match=re.escape(f"arc {v} -> {w} does not join two grid neighbours")
     ):
-        check(grid_spec(comb), bad)
+        check(grid_spec(comb), planted(comb, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -1254,28 +1322,26 @@ def target_ids(table):
 
 
 def assert_comb_read_matches_decoded_read(comb, fault=None):
-    """The table a comb keeps equals one read from its decoded targets, ids
-    and masks, and holds the very change tuples the comb keeps; both checks
-    answer alike on the two.  ``fault``, an ``OutFn`` of a faulted
-    orientation, is planted on a copy of ``comb`` as its id changes first,
-    and where the subgrids are few the answers then match the oracles."""
+    """The table a comb keeps equals the oracle's read of its decoded
+    targets (:func:`read_oracle`), ids, masks and acyclicity, and still
+    holds the very change tuples the comb keeps once :func:`out_neighbors`
+    has decoded them.  ``fault``, a function from a vertex to the targets
+    of a faulted orientation, is planted on a copy of ``comb`` as its id
+    changes first, and where the subgrids are few its unique-sink answer
+    then matches the oracle's."""
     spec = grid_spec(comb)
     decoded = partial(out_neighbors, comb)
     if fault is not None:
         comb, decoded = planted(comb, fault), fault
     table, acyclic = grid_uso._checked(spec, comb)
-    # before the decoded read: out_neighbors makes its changes afresh and keeps them
+    assert (target_ids(table), acyclic) == read_oracle(spec, decoded)
+    assert all(out_neighbors(comb, v) == decoded(v) for v in spec.vertices())
     assert all(moves is comb._vertex_moves[i] for i, (moves, _) in enumerate(table))
-    assert (table, acyclic) == grid_uso._read_arcs(spec, decoded)
     answers = (has_topological_order(spec, comb), unique_sink_violations(spec, comb))
-    assert answers == (
-        has_topological_order(spec, decoded),
-        unique_sink_violations(spec, decoded),
-    )
     if fault is None:
         assert answers == (True, [])
     elif math.prod(2**s - 1 for s in spec.factor_sizes) <= 5000:
-        assert answers == (topological_oracle(spec, decoded), list_unique_sink_violations(spec, decoded))
+        assert answers == (acyclic, list_unique_sink_violations(spec, decoded))
 
 
 def table_combs(r, m, seed):
@@ -1352,57 +1418,100 @@ def test_a_bad_id_change_kept_on_the_comb_is_rejected(check, move, w):
         check(spec, comb)
 
 
-def bad_targets(v, sizes):
-    """Targets that do not join ``v`` to a grid neighbour: a self-loop,
-    tuples of the wrong length, values out of range and changes of two
-    coordinates."""
-    bad = [v, v + (1,), v[:-1]]
-    bad += [v[:d] + (c,) + v[d + 1 :] for d, s in enumerate(sizes) for c in (0, s + 1, -3)]
-    bad += [
-        tuple(c % s + 1 if i in (d, e) else c for i, (c, s) in enumerate(zip(v, sizes)))
+def vertex_of(sizes, u):
+    """Oracle: the vertex numbered ``u``, first coordinate fastest, with an
+    unbounded last coordinate, so an id outside the grid names the value
+    that leaves it; the inverse of :func:`unchecked_id`."""
+    coords = []
+    for s in sizes[:-1]:
+        u, c = divmod(u, s)
+        coords.append(c + 1)
+    return tuple(coords) + (u + 1,)
+
+
+def change_target(sizes, v, change):
+    """Oracle: the grid neighbour of ``v`` whose id is ``v``'s changed by
+    ``change``, or ``None`` if that id names no vertex of the grid that
+    differs from ``v`` in exactly one coordinate."""
+    u = unchecked_id(sizes, v) + change
+    if not 0 <= u < math.prod(sizes):
+        return None
+    w = vertex_of(sizes, u)
+    return w if sum(map(ne, v, w)) == 1 else None
+
+
+def bad_changes(v, sizes):
+    """Id changes that take ``v`` to no grid neighbour (:func:`change_target`)
+    on a grid of at least one axis: the change 0, multiples ``k * stride_d``
+    with ``|k| >= s_d``, steps of one coordinate out of range and changes of
+    two coordinates.  A multiple that equals a step along a later axis is
+    left out."""
+    strides = [math.prod(sizes[:d]) for d in range(len(sizes))]
+    changes = {0}
+    changes |= {k * st for st, s in zip(strides, sizes) for k in (s, s + 1, -s, -s - 1)}
+    changes |= {(c - x) * st for x, st, s in zip(v, strides, sizes) for c in (0, s + 1, -3)}
+    changes |= {
+        (v[d] % sizes[d] + 1 - v[d]) * strides[d] + (v[e] % sizes[e] + 1 - v[e]) * strides[e]
         for d, e in combinations(range(len(sizes)), 2)
         if sizes[d] >= 2 and sizes[e] >= 2
-    ]
-    return bad
+    }
+    return sorted(change for change in changes if change_target(sizes, v, change) is None)
 
 
 @st.composite
-def target_lists(draw):
-    """A grid of 0-3 axes and each vertex's arc targets: random lists of
-    its grid neighbours, with up to three bad targets put in."""
+def change_lists(draw):
+    """A grid of 0-3 axes and each vertex's id changes: random lists of
+    steps to its grid neighbours, with up to three bad changes put in when
+    the grid has an axis."""
     spec = GridSpec(tuple(draw(st.lists(st.integers(1, 4), max_size=3), label="sizes")))
-    arcs = {}
+    sizes = spec.factor_sizes
+    changes = {}
     for v in spec.vertices():
-        neighbours = [
-            v[:d] + (c,) + v[d + 1 :]
-            for d, s in enumerate(spec.factor_sizes)
+        steps = [
+            (c - v[d]) * math.prod(sizes[:d])
+            for d, s in enumerate(sizes)
             for c in range(1, s + 1)
             if c != v[d]
         ]
-        arcs[v] = draw(st.lists(st.sampled_from(neighbours), max_size=4)) if neighbours else []
-    vertices = list(arcs)
-    for _ in range(draw(st.integers(0, 3), label="bad targets")):
+        changes[v] = draw(st.lists(st.sampled_from(steps), max_size=4)) if steps else []
+    vertices = list(changes) if sizes else []
+    for _ in range(draw(st.integers(0, 3), label="bad changes") if vertices else 0):
         v = draw(st.sampled_from(vertices))
-        w = draw(st.sampled_from(bad_targets(v, spec.factor_sizes)))
-        arcs[v].insert(draw(st.integers(0, len(arcs[v]))), w)
-    return spec, arcs
+        change = draw(st.sampled_from(bad_changes(v, sizes)))
+        changes[v].insert(draw(st.integers(0, len(changes[v]))), change)
+    return spec, changes
+
+
+def change_read_oracle(spec, changes):
+    """Oracle: :func:`read_oracle` of the targets of ``changes``, once every
+    change is checked vertex by vertex in ``spec.vertices()`` order; the
+    first that takes its vertex to no grid neighbour raises ``ValueError``,
+    naming its target as :func:`vertex_of` decodes it."""
+    sizes = spec.factor_sizes
+    targets = {}
+    for v in spec.vertices():
+        targets[v] = tuple(change_target(sizes, v, change) for change in changes[v])
+        if None in targets[v]:
+            u = unchecked_id(sizes, v) + changes[v][targets[v].index(None)]
+            raise ValueError(f"arc {v} -> {vertex_of(sizes, u)} does not join two grid neighbours")
+    return read_oracle(spec, targets.get)
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=target_lists())
+@given(case=change_lists())
 def test_arc_read_matches_its_oracle(case):
-    """Target ids and masks equal the oracle's, and so does the answer of
-    Kahn's algorithm; a refused arc raises the oracle's ``ValueError``,
-    naming the first bad target in the oracle's order as it was given: a
-    self-loop on the grid of 0 axes names ``()``, which no id change
-    decodes to."""
-    spec, arcs = case
+    """The id changes kept on a comb are read as the oracle reads them:
+    target ids and masks equal the oracle's, and so does the answer of
+    Kahn's algorithm; a refused change raises the oracle's ``ValueError``,
+    naming the target of the first bad change in the oracle's order."""
+    spec, changes = case
+    comb = with_changes(_identity_for(spec.factor_sizes), changes)
     try:
-        want = read_oracle(spec, arcs.get)
+        want = change_read_oracle(spec, changes)
     except ValueError as error:
         with pytest.raises(ValueError) as refused:
-            grid_uso._read_arcs(spec, arcs.get)
+            grid_uso._checked(spec, comb)
         assert str(refused.value) == str(error)
         return
-    table, acyclic = grid_uso._read_arcs(spec, arcs.get)
+    table, acyclic = grid_uso._checked(spec, comb)
     assert (target_ids(table), acyclic) == want

@@ -15,7 +15,6 @@ from pivotlab.geometry import (
     PointId,
     Transversal,
     below_set,
-    flip_tail_sign,
     gen_point_set,
     make_transversal,
     transversals,
@@ -35,7 +34,7 @@ from pivotlab.process import (
 )
 from pivotlab.seeding import derive_rng
 from test_chain import expected_steps, writes_rule_breaker
-from test_geometry import axis_intersections
+from test_geometry import axis_intersections, flip_tail_sign
 
 
 def harmonic(n: int) -> Fraction:
