@@ -383,8 +383,7 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
     carries one elimination from each head to its extensions and decides
     whether each ``head + (p,)`` is itself a pierced simplex, and ``S`` is
     pierced when it is or when some ``S - p`` is among the pierced subsets
-    found so far.  The hyperplane pass fills each last-color sub-line at
-    once (:meth:`PointSet.fill_normals`), as the exact process solve does."""
+    found so far."""
     r = ps.r
     ids = ps.ids()
     coords = [ps.coords(p) for p in ids]
@@ -411,10 +410,7 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
                     colors_bad = f"pierced subset missing a color: {subset}"
                 if full_color and not pierced and pierced_bad is None:
                     pierced_bad = f"full-color subset not pierced: {subset}"
-    line = len(ps.color_class(r))
-    for sid, S in enumerate(geometry.transversals(ps)):
-        if sid % line == 0:  # the first of a last-color sub-line
-            ps.fill_normals(S.members[:-1])
+    for S in geometry.transversals(ps):
         try:
             ps.normal(S.members)
         except DegeneracyError as exc:
@@ -434,7 +430,7 @@ def _colors_and_pierced(ps: PointSet, tag: str) -> tuple[list[LemmaCheck], set]:
 def _non_degenerate(ps: PointSet, small_pierced: set) -> Iterator[str | None]:
     """Per transversal: no pierced proper subset, looked up among the
     ``small_pierced`` of :func:`_colors_and_pierced`, and a spanning
-    hyperplane with positive coefficients, whose elimination in
+    hyperplane with positive coefficients, whose solve in
     :meth:`PointSet.normal` also rejects an affinely dependent transversal."""
     r = ps.r
     for S in geometry.transversals(ps):

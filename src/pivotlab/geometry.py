@@ -11,13 +11,15 @@ point per color is a *transversal* (a pierced simplex).
 
 Every predicate here is decided exactly, in Python ints: coordinates reach
 ``m**(2r-1)`` and determinants multiply ``r`` of them, so nothing is ever
-narrowed to a fixed width.  Every linear solve runs on the fraction-free
-elimination :func:`_eliminate`: a transversal's spanning hyperplane is one
-elimination (along a last-color sub-line they follow from two of them,
-:meth:`PointSet.fill_normals`), its ratio-test pivot one more, of its
-members beside the identity, for every point below it, and the piercing
-tests carry one elimination from each head to its extensions, one pivot
-step per head (:func:`pierced_heads`).  The side test, the pivot and the
+narrowed to a fixed width.  A family point is zero before its color, so a
+transversal's rows, in color order, are upper triangular and its spanning
+hyperplane follows by back-substitution (:meth:`PointSet.normal`).  Every
+other linear solve runs on the fraction-free elimination
+:func:`_eliminate`: the hyperplane of any other member tuple is one
+elimination, a transversal's ratio-test pivot one more, of its members
+beside the identity, for every point below it, and the piercing tests
+carry one elimination from each head to its extensions, one pivot step
+per head (:func:`pierced_heads`).  The side test, the pivot and the
 piercing test are integer sign tests on those results, and a point set
 caches each transversal's hyperplane and below set.  The Caratheodory test
 of a subset is the piercing test on each of its subsets of at most ``r``
@@ -217,12 +219,17 @@ class PointSet:
         self._points: dict[PointId, Coords] = dict(points)
         self._ids = tuple(sorted(self._points))
         seen: dict[Coords, PointId] = {}
+        # the colors of a tuple whose rows are upper triangular, for normal()
+        # to back-substitute; None once some point is nonzero before its color
+        self._triangular: list[int] | None = list(range(1, r + 1))
         for pid, xs in self._points.items():
             if len(xs) != r:
                 raise ValueError(f"point {pid} has {len(xs)} coordinates, want {r}")
             if xs in seen:
                 raise ValueError(f"points {seen[xs]} and {pid} coincide at {xs}")
             seen[xs] = pid
+            if any(xs[: pid.color - 1]):
+                self._triangular = None
         self._colors: dict[int, tuple[PointId, ...]] = {
             i: tuple(p for p in self._ids if p.color == i) for i in range(1, r + 1)
         }
@@ -270,17 +277,24 @@ class PointSet:
         """Integer pair ``(n, d)`` of the hyperplane ``n . x == d`` spanned
         by ``members`` (one per color), with ``d > 0`` and every ``n_i > 0``.
 
-        One fraction-free elimination of ``[A | 1]`` per member tuple, cached
-        on the set (unless :meth:`fill_normals` already cached it): ``c = n
-        / d``.  A singular system, a coefficient of zero, or a nonpositive
-        axis intersection all violate general position and raise
+        Cached on the set: ``c = n / d``.  When the member in position ``c``
+        has color ``c`` and every point of the set is zero before its color,
+        the rows ``A`` are upper triangular with diagonal ``P``, so ``d =
+        det A = prod P_c`` and ``n_c = (d - sum_{j > c} a_cj n_j) / P_c``,
+        each division exact by Cramer's rule (``n = adj(A) 1``); any other
+        tuple takes one fraction-free elimination of ``[A | 1]``.  A
+        singular system, a coefficient of zero, or a nonpositive axis
+        intersection all violate general position and raise
         :class:`DegeneracyError`; on the standard families this indicates a
         construction bug.
         """
         cached = self._normals.get(members)
         if cached is not None:
             return cached
-        span = self._span(members)
+        if [p.color for p in members] == self._triangular:
+            span = self._back_substituted(members)
+        else:
+            span = self._span(members)
         if span is None:
             raise DegeneracyError(
                 f"spanning system of {members} is singular; the simplex is degenerate"
@@ -296,37 +310,19 @@ class PointSet:
         self._normals[members] = pair
         return pair
 
-    def fill_normals(self, head: tuple[PointId, ...]) -> None:
-        """Cache the :meth:`normal` pair of every transversal ``(*head, p)``
-        whose last-color point ``p`` lies on the positive last axis.
-
-        With ``p = t * e_r`` and ``t > 0``, ``det A = t * det B`` for ``B``
-        the head's first ``r - 1`` coordinates, and by Cramer's rule ``d =
-        t * |det B|`` while each ``n_i`` is affine in ``t`` (``n_r = |det B|``
-        is constant).  Two eliminations therefore give the pair at every
-        other ``t`` of the sub-line in integer steps.  A pair that fails a
-        check of :meth:`normal` is left uncached, as is every ``p`` off that
-        axis: :meth:`normal` computes it, or raises, when it is asked for.
-        """
-        line = []
-        for p in self._colors[self.r]:
-            *rest, t = self._points[p]
-            members = (*head, p)
-            if t > 0 and not any(rest) and members not in self._normals:
-                line.append((t, members))
-        if len(line) < 2:
-            return
-        (t0, first), (t1, second) = line[0], line[1]
-        span0, span1 = self._span(first), self._span(second)
-        if span0 is None or span1 is None:
-            return  # det B == 0: the whole sub-line is singular
-        (n0, d0), (n1, _) = span0, span1
-        slope = [(y - x) // (t1 - t0) for x, y in zip(n0, n1)]
-        det = d0 // t0
-        for t, members in line:
-            n = tuple([x + (t - t0) * s for x, s in zip(n0, slope)])
-            if min(n) > 0:
-                self._normals[members] = (n, t * det)
+    def _back_substituted(self, members: tuple[PointId, ...]) -> tuple[list[int], int] | None:
+        """:meth:`_span` of upper-triangular rows, by back-substitution."""
+        rows = [self._points[p] for p in members]
+        d = 1
+        for c, row in enumerate(rows):
+            d *= row[c]
+        if not d:
+            return None
+        n: list[int] = []
+        for c in range(len(rows) - 1, -1, -1):
+            row = rows[c]
+            n.insert(0, (d - sum(map(mul, row[c + 1 :], n))) // row[c])
+        return (n, d) if d > 0 else ([-x for x in n], -d)
 
     def _span(self, members: tuple[PointId, ...]) -> tuple[list[int], int] | None:
         """``(n, d)`` with ``d > 0`` from one fraction-free elimination of

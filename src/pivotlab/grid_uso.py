@@ -499,7 +499,7 @@ def _numbered(spec: GridSpec) -> Iterator[tuple[Vertex, int]]:
 def _unwrapped(sizes: tuple[int, ...], index: int) -> Vertex:
     """The vertex numbered ``index`` as :func:`_vertex` decodes it, but with
     an unbounded last coordinate, so an id outside the grid names the value
-    that leaves it."""
+    that leaves it.  ``sizes`` has at least one axis."""
     head = sizes[:-1]
     return _vertex(head, index) + (index // math.prod(head) + 1,)
 
@@ -513,9 +513,10 @@ def _read_arcs(comb: CombOrientation) -> tuple[ArcTable, bool]:
     taking the vertex's coordinate ``c`` to ``c + k`` in ``1..s_d``, which
     by the uniqueness of the mixed-radix form is exactly a step to a grid
     neighbour; any other change raises ``ValueError`` naming its target as
-    :func:`_unwrapped` decodes it.  Beside its changes the table keeps each
-    vertex's out-masks: one bitmask per axis, bit ``c-1`` of axis ``d`` set
-    when an arc changes coordinate ``d`` to ``c``.  The grid's vertex count,
+    :func:`_unwrapped` decodes it, or on the 0-axis grid the change itself.
+    Beside its changes the table keeps each vertex's out-masks: one bitmask
+    per axis, bit ``c-1`` of axis ``d`` set when an arc changes coordinate
+    ``d`` to ``c``.  The grid's vertex count,
     and then its edge count ``V * sum_d (s_d - 1) / 2``, are checked against
     the cap before the first read."""
     spec = grid_spec(comb)
@@ -537,8 +538,9 @@ def _read_arcs(comb: CombOrientation) -> tuple[ArcTable, bool]:
         for move in moves:
             d, k = axis_of.get(move, (-1, 0))
             if d < 0 or not 1 <= v[d] + k <= sizes[d]:
-                w = _unwrapped(sizes, i + move)
-                raise ValueError(f"arc {v} -> {w} does not join two grid neighbours")
+                # the 0-axis grid has no coordinate to name a target by
+                w = f"-> {_unwrapped(sizes, i + move)}" if sizes else f"by id change {move}"
+                raise ValueError(f"arc {v} {w} does not join two grid neighbours")
             masks[d] |= 1 << (v[d] + k - 1)
         table[i] = (moves, masks)
     indeg = [0] * len(table)

@@ -18,10 +18,11 @@ other states, each edge made when first taken.  A pivot changes one digit
 of the id, so an edge finds its successor by arithmetic and builds a member
 tuple only for a state not seen before.  Each edge :func:`run` takes is
 checked against the axis-sum order once, when it is made, on the sum held
-as an exact integer pair.  :func:`exact_expected_steps` makes no edge: the
-ids are the vertices of the grid of the color classes, and it reads each
-state's swaps of one color as that grid's fiber through it, checking every
-swap against the order by its rank.  :func:`run`, :func:`good_phases` and
+as an exact integer pair, read off the back-substituted hyperplane of
+:meth:`geometry.PointSet.normal`.  :func:`exact_expected_steps` makes no
+edge: the ids are the vertices of the grid of the color classes, and it
+reads each state's swaps of one color as that grid's fiber through it,
+checking every swap against the order by its rank.  :func:`run`, :func:`good_phases` and
 :func:`exact_expected_steps` all read the same states.  A :class:`Trace` is
 the states a run visited and the index drawn at each, so a step allocates
 nothing beyond two list slots; its pivots, its phase changes and its jsonl
@@ -399,12 +400,10 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
 def _compile(cfg: ProcessConfig) -> chain.Chain:
     """Every transversal as a state of one fiber :class:`chain.Chain`.
 
-    Enumerates all transversals, the k-th as state id k, filling the
-    hyperplane pairs of each last-color sub-line at once
-    (:meth:`PointSet.fill_normals`), and orders them by increasing
-    axis-intersection sum.  The ids number the vertices of the grid of the
-    color classes, so a state's color-c swaps lie on its fiber of that axis
-    (:func:`chain.fiber_groups`).  Each swap's state must have a smaller
+    Enumerates all transversals, the k-th as state id k, and orders them
+    by increasing axis-intersection sum.  The ids number the vertices of
+    the grid of the color classes, so a state's color-c swaps lie on its
+    fiber of that axis (:func:`chain.fiber_groups`).  Each swap's state must have a smaller
     rank, the position of the first state of its sum, or monotonicity is
     broken; so it is solved first.  Per color, the guard: when the swaps
     number as many as the fiber's states solved so far, they are those
@@ -416,12 +415,10 @@ def _compile(cfg: ProcessConfig) -> chain.Chain:
     ps = cfg.point_set
     r = ps.r
     known = cfg._states
-    line = len(ps.color_class(r))
-    states = []
-    for sid, s in enumerate(geometry.transversals(ps)):
-        if sid % line == 0:  # the first of a last-color sub-line
-            ps.fill_normals(s.members[:-1])
-        states.append(known.get(sid) or _new_state(cfg, s.members, sid))
+    states = [
+        known.get(sid) or _new_state(cfg, s.members, sid)
+        for sid, s in enumerate(geometry.transversals(ps))
+    ]
     states.sort(key=_solve_order)
     order = [st.sid for st in states]
     count = len(order)

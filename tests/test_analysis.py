@@ -513,10 +513,10 @@ def test_pierced_subsets_match_the_full_search_on_mutants(r, m, tails_only):
     assert failed
 
 
-def test_hyperplane_pass_fills_each_sub_line_from_two_eliminations(monkeypatch):
+def test_hyperplane_pass_back_substitutes_every_transversal(monkeypatch):
     """The ``pierced`` check asks for every transversal's hyperplane, and
-    on the family, whose last color lies on the last axis, eliminates
-    twice per last-color sub-line."""
+    on the family, whose points are zero before their color, it runs no
+    elimination: each pair is back-substituted."""
     ps = gen_point_set(3, 3)
     spans = []
     span = geometry.PointSet._span
@@ -529,7 +529,7 @@ def test_hyperplane_pass_fills_each_sub_line_from_two_eliminations(monkeypatch):
     checks, _ = _colors_and_pierced(ps, "")
     assert all(c.passed for c in checks)
     assert len(ps._normals) == ps.transversal_count()
-    assert len(spans) == 2 * ps.transversal_count() // len(ps.color_class(ps.r))
+    assert spans == []
 
 
 def test_lemma_suite_matches_its_former_bodies():

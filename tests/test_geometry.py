@@ -3,7 +3,8 @@
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from typing import Iterable
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -932,7 +933,8 @@ def test_integer_kernel_beyond_64_bits():
 
 
 # ---------------------------------------------------------------------------
-# normals filled by sub-line against a fresh elimination
+# normals by back-substitution against a fresh elimination (two of the tests
+# keep the names they had when they checked a sub-line fill, since removed)
 # ---------------------------------------------------------------------------
 
 
@@ -943,28 +945,19 @@ def normal_outcome(ps: PointSet, members: tuple[PointId, ...]):
         return ("raises", str(exc))
 
 
-def on_positive_last_axis(ps: PointSet, p: PointId) -> bool:
-    *rest, t = ps.coords(p)
-    return t > 0 and not any(rest)
-
-
-def check_fill(ps: PointSet) -> int:
-    """Fill every last-color sub-line of ``ps``, then ask :meth:`normal` for
-    each of its transversals: each answer, pair or error, must be what a
-    fresh elimination on an unfilled copy gives.  Returns how many pairs
-    the fill cached; only positive-axis ones may be."""
+def check_normals(ps: PointSet, extra: Iterable[tuple[PointId, ...]] = ()) -> list:
+    """Ask :meth:`normal` for every transversal of ``ps``, then for each
+    ``extra`` tuple: each answer, pair or error, must be what one fresh
+    elimination gives on a copy that never back-substitutes.  Returns the
+    answers."""
     fresh = PointSet(ps.r, ps.m, {p: ps.coords(p) for p in ps.ids()}, alphas=ps.alphas)
-    heads = product(*(ps.color_class(i) for i in range(1, ps.r)))
-    filled = 0
-    for head in heads:
-        ps.fill_normals(head)
-        for p in ps.color_class(ps.r):
-            members = (*head, p)
-            if members in ps._normals:
-                assert on_positive_last_axis(ps, p)
-                filled += 1
-            assert normal_outcome(ps, members) == normal_outcome(fresh, members)
-    return filled
+    fresh._triangular = None
+    outcomes = []
+    for members in [*(S.members for S in transversals(ps)), *extra]:
+        got = normal_outcome(ps, members)
+        assert got == normal_outcome(fresh, members), members
+        outcomes.append(got)
+    return outcomes
 
 
 @pytest.mark.parametrize(
@@ -990,7 +983,8 @@ def check_fill(ps: PointSet) -> int:
 )
 def test_fill_normals_matches_fresh_elimination(make):
     ps = make()
-    assert check_fill(ps) == ps.transversal_count()
+    assert ps._triangular == list(range(1, ps.r + 1))
+    assert all(isinstance(got[0], tuple) and got[1] > 0 for got in check_normals(ps))
 
 
 @pytest.mark.parametrize(
@@ -999,27 +993,20 @@ def test_fill_normals_matches_fresh_elimination(make):
     ids=["inner", "inner-tail", "last-color"],
 )
 def test_fill_normals_on_flipped_sets(pid, coord):
+    # a flipped tail entry, or (last-color) a negative diagonal -2 e_3: the
+    # set stays triangular, and the flipped point's transversals may raise
     ps = flip_tail_sign(gen_point_set(3, 3), pid, coord)
-    filled = check_fill(ps)
-    if pid.color == 3:
-        # -2 e_3 is off the positive axis: its sub-line members take the
-        # elimination path, and the other points of the class are filled
-        assert not on_positive_last_axis(ps, pid)
-        assert filled == ps.transversal_count() * 2 // 3
-    else:
-        assert 0 < filled < ps.transversal_count()
+    assert ps._triangular
+    check_normals(ps)
 
 
-def test_fill_normals_leaves_degenerate_siblings_to_raise():
+def test_normal_raises_on_degenerate_siblings():
     # head (5, 2): with p = t e_2 the pair is ((t - 2, 5), 5 t), so t = 1
     # meets the first axis on the negative side, t = 2 is parallel to it,
-    # and only t = 3 is cached; the head (0, 7) makes every p singular
+    # and only t = 3 spans a hyperplane; the head (0, 7) makes every p singular
     good, flat = PointId(1, 2, 1), PointId(1, 2, 2)
     line = [PointId(2, 2, k) for k in (1, 2, 3)]
     ps = PointSet(2, 3, {good: (5, 2), flat: (0, 7), **{p: (0, p.phase) for p in line}})
-    ps.fill_normals((good,))
-    ps.fill_normals((flat,))
-    assert list(ps._normals) == [(good, line[2])]
     assert ps.normal((good, line[2])) == ((1, 5), 15)
     with pytest.raises(DegeneracyError, match="negative side"):
         ps.normal((good, line[0]))
@@ -1027,36 +1014,70 @@ def test_fill_normals_leaves_degenerate_siblings_to_raise():
         ps.normal((good, line[1]))
     with pytest.raises(DegeneracyError, match="singular"):
         ps.normal((flat, line[0]))
-    assert check_fill(ps) == 1
+    assert list(ps._normals) == [(good, line[2])]
+    check_normals(ps)
 
 
 @st.composite
-def axis_line_sets(draw) -> PointSet:
-    """Random heads, small or huge, beside a last color of points on the
-    last axis (either side) and a few off it."""
+def axis_line_sets(draw) -> tuple[PointSet, list[tuple[PointId, ...]]]:
+    """Either random heads, small or huge, beside a last color of points on
+    the last axis (either side) and a few off it; or a random triangular
+    set, every point zero before its color, with diagonal entries of any
+    sign or zero.  Beside the set, a few of its transversals with their
+    members out of color order."""
     r = draw(st.integers(1, 4))
     bound = draw(st.sampled_from([4, 10**6, 10**30]))
-    heads = draw(
-        st.lists(
-            st.tuples(*[st.integers(-bound, bound)] * r),
-            min_size=2 * (r - 1),
-            max_size=2 * (r - 1),
-            unique=True,
+    if draw(st.booleans()):
+        heads = draw(
+            st.lists(
+                st.tuples(*[st.integers(-bound, bound)] * r),
+                min_size=2 * (r - 1),
+                max_size=2 * (r - 1),
+                unique=True,
+            )
         )
-    )
-    ts = draw(st.lists(st.integers(-bound, bound).filter(bool), min_size=1, max_size=5, unique=True))
-    line = [(0,) * (r - 1) + (t,) for t in ts]
-    line += draw(st.lists(st.tuples(*[st.integers(-4, 4)] * r), max_size=2))
-    assume(len(set(heads + line)) == len(heads) + len(line))
-    points = {PointId(i, r, k): heads[2 * (i - 1) + k - 1] for i in range(1, r) for k in (1, 2)}
-    points.update({PointId(r, r, k): x for k, x in enumerate(line, start=1)})
-    return PointSet(r, 3, points)
+        ts = draw(
+            st.lists(st.integers(-bound, bound).filter(bool), min_size=1, max_size=5, unique=True)
+        )
+        line = [(0,) * (r - 1) + (t,) for t in ts]
+        line += draw(st.lists(st.tuples(*[st.integers(-4, 4)] * r), max_size=2))
+        assume(len(set(heads + line)) == len(heads) + len(line))
+        points = {
+            PointId(i, r, k): heads[2 * (i - 1) + k - 1] for i in range(1, r) for k in (1, 2)
+        }
+        points.update({PointId(r, r, k): x for k, x in enumerate(line, start=1)})
+    else:
+        entry = st.sampled_from([0, 1, -1]) | st.integers(-bound, bound)
+        points = {}
+        for i in range(1, r + 1):
+            for k in range(1, draw(st.integers(1, 3)) + 1):
+                points[PointId(i, r, k)] = (0,) * (i - 1) + draw(st.tuples(*[entry] * (r - i + 1)))
+        assume(len(set(points.values())) == len(points))
+    ps = PointSet(r, 3, points)
+    members = [S.members for S in transversals(ps)]
+    shuffled = [
+        tuple(draw(st.permutations(draw(st.sampled_from(members)))))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return ps, [t for t in shuffled if [p.color for p in t] != list(range(1, r + 1))]
 
 
-@settings(max_examples=150, deadline=None)
-@given(axis_line_sets())
-def test_fill_normals_matches_fresh_elimination_on_random_lines(ps):
-    check_fill(ps)
+def test_normal_matches_fresh_elimination_on_random_sets():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(axis_line_sets())
+    def check(case):
+        ps, shuffled = case
+        outcomes = check_normals(ps, shuffled)
+        seen.add("triangular" if ps._triangular else "eliminated")
+        seen.add("shuffled" if shuffled else "in order")
+        for got in outcomes:
+            seen.add("pair" if isinstance(got[0], tuple) else got[1].split()[-1])
+
+    check()
+    want = {"triangular", "eliminated", "shuffled", "pair", "degenerate", "side"}
+    assert want <= seen, seen
 
 
 # ---------------------------------------------------------------------------

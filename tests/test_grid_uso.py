@@ -1418,6 +1418,18 @@ def test_a_bad_id_change_kept_on_the_comb_is_rejected(check, move, w):
         check(spec, comb)
 
 
+@pytest.mark.parametrize("check", [unique_sink_violations, has_topological_order])
+def test_a_change_kept_on_the_0_axis_comb_is_named_as_a_change(check):
+    """The 0-axis grid has one vertex and no coordinate: a change kept on
+    it is refused by its value, not by an invented target."""
+    comb = with_changes(_identity_for(()), {(): [0]})
+    with pytest.raises(
+        ValueError,
+        match=re.escape("arc () by id change 0 does not join two grid neighbours"),
+    ):
+        check(grid_spec(comb), comb)
+
+
 def vertex_of(sizes, u):
     """Oracle: the vertex numbered ``u``, first coordinate fastest, with an
     unbounded last coordinate, so an id outside the grid names the value
@@ -1441,13 +1453,13 @@ def change_target(sizes, v, change):
 
 
 def bad_changes(v, sizes):
-    """Id changes that take ``v`` to no grid neighbour (:func:`change_target`)
-    on a grid of at least one axis: the change 0, multiples ``k * stride_d``
-    with ``|k| >= s_d``, steps of one coordinate out of range and changes of
-    two coordinates.  A multiple that equals a step along a later axis is
-    left out."""
+    """Id changes that take ``v`` to no grid neighbour (:func:`change_target`):
+    the changes 0 and ``+-1`` (on the 0-axis grid every change), multiples
+    ``k * stride_d`` with ``|k| >= s_d``, steps of one coordinate out of
+    range and changes of two coordinates.  A multiple that equals a step
+    along a later axis is left out."""
     strides = [math.prod(sizes[:d]) for d in range(len(sizes))]
-    changes = {0}
+    changes = {0, 1, -1}
     changes |= {k * st for st, s in zip(strides, sizes) for k in (s, s + 1, -s, -s - 1)}
     changes |= {(c - x) * st for x, st, s in zip(v, strides, sizes) for c in (0, s + 1, -3)}
     changes |= {
@@ -1461,8 +1473,7 @@ def bad_changes(v, sizes):
 @st.composite
 def change_lists(draw):
     """A grid of 0-3 axes and each vertex's id changes: random lists of
-    steps to its grid neighbours, with up to three bad changes put in when
-    the grid has an axis."""
+    steps to its grid neighbours, with up to three bad changes put in."""
     spec = GridSpec(tuple(draw(st.lists(st.integers(1, 4), max_size=3), label="sizes")))
     sizes = spec.factor_sizes
     changes = {}
@@ -1474,8 +1485,8 @@ def change_lists(draw):
             if c != v[d]
         ]
         changes[v] = draw(st.lists(st.sampled_from(steps), max_size=4)) if steps else []
-    vertices = list(changes) if sizes else []
-    for _ in range(draw(st.integers(0, 3), label="bad changes") if vertices else 0):
+    vertices = list(changes)
+    for _ in range(draw(st.integers(0, 3), label="bad changes")):
         v = draw(st.sampled_from(vertices))
         change = draw(st.sampled_from(bad_changes(v, sizes)))
         changes[v].insert(draw(st.integers(0, len(changes[v]))), change)
@@ -1486,14 +1497,17 @@ def change_read_oracle(spec, changes):
     """Oracle: :func:`read_oracle` of the targets of ``changes``, once every
     change is checked vertex by vertex in ``spec.vertices()`` order; the
     first that takes its vertex to no grid neighbour raises ``ValueError``,
-    naming its target as :func:`vertex_of` decodes it."""
+    naming its target as :func:`vertex_of` decodes it, or on the 0-axis
+    grid, which has no coordinate, the change itself."""
     sizes = spec.factor_sizes
     targets = {}
     for v in spec.vertices():
         targets[v] = tuple(change_target(sizes, v, change) for change in changes[v])
         if None in targets[v]:
-            u = unchecked_id(sizes, v) + changes[v][targets[v].index(None)]
-            raise ValueError(f"arc {v} -> {vertex_of(sizes, u)} does not join two grid neighbours")
+            change = changes[v][targets[v].index(None)]
+            w = vertex_of(sizes, unchecked_id(sizes, v) + change)
+            named = f"-> {w}" if sizes else f"by id change {change}"
+            raise ValueError(f"arc {v} {named} does not join two grid neighbours")
     return read_oracle(spec, targets.get)
 
 

@@ -517,12 +517,10 @@ def edge_expected_steps(cfg):
     ps = cfg.point_set
     chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
     known = cfg._states
-    line = len(ps.color_class(ps.r))
-    states = []
-    for sid, s in enumerate(transversals(ps)):
-        if sid % line == 0:
-            ps.fill_normals(s.members[:-1])
-        states.append(known.get(sid) or process._new_state(cfg, s.members, sid))
+    states = [
+        known.get(sid) or process._new_state(cfg, s.members, sid)
+        for sid, s in enumerate(transversals(ps))
+    ]
     states.sort(key=process._solve_order)
     order = [st.sid for st in states]
     n_succ, reads = [], []
