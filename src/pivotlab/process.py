@@ -10,19 +10,21 @@ counts (``pivot_count`` and ``total_steps = pivot_count + 1``).
 Transversal positions form a finite acyclic chain: every pivot strictly
 lowers the sum of axis intersections, which both guarantees termination and
 gives the back-substitution order for exact expected durations.  Each
-:class:`ProcessConfig` holds that chain as one state graph, built lazily:
-a state per transversal, interned by an integer id (the mixed-radix number
-of its members' places in their color classes, so ids run in the order of
+:class:`ProcessConfig` holds that chain as one state graph: a state per
+transversal, interned by an integer id (the mixed-radix number of its
+members' places in their color classes, so ids run in the order of
 :func:`geometry.transversals`), whose successors are direct references to
-other states, each edge made when first taken.  A pivot changes one digit
-of the id, so an edge finds its successor by arithmetic and builds a member
-tuple only for a state not seen before.  Each edge :func:`run` takes is
-checked against the axis-sum order once, when it is made, on the sum held
-as an exact integer pair, read off the back-substituted hyperplane of
-:meth:`geometry.PointSet.normal`.  :func:`exact_expected_steps` makes no
-edge: the ids are the vertices of the grid of the color classes, and it
-reads each state's swaps of one color as that grid's fiber through it,
-checking every swap against the order by its rank.  :func:`run`, :func:`good_phases` and
+other states.  The config makes the start state; any other state is made
+when first reached, and each edge when first taken.  A pivot changes one
+digit of the id, so an edge finds its successor from the points' offsets
+and builds a member tuple only for a state not seen before.  Each edge
+:func:`run` takes is checked against the axis-sum order once, when it is
+made, on the sum held as an exact integer pair, read off the
+back-substituted hyperplane of :meth:`geometry.PointSet.normal`.
+:func:`exact_expected_steps` makes no edge: the ids are the vertices of
+the grid of the color classes, and it reads each state's swaps of one
+color as that grid's fiber through it, checking every swap against the
+order by its place in it.  :func:`run`, :func:`good_phases` and
 :func:`exact_expected_steps` all read the same states.  A :class:`Trace` is
 the states a run visited and the index drawn at each, so a step allocates
 nothing beyond two list slots; its pivots, its phase changes and its jsonl
@@ -36,7 +38,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
 from typing import Iterator
 
 from . import chain, geometry
@@ -90,7 +91,9 @@ class ProcessConfig:
     convention).  Simulated traces always carry both counts.  Left out,
     ``start`` is the adversary start of an augmented set and the main start
     otherwise, and the escape hop is counted exactly when the set is
-    augmented or ``delta > 0``.
+    augmented or ``delta > 0``.  A start without a valid hyperplane is
+    refused here, with the :class:`~pivotlab.errors.DegeneracyError` of
+    :func:`geometry.hyperplane_coefficients`.
     """
 
     def __init__(
@@ -117,17 +120,21 @@ class ProcessConfig:
         self.delta = delta
         self.count_terminal_step = count_terminal_step
         # state ids: the place of each member in its color class, as digits
-        # of a mixed-radix number whose last color varies fastest
-        classes = [point_set.color_class(i) for i in range(1, point_set.r + 1)]
-        self._index = {p: k for cls in classes for k, p in enumerate(cls)}
-        self._stride = [prod(map(len, classes[c + 1 :])) for c in range(len(classes))]
+        # of a mixed-radix number whose last color varies fastest; a point's
+        # offset is its place times its color's stride
+        self._offset: dict[PointId, int] = {}
+        stride = 1
+        for i in range(point_set.r, 0, -1):
+            cls = point_set.color_class(i)
+            self._offset.update((p, k * stride) for k, p in enumerate(cls))
+            stride *= len(cls)
         self._states: dict[int, _State] = {}
-        # what every run of this config starts from: the step budget, and
-        # the start state, made by run on first use
+        # what every run of this config starts from: the step budget and
+        # the start state, which also refuses a start without a hyperplane
         self._budget = point_set.transversal_count() + 1
-        self._start_state: _State | None = None
-        # the second-outermost layer, made by good_phases on first use
-        self._layer_rm1: frozenset[PointId] | None = None
+        self._start_state = _state(self, start.members)
+        # the second-outermost layer, read by good_phases
+        self._layer_rm1 = frozenset(point_set.layer_members(point_set.r - 1))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -173,8 +180,7 @@ def _new_state(cfg: ProcessConfig, members: tuple[PointId, ...], sid: int) -> _S
 
 
 def _state(cfg: ProcessConfig, members: tuple[PointId, ...]) -> _State:
-    index = cfg._index
-    sid = sum([index[p] * s for p, s in zip(members, cfg._stride)])
+    sid = sum(map(cfg._offset.__getitem__, members))
     st = cfg._states.get(sid)
     return _new_state(cfg, members, sid) if st is None else st
 
@@ -196,8 +202,8 @@ def _edge(cfg: ProcessConfig, st: _State, i: int) -> _State:
     if nxt is None:
         p = st.below[i]
         c = p.color - 1
-        index = cfg._index
-        sid = st.sid + (index[p] - index[st.members[c]]) * cfg._stride[c]
+        offset = cfg._offset
+        sid = st.sid + offset[p] - offset[st.members[c]]
         nxt = cfg._states.get(sid)
         if nxt is None:
             members = list(st.members)
@@ -313,8 +319,6 @@ def run(cfg: ProcessConfig, rng: Stream) -> Trace:
     budget = cfg._budget
     delta = cfg.delta
     st = cfg._start_state
-    if st is None:
-        st = cfg._start_state = _state(cfg, cfg.start.members)
     states = [st]
     picks = []
     while True:
@@ -347,12 +351,9 @@ def good_phases(cfg: ProcessConfig, trace: Trace) -> dict[int, bool]:
     all of that layer below the entry is the expected consequence.  Empty
     below dimension 2, where the notion is not defined.
     """
-    ps = cfg.point_set
-    r = ps.r
+    r = cfg.point_set.r
     if r < 2:
         return {}
-    if cfg._layer_rm1 is None:
-        cfg._layer_rm1 = frozenset(ps.layer_members(r - 1))
     good: dict[int, bool] = {}
     # the last change is the escape to phase 0, after every state
     for sigma, phi in trace.phase_changes()[:-1]:
@@ -393,7 +394,7 @@ def exact_expected_steps(cfg: ProcessConfig) -> Fraction:
     chain over plain integers; the start's value is read by its id."""
     chain.check_state_count(cfg.point_set.transversal_count(), "transversals", "exact mode")
     scaled, d = chain.solve(_compile(cfg), cfg.delta)
-    x = scaled[_state(cfg, cfg.start.members).sid]
+    x = scaled[cfg._start_state.sid]
     return Fraction(x if cfg.count_terminal_step else x - d, d)
 
 
@@ -403,14 +404,16 @@ def _compile(cfg: ProcessConfig) -> chain.Chain:
     Enumerates all transversals, the k-th as state id k, and orders them
     by increasing axis-intersection sum.  The ids number the vertices of
     the grid of the color classes, so a state's color-c swaps lie on its
-    fiber of that axis (:func:`chain.fiber_groups`).  Each swap's state must have a smaller
-    rank, the position of the first state of its sum, or monotonicity is
-    broken; so it is solved first.  Per color, the guard: when the swaps
+    fiber of that axis (:func:`chain.fiber_groups`).  One pass in that
+    order places each state as it reaches it; each swap's state must be
+    placed before the first state of this state's sum, or monotonicity is
+    broken, so it is solved first.  Per color, the guard: when the swaps
     number as many as the fiber's states solved so far, they are those
     states, and the state reads and writes the fiber's running sum.  Else
     it reads them one by one, and the fiber is read and written no more:
-    every later state on it reads that color one by one.  A state read one
-    by one writes a group of its own.
+    every later state on it reads that color one by one.  A successor read
+    one by one gets a group of its own, which it writes, when its first
+    reader meets it.
     """
     ps = cfg.point_set
     r = ps.r
@@ -422,31 +425,30 @@ def _compile(cfg: ProcessConfig) -> chain.Chain:
     states.sort(key=_solve_order)
     order = [st.sid for st in states]
     count = len(order)
-    rank = [0] * count
+    # ids run last color fastest, so color c is the grid's axis r - 1 - c
+    sizes = [len(ps.color_class(c)) for c in range(r, 0, -1)]
+    fibers = list(zip(*chain.fiber_groups(order, sizes)[::-1]))
+    offset = cfg._offset
+    ends = [(c + 2,) for c in range(r)]  # sorts between colors c + 1 and c + 2
+    written = [0] * (r * count)  # states on each fiber; -1 once it failed
+    place = [count] * count  # each state's position in solve order, once reached
+    own = {}  # the group of each state some state reads one by one
+    n_succ, reads, writes = [], [], []
     first, prev = 0, states[0]
     for i, st in enumerate(states):
         if prev < st:
             first = i
-        rank[st.sid] = first
         prev = st
-    # ids run last color fastest, so color c is the grid's axis r - 1 - c
-    sizes = [len(ps.color_class(c)) for c in range(r, 0, -1)]
-    fibers = list(zip(*chain.fiber_groups(order, sizes)[::-1]))
-    offset = {p: k * cfg._stride[p.color - 1] for p, k in cfg._index.items()}
-    ends = [(c + 2,) for c in range(r)]  # sorts between colors c + 1 and c + 2
-    written = [0] * (r * count)  # states on each fiber; -1 once it failed
-    single = bytearray(count)  # the states some state reads one by one
-    n_succ, reads, writes = [], [], []
-    for i, st in enumerate(states):
+        sid = st.sid
+        place[sid] = i
         # from the set's cache, not kept on the state: a run keeps below
         # sets beside their edges only for the states it visits
         below = geometry.below_set(ps, Transversal(st.members))
-        sid, rk = st.sid, rank[st.sid]
         # the state of each swap: a color-c pivot changes digit c of the id
         base = [0] + [sid - offset[q] for q in st.members]
         succ = [base[p[0]] + offset[p] for p in below]
-        if succ and max(map(rank.__getitem__, succ)) >= rk:
-            raise _not_lower(st, known[next(k for k in succ if rank[k] >= rk)])
+        if succ and max(map(place.__getitem__, succ)) >= first:
+            raise _not_lower(st, known[next(k for k in succ if place[k] >= first)])
         groups = fibers[i]
         failed, loose, lo = False, [], 0
         for g, end in zip(groups, ends):
@@ -461,21 +463,13 @@ def _compile(cfg: ProcessConfig) -> chain.Chain:
         if failed:  # keep the fibers that passed
             groups = tuple(g for g in groups if written[g] > 0)
         for k in loose:
-            single[k] = 1
+            if k not in own:
+                own[k] = r * count + len(own)
+                writes[place[k]] += (own[k],)
         n_succ.append(len(below))
-        # a successor read one by one is kept as ~id until its group exists
-        reads.append(groups + tuple(~k for k in loose) if loose else groups)
+        reads.append(groups + tuple(map(own.__getitem__, loose)) if loose else groups)
         writes.append(groups)
-    n_groups = r * count
-    if any(single):
-        own = {}
-        for i, k in enumerate(order):
-            if single[k]:
-                own[k] = n_groups
-                writes[i] += (n_groups,)
-                n_groups += 1
-        reads = [[g if g >= 0 else own[~g] for g in rd] for rd in reads]
-    return chain.Chain(order, n_succ, reads, writes, n_groups)
+    return chain.Chain(order, n_succ, reads, writes, r * count + len(own))
 
 
 def adversaries(

@@ -13,9 +13,11 @@ from pivotlab import chain, process
 from pivotlab.errors import DegeneracyError, InstanceTooLargeError, InternalInvariantError
 from pivotlab.geometry import (
     PointId,
+    PointSet,
     Transversal,
     below_set,
     gen_point_set,
+    hyperplane_coefficients,
     make_transversal,
     transversals,
 )
@@ -32,9 +34,11 @@ from pivotlab.process import (
     trace_to_jsonl,
     worst_case_expected_steps,
 )
+from pivotlab.grid_uso import GridSpec, has_topological_order, unique_sink_violations
 from pivotlab.seeding import derive_rng
 from test_chain import expected_steps, writes_rule_breaker
 from test_geometry import axis_intersections, flip_tail_sign
+from test_grid_uso import oriented
 
 
 def harmonic(n: int) -> Fraction:
@@ -118,6 +122,17 @@ def test_config_validates_start_and_delta():
     other = gen_point_set(2, 3)
     with pytest.raises(ValueError):
         ProcessConfig(ps, main_start(other))
+    # a start without a valid hyperplane is refused when the config is made,
+    # as hyperplane_coefficients refuses it: a line through (0, 1) and (1, 2)
+    # meets the first axis at -1, one through (0, 1) and (5, 1) never does
+    start = Transversal((PointId(1, 1, 1), PointId(2, 2, 1)))
+    for far in [(1, 2), (5, 1)]:
+        degenerate = PointSet(2, 2, {PointId(1, 1, 1): (0, 1), PointId(2, 2, 1): far})
+        with pytest.raises(DegeneracyError) as want:
+            hyperplane_coefficients(degenerate, start)
+        with pytest.raises(DegeneracyError) as got:
+            ProcessConfig(degenerate, start)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +188,10 @@ def test_run_seed_determinism_byte_for_byte():
 
 
 def test_runs_of_one_config_share_its_setup(monkeypatch):
-    # the step budget and the start state are made once per config, not per trace
+    # the step budget and the start state are made once per config, not per
+    # trace, and the start state before the first run
     cfg = augmented_config(2, 4, delta=2)
+    (start,) = cfg._states.values()
     counted = []
     real = type(cfg.point_set).transversal_count
     monkeypatch.setattr(
@@ -182,8 +199,8 @@ def test_runs_of_one_config_share_its_setup(monkeypatch):
     )
     traces = [run(cfg, Random(seed)) for seed in range(5)]
     assert counted == []
-    assert all(t.states[0] is traces[0].states[0] for t in traces)
-    assert traces[0].states[0].members == cfg.start.members
+    assert all(t.states[0] is start for t in traces)
+    assert start.members == cfg.start.members
 
 
 def hand_state(members, phase, below) -> process._State:
@@ -536,17 +553,25 @@ def edge_expected_steps(cfg):
 
 def check_fiber_chain(ch, r):
     """The rules of a compiled process chain: each state writes only groups
-    it reads or groups no earlier state wrote; the groups past the ``r``
-    fibers per state are each one state's own, written by it alone and read
-    by some later state."""
+    it reads or groups no earlier state wrote, and reads only groups that
+    exist; the groups past the ``r`` fibers per state are each one state's
+    own, written by it alone and solved before the first state that reads
+    it, and numbered in the order of those first readers."""
     assert writes_rule_breaker(ch) is None
+    assert all(0 <= g < ch.n_groups for rd in ch.reads for g in rd)
     fibers = r * len(ch.order)
-    own = [g for wr in ch.writes for g in wr if g >= fibers]
-    assert sorted(own) == list(range(fibers, ch.n_groups))
-    later = set()
-    for rd, wr in zip(reversed(ch.reads), reversed(ch.writes)):
-        assert all(g in later for g in wr if g >= fibers)
-        later.update(rd)
+    writer, first_reader = {}, {}
+    for i, (rd, wr) in enumerate(zip(ch.reads, ch.writes)):
+        for g in wr:
+            if g >= fibers:
+                assert g not in writer
+                writer[g] = i
+        for g in rd:
+            if g >= fibers:
+                first_reader.setdefault(g, i)
+    assert list(first_reader) == list(range(fibers, ch.n_groups))
+    assert sorted(writer) == list(first_reader)
+    assert all(writer[g] < i for g, i in first_reader.items())
 
 
 @st.composite
@@ -760,8 +785,8 @@ def test_broken_monotonicity_is_an_internal_error():
 
 def test_a_swap_of_equal_axis_sum_breaks_monotonicity():
     # tie a state's sum to that of its highest swap, whose id is lower, so
-    # the stable sort puts the swap first: only the swap's rank, the
-    # position of the first state of the shared sum, still refuses it
+    # the stable sort puts the swap first: only the check against the first
+    # state of the shared sum, which the swap is placed after, refuses it
     cfg = plain_config(2, 3)
     process._compile(cfg)  # builds every state
     for st in sorted(cfg._states.values(), key=lambda s: s.sid):
@@ -815,3 +840,66 @@ def test_adversaries_yield_every_alpha_tuple_in_product_order():
     )
     with pytest.raises(ValueError, match="no alpha choices supplied"):
         next(adversaries(2, 3, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the paper's application (2): the transversals as a grid orientation
+# ---------------------------------------------------------------------------
+
+
+def transversal_grid(ps):
+    """The grid of the color classes, oriented by the below sets: a vertex
+    is 1 plus each member's place in its class, and its out-arcs are its
+    swaps.  Returns the classes, the grid and each vertex's targets."""
+    classes = [ps.color_class(c) for c in range(1, ps.r + 1)]
+    place = {p: k + 1 for cls in classes for k, p in enumerate(cls)}
+    spec = GridSpec(tuple(map(len, classes)))
+    arcs = {}
+    for v in spec.vertices():
+        members = tuple(cls[c - 1] for cls, c in zip(classes, v))
+        arcs[v] = tuple(
+            v[: p.color - 1] + (place[p],) + v[p.color :]
+            for p in below_set(ps, Transversal(members))
+        )
+    return classes, spec, arcs
+
+
+@pytest.mark.parametrize("r,m", [(2, 8), (3, 4), (4, 3)])
+def test_plain_transversal_grid_is_an_acyclic_unique_sink_orientation(r, m):
+    _, spec, arcs = transversal_grid(gen_point_set(r, m))
+    comb = oriented(spec, arcs.__getitem__)
+    assert has_topological_order(spec, comb)
+    assert unique_sink_violations(spec, comb) == []
+
+
+@pytest.mark.parametrize(
+    "r,m,unoriented,edges", [(2, 2, 1, 45), (2, 4, 1, 270), (3, 3, 17, 2520)]
+)
+def test_augmented_transversal_grid_leaves_edges_unoriented(r, m, unoriented, edges):
+    # a grid edge carries no arc when neither transversal has the other's
+    # point below it; each such edge has an endpoint holding two or more
+    # adversary points
+    base = gen_point_set(r, m)
+    ps = base.augmented()
+    classes, spec, arcs = transversal_grid(ps)
+    comb = oriented(spec, arcs.__getitem__)
+    assert has_topological_order(spec, comb)
+    adversary = set(ps.ids()) - set(base.ids())
+
+    def held(v):
+        return sum(cls[c - 1] in adversary for cls, c in zip(classes, v))
+
+    bare = []
+    pairs = 0
+    for v in spec.vertices():
+        for d, s in enumerate(spec.factor_sizes):
+            for c in range(v[d] + 1, s + 1):
+                w = v[:d] + (c,) + v[d + 1 :]
+                pairs += 1
+                if w not in arcs[v] and v not in arcs[w]:
+                    bare.append((v, w))
+    assert (len(bare), pairs) == (unoriented, edges)
+    assert all(max(held(v), held(w)) >= 2 for v, w in bare)
+    # at (3, 3) naming the violations would sweep more subgrids than the cap
+    if r == 2:
+        assert unique_sink_violations(spec, comb)
