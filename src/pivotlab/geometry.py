@@ -21,11 +21,16 @@ beside the identity, for every point below it, and the piercing tests
 carry one elimination from each head to its extensions, one pivot step
 per head (:func:`pierced_heads`).  The side test, the pivot and the
 piercing test are integer sign tests on those results, and a point set
-caches each transversal's hyperplane and below set.  The Caratheodory test
-of a subset is the piercing test on each of its subsets of at most ``r``
-points.  ``Fraction`` appears only in the values handed back (hyperplane
-coefficients and solutions).  Floats never participate in a geometric
-decision.
+caches each transversal's hyperplane and below set.  A point set splits
+into runs, each of one color ``c`` and rising along ``e_c`` (on the
+families, a color and layer class), and every hyperplane here rises along
+each axis, so :func:`below_set` bisects each run with the side test: the
+points below are a prefix, and the one point that could lie on the
+hyperplane is the first past it, which the bisection always probes.  The
+Caratheodory test of a subset is the piercing test on each of its subsets
+of at most ``r`` points.  ``Fraction`` appears only in the values handed
+back (hyperplane coefficients and solutions).  Floats never participate in
+a geometric decision.
 """
 
 from __future__ import annotations
@@ -202,6 +207,16 @@ class PointSet:
     Usually built by :func:`gen_point_set` (the standard family) or
     :func:`project_deep`; arbitrary labelled sets are accepted for fault
     injection, but no general-position repair is attempted.
+
+    The sorted ids split once into maximal *runs* of consecutive ids that
+    have one color ``c``, agree in every coordinate but ``c`` and strictly
+    rise in it, which :func:`below_set` bisects.  On the families a run is
+    a (color, layer) class, and an adversary point joins its outer class
+    (``alpha > m``); a point that breaks a class, such as a mutant's, is a
+    run of its own and costs one side test.  Every hyperplane that
+    :meth:`normal` accepts rises along every run, so a run holds at most
+    one point on it, the first past the run's below prefix, which the
+    bisection always probes: general position is still decided.
     """
 
     def __init__(
@@ -233,6 +248,20 @@ class PointSet:
         self._colors: dict[int, tuple[PointId, ...]] = {
             i: tuple(p for p in self._ids if p.color == i) for i in range(1, r + 1)
         }
+        # maximal runs of consecutive ids of one color c that agree off
+        # coordinate c and strictly rise in it, for below_set to bisect, and
+        # each id's (run, place)
+        runs: list[list[PointId]] = []
+        for pid in self._ids:
+            xs, c = self._points[pid], pid.color - 1
+            if runs and runs[-1][-1].color == pid.color:
+                ys = self._points[runs[-1][-1]]
+                if ys[c] < xs[c] and ys[:c] == xs[:c] and ys[c + 1 :] == xs[c + 1 :]:
+                    runs[-1].append(pid)
+                    continue
+            runs.append([pid])
+        self._runs = [tuple(run) for run in runs]
+        self._run_at = {p: (k, i) for k, run in enumerate(self._runs) for i, p in enumerate(run)}
         self._normals: dict[tuple[PointId, ...], tuple[Coords, int]] = {}
         self._below: dict[tuple[PointId, ...], tuple[PointId, ...]] = {}
 
@@ -401,7 +430,10 @@ def gen_point_set(r: int, m: int) -> PointSet:
     of (1,1,2), (2,5,2), ..., (5,5,1), nor at ``(6, 2)``, where (2,2,2) lies on
     that of (1,1,1), (2,6,2), ..., (6,6,1).  A passing ``verify lemmas --r R
     --m M`` proves, exhaustively at that size, what :func:`below_set` enforces
-    here: no point lies on the hyperplane of a transversal it is not in."""
+    here: no point lies on the hyperplane of a transversal it is not in.
+    Bisection still decides that: a run, a (color, layer) class here, holds
+    at most one point on a hyperplane, the first past its below prefix, and
+    the bisection always probes that point."""
     return PointSet(r, m, {pid: gen_point(r, m, pid) for pid in _family_ids(r, m)})
 
 
@@ -424,11 +456,12 @@ def project_deep(R: int, m: int, r: int) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transversal:
     """One point per color, ordered by color.  Identity is the member tuple;
     axis intersections are derived from the hyperplane cached on the owning
-    point set (:meth:`PointSet.normal`)."""
+    point set (:meth:`PointSet.normal`).  Slotted: the exact compile keeps
+    one per state while it runs."""
 
     members: tuple[PointId, ...]
 
@@ -599,31 +632,49 @@ def below_set(point_set: PointSet, simplex: Transversal) -> tuple[PointId, ...]:
     included.  Cached on the set, so each transversal's side tests run
     once; a raise is not cached, and is raised again on the next call.
 
+    Found run by run (:class:`PointSet`).  :meth:`PointSet.normal` refuses
+    any ``n_c <= 0``, so ``n . x - d`` strictly rises along a run of color
+    ``c``: its points below are a prefix, and only the first point past
+    that prefix can lie on the hyperplane.  A run holding a member, the
+    run's zero, gives the ids before it with no side test.  Any other run
+    is bisected with :func:`side_of`, whose probes always include that
+    first point past the prefix, so every point on the hyperplane is still
+    found.  A run of ``k`` points costs ``ceil(log2(k + 1))`` side tests.
+
     On an unaugmented set a non-member lying exactly on the hyperplane
-    raises: on the standard families that cannot happen, so it signals a
-    broken set.  An augmented set tolerates such points, because an
-    adversary hyperplane may pass exactly through inner-layer points (equal
-    ``alpha_i = m + 1`` gives the start hyperplane coordinate-sum ``m + 1``,
-    which phase-1 inner points hit); they are simply not below, which is all
-    the pivot draw ever asks.
+    raises, the first in id order: on the standard families that cannot
+    happen, so it signals a broken set.  An augmented set tolerates such
+    points, because an adversary hyperplane may pass exactly through
+    inner-layer points (equal ``alpha_i = m + 1`` gives the start
+    hyperplane coordinate-sum ``m + 1``, which phase-1 inner points hit);
+    they are simply not below, which is all the pivot draw ever asks.
     """
-    cached = point_set._below.get(simplex.members)
+    members = simplex.members
+    cached = point_set._below.get(members)
     if cached is not None:
         return cached
-    members = set(simplex.members)
+    if len(point_set) > len(members):
+        point_set.normal(members)  # every n_c > 0, or a DegeneracyError
     strict = not point_set.is_augmented
-    below = []
-    for pid in point_set.ids():
-        if pid in members:
-            continue
-        side = side_of(point_set, simplex, pid)
-        if side is _BELOW:
-            below.append(pid)
-        elif side is _ON and strict:
-            raise GeneralPositionError(
-                f"{pid} lies on the hyperplane of {simplex.members}"
-            )
-    point_set._below[simplex.members] = result = tuple(below)
+    # the run of each member and its place there
+    tops = dict(map(point_set._run_at.__getitem__, members))
+    below: list[PointId] = []
+    for k, run in enumerate(point_set._runs):
+        top = tops.get(k)
+        if top is None:
+            # the first point of the run not below, and its side
+            top, hi, side = 0, len(run), _ABOVE
+            while top < hi:
+                mid = (top + hi) // 2
+                probe = side_of(point_set, simplex, run[mid])
+                if probe is _BELOW:
+                    top = mid + 1
+                else:
+                    hi, side = mid, probe
+            if side is _ON and strict:
+                raise GeneralPositionError(f"{run[top]} lies on the hyperplane of {members}")
+        below += run[:top]
+    point_set._below[members] = result = tuple(below)
     return result
 
 

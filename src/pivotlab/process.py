@@ -167,22 +167,21 @@ class _State:
         return self.t_num * other.t_den < other.t_num * self.t_den
 
 
-def _new_state(cfg: ProcessConfig, members: tuple[PointId, ...], sid: int) -> _State:
-    """Build and intern the state ``sid`` with these members."""
+def _new_state(cfg: ProcessConfig, position: Transversal, sid: int) -> _State:
+    """Build and intern the state ``sid`` at this position."""
     ps = cfg.point_set
-    position = Transversal(members)
     # t_i = 1 / c_i, summed over the product of the numerators of the c_i
     t_num, t_den = 0, 1
     for c in geometry.hyperplane_coefficients(ps, position):
         t_num, t_den = t_num * c.numerator + c.denominator * t_den, t_den * c.numerator
-    st = cfg._states[sid] = _State(sid, members, t_num, t_den, phase_of(ps, position))
+    st = cfg._states[sid] = _State(sid, position.members, t_num, t_den, phase_of(ps, position))
     return st
 
 
 def _state(cfg: ProcessConfig, members: tuple[PointId, ...]) -> _State:
     sid = sum(map(cfg._offset.__getitem__, members))
     st = cfg._states.get(sid)
-    return _new_state(cfg, members, sid) if st is None else st
+    return _new_state(cfg, Transversal(members), sid) if st is None else st
 
 
 def _below(cfg: ProcessConfig, st: _State) -> tuple[PointId, ...]:
@@ -208,7 +207,7 @@ def _edge(cfg: ProcessConfig, st: _State, i: int) -> _State:
         if nxt is None:
             members = list(st.members)
             members[c] = p
-            nxt = _new_state(cfg, tuple(members), sid)
+            nxt = _new_state(cfg, Transversal(tuple(members)), sid)
         if nxt.t_num * st.t_den >= st.t_num * nxt.t_den:
             raise _not_lower(st, nxt)
         st.succ[i] = nxt
@@ -418,10 +417,8 @@ def _compile(cfg: ProcessConfig) -> chain.Chain:
     ps = cfg.point_set
     r = ps.r
     known = cfg._states
-    states = [
-        known.get(sid) or _new_state(cfg, s.members, sid)
-        for sid, s in enumerate(geometry.transversals(ps))
-    ]
+    positions = list(geometry.transversals(ps))
+    states = [known.get(sid) or _new_state(cfg, s, sid) for sid, s in enumerate(positions)]
     states.sort(key=_solve_order)
     order = [st.sid for st in states]
     count = len(order)
@@ -443,7 +440,7 @@ def _compile(cfg: ProcessConfig) -> chain.Chain:
         place[sid] = i
         # from the set's cache, not kept on the state: a run keeps below
         # sets beside their edges only for the states it visits
-        below = geometry.below_set(ps, Transversal(st.members))
+        below = geometry.below_set(ps, positions[sid])
         # the state of each swap: a color-c pivot changes digit c of the id
         base = [0] + [sid - offset[q] for q in st.members]
         succ = [base[p[0]] + offset[p] for p in below]

@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, log2
 from typing import Iterable
 
 import pytest
@@ -715,6 +716,175 @@ def test_degenerate_simplex_raises():
         hyperplane_coefficients(
             ps3, Transversal((PointId(1, 1, 1), PointId(2, 2, 1)))
         )
+
+
+# ---------------------------------------------------------------------------
+# below sets by bisection against the per-point scan they replaced
+# ---------------------------------------------------------------------------
+
+
+def scan_below_set(ps: PointSet, simplex: Transversal) -> tuple[PointId, ...]:
+    """Reference for :func:`below_set`: one :func:`side_of` per non-member,
+    in id order, raising at the first point on the hyperplane of an
+    unaugmented set."""
+    members = set(simplex.members)
+    below = []
+    for pid in ps.ids():
+        if pid in members:
+            continue
+        side = side_of(ps, simplex, pid)
+        if side is Side.BELOW:
+            below.append(pid)
+        elif side is Side.ON and not ps.is_augmented:
+            raise GeneralPositionError(f"{pid} lies on the hyperplane of {simplex.members}")
+    return tuple(below)
+
+
+def below_outcome(fn, ps: PointSet, simplex: Transversal):
+    """The below tuple, or the type and message of the error raised."""
+    try:
+        return fn(ps, simplex)
+    except (DegeneracyError, GeneralPositionError) as exc:
+        return (type(exc), str(exc))
+
+
+def assert_below_matches_scan(
+    ps: PointSet, simplices: Iterable[Transversal] | None = None
+) -> Counter:
+    """:func:`below_set` equals the scan on every transversal of ``ps`` (or
+    on ``simplices``): the same tuple, or the same error type and message.
+    Returns how many of each outcome kind were seen."""
+    kinds = Counter()
+    for S in transversals(ps) if simplices is None else simplices:
+        want = below_outcome(scan_below_set, ps, S)
+        assert below_outcome(below_set, ps, S) == want, S.members
+        kinds[want[0].__name__ if want and isinstance(want[0], type) else "below"] += 1
+    return kinds
+
+
+def class_runs(ps: PointSet) -> list[tuple[PointId, ...]]:
+    """The (color, layer) classes of a family set, in id order."""
+    return [
+        tuple(p for p in ps.ids() if (p.color, p.layer) == (i, j))
+        for i in range(1, ps.r + 1)
+        for j in range(i, ps.r + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_point_set(1, 5),
+        lambda: gen_point_set(2, 8),
+        lambda: gen_point_set(3, 4),
+        lambda: gen_point_set(4, 3),
+        lambda: gen_point_set(2, 6).augmented(),
+        lambda: gen_point_set(3, 3).augmented([4, 6, 5]),
+        lambda: project_deep(4, 3, 2),
+        lambda: project_deep(5, 3, 3),
+        lambda: gen_point_set(5, 2),
+    ],
+    ids=["1-5", "2-8", "3-4", "4-3", "2-6-aug", "3-3-aug", "deep-4-3-2", "deep-5-3-3", "5-2"],
+)
+def test_below_set_matches_scan_on_families(make):
+    ps = make()
+    # a run per (color, layer) class; an adversary point joins its outer class
+    assert ps._runs == class_runs(ps)
+    kinds = assert_below_matches_scan(ps)
+    assert kinds["below"] > 0
+    assert ("GeneralPositionError" in kinds) == ((ps.r, ps.m) == (5, 2))
+
+
+def test_below_set_matches_scan_at_6_2():
+    # every transversal through the known coincidence's first two members
+    ps = gen_point_set(6, 2)
+    fixed = (PointId(1, 1, 1), PointId(2, 6, 2))
+    simplices = [S for S in transversals(ps) if S.members[:2] == fixed]
+    assert len(simplices) == 8 * 6 * 4 * 2
+    assert assert_below_matches_scan(ps, simplices)["GeneralPositionError"] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_below_set_matches_scan_on_augmented_sets(data):
+    r = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 4 if r < 3 else 2))
+    alphas = [data.draw(st.integers(m + 1, 3 * m + 3)) for _ in range(r)]
+    ps = gen_point_set(r, m).augmented(alphas)
+    assert ps._runs == class_runs(ps)
+    assert_below_matches_scan(ps)
+
+
+@st.composite
+def coordinate_mutants(draw) -> PointSet:
+    """A small family set with one to three coordinates moved, each by a
+    step of one or two or by a sign flip; a move onto another point's
+    coordinates is skipped.  Runs break and merge, and some hyperplanes
+    degenerate or pass through a point."""
+    r = draw(st.integers(2, 3))
+    m = draw(st.integers(2, 4 if r == 2 else 3))
+    base = gen_point_set(r, m)
+    points = {p: base.coords(p) for p in base.ids()}
+    for _ in range(draw(st.integers(1, 3))):
+        pid = draw(st.sampled_from(base.ids()))
+        t = draw(st.integers(0, r - 1))
+        xs = list(points[pid])
+        xs[t] = draw(st.sampled_from([-xs[t], xs[t] - 2, xs[t] - 1, xs[t] + 1, xs[t] + 2]))
+        if tuple(xs) not in points.values():
+            points[pid] = tuple(xs)
+    return PointSet(r, m, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinate_mutants())
+def test_below_set_matches_scan_on_coordinate_mutants(ps):
+    assert_below_matches_scan(ps)
+
+
+def counting_side_of(monkeypatch) -> list[PointId]:
+    """Route :func:`below_set`'s side tests through a recorder; returns the
+    list of points it tests."""
+    tested = []
+
+    def counting(point_set, simplex, x):
+        tested.append(x)
+        return side_of(point_set, simplex, x)
+
+    monkeypatch.setattr("pivotlab.geometry.side_of", counting)
+    return tested
+
+
+def test_flipped_point_is_its_own_run_and_side_tested_alone(monkeypatch):
+    # a flipped tail entry breaks the (1, 1) class into three one-point runs
+    pid = PointId(1, 1, 2)
+    ps = flip_tail_sign(gen_point_set(3, 3), pid, 2)
+    cls = class_runs(ps)[0]
+    assert cls == (PointId(1, 1, 1), pid, PointId(1, 1, 3))
+    assert ps._runs[:3] == [(p,) for p in cls]
+    tested = counting_side_of(monkeypatch)
+    checked = 0
+    for S in transversals(ps):
+        tested.clear()
+        got = below_outcome(below_set, ps, S)
+        assert got == below_outcome(scan_below_set, ps, S)
+        if pid not in S.members and not (got and isinstance(got[0], type)):
+            assert tested.count(pid) == 1
+            checked += 1
+    assert checked
+
+
+def test_below_set_side_tests_a_logarithm_per_run(monkeypatch):
+    r, m = 2, 40
+    ps = gen_point_set(r, m)
+    budget = r * (r + 1) // 2 * ceil(log2(m + 2))
+    tested = counting_side_of(monkeypatch)
+    worst = 0
+    for S in transversals(ps):
+        tested.clear()
+        below_set(ps, S)
+        worst = max(worst, len(tested))
+    # the per-point scan made 3m - r = 118 per transversal
+    assert 0 < worst <= budget == 18
 
 
 # ---------------------------------------------------------------------------

@@ -535,7 +535,7 @@ def edge_expected_steps(cfg):
     chain.check_state_count(ps.transversal_count(), "transversals", "exact mode")
     known = cfg._states
     states = [
-        known.get(sid) or process._new_state(cfg, s.members, sid)
+        known.get(sid) or process._new_state(cfg, s, sid)
         for sid, s in enumerate(transversals(ps))
     ]
     states.sort(key=process._solve_order)
