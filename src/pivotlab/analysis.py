@@ -714,14 +714,15 @@ def phase_law_report(
 
     for i in range(trials):
         trace = process.run(cfg, derive_rng(seed, "trace", i))
-        prev = trace.states[0].phase
+        states, picks = trace.states, trace.picks
+        prev = states[0].phase
         for sigma, phi in trace.phase_changes():
             jumps[prev][phi] += 1
             prev = phi
             if phi > 0:
-                pivot = trace.pivot(sigma - 1)
-                assert pivot is not None  # a positive-phase change is a point pivot
-                color_counts[pivot.color - 1] += 1
+                pick = picks[sigma - 1]
+                assert pick is not None  # a positive-phase change is a point pivot
+                color_counts[states[sigma - 1].below[pick].color - 1] += 1
         good = process.good_phases(cfg, trace)
         for k in good:
             if 1 <= k <= m:

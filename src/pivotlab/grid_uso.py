@@ -312,8 +312,10 @@ def walk(
     sink (plain grid) or at the terminal (augmented).  ``start`` may be a
     vertex or ``"uniform"``.  The walk steps over vertex ids
     (:func:`_vertex_id`), adding the drawn one of the vertex's id changes
-    kept on the comb (:func:`_moves`), and decodes coordinates only to
-    record them.
+    kept on the comb (:func:`_moves`).  Its escape counts, from a vertex
+    with out-edges and from one without, are fixed once per walk, as in
+    :func:`chain.solve`.  Only with ``record`` does it keep the ids it
+    visits, and it decodes their coordinates at the end.
     """
     sizes = comb.sizes
     count = math.prod(sizes)
@@ -322,6 +324,8 @@ def walk(
     else:
         v = _vertex_id(grid_spec(comb), start)  # type: ignore[arg-type]
     delta = None if cfg is None else cfg.delta
+    # the escape count depends only on whether a vertex has out-edges
+    dead, live = chain.escape_weight(delta, 0), chain.escape_weight(delta, 1)
     budget = count + 1
     known = comb._vertex_moves
     path = [v]
@@ -331,10 +335,9 @@ def walk(
         if out is None:
             out = _moves(comb, v)
         n_succ = len(out)
-        escape = chain.escape_weight(delta, n_succ)
-        if not n_succ and not escape:
+        if not n_succ and not dead:
             break  # sink of the plain grid
-        i = chain.draw(rng, n_succ, escape)
+        i = chain.draw(rng, n_succ, live if n_succ else dead)
         steps += 1
         if steps > budget:
             raise InternalInvariantError(
@@ -343,7 +346,8 @@ def walk(
         if i is None:
             break
         v += out[i]
-        path.append(v)
+        if record:
+            path.append(v)
     if not record:
         return WalkOutcome(steps)
     visited: list[Vertex | None] = [_vertex(sizes, u) for u in path]

@@ -37,7 +37,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from . import chain, geometry
@@ -143,16 +143,23 @@ class ProcessConfig:
         )
 
 
+# the entry verdict of a state holding a second-outermost-layer point
+_NEVER = "never"
+
+
 @dataclass(slots=True, eq=False, repr=False)
 class _State:
     """One transversal of the state graph: its id, members, phase, and its
     axis-intersection sum as the exact integer pair ``t_num / t_den`` with
     ``t_den > 0``; ``<`` compares those sums exactly.  ``below`` (the
     strictly-below points) stays ``None`` until :func:`_below` expands the
-    state; ``succ[i]``, the color-swap successor for ``below[i]``, stays
-    ``None`` until :func:`_edge` first takes that edge.  ``layer_rm1_below``
-    (every second-outermost-layer point is below) stays ``None`` until
-    :func:`good_phases` first needs it."""
+    state, which also sets ``escape``, its :func:`chain.escape_weight`;
+    ``succ[i]``, the color-swap successor for ``below[i]``, stays ``None``
+    until :func:`_edge` first takes that edge.  ``entry``, the state's
+    verdict as the entry of a good phase, stays ``None`` until
+    :func:`good_phases` first needs it: ``_NEVER`` when the state holds a
+    second-outermost-layer point, else whether all of that layer is below
+    it."""
 
     sid: int
     members: tuple[PointId, ...]
@@ -161,7 +168,8 @@ class _State:
     phase: int
     below: tuple[PointId, ...] | None = None
     succ: list[_State | None] | None = None
-    layer_rm1_below: bool | None = None
+    escape: int = 0
+    entry: bool | str | None = None
 
     def __lt__(self, other: _State) -> bool:
         return self.t_num * other.t_den < other.t_num * self.t_den
@@ -185,10 +193,12 @@ def _state(cfg: ProcessConfig, members: tuple[PointId, ...]) -> _State:
 
 
 def _below(cfg: ProcessConfig, st: _State) -> tuple[PointId, ...]:
-    """The strictly-below points of ``st``, computed on first use."""
+    """The strictly-below points of ``st``, computed on first use with the
+    state's escape weight."""
     if st.below is None:
-        st.below = geometry.below_set(cfg.point_set, Transversal(st.members))
-        st.succ = [None] * len(st.below)
+        st.below = below = geometry.below_set(cfg.point_set, Transversal(st.members))
+        st.succ = [None] * len(below)
+        st.escape = chain.escape_weight(cfg.delta, len(below))
     return st.below
 
 
@@ -313,17 +323,15 @@ def run(cfg: ProcessConfig, rng: Stream) -> Trace:
     """Run to the terminal position, keeping every visited state.
 
     Each pivot is drawn by :func:`chain.draw` over the below points and the
-    escape edges; with nothing below the escape is forced without consuming
-    randomness."""
+    state's escape edges, both kept on the state since it was expanded;
+    with nothing below the escape is forced without consuming randomness."""
     budget = cfg._budget
-    delta = cfg.delta
     st = cfg._start_state
     states = [st]
     picks = []
     while True:
         below = st.below or _below(cfg, st)
-        n_below = len(below)
-        i = chain.draw(rng, n_below, chain.escape_weight(delta, n_below))
+        i = chain.draw(rng, len(below), st.escape)
         picks.append(i)
         # a second safeguard: it cannot fire while _edge checks every edge
         if len(picks) > budget:
@@ -347,25 +355,32 @@ def good_phases(cfg: ProcessConfig, trace: Trace) -> dict[int, bool]:
 
     A visited phase is good when it was entered by pivoting a point of the
     last color and the entry position avoids the second-outermost layer;
-    all of that layer below the entry is the expected consequence.  Empty
-    below dimension 2, where the notion is not defined.
+    all of that layer below the entry is the expected consequence.  Both
+    facts about an entry are judged once per state and kept as its
+    ``entry`` verdict.  Empty below dimension 2, where the notion is not
+    defined.
     """
     r = cfg.point_set.r
     if r < 2:
         return {}
+    states, picks = trace.states, trace.picks
     good: dict[int, bool] = {}
-    # the last change is the escape to phase 0, after every state
-    for sigma, phi in trace.phase_changes()[:-1]:
-        pivot = trace.pivot(sigma - 1)
-        assert pivot is not None  # a positive-phase change is a point pivot
-        if pivot.color != r:
+    changes = trace.phase_changes()
+    # the last change is the escape to phase 0, after every state; every
+    # earlier one is entered by a point pivot
+    for sigma, phi in islice(changes, len(changes) - 1):
+        if states[sigma - 1].below[picks[sigma - 1]].color != r:
             continue
-        entry = trace.states[sigma]
-        if any(p.layer == r - 1 for p in entry.members):
-            continue
-        if entry.layer_rm1_below is None:
-            entry.layer_rm1_below = cfg._layer_rm1.issubset(_below(cfg, entry))
-        good[phi] = entry.layer_rm1_below
+        entry = states[sigma]
+        verdict = entry.entry
+        if verdict is None:
+            verdict = entry.entry = (
+                _NEVER
+                if any(p.layer == r - 1 for p in entry.members)
+                else cfg._layer_rm1.issubset(_below(cfg, entry))
+            )
+        if verdict is not _NEVER:
+            good[phi] = verdict
     return good
 
 

@@ -34,20 +34,23 @@ _BLOCK = struct.Struct("<8Q")
 
 class Stream:
     """The 64-bit words of the blocks of one key, drawn in order; made by
-    :func:`derive_rng`."""
+    :func:`derive_rng`.  A block is BLAKE2b's default 64-byte digest, eight
+    words; the stream hashes block 0 as it is made, and each later block
+    when the words before it run out."""
 
     __slots__ = ("_key", "_block", "_words")
 
     def __init__(self, key: bytes) -> None:
         self._key = key
-        self._block = 0
-        self._next_block()
+        self._block = 1
+        # block 0, hashed inline: its counter is eight zero bytes
+        self._words = iter(_BLOCK.unpack(blake2b(key + bytes(8)).digest()))
 
     def _next_block(self) -> Iterator[int]:
         """Start the next block; return its words."""
         b = self._block
         self._block = b + 1
-        digest = blake2b(self._key + b.to_bytes(8, "little"), digest_size=64).digest()
+        digest = blake2b(self._key + b.to_bytes(8, "little")).digest()
         self._words = words = iter(_BLOCK.unpack(digest))
         return words
 

@@ -382,6 +382,18 @@ def test_walk_draws_as_the_rows_oracle(r, m, delta, seed, data):
         assert rng.getstate() == oracle_rng.getstate()
 
 
+@pytest.mark.parametrize("delta", [None, 0, 1, 2])
+def test_unrecorded_walks_take_the_recorded_steps_and_draws(delta):
+    comb = build_comb(3, 8, derive_rng(1, "comb"))
+    cfg = None if delta is None else AugmentedConfig(delta)
+    for seed in range(200):
+        rng_a, rng_b = derive_rng(seed, "walk"), derive_rng(seed, "walk")
+        recorded = walk(comb, cfg, "uniform", rng_a, record=True)
+        assert walk(comb, cfg, "uniform", rng_b, record=False).steps == recorded.steps
+        # both consumed the same draws
+        assert rng_a.randrange(2**64) == rng_b.randrange(2**64)
+
+
 def test_walk_fills_moves_only_for_visited_vertices():
     comb = build_comb(3, 6, Random(3))
     visited = set()

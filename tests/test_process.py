@@ -203,9 +203,13 @@ def test_runs_of_one_config_share_its_setup(monkeypatch):
     assert start.members == cfg.start.members
 
 
-def hand_state(members, phase, below) -> process._State:
-    """A state built outside any config's graph, for traces fed by hand."""
-    return process._State(-1, members, 0, 1, phase, below)
+def hand_state(cfg, members, phase, below) -> process._State:
+    """A state built outside any config's graph, for traces fed by hand:
+    its escape weight under ``cfg`` set with its below points, as
+    :func:`process._below` sets them, and its entry verdict not yet
+    judged."""
+    escape = chain.escape_weight(cfg.delta, len(below))
+    return process._State(-1, members, 0, 1, phase, below, escape=escape)
 
 
 def scalar_run(cfg, rng) -> Trace:
@@ -223,7 +227,7 @@ def scalar_run(cfg, rng) -> Trace:
         prev_t_sum = t_sum
         below = below_set(ps, position)
         i = chain.draw(rng, len(below), chain.escape_weight(cfg.delta, len(below)))
-        states.append(hand_state(position.members, phase_of(ps, position), below))
+        states.append(hand_state(cfg, position.members, phase_of(ps, position), below))
         picks.append(i)
         if i is None:
             return Trace(states, picks)
@@ -445,11 +449,82 @@ def test_good_phases_flag_false_when_a_layer_point_is_above():
     phase = phase_of(ps, make_transversal(ps, members))
     # the first state pivots that point in; the entry is the config's own
     entry = process._state(cfg, members)
-    trace = Trace([hand_state(members, phase + 1, (pivot,)), entry], [0, None])
+    trace = Trace([hand_state(cfg, members, phase + 1, (pivot,)), entry], [0, None])
     for _ in range(2):  # the second call reads the cached flag
         report = good_phases(cfg, trace)
         assert report == scalar_good_phases(cfg, trace)
         assert report == {phase: False}
+
+
+def uncached_good_phases(cfg, trace):
+    """Oracle: the good-phase rule judging every entry afresh, from its
+    members and the config's layer-(r-1) set, with no verdict kept."""
+    r = cfg.point_set.r
+    if r < 2:
+        return {}
+    good = {}
+    # the last change is the escape to phase 0, after every state
+    for sigma, phi in trace.phase_changes()[:-1]:
+        pivot = trace.pivot(sigma - 1)
+        assert pivot is not None  # a positive-phase change is a point pivot
+        if pivot.color != r:
+            continue
+        entry = trace.states[sigma]
+        if any(p.layer == r - 1 for p in entry.members):
+            continue
+        good[phi] = cfg._layer_rm1.issubset(process._below(cfg, entry))
+    return good
+
+
+def check_kept_fields(cfg):
+    """Every expanded state of ``cfg`` keeps its escape weight, and every
+    judged one the verdict its members and below points give."""
+    r = cfg.point_set.r
+    layer_rm1 = set(cfg.point_set.layer_members(r - 1))
+    expanded = [st for st in cfg._states.values() if st.below is not None]
+    assert expanded
+    for st in expanded:
+        assert st.escape == chain.escape_weight(cfg.delta, len(st.below))
+    judged = [st for st in cfg._states.values() if st.entry is not None]
+    for st in judged:
+        if any(p.layer == r - 1 for p in st.members):
+            assert st.entry is process._NEVER
+        else:
+            assert st.entry is (layer_rm1 <= set(st.below))
+    return judged
+
+
+def verdicts_against_oracle(cfg, seed, traces):
+    """Every good-phase verdict of ``traces`` seeded traces, each report
+    checked against the uncached rule."""
+    verdicts = []
+    for i in range(traces):
+        trace = run(cfg, derive_rng(seed, "verdict", i))
+        report = good_phases(cfg, trace)
+        assert report == uncached_good_phases(cfg, trace)
+        verdicts += report.values()
+    return verdicts
+
+
+@pytest.mark.parametrize("delta", [0, 2])
+@pytest.mark.parametrize("r, m", [(2, 6), (3, 4), (4, 3)])
+def test_kept_entry_verdicts_match_the_uncached_rule(r, m, delta):
+    # one config for every trace, so later traces read the kept verdicts
+    cfg = augmented_config(r, m, delta)
+    verdicts = verdicts_against_oracle(cfg, 11, 200)
+    assert verdicts and all(verdicts)
+    judged = check_kept_fields(cfg)
+    assert any(st.entry is process._NEVER for st in judged)
+
+
+def test_kept_entry_verdicts_match_the_uncached_rule_on_a_mutant():
+    # a flipped second-layer point that still runs: it sits above every
+    # good entry, so each verdict is False
+    ps = flip_tail_sign(gen_point_set(3, 3).augmented((4, 5, 6)), PointId(1, 2, 1), 2)
+    cfg = ProcessConfig(ps, delta=2)
+    verdicts = verdicts_against_oracle(cfg, 12, 150)
+    assert verdicts and not any(verdicts)
+    check_kept_fields(cfg)
 
 
 # ---------------------------------------------------------------------------
